@@ -9,6 +9,8 @@ Marques-Lengyel valuation conjecture hold, fail, or resist the method.
 from .padic import (
     DEFAULT_PRECISION,
     VAL_INF,
+    ExtElem,
+    ExtRing,
     PAdicInt,
     PrecisionError,
     cube_root,
@@ -20,11 +22,7 @@ from .padic import (
 from .tribonacci import ZERO_SET, trib, trib_mod, trib_val
 from .galois import (
     EXCLUDED_PRIMES,
-    ExtElem,
-    ExtRing,
     PrimeContext,
-    compute_N,
-    lift_roots,
     prime_context,
     splitting_type,
 )

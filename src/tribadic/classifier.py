@@ -22,6 +22,7 @@ from importlib import resources
 from ._factor import crt_pair, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
 from .interpolation import (
+    ZERO_TARGETS_RAT,
     ConditionNotMet,
     classify_zero,
     hensel_zero,
@@ -30,8 +31,10 @@ from .interpolation import (
 from .padic import VAL_INF, PAdicInt, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, trib_mod, trib_val
 
-ZT = (0, -1, -4, -17)
-QT = ZT + (Fraction(1, 3), Fraction(-5, 3))
+ZT = ZERO_SET
+QT = ZT + ZERO_TARGETS_RAT
+
+P_MAX = 10**4  # the largest p_max reproduce_table and scan_range accept
 
 STATUS_HOLDS = "holds"
 STATUS_FAILS = "fails"
@@ -200,12 +203,19 @@ def _qt_residues_mod(m: int, targets=QT):
     return out
 
 
-def _class_of(ell: int, n_period: int, targets=QT):
-    """The Q_T element congruent to l mod N, if any."""
+def _zero_table(p: int, n_period: int, targets=QT) -> list[ZeroClassInfo]:
+    """One ZeroClassInfo per l in [0, N) with p | T(l), classed by the first of
+    targets congruent to l mod N, if any."""
+    classes = {}
     for t, r in zip(targets, _qt_residues_mod(n_period, targets)):
-        if r is not None and ell % n_period == r:
-            return t
-    return None
+        if r is not None:
+            classes.setdefault(r, t)
+    infos = []
+    for ell, t_ell, t_ell_n in _zero_scan(p, n_period):
+        deriv_ok = (t_ell_n - t_ell) % (p * p) != 0
+        u = _u_residue(p, n_period, t_ell, t_ell_n, ell) if deriv_ok else None
+        infos.append(ZeroClassInfo(ell, deriv_ok, u, classes.get(ell)))
+    return infos
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +327,7 @@ def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
     n_period = ctx.n_period
     zt_p = {t % p for t in ZT}
     qt_p = {r for r in _qt_residues_mod(p) if r is not None}
-    infos = []
-    for ell, t_ell, t_ell_n in _zero_scan(p, n_period):
-        deriv_ok = (t_ell_n - t_ell) % (p * p) != 0
-        u = _u_residue(p, n_period, t_ell, t_ell_n, ell) if deriv_ok else None
-        infos.append(ZeroClassInfo(ell, deriv_ok, u, _class_of(ell, n_period)))
+    infos = _zero_table(p, n_period)
     all_deriv = all(i.deriv_ok for i in infos)
 
     def first_witness(targets_mod_p):
@@ -335,10 +341,12 @@ def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
     zt_classes = {t % n_period for t in ZT}
     formula = None
     certs = ()
+    holds = None  # _holds_spec(ctx, infos) once it has run: both forms test the same classes
     if w is not None:
         verdict_ml = Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=_witness_zero(ctx, w.ell, w.u))
     elif all_deriv and all(i.ell % n_period in zt_classes and isinstance(i.target, int) for i in infos):
-        spec, certs = _holds_spec(ctx, infos)
+        holds = _holds_spec(ctx, infos)
+        spec, certs = holds
         if spec is not None:
             verdict_ml = Verdict(STATUS_HOLDS, q=n_period)
             formula = spec
@@ -365,7 +373,7 @@ def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
         )
         verdict_rat = Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=digits)
     elif ctx.d == 1 and n_period % 3 != 0 and not collision and all_deriv and in_qt_classes:
-        spec, rcerts = _holds_spec(ctx, infos)
+        spec, rcerts = holds or _holds_spec(ctx, infos)
         if spec is not None:
             verdict_rat = Verdict(STATUS_HOLDS, q=n_period)
             formula, certs = spec, rcerts
@@ -402,18 +410,15 @@ def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
 # the refined p = 3 pipeline (modulus 39)
 
 
-def _constant_class_value(p: int, q: int, r: int, digits: int):
+def _constant_class_value(p: int, n_period: int, q: int, r: int, digits: int):
     """The constant value of T(n) mod p^digits on the class n = r (mod q), certified
     over one full period of T mod p^digits, or None if the class is not constant."""
-    from .tribonacci import _mat_pow, _M_FWD  # local import: private helpers
-
     m = p**digits
-    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ctx = prime_context(p, 2)
-    per = ctx.n_period
-    mat = tuple(tuple(x % m for x in row) for row in _M_FWD)
+    per = n_period
     for _ in range(digits):  # the period mod p^digits divides N * p^(digits-1)
-        if _mat_pow(mat, per, m) == ident:
+        # (T(per), T(per+1), T(per+2)) = (0, 1, 1) makes M^per fix the states
+        # (0, 1, 1), (1, 1, 2), (1, 2, 4); their determinant is -1, so M^per = I
+        if (trib_mod(per, m), trib_mod(per + 1, m), trib_mod(per + 2, m)) == (0, 1, 1):
             break
         per *= p
     else:
@@ -437,17 +442,13 @@ def p3_pipeline(prec: int = 24) -> ClassificationRecord:
     p = 3
     ctx = prime_context(p, prec)
     n_period = ctx.n_period
-    infos = []
-    for ell, t_ell, t_ell_n in _zero_scan(p, n_period):
-        deriv_ok = (t_ell_n - t_ell) % (p * p) != 0
-        u = _u_residue(p, n_period, t_ell, t_ell_n, ell) if deriv_ok else None
-        infos.append(ZeroClassInfo(ell, deriv_ok, u, _class_of(ell, n_period, ZT)))
+    infos = _zero_table(p, n_period, ZT)
     if [i.ell for i in infos] != [0, 7, 9, 12]:
         raise PrecisionError(f"unexpected zero classes mod 13: {[i.ell for i in infos]}")
 
     q = 3 * n_period  # 39
-    c7 = _constant_class_value(p, n_period, 7, 2)
-    c9 = _constant_class_value(p, q, 9, 5)
+    c7 = _constant_class_value(p, n_period, n_period, 7, 2)
+    c9 = _constant_class_value(p, n_period, q, 9, 5)
     if c7 is None or c9 is None or val_int(c7, p) != 1 or val_int(c9, p) != 4:
         raise PrecisionError("p = 3 constant-class certificates failed")
     certs = [
@@ -538,12 +539,7 @@ def _builtin_p3() -> FormulaSpec:
 
 
 def _builtin_holds(p: int, q: int, targets) -> FormulaSpec:
-    entries = []
-    for t in targets:
-        t = Fraction(t)
-        r = t.numerator * pow(t.denominator, -1, q) % q
-        entries.append((q, (r,), int(t) if t.denominator == 1 else t, 1))
-    return assemble_spec(p, q, entries)
+    return assemble_spec(p, q, [(q, (r,), t, 1) for t, r in zip(targets, _qt_residues_mod(q, targets))])
 
 
 _BUILTIN_QS = {83: 287, 397: 132, 269: 268, 401: 400, 419: 418, 499: 166, 587: 293}
@@ -594,8 +590,8 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=(), spot_every: in
             actual = trib_val(n, p)
         else:
             actual = _vp(a, p)
-        if spot_every and n % spot_every == 0:
-            assert actual == trib_val(n, p), f"incremental walk out of sync at n = {n}"
+        if spot_every and n % spot_every == 0 and actual != trib_val(n, p):
+            raise AssertionError(f"incremental walk out of sync at n = {n}")
         predicted = spec.predict(n)
         if predicted != actual:
             out.append(Mismatch(n, predicted, actual))
@@ -643,26 +639,25 @@ class TableRow:
     status: str
 
 
-def _classify_row(args) -> TableRow:
-    p, prec = args
-    rec = classify_prime(p, prec)
-    v = rec.verdict_ml
-    return TableRow(p, rec.n_period, v.ell, v.u, v.status)
+def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[ClassificationRecord]:
+    """classify_prime on every prime in [p_min, p_max], in order, on jobs worker processes."""
+    if p_max > P_MAX:
+        raise ValueError(f"p_max = {p_max} is above the supported {P_MAX}")
+    ps = [p for p in primes_upto(p_max) if p >= p_min]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(classify_prime, ps, [prec] * len(ps)))
+    return [classify_prime(p, prec) for p in ps]
 
 
 def reproduce_table(p_max: int, prec: int = 24, jobs: int = 1) -> list[TableRow]:
     """One row per prime in [5, p_max]: the period and, when the integer form
     fails, the smallest witness pair (l, u); holds/undecided/excluded otherwise."""
-    if p_max > 10**4:
-        raise ValueError("reproduce_table is sized for p_max <= 10^4")
-    ps = [p for p in primes_upto(p_max) if p >= 5]
-    work = [(p, prec) for p in ps]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_classify_row, work))
-    else:
-        rows = [_classify_row(w) for w in work]
-    return sorted(rows, key=lambda r: r.p)
+    records = _classify_range(p_max, prec, jobs, p_min=5)
+    return [
+        TableRow(r.p, r.n_period, r.verdict_ml.ell, r.verdict_ml.u, r.verdict_ml.status)
+        for r in records
+    ]
 
 
 @dataclass(frozen=True)
@@ -740,23 +735,10 @@ class ScanSummary:
     cube_root_family_fraction: float = 0.0
 
 
-def _classify_full(args):
-    return classify_prime(*args)
-
-
 def scan_range(p_max: int, prec: int = 24, jobs: int = 1) -> ScanSummary:
     """Verdict sets for every prime <= p_max, plus the fully-split p = 2 (mod 3)
     family whose density the heuristics compare with 1/12."""
-    if p_max > 10**4:
-        raise ValueError("scan_range is sized for p_max <= 10^4")
-    ps = primes_upto(p_max)
-    work = [(p, prec) for p in ps]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_classify_full, work))
-    else:
-        records = [_classify_full(w) for w in work]
-    records.sort(key=lambda r: r.p)
+    records = _classify_range(p_max, prec, jobs)
     ml: dict[str, list[int]] = {s: [] for s in (STATUS_HOLDS, STATUS_FAILS, STATUS_UNDECIDED, STATUS_EXCLUDED)}
     rat: dict[str, list[int]] = {s: [] for s in ml}
     family = []
@@ -767,9 +749,9 @@ def scan_range(p_max: int, prec: int = 24, jobs: int = 1) -> ScanSummary:
             family.append(rec.p)
     return ScanSummary(
         p_max,
-        len(ps),
+        len(records),
         {k: tuple(v) for k, v in ml.items()},
         {k: tuple(v) for k, v in rat.items()},
         tuple(family),
-        len(family) / len(ps) if ps else 0.0,
+        len(family) / len(records) if records else 0.0,
     )

@@ -4,7 +4,7 @@ Machine-readable output: every command can emit a JSON record with the fields
 {command, params, status, payload, precision_used, elapsed_ms}; `table` also
 speaks CSV with columns p,N,ell,u.  Exit codes are a function of the status
 alone: 0 pass/decided, 1 fail (a counterexample or table disagreement),
-2 undecided, 3 excluded, 64 usage error.
+2 undecided, 3 excluded, 64 usage error (any bad input), 70 internal error.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import io
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from ._factor import is_prime
 from .galois import EXCLUDED_PRIMES, prime_context
 from .interpolation import (
+    MIN_PRECISION,
     ConditionNotMet,
     classify_zero,
     hensel_zero,
@@ -30,6 +32,7 @@ from .padic import DEFAULT_PRECISION, PrecisionError
 from .tribonacci import trib_mod
 from .classifier import (
     BUILTIN_SPEC_NAMES,
+    P_MAX,
     ClassificationRecord,
     FormulaCase,
     FormulaSpec,
@@ -38,7 +41,6 @@ from .classifier import (
     builtin_spec,
     classify_prime,
     derive_linear_formula,
-    published_table,
     reproduce_table,
     scan_range,
     validate_published_rows,
@@ -50,6 +52,7 @@ EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_EXCLUDED = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 _EXIT_BY_STATUS = {
     "pass": EXIT_PASS,
@@ -62,9 +65,34 @@ _EXIT_BY_STATUS = {
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which collides with "undecided"
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_arg(lo=None, hi=None):
+    """An argparse type: an integer in [lo, hi]."""
+
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if lo is not None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
+        return value
+
+    return integer
+
+
+def _range_arg(text):
+    """An argparse type: 'a..b' with integers a <= b, as (a, b)."""
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a..b with integers a <= b, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _jsonable(x):
@@ -269,11 +297,7 @@ def _cmd_verify(args) -> int:
     except (OSError, KeyError) as exc:
         print(f"verify: cannot load spec {args.spec!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    lo, _, hi = args.range.partition("..")
-    lo, hi = int(lo), int(hi)
-    if hi < lo:
-        print("verify: empty range", file=sys.stderr)
-        return EXIT_USAGE
+    lo, hi = args.range
     mismatches = verify_formula(spec, lo, hi)
     payload = {
         "spec": spec_to_dict(spec),
@@ -282,7 +306,7 @@ def _cmd_verify(args) -> int:
                        for m in mismatches],
     }
     status = "pass" if not mismatches else "fail"
-    return _emit(args, "verify", {"spec": args.spec, "range": args.range}, status, payload,
+    return _emit(args, "verify", {"spec": args.spec, "range": f"{lo}..{hi}"}, status, payload,
                  DEFAULT_PRECISION, t0)
 
 
@@ -299,7 +323,7 @@ def _cmd_zero(args) -> int:
         except PrecisionError:
             continue
     print("zero: precision escalation exhausted", file=sys.stderr)
-    return EXIT_FAIL
+    return EXIT_INTERNAL
 
 
 def _zero_once(args, p, ell, s, prec, t0) -> int:
@@ -316,31 +340,27 @@ def _zero_once(args, p, ell, s, prec, t0) -> int:
     payload["mu"] = strassman_mu(series)
     try:
         record = hensel_zero(series)
-        payload["deriv_ok"] = True
     except ConditionNotMet:
-        payload["deriv_ok"] = False
-        cert = derive_linear_formula(ctx, ell, s)
-        if cert is None:
-            payload["conclusion"] = "derivative condition fails and no linear certificate was found"
-            return _emit(args, "zero", params, "undecided", payload, prec, t0)
-        payload["linear_certificate"] = _jsonable(
-            {"a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
-        )
-        return _emit(args, "zero", params, "pass", payload, prec, t0)
-    target = classify_zero(ctx, record)
-    payload["zero"] = {
-        "digits": record.b.digits(),
-        "residue": record.b.residue,
-        "unique": record.unique,
-        "newton_residual_valuations": list(record.residual_vals),
-        "classification": _jsonable({"kind": target.kind,
-                                     "value": target.value if target.kind != "other" else None}),
-    }
+        record = None
+    payload["deriv_ok"] = record is not None
+    if record is not None:
+        target = classify_zero(ctx, record)
+        payload["zero"] = {
+            "digits": record.b.digits(),
+            "residue": record.b.residue,
+            "unique": record.unique,
+            "newton_residual_valuations": list(record.residual_vals),
+            "classification": _jsonable({"kind": target.kind,
+                                         "value": target.value if target.kind != "other" else None}),
+        }
     cert = derive_linear_formula(ctx, ell, s)
     if cert is not None:
         payload["linear_certificate"] = _jsonable(
             {"a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
         )
+    elif record is None:
+        payload["conclusion"] = "derivative condition fails and no linear certificate was found"
+        return _emit(args, "zero", params, "undecided", payload, prec, t0)
     return _emit(args, "zero", params, "pass", payload, prec, t0)
 
 
@@ -367,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="working p-adic precision K (default 24)")
+        sp.add_argument("--precision", type=_int_arg(lo=MIN_PRECISION), default=DEFAULT_PRECISION,
+                        help=f"working p-adic precision K >= {MIN_PRECISION} (default 24)")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     sp = sub.add_parser("classify", help="decide both conjecture forms for one prime")
@@ -377,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("table", help="reproduce the failure-witness table up to --max")
-    sp.add_argument("--max", type=int, default=600)
+    sp.add_argument("--max", type=_int_arg(hi=P_MAX), default=600)
     sp.add_argument("--validate-paper", action="store_true",
                     help="cross-check against the embedded published table")
     sp.add_argument("--jobs", type=int, default=1)
@@ -387,19 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a closed-form valuation spec against the sequence")
     sp.add_argument("--spec", required=True,
                     help=f"one of {', '.join(BUILTIN_SPEC_NAMES)} or a JSON file")
-    sp.add_argument("--range", default="1..10000", help="inclusive range a..b")
+    sp.add_argument("--range", type=_range_arg, default="1..10000", help="inclusive range a..b")
     common(sp)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("zero", help="locate and classify the zero of one interpolant f_ell")
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--multiplier", type=int, default=1, help="period multiplier s (default 1)")
+    sp.add_argument("--multiplier", type=_int_arg(lo=1), default=1,
+                    help="period multiplier s >= 1 (default 1)")
     common(sp)
     sp.set_defaults(fn=_cmd_zero)
 
     sp = sub.add_parser("scan", help="verdict counts and density summary up to --max")
-    sp.add_argument("--max", type=int, default=600)
+    sp.add_argument("--max", type=_int_arg(hi=P_MAX), default=600)
     sp.add_argument("--jobs", type=int, default=1)
     common(sp)
     sp.set_defaults(fn=_cmd_scan)
@@ -412,7 +433,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception:  # exit 1 would read as "counterexample found"
+        traceback.print_exc()
+        print(f"tribadic {args.command}: internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:  # console-script shim

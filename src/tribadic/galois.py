@@ -1,9 +1,10 @@
 """Splitting data for P(X) = X^3 - X^2 - X - 1 over Q_p.
 
-Factors P mod p, builds the unramified extension containing all three roots,
-Hensel-lifts the roots to precision p^prec, computes the Binet coefficients
-c_lambda = lambda * P'(lambda)^-1 and the period N (the order of the group
-generated by the roots in the residue field).
+Once per prime: the splitting type d, the roots of P in the residue field
+F_{p^d}, p^d - 1 factored, and the period N (the order of the group the roots
+generate in the residue field).  Per precision: the unramified extension that
+holds all three roots, the roots Hensel-lifted to p^prec, and the Binet
+coefficients c_lambda = lambda * P'(lambda)^-1.
 
 disc(P) = -44, so p = 2 and p = 11 are ramified and rejected everywhere here.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._factor import factorize, is_prime
-from .padic import PAdicInt, PrecisionError, _vp, vp_factorial
+from .padic import ExtElem, ExtRing, PrecisionError
 
 EXCLUDED_PRIMES = (2, 11)
 
@@ -31,299 +32,16 @@ def _check_admissible(p: int) -> None:
         raise ValueError(f"p = {p} is ramified for X^3 - X^2 - X - 1 (disc = -44)")
 
 
-# ---------------------------------------------------------------------------
-# small polynomial helpers over F_p (degrees <= 3)
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int):
-    a = a[:]
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead % p
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bc) % p
-        a.pop()
-    return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_inverse(a: list[int], h: list[int], p: int) -> list[int]:
-    """Inverse of a modulo (h, p) by extended Euclid; a must be a unit."""
-    r0, r1 = h[:], [c % p for c in a]
-    s0, s1 = [], [1]
-    r1 = _fp_trim(r1)
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        # s = s0 - q*s1
-        prod = [0] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                prod[i + j] = (prod[i + j] + qc * sc) % p
-        s = [(x - y) % p for x, y in zip(s0 + [0] * len(prod), prod + [0] * len(s0))]
-        r0, r1, s0, s1 = r1, r, s1, _fp_trim(s)
-    if len(r0) != 1:
-        raise PrecisionError("element is not a unit in the residue field")
-    c = pow(r0[0], -1, p)
-    return [x * c % p for x in s0]
-
-
-# ---------------------------------------------------------------------------
-# the ring Z_p[x]/(h, p^prec)
-
-
-class ExtRing:
-    """Z[x]/(h, p^prec) for a monic h of degree d irreducible mod p (d = 1: Z/p^prec)."""
-
-    __slots__ = ("p", "prec", "pk", "modulus", "d")
-
-    def __init__(self, p: int, prec: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.prec = prec
-        self.pk = p**prec
-        self.modulus = tuple(c % self.pk for c in modulus[:-1]) + (1,)
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        self.d = len(modulus) - 1
-
-    def elem(self, coords) -> "ExtElem":
-        coords = list(coords) + [0] * (self.d - len(coords))
-        return ExtElem(self, tuple(c % self.pk for c in coords[: self.d]))
-
-    def embed(self, n: int) -> "ExtElem":
-        return self.elem([n])
-
-    @property
-    def zero(self) -> "ExtElem":
-        return self.elem([0])
-
-    @property
-    def one(self) -> "ExtElem":
-        return self.elem([1])
-
-    @property
-    def gen(self) -> "ExtElem":
-        return self.elem([0, 1][: self.d] if self.d > 1 else [0])
-
-    def lifted(self, extra: int) -> "ExtRing":
-        # same modulus coefficients read at higher precision: results only ever
-        # get consumed modulo p^prec, where the two rings agree
-        return ExtRing(self.p, self.prec + extra, self.modulus)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtRing)
-            and (self.p, self.prec, self.modulus) == (other.p, other.prec, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.modulus))
-
-    def __repr__(self):
-        return f"ExtRing(p={self.p}, prec={self.prec}, d={self.d})"
-
-
-class ExtElem:
-    """An element of an ExtRing: d coordinates in [0, p^prec) w.r.t. 1, x, ..., x^(d-1)."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring: ExtRing, coords: tuple[int, ...]):
-        self.ring = ring
-        self.coords = coords
-
-    def _same(self, other: "ExtElem") -> None:
-        if self.ring != other.ring:
-            raise ValueError("elements from different rings")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.embed(other)
-        self._same(other)
-        pk = self.ring.pk
-        return ExtElem(self.ring, tuple((a + b) % pk for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.embed(other)
-        self._same(other)
-        pk = self.ring.pk
-        return ExtElem(self.ring, tuple((a - b) % pk for a, b in zip(self.coords, other.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        pk = self.ring.pk
-        return ExtElem(self.ring, tuple(-a % pk for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            pk = self.ring.pk
-            return ExtElem(self.ring, tuple(a * other % pk for a in self.coords))
-        self._same(other)
-        ring = self.ring
-        d, pk, h = ring.d, ring.pk, ring.modulus
-        if d == 1:
-            return ExtElem(ring, (self.coords[0] * other.coords[0] % pk,))
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    prod[i + j] += a * b
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i] % pk
-            if c:
-                for j in range(d):
-                    prod[i - d + j] -= c * h[j]
-            prod[i] = 0
-        return ExtElem(ring, tuple(c % pk for c in prod[:d]))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def inv(self) -> "ExtElem":
-        """Inverse of a unit: residue-field inverse lifted by Newton iteration."""
-        ring = self.ring
-        p = ring.p
-        if self.val() != 0:
-            raise PrecisionError("not a unit in the extension")
-        h0 = [c % p for c in ring.modulus]
-        inv0 = _fp_inverse(list(self.coords), h0, p)
-        y = ring.elem(inv0)
-        for _ in range(max(ring.prec.bit_length(), 1)):
-            y = y * (2 - self * y)
-        return y
-
-    def val(self) -> int:
-        """Valuation: min over coordinates (the extension is unramified); prec if zero."""
-        v = self.ring.prec
-        for c in self.coords:
-            if c:
-                v = min(v, _vp(c, self.ring.p))
-                if v == 0:
-                    return 0
-        return v
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def div_exact_p(self, w: int) -> "ExtElem":
-        """Divide by p^w; every coordinate must be divisible (valuation >= w)."""
-        if w == 0:
-            return self
-        q = self.ring.p**w
-        if any(c % q for c in self.coords):
-            raise PrecisionError("exact division by p^w failed")
-        return ExtElem(self.ring, tuple(c // q for c in self.coords))
-
-    def lift_to(self, ring: ExtRing) -> "ExtElem":
-        return ring.elem(self.coords)
-
-    def reduce_to(self, ring: ExtRing) -> "ExtElem":
-        return ring.elem(self.coords)
-
-    def to_padic(self, prec: int | None = None) -> PAdicInt:
-        """Project a Galois-stable element to Z_p; nonconstant coordinates must vanish."""
-        if any(self.coords[1:]):
-            raise PrecisionError("element has nonvanishing extension coordinates")
-        k = self.ring.prec if prec is None else prec
-        return PAdicInt(self.ring.p, k, self.coords[0])
-
-    def exp(self) -> "ExtElem":
-        """exp on pO (p >= 3, unramified), truncated correctly mod p^prec."""
-        ring = self.ring
-        p, prec = ring.p, ring.prec
-        if self.val() < 1:
-            raise ValueError("exp needs valuation >= 1")
-        cut = -((-(prec * (p - 1) - 1)) // (p - 2))
-        big = ring.lifted(vp_factorial(cut, p))
-        x = self.lift_to(big)
-        term = big.one
-        acc = big.zero
-        for n in range(cut + 1):
-            if n:
-                term = term * x
-                w = _vp(n, p)
-                if w:
-                    term = term.div_exact_p(w)
-                term = term * pow(n // p**w if w else n, -1, big.pk)
-            acc = acc + term
-        return acc.reduce_to(ring)
-
-    def log(self) -> "ExtElem":
-        """log on 1 + pO (p >= 3, unramified), truncated correctly mod p^prec."""
-        ring = self.ring
-        p, prec = ring.p, ring.prec
-        w = self - ring.one
-        if w.val() < 1:
-            raise ValueError("log needs an argument = 1 (mod p)")
-        cut, slack = prec, 0
-        while True:
-            lg = 0
-            q = p
-            while q <= cut:
-                lg += 1
-                q *= p
-            if cut - lg >= prec:
-                slack = lg
-                break
-            cut += 1
-        big = ring.lifted(slack)
-        ww = w.lift_to(big)
-        pw = big.one
-        acc = big.zero
-        for n in range(1, cut + 1):
-            pw = pw * ww
-            v = _vp(n, p)
-            t = pw.div_exact_p(v) if v else pw
-            t = t * pow(n // p**v if v else n, -1, big.pk)
-            acc = (acc - t) if n % 2 == 0 else (acc + t)
-        return acc.reduce_to(ring)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtElem) and self.ring == other.ring and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.ring, self.coords))
-
-    def __repr__(self):
-        return f"ExtElem{self.coords} in {self.ring!r}"
-
-
-def _peval(x: ExtElem | int, poly, ring: ExtRing | None = None):
+def _peval(x: ExtElem, poly) -> ExtElem:
     # Horner evaluation of an integer polynomial (ascending coefficients)
-    acc = ring.zero if ring is not None else 0
+    acc = x.ring.zero
     for c in reversed(poly):
-        acc = acc * x + c if ring is None else acc * x + ring.embed(c)
+        acc = acc * x + c
     return acc
 
 
 # ---------------------------------------------------------------------------
-# splitting type and lifted contexts
+# splitting type, period and lifted contexts
 
 
 def splitting_type(p: int):
@@ -346,29 +64,57 @@ def splitting_type(p: int):
     raise AssertionError(f"cubic with exactly two roots mod {p}: discriminant logic broken")
 
 
-def _lift_int_root(r0: int, p: int, prec: int) -> int:
-    pk = p**prec
-    r = r0
-    for _ in range(max(prec.bit_length(), 1) + 1):
-        fr = (r * r * r - r * r - r - 1) % pk
-        dr = (3 * r * r - 2 * r - 1) % pk
-        r = (r - fr * pow(dr, -1, pk)) % pk
-    assert (r * r * r - r * r - r - 1) % pk == 0
-    return r
-
-
 def _newton_root(ring: ExtRing, start: ExtElem) -> ExtElem:
+    """The root of P in ring that lifts start, a root of P mod p, by Newton iteration."""
     t = start
-    for _ in range(max(ring.prec.bit_length(), 1) + 1):
-        t = t - _peval(t, _P, ring) * _peval(t, _DP, ring).inv()
-    if not _peval(t, _P, ring).is_zero():
-        raise PrecisionError("Newton root lifting failed")
-    return t
+    for _ in range(max(ring.prec.bit_length(), 1) + 2):
+        f = _peval(t, _P)
+        if f.is_zero():
+            return t
+        t = t - f * _peval(t, _DP).inv()
+    raise PrecisionError("Newton root lifting failed")
+
+
+@lru_cache(maxsize=4096)  # holds every prime up to 10^4, the most scan_range accepts
+def _prime_data(p: int) -> tuple[int, tuple[ExtElem, ...], int, dict[int, int]]:
+    """(d, roots of P in F_{p^d}, period N, factorization of p^d - 1): what p alone fixes.
+
+    Each root's order divides p^d - 1 (factored by trial division + Pollard rho)
+    and is found by dividing down exponents; N is their lcm.  For d = 3 the
+    sharper divisibility N | p^2 + p + 1 is checked.
+    """
+    d, factors = splitting_type(p)
+    if d == 1:
+        res = ExtRing(p, 1, (0, 1))
+        roots = tuple(res.embed(-f[0]) for f in factors)
+    elif d == 2:
+        res = ExtRing(p, 1, factors[1])
+        x = res.gen
+        roots = (res.embed(-factors[0][0]), x, -x - factors[1][1])
+    else:
+        res = ExtRing(p, 1, _P)
+        conj1 = res.gen**p
+        roots = (res.gen, conj1, conj1**p)
+    group = p**d - 1
+    fac = factorize(group)
+    n = 1
+    for lam in roots:
+        order = group
+        for q in fac:
+            while order % q == 0 and lam ** (order // q) == res.one:
+                order //= q
+        n = n * order // math.gcd(n, order)
+    if d == 3 and (p * p + p + 1) % n != 0:
+        raise AssertionError(f"N = {n} does not divide p^2 + p + 1 for p = {p}")
+    if group % n != 0:
+        raise AssertionError(f"N = {n} does not divide p^d - 1 for p = {p}")
+    return d, roots, n, fac
 
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Per-prime data: lifted roots, Binet coefficients, period, and p^d - 1 factored."""
+    """Per-prime data (splitting type, period, p^d - 1 factored) with the roots of P
+    and the Binet coefficients lifted to p^prec."""
 
     p: int
     prec: int
@@ -376,82 +122,38 @@ class PrimeContext:
     ring: ExtRing
     roots: tuple[ExtElem, ExtElem, ExtElem]
     weights: tuple[ExtElem, ExtElem, ExtElem]  # the Binet coefficients lambda/P'(lambda)
-    n_period: int | None
-    factorization: dict[int, int] | None
+    n_period: int
+    factorization: dict[int, int]
 
     def __hash__(self):
         return hash((self.p, self.prec))
 
 
-def lift_roots(p: int, prec: int) -> PrimeContext:
-    """Lift the three roots of P (inside the degree-d unramified extension) to p^prec.
-
-    All roots live in one common ring, the rational ones with vanishing top
-    coordinates; c_lambda = lambda * P'(lambda)^-1 alongside.
-    """
-    d, factors = splitting_type(p)
-    pk = p**prec
-    if d == 1:
-        ring = ExtRing(p, prec, (0, 1))
-        roots = tuple(ring.embed(_lift_int_root(-f[0] % p, p, prec)) for f in factors)
-    elif d == 2:
-        r = _lift_int_root(-factors[0][0] % p, p, prec)
-        b, c0 = (r - 1) % pk, (r * r - r - 1) % pk  # P = (X - r)(X^2 + bX + c0) mod p^prec
-        ring = ExtRing(p, prec, (c0, b, 1))
-        x = ring.gen
-        roots = (ring.embed(r), x, -x - b)
-    else:
-        ring = ExtRing(p, prec, _P)
-        res = ExtRing(p, 1, _P)
-        x = ring.gen
-        conj1 = res.gen**p
-        conj2 = conj1**p
-        roots = (x, _newton_root(ring, conj1.lift_to(ring)), _newton_root(ring, conj2.lift_to(ring)))
-    for lam in roots:
-        if not _peval(lam, _P, ring).is_zero():
-            raise PrecisionError("lifted root does not satisfy P mod p^prec")
-    if len({tuple(c % p for c in lam.coords) for lam in roots}) != 3:
-        raise PrecisionError("roots are not pairwise distinct mod p")
-    cs = tuple(lam * _peval(lam, _DP, ring).inv() for lam in roots)
-    # Binet sanity: e1 = e3 = 1 for P, and sum c*lambda^n = T(n) at n = 0, 1
-    assert roots[0] + roots[1] + roots[2] == ring.one
-    assert roots[0] * roots[1] * roots[2] == ring.one
-    assert (cs[0] + cs[1] + cs[2]).is_zero()
-    assert sum((ci * li for ci, li in zip(cs, roots)), ring.zero) == ring.one
-    return PrimeContext(p, prec, d, ring, roots, cs, None, None)
-
-
-def compute_N(ctx: PrimeContext) -> int:
-    """Order of the subgroup of the residue field's units generated by the roots.
-
-    Each root's order divides p^d - 1 (factored by trial division + Pollard rho)
-    and is found by dividing down exponents; N is their lcm.  For d = 3 the
-    sharper divisibility N | p^2 + p + 1 is asserted.
-    """
-    p, d = ctx.p, ctx.d
-    res = ExtRing(p, 1, ctx.ring.modulus)
-    group = p**d - 1
-    fac = factorize(group)
-    one = res.one
-    n = 1
-    for lam in ctx.roots:
-        lam0 = lam.reduce_to(res)
-        order = group
-        for q in fac:
-            while order % q == 0 and (lam0 ** (order // q)) == one:
-                order //= q
-        n = n * order // math.gcd(n, order)
-    if d == 3 and (p * p + p + 1) % n != 0:
-        raise AssertionError(f"N = {n} does not divide p^2 + p + 1 for p = {p}")
-    if group % n != 0:
-        raise AssertionError(f"N = {n} does not divide p^d - 1 for p = {p}")
-    return n
-
-
 @lru_cache(maxsize=512)
 def prime_context(p: int, prec: int = 24) -> PrimeContext:
-    """Fully populated PrimeContext (roots, c, period, factorization); cached."""
-    partial = lift_roots(p, prec)
-    n = compute_N(partial)
-    fac = factorize(p**partial.d - 1)
-    return PrimeContext(p, prec, partial.d, partial.ring, partial.roots, partial.weights, n, fac)
+    """The PrimeContext of p at precision p^prec; cached.
+
+    All roots live in one common ring, the rational ones with vanishing top
+    coordinates, and each is Newton-lifted from its residue.  For d = 2 the
+    ring's modulus is P / (X - r) for the rational root r, lifted in Z/p^prec.
+    """
+    d, residue_roots, n, fac = _prime_data(p)
+    if d == 2:
+        line = ExtRing(p, prec, (0, 1))
+        r = _newton_root(line, residue_roots[0].lift_to(line)).coords[0]
+        ring = ExtRing(p, prec, (r * r - r - 1, r - 1, 1))
+    else:
+        ring = ExtRing(p, prec, (0, 1) if d == 1 else _P)
+    roots = tuple(_newton_root(ring, lam.lift_to(ring)) for lam in residue_roots)
+    if len({tuple(c % p for c in lam.coords) for lam in roots}) != 3:
+        raise PrecisionError("roots are not pairwise distinct mod p")
+    cs = tuple(lam * _peval(lam, _DP).inv() for lam in roots)
+    # Binet sanity: e1 = e3 = 1 for P, and sum c*lambda^n = T(n) at n = 0, 1
+    if (
+        roots[0] + roots[1] + roots[2] != ring.one
+        or roots[0] * roots[1] * roots[2] != ring.one
+        or not (cs[0] + cs[1] + cs[2]).is_zero()
+        or sum((ci * li for ci, li in zip(cs, roots)), ring.zero) != ring.one
+    ):
+        raise AssertionError(f"roots and Binet coefficients for p = {p} fail e1 = e3 = 1, T(0) = 0, T(1) = 1")
+    return PrimeContext(p, prec, d, ring, roots, cs, n, fac)

@@ -19,15 +19,17 @@ from .padic import (
     VAL_INF,
     PAdicInt,
     PrecisionError,
+    _hensel_cube_root,
     _vp,
-    cube_root,
     val_int,
     vp_factorial,
 )
-from .tribonacci import trib_mod, trib_val
+from .tribonacci import ZERO_SET, trib_mod, trib_val
 
-ZERO_TARGETS_INT = (0, -1, -4, -17)
 ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
+
+# classify_zero matches rational targets mod p^(prec - 2); below this that match is vacuous
+MIN_PRECISION = 3
 
 
 class ConditionNotMet(ValueError):
@@ -223,12 +225,15 @@ def classify_zero(ctx: PrimeContext, record: ZeroRecord) -> ZeroTarget:
     """Identify a = l + sN*b with an element of Z_T, with 1/3 or -5/3, or neither.
 
     Integer targets are matched mod p^prec; rational targets mod p^(prec-2),
-    the two guard digits absorbing evaluation error.  Rational targets are not
-    p-integral for p = 3 and are skipped there.
+    the two guard digits absorbing evaluation error, so prec must be at least
+    MIN_PRECISION.  Rational targets are not p-integral for p = 3 and are
+    skipped there.
     """
     p, prec = ctx.p, ctx.prec
+    if prec < MIN_PRECISION:
+        raise PrecisionError(f"classify_zero needs precision >= {MIN_PRECISION}, got {prec}")
     a = record.ell + record.s * ctx.n_period * record.b
-    for t in ZERO_TARGETS_INT:
+    for t in ZERO_SET:
         if (a - t).known_val >= prec:
             return ZeroTarget("integer", t)
     if p >= 5:
@@ -271,20 +276,6 @@ class CubeRootReport:
         )
 
 
-def _cube_root_in_period_subgroup(lam: PAdicInt, n_period: int) -> PAdicInt:
-    # start from lambda^(3^-1 mod N) mod p, which cubes to lambda mod p, and lift
-    p, prec = lam.p, lam.prec
-    if p % 3 == 2:
-        return cube_root(lam)
-    y = pow(lam.residue % p, pow(3, -1, n_period), p)
-    mod = p**prec
-    for _ in range(prec.bit_length() + 1):
-        y = (y - (y * y * y - lam.residue) * pow(3 * y * y, -1, mod)) % mod
-    root = PAdicInt(p, prec, y)
-    assert (root * root * root - lam).is_zero()
-    return root
-
-
 def cube_root_certificate(
     ctx: PrimeContext, samples: int = 100, max_extra_val: int = 6, seed: int = 0
 ) -> CubeRootReport:
@@ -303,7 +294,10 @@ def cube_root_certificate(
         raise ValueError("cube-root certificate needs 3 coprime to the period N")
     lams = [lam.to_padic() for lam in ctx.roots]
     cs = [ci.to_padic() for ci in ctx.weights]
-    roots3 = [_cube_root_in_period_subgroup(lam, n_period) for lam in lams]
+    # lambda^N = 1 (mod p), so lambda^(3^-1 mod N) cubes to lambda mod p; for p = 2 (mod 3)
+    # that is the unique cube root, the one cube_root returns
+    inv3 = pow(3, -1, n_period)
+    roots3 = [_hensel_cube_root(lam, pow(lam.residue % p, inv3, p)) for lam in lams]
     s13 = sum((ci * t for ci, t in zip(cs, roots3)), PAdicInt(p, prec, 0))
     s53 = sum((ci * t ** (-5) for ci, t in zip(cs, roots3)), PAdicInt(p, prec, 0))
     # Newton's-identity certificate: sum c^3 lambda = 3 * prod c
@@ -324,7 +318,8 @@ def cube_root_certificate(
         if n == 0:
             n = class_mod * pk1
         rhs = val_int(3 * n - r.numerator, p)
-        assert rhs == v, "sample construction is off"
+        if rhs != v:
+            raise AssertionError(f"sample construction is off at n = {n}")
         lhs = trib_val(n, p)
         if not lhs >= rhs:
             failures.append((n, lhs, rhs))

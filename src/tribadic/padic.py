@@ -1,4 +1,5 @@
-"""Fixed-precision arithmetic in Z_p with tracked valuations, plus exp, log and cube roots.
+"""Fixed-precision arithmetic in Z_p with tracked valuations, its unramified
+extensions Z_p[x]/(h), and exp, log and cube roots.
 
 A value is a residue mod p^prec together with the valuation that residue
 certifies: residue 0 only certifies "valuation >= prec".  Working precision is
@@ -11,6 +12,8 @@ across threads.
 """
 
 from __future__ import annotations
+
+import math
 
 from ._factor import is_prime
 
@@ -179,39 +182,280 @@ def padic_inv(x: PAdicInt) -> PAdicInt:
     return x.inv()
 
 
+# ---------------------------------------------------------------------------
+# small polynomial helpers over F_p (degrees <= 3)
+
+
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int):
+    a = a[:]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], -1, p)
+    while len(a) >= len(b) and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        coef = a[-1] * inv_lead % p
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * bc) % p
+        a.pop()
+    return _fp_trim(q), _fp_trim(a)
+
+
+def _fp_inverse(a: list[int], h: list[int], p: int) -> list[int]:
+    """Inverse of a modulo (h, p) by extended Euclid; a must be a unit."""
+    r0, r1 = h[:], [c % p for c in a]
+    s0, s1 = [], [1]
+    r1 = _fp_trim(r1)
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        # s = s0 - q*s1
+        prod = [0] * (len(q) + len(s1))
+        for i, qc in enumerate(q):
+            for j, sc in enumerate(s1):
+                prod[i + j] = (prod[i + j] + qc * sc) % p
+        s = [(x - y) % p for x, y in zip(s0 + [0] * len(prod), prod + [0] * len(s0))]
+        r0, r1, s0, s1 = r1, r, s1, _fp_trim(s)
+    if len(r0) != 1:
+        raise PrecisionError("element is not a unit in the residue field")
+    c = pow(r0[0], -1, p)
+    return [x * c % p for x in s0]
+
+
+# ---------------------------------------------------------------------------
+# the ring Z_p[x]/(h, p^prec)
+
+
+class ExtRing:
+    """Z[x]/(h, p^prec) for a monic h of degree d irreducible mod p (d = 1: Z/p^prec)."""
+
+    __slots__ = ("p", "prec", "pk", "modulus", "d")
+
+    def __init__(self, p: int, prec: int, modulus: tuple[int, ...]):
+        self.p = p
+        self.prec = prec
+        self.pk = p**prec
+        self.modulus = tuple(c % self.pk for c in modulus[:-1]) + (1,)
+        if modulus[-1] != 1:
+            raise ValueError("modulus must be monic")
+        self.d = len(modulus) - 1
+
+    def elem(self, coords) -> "ExtElem":
+        coords = list(coords) + [0] * (self.d - len(coords))
+        return ExtElem(self, tuple(c % self.pk for c in coords[: self.d]))
+
+    def embed(self, n: int) -> "ExtElem":
+        return self.elem([n])
+
+    @property
+    def zero(self) -> "ExtElem":
+        return self.elem([0])
+
+    @property
+    def one(self) -> "ExtElem":
+        return self.elem([1])
+
+    @property
+    def gen(self) -> "ExtElem":
+        return self.elem([0, 1][: self.d] if self.d > 1 else [0])
+
+    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Product of two coordinate tuples, reduced mod (h, p^prec)."""
+        d, pk, h = self.d, self.pk, self.modulus
+        if d == 1:
+            return (a[0] * b[0] % pk,)
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i] % pk
+            if c:
+                for j in range(d):
+                    prod[i - d + j] -= c * h[j]
+            prod[i] = 0
+        return tuple(c % pk for c in prod[:d])
+
+    def lifted(self, extra: int) -> "ExtRing":
+        # same modulus coefficients read at higher precision: results only ever
+        # get consumed modulo p^prec, where the two rings agree
+        return ExtRing(self.p, self.prec + extra, self.modulus)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExtRing)
+            and (self.p, self.prec, self.modulus) == (other.p, other.prec, other.modulus)
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.prec, self.modulus))
+
+    def __repr__(self):
+        return f"ExtRing(p={self.p}, prec={self.prec}, d={self.d})"
+
+
+class ExtElem:
+    """An element of an ExtRing: d coordinates in [0, p^prec) w.r.t. 1, x, ..., x^(d-1)."""
+
+    __slots__ = ("ring", "coords")
+
+    def __init__(self, ring: ExtRing, coords: tuple[int, ...]):
+        self.ring = ring
+        self.coords = coords
+
+    def _same(self, other: "ExtElem") -> None:
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError("elements from different rings")
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.ring.embed(other)
+        self._same(other)
+        pk = self.ring.pk
+        return ExtElem(self.ring, tuple((a + b) % pk for a, b in zip(self.coords, other.coords)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        pk = self.ring.pk
+        return ExtElem(self.ring, tuple(-a % pk for a in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            pk = self.ring.pk
+            return ExtElem(self.ring, tuple(a * other % pk for a in self.coords))
+        self._same(other)
+        return ExtElem(self.ring, self.ring._mul(self.coords, other.coords))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inv() ** (-e)
+        out = self.ring.one
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def inv(self) -> "ExtElem":
+        """Inverse of a unit: residue-field inverse lifted by Newton iteration."""
+        ring = self.ring
+        p = ring.p
+        if self.val() != 0:
+            raise PrecisionError("not a unit in the extension")
+        h0 = [c % p for c in ring.modulus]
+        inv0 = _fp_inverse(list(self.coords), h0, p)
+        y = ring.elem(inv0)
+        for _ in range(max(ring.prec.bit_length(), 1)):
+            y = y * (2 - self * y)
+        return y
+
+    def val(self) -> int:
+        """Valuation: min over coordinates (the extension is unramified); prec if zero."""
+        v = self.ring.prec
+        for c in self.coords:
+            if c:
+                v = min(v, _vp(c, self.ring.p))
+                if v == 0:
+                    return 0
+        return v
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+    def div_exact_p(self, w: int) -> "ExtElem":
+        """Divide by p^w; every coordinate must be divisible (valuation >= w)."""
+        if w == 0:
+            return self
+        q = self.ring.p**w
+        if any(c % q for c in self.coords):
+            raise PrecisionError("exact division by p^w failed")
+        return ExtElem(self.ring, tuple(c // q for c in self.coords))
+
+    def lift_to(self, ring: ExtRing) -> "ExtElem":
+        """The element with the same coordinates in ring (read modulo its p^prec)."""
+        return ring.elem(self.coords)
+
+    def to_padic(self, prec: int | None = None) -> PAdicInt:
+        """Project a Galois-stable element to Z_p; nonconstant coordinates must vanish."""
+        if any(self.coords[1:]):
+            raise PrecisionError("element has nonvanishing extension coordinates")
+        k = self.ring.prec if prec is None else prec
+        return PAdicInt(self.ring.p, k, self.coords[0])
+
+    def exp(self) -> "ExtElem":
+        """exp on pO (p >= 3, unramified), truncated correctly mod p^prec."""
+        ring = self.ring
+        p, prec = ring.p, ring.prec
+        if self.val() < 1:
+            raise ValueError("exp needs valuation >= 1")
+        cut = _exp_cutoff(p, prec)
+        slack = vp_factorial(cut, p)
+        big = ring.lifted(slack)
+        # Horner on sum_{n <= cut} (cut!/n!) x^n, then one exact division by cut!
+        acc, fact = big.one.coords, 1
+        for n in range(cut, 0, -1):
+            fact *= n
+            acc = big._mul(acc, self.coords)
+            acc = (acc[0] + fact,) + acc[1:]
+        out = big.elem(acc).div_exact_p(slack) * pow(fact // p**slack, -1, big.pk)
+        return out.lift_to(ring)
+
+    def log(self) -> "ExtElem":
+        """log on 1 + pO (p >= 3, unramified), truncated correctly mod p^prec."""
+        ring = self.ring
+        p, prec = ring.p, ring.prec
+        w = self - ring.one
+        if w.val() < 1:
+            raise ValueError("log needs an argument = 1 (mod p)")
+        cut, slack = _log_cutoff(p, prec)
+        big = ring.lifted(slack)
+        # Horner on sum_{n <= cut} (-1)^(n-1) (L/n) w^n with L = lcm(1..cut), whose
+        # p-part is p^slack, then one exact division by L
+        lcm = math.lcm(*range(1, cut + 1))
+        acc = big.zero.coords
+        for n in range(cut, 0, -1):
+            c = lcm // n if n % 2 else -(lcm // n)
+            acc = big._mul((acc[0] + c,) + acc[1:], w.coords)
+        out = big.elem(acc).div_exact_p(slack) * pow(lcm // p**slack, -1, big.pk)
+        return out.lift_to(ring)
+
+    def __eq__(self, other):
+        return isinstance(other, ExtElem) and self.ring == other.ring and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.ring, self.coords))
+
+    def __repr__(self):
+        return f"ExtElem{self.coords} in {self.ring!r}"
+
+
 def _exp_cutoff(p: int, prec: int) -> int:
     # smallest M with n - nu_p(n!) >= prec for every n >= M, via nu_p(n!) <= (n-1)/(p-1)
     return -((-(prec * (p - 1) - 1)) // (p - 2))
 
 
-def padic_exp(z: PAdicInt) -> PAdicInt:
-    """exp(z) = sum z^n/n!, for p >= 3 and z in pZ_p.
-
-    The output satisfies nu_p(exp(z) - 1) = nu_p(z) whenever nu_p(z) < prec,
-    and exp(z + w) = exp(z) exp(w) mod p^prec.
-    """
-    p, prec = z.p, z.prec
-    if z.known_val < 1:
-        raise ValueError("padic_exp needs nu_p(z) >= 1 (z in pZ_p)")
-    cut = _exp_cutoff(p, prec)
-    slack = vp_factorial(cut, p)
-    mod = p ** (prec + slack)
-    term = 1
-    acc = 0
-    zres = z.residue
-    for n in range(cut + 1):
-        if n:
-            term = term * zres % mod
-            w = _vp(n, p)
-            if w:
-                term //= p**w
-            term = term * pow(n // p**w if w else n, -1, mod) % mod
-        acc = (acc + term) % mod
-    return PAdicInt(p, prec, acc)
-
-
-def _log_cutoff(p: int, prec: int) -> int:
-    # smallest M with n - nu_p(n) >= prec for every n >= M; n - log_p(n) is increasing
+def _log_cutoff(p: int, prec: int) -> tuple[int, int]:
+    # smallest M with n - nu_p(n) >= prec for every n >= M (n - log_p(n) is
+    # increasing), and log_p(M), the largest nu_p(n) over n <= M
     n = prec
     while True:
         logp = 0
@@ -220,8 +464,17 @@ def _log_cutoff(p: int, prec: int) -> int:
             logp += 1
             q *= p
         if n - logp >= prec:
-            return n
+            return n, logp
         n += 1
+
+
+def padic_exp(z: PAdicInt) -> PAdicInt:
+    """exp(z) = sum z^n/n!, for p >= 3 and z in pZ_p.
+
+    The output satisfies nu_p(exp(z) - 1) = nu_p(z) whenever nu_p(z) < prec,
+    and exp(z + w) = exp(z) exp(w) mod p^prec.
+    """
+    return ExtRing(z.p, z.prec, (0, 1)).embed(z.residue).exp().to_padic()
 
 
 def padic_log(u: PAdicInt) -> PAdicInt:
@@ -229,27 +482,20 @@ def padic_log(u: PAdicInt) -> PAdicInt:
 
     Inverse to padic_exp: log(exp(z)) = z on pZ_p and exp(log(u)) = u on 1 + pZ_p.
     """
+    return ExtRing(u.p, u.prec, (0, 1)).embed(u.residue).log().to_padic()
+
+
+def _hensel_cube_root(u: PAdicInt, y: int) -> PAdicInt:
+    """The cube root of the unit u (mod p^prec) that lifts y, a cube root of u mod p,
+    by Hensel iteration on X^3 - u."""
     p, prec = u.p, u.prec
-    w = u - 1
-    if w.known_val < 1:
-        raise ValueError("padic_log needs u = 1 (mod p)")
-    cut = _log_cutoff(p, prec)
-    slack = 0  # max nu_p(n) over n <= cut
-    q = p
-    while q <= cut:
-        slack += 1
-        q *= p
-    mod = p ** (prec + slack)
-    wres = w.residue
-    pw = 1
-    acc = 0
-    for n in range(1, cut + 1):
-        pw = pw * wres % mod
-        v = _vp(n, p)
-        t = pw // p**v if v else pw
-        t = t * pow(n // p**v if v else n, -1, mod) % mod
-        acc = (acc - t if n % 2 == 0 else acc + t) % mod
-    return PAdicInt(p, prec, acc)
+    mod = p**prec
+    for _ in range(max(prec.bit_length(), 1) + 1):
+        y = (y - (y * y * y - u.residue) * pow(3 * y * y, -1, mod)) % mod
+    root = PAdicInt(p, prec, y)
+    if not (root * root * root - u).is_zero():
+        raise AssertionError(f"Hensel lifting of a cube root of {u!r} failed")
+    return root
 
 
 def cube_root(u: PAdicInt) -> PAdicInt:
@@ -257,18 +503,9 @@ def cube_root(u: PAdicInt) -> PAdicInt:
 
     Hensel iteration on X^3 - u from the residue start u^((2p-1)/3 mod (p-1)).
     """
-    p, prec = u.p, u.prec
+    p = u.p
     if p % 3 != 2:
         raise ValueError("cube roots are unique only for p = 2 (mod 3)")
     if not u.is_unit():
         raise ValueError("cube_root needs a unit")
-    e0 = ((2 * p - 1) // 3) % (p - 1)
-    y = pow(u.residue % p, e0, p)
-    mod = p**prec
-    ures = u.residue
-    for _ in range(max(prec.bit_length(), 1) + 1):
-        fy = (y * y * y - ures) % mod
-        y = (y - fy * pow(3 * y * y, -1, mod)) % mod
-    root = PAdicInt(p, prec, y)
-    assert (root * root * root - u).is_zero()
-    return root
+    return _hensel_cube_root(u, pow(u.residue % p, ((2 * p - 1) // 3) % (p - 1), p))

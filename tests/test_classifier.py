@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import tribadic
 
 from tribadic import (
     FormulaCase,
@@ -108,6 +114,15 @@ class TestClassifyPrime:
 
     def test_deterministic(self):
         assert classify_prime(59) == classify_prime(59)
+
+    def test_precision_floor_keeps_rational_match_honest(self):
+        # at precision 2 a rational match mod p^(prec-2) is vacuous: classify_zero
+        # refuses it and the linear certificate escalates instead of matching
+        low, ref = classify_prime(269, 2), classify_prime(269, 24)
+        for v, w in ((low.verdict_ml, ref.verdict_ml), (low.verdict_rat, ref.verdict_rat)):
+            assert (v.status, v.q, v.ell, v.u, v.diagnostic) == (w.status, w.q, w.ell, w.u, w.diagnostic)
+        assert ref.verdict_rat.status == STATUS_HOLDS
+        assert (low.formula, low.certificates, low.zero_table) == (ref.formula, ref.certificates, ref.zero_table)
 
     def test_fails_witness_is_smallest(self):
         rec = classify_prime(59)
@@ -226,6 +241,25 @@ class TestVerifyFormula:
         extras = [crt_witness(287 - 17, 287, -17, 83, k) for k in range(1, 7)]
         assert verify_formula(spec, 1, 10, extra=extras) == []
 
+    def test_sync_check_survives_python_O(self):
+        # the walk's spot check against trib_val must not be an assert that -O strips
+        code = (
+            "import sys\n"
+            "import tribadic.classifier as c\n"
+            "assert False, 'not running under -O'\n"
+            "c.trib_val = lambda n, p, *args: -1\n"
+            "try:\n"
+            "    c.verify_formula(c.builtin_spec('p3'), 1, 2000)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert "raised: incremental walk out of sync at n = 997" in out.stdout
+
 
 class TestCrtWitness:
     def test_paper_style_example(self):
@@ -295,6 +329,7 @@ class TestTableAndScan:
         serial = scan_range(60)
         parallel = scan_range(60, jobs=2)
         assert serial == parallel
+        assert reproduce_table(120, jobs=2) == reproduce_table(120, jobs=1)
 
     def test_scan_prefix_consistency(self):
         small, big = scan_range(60), scan_range(100)

@@ -1,9 +1,13 @@
 import json
 
+import pytest
+
+from tribadic import PrecisionError, cli
 from tribadic.classifier import builtin_spec
 from tribadic.cli import (
     EXIT_EXCLUDED,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_UNDECIDED,
     EXIT_USAGE,
@@ -52,6 +56,38 @@ class TestExitCodes:
 
     def test_usage_bad_flag(self, capsys):
         assert main(["classify", "--no-such-flag"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--spec", "p3", "--range", "abc"],
+            ["verify", "--spec", "p3", "--range", "5"],
+            ["zero", "--prime", "5", "--ell", "21", "--multiplier", "0"],
+            ["classify", "--prime", "5", "--precision", "0"],
+            ["classify", "--prime", "269", "--precision", "2"],
+            ["scan", "--max", "20000"],
+            ["table", "--max", "20000"],
+        ],
+    )
+    def test_bad_input_exits_64_with_one_line(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error: argument --" in err[0]
+
+    def test_exhausted_zero_escalation_is_internal(self, capsys, monkeypatch):
+        def vanish(*args):
+            raise PrecisionError("forced")
+
+        monkeypatch.setattr(cli, "series_coeffs", vanish)
+        assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
+
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        def crash(*args):
+            raise ZeroDivisionError("forced")
+
+        monkeypatch.setattr(cli, "classify_prime", crash)
+        assert main(["classify", "--prime", "7"]) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestSchema:

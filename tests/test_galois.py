@@ -5,13 +5,17 @@ import pytest
 
 from tribadic import (
     ExtRing,
-    compute_N,
-    lift_roots,
+    galois,
     prime_context,
     splitting_type,
     trib_mod,
 )
 from tribadic._factor import factorize, is_prime, primes_upto
+
+
+def clear_context_caches():
+    prime_context.cache_clear()
+    galois._prime_data.cache_clear()
 
 
 def roots_mod_p_oracle(p):
@@ -56,7 +60,7 @@ class TestSplittingType:
 class TestLiftRoots:
     @pytest.mark.parametrize("p", [3, 5, 13, 47, 83, 397])
     def test_root_identities(self, p):
-        ctx = lift_roots(p, 24)
+        ctx = prime_context(p, 24)
         ring = ctx.ring
         r1, r2, r3 = ctx.roots
         assert r1 + r2 + r3 == ring.one  # e1 of P
@@ -67,7 +71,7 @@ class TestLiftRoots:
 
     @pytest.mark.parametrize("p", [3, 5, 13, 47])
     def test_binet_at_0_and_1(self, p):
-        ctx = lift_roots(p, 24)
+        ctx = prime_context(p, 24)
         c1, c2, c3 = ctx.weights
         assert (c1 + c2 + c3).is_zero()  # T(0) = 0
         total = sum((ci * li for ci, li in zip(ctx.weights, ctx.roots)), ctx.ring.zero)
@@ -75,9 +79,32 @@ class TestLiftRoots:
 
     def test_c_lambda_units(self):
         for p in (5, 13, 47):
-            ctx = lift_roots(p, 24)
+            ctx = prime_context(p, 24)
             for ci in ctx.weights:
                 assert ci.val() == 0
+
+
+class TestContextCache:
+    @pytest.mark.parametrize("p", [3, 5, 13, 47, 269])  # d = 3, 3, 2, 1, 1
+    def test_context_independent_of_cache_history(self, p):
+        clear_context_caches()
+        prime_context(p, 96)
+        warm = prime_context(p, 24)
+        clear_context_caches()
+        fresh = prime_context(p, 24)
+        assert warm is not fresh
+        assert (warm.ring, warm.roots, warm.weights, warm.n_period, warm.factorization) == (
+            fresh.ring, fresh.roots, fresh.weights, fresh.n_period, fresh.factorization
+        )
+        assert warm == fresh
+
+    def test_one_factorization_per_prime(self, monkeypatch):
+        clear_context_caches()
+        calls = []
+        monkeypatch.setattr(galois, "factorize", lambda n: calls.append(n) or factorize(n))
+        for prec in (8, 24, 48, 96):
+            assert prime_context(83, prec).factorization == factorize(83**2 - 1)
+        assert calls == [83**2 - 1]
 
 
 class TestComputeN:
@@ -100,7 +127,7 @@ class TestComputeN:
         ctx = prime_context(p, 8)
         n_period = ctx.n_period
         res = ExtRing(p, 1, ctx.ring.modulus)
-        roots = [lam.reduce_to(res) for lam in ctx.roots]
+        roots = [lam.lift_to(res) for lam in ctx.roots]
         one = res.one
         for q in factorize(n_period):
             shorter = n_period // q
