@@ -36,7 +36,6 @@ from .interpolation import (
     cube_root_certificate,
     eval_f,
     hensel_zero,
-    locate_zero,
     series_coeffs,
     strassman_mu,
 )
@@ -52,6 +51,7 @@ from .classifier import (
     classify_prime,
     crt_witness,
     derive_linear_formula,
+    locate_zero,
     p3_pipeline,
     published_table,
     reproduce_table,

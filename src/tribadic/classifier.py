@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -24,9 +25,11 @@ from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
 from .interpolation import (
     ZERO_TARGETS_RAT,
     ConditionNotMet,
+    ZeroRecord,
     classify_zero,
     hensel_zero,
     series_coeffs,
+    strassman_mu,
 )
 from .padic import VAL_INF, PAdicInt, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, trib_mod, trib_val
@@ -78,6 +81,12 @@ class FormulaCase:
     mu: int = 1
 
 
+def _is_linear(a: Fraction, i: int, q: int, p: int) -> bool:
+    """nu_p(a - i) >= nu_p(q) for p-integral a: n = i (mod q) is a linear class, not a constant one."""
+    diff = a.numerator - i * a.denominator
+    return diff == 0 or val_int(diff, p) >= _vp(q, p)
+
+
 @dataclass(frozen=True)
 class FormulaSpec:
     """A full closed-form prediction for nu_p(T(n)): cases mod q plus a constant default."""
@@ -98,10 +107,8 @@ class FormulaSpec:
                 a = Fraction(case.a)
                 if a.denominator % self.p == 0:
                     raise ValueError("linear target a must be p-integral")
-                nu_q = _vp(self.q, self.p) if self.q % self.p == 0 else 0
                 for r in case.residues:
-                    diff = a.numerator - r * a.denominator
-                    if diff != 0 and val_int(diff, self.p) < nu_q:
+                    if not _is_linear(a, r, self.q, self.p):
                         raise ValueError(
                             f"nu_p(a - i) >= nu_p(q) fails at i = {r} (a = {a}): "
                             "the class would be constant, not linear"
@@ -238,7 +245,19 @@ def _recenter(betas, b):
     return out
 
 
-def _derive_once(ctx: PrimeContext, ell: int, s: int):
+def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
+    """series_coeffs, hensel_zero and classify_zero on the class n = l (mod sN), the one pass
+    every zero class goes through; b = None where the derivative condition fails."""
+    series = series_coeffs(ctx, ell, s)
+    try:
+        record = hensel_zero(series)
+    except ConditionNotMet:
+        return ZeroRecord(ell, s, None, strassman_mu(series) == 1, (), series)
+    return replace(record, target=classify_zero(ctx, record))
+
+
+def _derive_once(ctx: PrimeContext, ell: int, s: int, record: ZeroRecord | None = None):
+    """derive_linear_formula at ctx.prec alone; record is locate_zero(ctx, ell, s) if known."""
     p, prec = ctx.p, ctx.prec
     q = s * ctx.n_period
     a = next((t for t in ZT if (ell - t) % q == 0), None)
@@ -248,15 +267,11 @@ def _derive_once(ctx: PrimeContext, ell: int, s: int):
             raise PrecisionError("T vanishes on Z_T yet beta_0 is nonzero")
         shifted = list(series.coeffs)
     else:
-        series = series_coeffs(ctx, ell, s)
-        try:
-            record = hensel_zero(series)
-        except ConditionNotMet:
+        record = record or locate_zero(ctx, ell, s)
+        if record.target is None or record.target.kind == "other":
             return None
-        target = classify_zero(ctx, record)
-        if target.kind == "other":
-            return None
-        a = target.value
+        a = record.target.value
+        series = record.series
         shifted = _recenter(series.coeffs, record.b)
         if not shifted[0].is_zero():
             raise PrecisionError("recentered constant term does not vanish at the zero")
@@ -265,8 +280,18 @@ def _derive_once(ctx: PrimeContext, ell: int, s: int):
         raise PrecisionError("gamma_1 vanishes mod p^prec; double the precision")
     if any(g.known_val <= v1 for g in shifted[2:]):
         return None  # no certified dominance, hence no linear formula at this precision
-    kappa = series.e + v1 - (_vp(q, p) if q % p == 0 else 0)
+    kappa = series.e + v1 - _vp(q, p)
     return LinearCertificate(p, s, q, ell % q, a, kappa, 1, v1, series.e)
+
+
+def _escalate(ctx: PrimeContext, attempt):
+    """attempt(context) at ctx.prec, then twice, then four times it: the first without PrecisionError."""
+    for k in range(3):
+        try:
+            return attempt(prime_context(ctx.p, ctx.prec << k))
+        except PrecisionError as exc:
+            last = exc
+    raise last
 
 
 def derive_linear_formula(ctx: PrimeContext, ell: int, s: int = 1):
@@ -275,14 +300,18 @@ def derive_linear_formula(ctx: PrimeContext, ell: int, s: int = 1):
     Uses the exact integer zero when l sits over Z_T mod sN, otherwise the
     Hensel zero with its classification; precision doubles on demand.
     """
-    prec = ctx.prec
-    last = None
-    for attempt in range(3):
-        try:
-            return _derive_once(prime_context(ctx.p, prec << attempt), ell, s)
-        except PrecisionError as exc:
-            last = exc
-    raise last
+    return _escalate(ctx, lambda c: _derive_once(c, ell, s))
+
+
+def locate_and_certify(ctx: PrimeContext, ell: int, s: int = 1):
+    """(locate_zero, derive_linear_formula) on n = l (mod sN) from one pass, escalated as one;
+    the record's series.ctx.prec is the precision that produced both."""
+
+    def once(c):
+        record = locate_zero(c, ell, s)
+        return record, _derive_once(c, ell, s, record)
+
+    return _escalate(ctx, once)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +339,10 @@ def _holds_spec(ctx: PrimeContext, infos):
 
 def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     """The certified zero b behind a failure witness, with l + N*b = u (mod p) enforced."""
-    record = hensel_zero(series_coeffs(ctx, ell))
-    a = ell + ctx.n_period * record.b
-    if a.residue % ctx.p != u:
+    b = _escalate(ctx, lambda c: locate_zero(c, ell)).b  # the pass classifies only from precision 3
+    if b is None or (ell + ctx.n_period * b).residue % ctx.p != u:
         raise PrecisionError(f"witness zero at l = {ell} does not reproduce u = {u}")
-    return tuple(record.b.digits())
+    return tuple(b.digits())
 
 
 def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
@@ -487,7 +515,6 @@ def assemble_spec(p: int, q: int, entries, default_kappa: int = 0) -> FormulaSpe
     with m | q.  Linear classes are split per residue: where nu_p(a - i) < nu_p(q)
     the rule is constant (value kappa + mu*nu_p(i - a)), which keeps the
     not-actually-linear residues honest."""
-    nu_q = _vp(q, p) if q % p == 0 else 0
     cases = []
     for m, residues, a, kappa in entries:
         if q % m:
@@ -499,11 +526,10 @@ def assemble_spec(p: int, q: int, entries, default_kappa: int = 0) -> FormulaSpe
         a = Fraction(a)
         linear, constant = [], {}
         for i in expanded:
-            diff = a.numerator - i * a.denominator
-            if diff == 0 or val_int(diff, p) >= nu_q:
+            if _is_linear(a, i, q, p):
                 linear.append(i)
             else:
-                constant.setdefault(kappa + val_int(diff, p), []).append(i)
+                constant.setdefault(kappa + val_int(a.numerator - i * a.denominator, p), []).append(i)
         if linear:
             cases.append(FormulaCase(tuple(linear), kappa, int(a) if a.denominator == 1 else a))
         for kap, res in sorted(constant.items()):
@@ -610,15 +636,14 @@ def crt_witness(i: int, q: int, a, p: int, k: int) -> int:
     a = Fraction(a)
     if a.denominator % p == 0:
         raise ValueError("target a must be p-integral")
-    nu = _vp(q, p) if q % p == 0 else 0
-    diff_exact = a.numerator - i * a.denominator
-    if diff_exact != 0 and val_int(diff_exact, p) < nu:
+    if not _is_linear(a, i, q, p):
         raise ValueError(f"nu_p(a - i) >= nu_p(q) fails for i = {i}, a = {a}")
+    nu = _vp(q, p)
     pk = p**k
     if k <= nu:
         n = i  # n = i already agrees with a modulo p^k
     else:
-        diff = diff_exact * pow(a.denominator, -1, pk) % pk
+        diff = (a.numerator - i * a.denominator) * pow(a.denominator, -1, pk) % pk
         m = crt_pair((diff // p**nu) % p ** (k - nu), p ** (k - nu), 0, q // p**nu)
         n = i + m * p**nu
     modulus = (q // p**nu) * p ** max(nu, k)  # lcm(q, p^k)
@@ -640,12 +665,13 @@ class TableRow:
 
 
 def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[ClassificationRecord]:
-    """classify_prime on every prime in [p_min, p_max], in order, on jobs worker processes."""
+    """classify_prime on every prime in [p_min, p_max], in order, on at most jobs worker processes."""
     if p_max > P_MAX:
         raise ValueError(f"p_max = {p_max} is above the supported {P_MAX}")
     ps = [p for p in primes_upto(p_max) if p >= p_min]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(ps))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(classify_prime, ps, [prec] * len(ps)))
     return [classify_prime(p, prec) for p in ps]
 

@@ -1,7 +1,8 @@
 """Command-line front end: classify, table, verify, zero, scan.
 
 Machine-readable output: every command can emit a JSON record with the fields
-{command, params, status, payload, precision_used, elapsed_ms}; `table` also
+{command, params, status, payload, precision_used, elapsed_ms}, precision_used
+being the precision that produced the payload (`zero` may double it twice); `table` also
 speaks CSV with columns p,N,ell,u.  Exit codes are a function of the status
 alone: 0 pass/decided, 1 fail (a counterexample or table disagreement),
 2 undecided, 3 excluded, 64 usage error (any bad input), 70 internal error.
@@ -20,14 +21,7 @@ from fractions import Fraction
 
 from ._factor import is_prime
 from .galois import EXCLUDED_PRIMES, prime_context
-from .interpolation import (
-    MIN_PRECISION,
-    ConditionNotMet,
-    classify_zero,
-    hensel_zero,
-    series_coeffs,
-    strassman_mu,
-)
+from .interpolation import MIN_PRECISION, strassman_mu
 from .padic import DEFAULT_PRECISION, PrecisionError
 from .tribonacci import trib_mod
 from .classifier import (
@@ -40,7 +34,7 @@ from .classifier import (
     STATUS_UNDECIDED,
     builtin_spec,
     classify_prime,
-    derive_linear_formula,
+    locate_and_certify,
     reproduce_table,
     scan_range,
     validate_published_rows,
@@ -93,6 +87,17 @@ def _range_arg(text):
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _spec_arg(text):
+    """An argparse type: a built-in spec name or a JSON spec file, as (text, FormulaSpec)."""
+    if text in BUILTIN_SPEC_NAMES:
+        return text, builtin_spec(text)
+    try:
+        with open(text) as fh:
+            return text, spec_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot load spec {text!r}: {exc}") from None
 
 
 def _jsonable(x):
@@ -178,7 +183,7 @@ def _emit(args, command, params, status, payload, prec_used, t0) -> int:
         "status": status,
         "payload": payload,
         "precision_used": prec_used,
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
     if args.format == "json":
         print(json.dumps(record, indent=2))
@@ -240,7 +245,7 @@ def table_rows_from_csv(text: str):
 
 
 def _cmd_classify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not is_prime(args.prime):
         print(f"classify: {args.prime} is not prime", file=sys.stderr)
         return EXIT_USAGE
@@ -257,7 +262,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = reproduce_table(args.max, args.precision, jobs=args.jobs)
     payload = {
         "rows": [
@@ -283,20 +288,9 @@ def _cmd_table(args) -> int:
                  status, payload, args.precision, t0)
 
 
-def _load_spec(name: str) -> FormulaSpec:
-    if name in BUILTIN_SPEC_NAMES:
-        return builtin_spec(name)
-    with open(name) as fh:
-        return spec_from_dict(json.load(fh))
-
-
 def _cmd_verify(args) -> int:
-    t0 = time.time()
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, KeyError) as exc:
-        print(f"verify: cannot load spec {args.spec!r}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    t0 = time.perf_counter()
+    name, spec = args.spec
     lo, hi = args.range
     mismatches = verify_formula(spec, lo, hi)
     payload = {
@@ -306,66 +300,51 @@ def _cmd_verify(args) -> int:
                        for m in mismatches],
     }
     status = "pass" if not mismatches else "fail"
-    return _emit(args, "verify", {"spec": args.spec, "range": f"{lo}..{hi}"}, status, payload,
+    return _emit(args, "verify", {"spec": name, "range": f"{lo}..{hi}"}, status, payload,
                  DEFAULT_PRECISION, t0)
 
 
 def _cmd_zero(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not is_prime(args.prime) or args.prime in EXCLUDED_PRIMES:
         print(f"zero: need an admissible prime (not 2 or 11), got {args.prime}", file=sys.stderr)
         return EXIT_USAGE
     p, ell, s = args.prime, args.ell, args.multiplier
-    prec = args.precision
-    for attempt in range(3):
-        try:
-            return _zero_once(args, p, ell, s, prec << attempt, t0)
-        except PrecisionError:
-            continue
-    print("zero: precision escalation exhausted", file=sys.stderr)
-    return EXIT_INTERNAL
-
-
-def _zero_once(args, p, ell, s, prec, t0) -> int:
-    ctx = prime_context(p, prec)
-    params = {"prime": p, "ell": ell, "multiplier": s, "precision": prec}
-    payload = {"p": p, "N": ctx.n_period, "ell": ell, "s": s}
-    divides = trib_mod(ell, p) == 0
-    payload["divides"] = divides
-    if not divides:
+    ctx = prime_context(p, args.precision)
+    payload = {"p": p, "N": ctx.n_period, "ell": ell, "s": s, "divides": trib_mod(ell, p) == 0}
+    status = "pass"
+    if not payload["divides"]:
         payload["conclusion"] = "p does not divide T(ell): f_ell has no zero on Z_p"
-        return _emit(args, "zero", params, "pass", payload, prec, t0)
-    series = series_coeffs(ctx, ell, s)
-    payload["e"] = series.e
-    payload["mu"] = strassman_mu(series)
-    try:
-        record = hensel_zero(series)
-    except ConditionNotMet:
-        record = None
-    payload["deriv_ok"] = record is not None
-    if record is not None:
-        target = classify_zero(ctx, record)
-        payload["zero"] = {
-            "digits": record.b.digits(),
-            "residue": record.b.residue,
-            "unique": record.unique,
-            "newton_residual_valuations": list(record.residual_vals),
-            "classification": _jsonable({"kind": target.kind,
-                                         "value": target.value if target.kind != "other" else None}),
-        }
-    cert = derive_linear_formula(ctx, ell, s)
-    if cert is not None:
-        payload["linear_certificate"] = _jsonable(
-            {"a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
-        )
-    elif record is None:
-        payload["conclusion"] = "derivative condition fails and no linear certificate was found"
-        return _emit(args, "zero", params, "undecided", payload, prec, t0)
-    return _emit(args, "zero", params, "pass", payload, prec, t0)
+    else:
+        try:
+            record, cert = locate_and_certify(ctx, ell, s)
+        except PrecisionError:
+            print("zero: precision escalation exhausted", file=sys.stderr)
+            return EXIT_INTERNAL
+        ctx = record.series.ctx
+        payload.update(e=record.series.e, mu=strassman_mu(record.series), deriv_ok=record.b is not None)
+        if record.b is not None:
+            kind, value = record.target.kind, record.target.value
+            payload["zero"] = {
+                "digits": record.b.digits(),
+                "residue": record.b.residue,
+                "unique": record.unique,
+                "newton_residual_valuations": list(record.residual_vals),
+                "classification": _jsonable({"kind": kind, "value": value if kind != "other" else None}),
+            }
+        if cert is not None:
+            payload["linear_certificate"] = _jsonable(
+                {"a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
+            )
+        elif record.b is None:
+            payload["conclusion"] = "derivative condition fails and no linear certificate was found"
+            status = "undecided"
+    params = {"prime": p, "ell": ell, "multiplier": s, "precision": ctx.prec}
+    return _emit(args, "zero", params, status, payload, ctx.prec, t0)
 
 
 def _cmd_scan(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     summary = scan_range(args.max, args.precision, jobs=args.jobs)
     payload = _jsonable(
         {
@@ -400,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=_int_arg(hi=P_MAX), default=600)
     sp.add_argument("--validate-paper", action="store_true",
                     help="cross-check against the embedded published table")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_int_arg(lo=1), default=1)
     common(sp)
     sp.set_defaults(fn=_cmd_table)
 
     sp = sub.add_parser("verify", help="check a closed-form valuation spec against the sequence")
-    sp.add_argument("--spec", required=True,
+    sp.add_argument("--spec", type=_spec_arg, required=True,
                     help=f"one of {', '.join(BUILTIN_SPEC_NAMES)} or a JSON file")
     sp.add_argument("--range", type=_range_arg, default="1..10000", help="inclusive range a..b")
     common(sp)
@@ -421,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="verdict counts and density summary up to --max")
     sp.add_argument("--max", type=_int_arg(hi=P_MAX), default=600)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_int_arg(lo=1), default=1)
     common(sp)
     sp.set_defaults(fn=_cmd_scan)
     return parser

@@ -10,7 +10,7 @@ zero b with an element of Z_T or with 1/3 or -5/3 via a = l + sN*b.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._factor import crt_pair
@@ -94,17 +94,19 @@ class ZeroTarget:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A certified zero b of g, with the Strassman uniqueness flag.
+    """A certified zero b of g, with the Strassman uniqueness flag (mu = 1).
 
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test
-    suite uses to observe quadratic convergence.
+    suite uses to observe quadratic convergence.  series is the SeriesTrunc b was found on;
+    classifier.locate_zero sets target (the class of l + sN*b), or b = None where g'(0) = 0 mod p.
     """
 
     ell: int
     s: int
-    b: PAdicInt
+    b: PAdicInt | None
     unique: bool
     residual_vals: tuple[int, ...]
+    series: SeriesTrunc
     target: ZeroTarget | None = None
 
 
@@ -218,7 +220,7 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     else:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
     unique = strassman_mu(series) == 1
-    return ZeroRecord(series.ell, series.s, b, unique, tuple(residuals))
+    return ZeroRecord(series.ell, series.s, b, unique, tuple(residuals), series)
 
 
 def classify_zero(ctx: PrimeContext, record: ZeroRecord) -> ZeroTarget:
@@ -241,13 +243,6 @@ def classify_zero(ctx: PrimeContext, record: ZeroRecord) -> ZeroTarget:
             if (a * r.denominator - r.numerator).known_val >= prec - 2:
                 return ZeroTarget("rational", r)
     return ZeroTarget("other", record.b)
-
-
-def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
-    """series_coeffs + hensel_zero + classify_zero in one step."""
-    series = series_coeffs(ctx, ell, s)
-    record = hensel_zero(series)
-    return replace(record, target=classify_zero(ctx, record))
 
 
 # ---------------------------------------------------------------------------

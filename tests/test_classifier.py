@@ -331,6 +331,27 @@ class TestTableAndScan:
         assert serial == parallel
         assert reproduce_table(120, jobs=2) == reproduce_table(120, jobs=1)
 
+    def test_workers_bounded_by_cpus(self, monkeypatch):
+        seen = []
+
+        class SerialPool:  # records max_workers and starts no process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(tribadic.classifier, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 3)
+        assert scan_range(60, jobs=10**6) == scan_range(60)
+        assert seen == [3]
+
     def test_scan_prefix_consistency(self):
         small, big = scan_range(60), scan_range(100)
         for key in ("holds", "fails", "undecided", "excluded"):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tribadic import PrecisionError, cli
+from tribadic import PrecisionError, classifier, cli, interpolation
 from tribadic.classifier import builtin_spec
 from tribadic.cli import (
     EXIT_EXCLUDED,
@@ -67,6 +67,8 @@ class TestExitCodes:
             ["classify", "--prime", "269", "--precision", "2"],
             ["scan", "--max", "20000"],
             ["table", "--max", "20000"],
+            ["scan", "--max", "60", "--jobs", "0"],
+            ["table", "--max", "60", "--jobs", "-1"],
         ],
     )
     def test_bad_input_exits_64_with_one_line(self, capsys, argv):
@@ -78,7 +80,7 @@ class TestExitCodes:
         def vanish(*args):
             raise PrecisionError("forced")
 
-        monkeypatch.setattr(cli, "series_coeffs", vanish)
+        monkeypatch.setattr(classifier, "series_coeffs", vanish)
         assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
 
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
@@ -148,6 +150,32 @@ class TestVerify:
     def test_unknown_spec_name(self, capsys):
         assert main(["verify", "--spec", "nope", "--range", "1..10"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "{",
+            {"residues": [39]},  # outside [0, Q) for Q = 39
+            {"a": "1/x"},
+            "list",
+            {"a": "1/0"},
+        ],
+        ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator"],
+    )
+    def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
+        data = spec_to_dict(builtin_spec("p3"))
+        if change == "{":
+            text = "{"
+        elif change == "list":
+            text = json.dumps([data])
+        else:
+            next(c for c in data["cases"] if c["a"] is not None).update(change)
+            text = json.dumps(data)
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["verify", "--spec", str(path), "--range", "1..10"]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error: argument --spec" in err[0]
+
 
 class TestZero:
     def test_p5_ell21(self, capsys):
@@ -177,6 +205,67 @@ class TestZero:
         assert code == EXIT_PASS
         assert rec["payload"]["divides"] is False
         assert "no zero" in rec["payload"]["conclusion"]
+
+
+class TestZeroSinglePass:
+    """One zero request builds each series and each Hensel zero once, and
+    escalates its precision in one loop."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"series_coeffs": [], "hensel_zero": 0}
+
+        def series_coeffs(ctx, ell, *args):
+            calls["series_coeffs"].append(ell)
+            return interpolation.series_coeffs(ctx, ell, *args)
+
+        def hensel_zero(series):
+            calls["hensel_zero"] += 1
+            return interpolation.hensel_zero(series)
+
+        for module in (cli, classifier):  # wherever the pass looks the names up
+            monkeypatch.setattr(module, "series_coeffs", series_coeffs, raising=False)
+            monkeypatch.setattr(module, "hensel_zero", hensel_zero, raising=False)
+        return calls
+
+    def test_rational_class_builds_one_series_and_one_zero(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        code, rec = run_json(capsys, "zero", "--prime", "269", "--ell", "179")
+        assert code == EXIT_PASS and rec["payload"]["linear_certificate"]["a"] == "1/3"
+        assert calls == {"series_coeffs": [179], "hensel_zero": 1}
+
+    def test_integer_class_adds_only_the_exact_series(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        code, rec = run_json(capsys, "zero", "--prime", "83", "--ell", "270")
+        assert code == EXIT_PASS and rec["payload"]["linear_certificate"]["a"] == -17
+        assert calls == {"series_coeffs": [270, -17], "hensel_zero": 1}
+
+    def test_failing_certificate_makes_three_attempts(self, capsys, monkeypatch):
+        precisions = []
+
+        def fail(ctx, *args):
+            precisions.append(ctx.prec)
+            raise PrecisionError("forced")
+
+        monkeypatch.setattr(classifier, "_derive_once", fail)
+        assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
+        assert precisions == [24, 48, 96]
+
+    def test_precision_used_is_the_one_that_produced_the_payload(self, capsys, monkeypatch):
+        derive_once = classifier._derive_once
+        attempts = []
+
+        def fail_first(ctx, *args):
+            attempts.append(ctx.prec)
+            if len(attempts) == 1:
+                raise PrecisionError("forced")
+            return derive_once(ctx, *args)
+
+        monkeypatch.setattr(classifier, "_derive_once", fail_first)
+        code, rec = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
+        assert code == EXIT_PASS and attempts == [24, 48]
+        assert rec["precision_used"] == 48
+        assert len(rec["payload"]["zero"]["digits"]) == 48
 
 
 class TestScan:
