@@ -1,6 +1,6 @@
 """Per-prime decision procedure for both forms of the Marques-Lengyel conjecture.
 
-For each admissible prime: scan one full period for the l with p | T(l), test
+For each admissible prime: scan the period [0, N) for the l with p | T(l), test
 T(l+N) != T(l) (mod p^2), compute the mod-p residue u of l + N*b for the
 predicted zero b, and derive a verdict.  A failure witness is a pair (l, u)
 with u avoiding Z_T mod p (integer form) or Z_T plus {1/3, -5/3} (rational
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
-from ._factor import crt_pair, primes_upto
+from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
 from .interpolation import (
     ZERO_TARGETS_RAT,
@@ -32,7 +32,7 @@ from .interpolation import (
     strassman_mu,
 )
 from .padic import VAL_INF, PAdicInt, PrecisionError, _vp, val_int
-from .tribonacci import ZERO_SET, trib_mod, trib_val
+from .tribonacci import ZERO_SET, _power, trib_mod, trib_val
 
 ZT = ZERO_SET
 QT = ZT + ZERO_TARGETS_RAT
@@ -97,6 +97,10 @@ class FormulaSpec:
     default_kappa: int = 0
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
+        if self.q < 1:
+            raise ValueError(f"q = {self.q} must be >= 1")
         seen = set()
         for case in self.cases:
             for r in case.residues:
@@ -166,6 +170,7 @@ class ClassificationRecord:
     zero_table: tuple[ZeroClassInfo, ...] = ()
     formula: FormulaSpec | None = None
     certificates: tuple[LinearCertificate, ...] = ()
+    zero_table_complete: bool = True  # False when the scan stopped at the witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +178,15 @@ class ClassificationRecord:
 
 
 def _zero_scan(p: int, n_period: int):
-    """One pass of the recurrence mod p^2 over [0, 2N): the l in [0, N) with
-    p | T(l), each with T(l) and T(l+N) mod p^2."""
+    """One pass of the recurrence mod p^2 over [0, N), lazily: (l, T(l), T(l+N)) mod p^2
+    for each l with p | T(l), T(l+N) being the last row of M^N applied to the state at l."""
     p2 = p * p
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
+    r2, r1, r0 = _power(n_period, p2)[2]
     a, b, c = 0, 1, 1  # T(0), T(1), T(2)
-    for n in range(2 * n_period):
-        if n < n_period:
-            if a % p == 0:
-                first[n] = a
-        elif n - n_period in first:
-            second[n - n_period] = a
+    for ell in range(n_period):
+        if a % p == 0:
+            yield ell, a, (r2 * c + r1 * b + r0 * a) % p2
         a, b, c = b, c, (a + b + c) % p2
-    return [(ell, first[ell], second[ell]) for ell in sorted(first)]
 
 
 def _u_residue(p: int, n_period: int, t_ell: int, t_ell_n: int, ell: int) -> int:
@@ -210,19 +210,17 @@ def _qt_residues_mod(m: int, targets=QT):
     return out
 
 
-def _zero_table(p: int, n_period: int, targets=QT) -> list[ZeroClassInfo]:
-    """One ZeroClassInfo per l in [0, N) with p | T(l), classed by the first of
+def _zero_table(p: int, n_period: int, targets=QT):
+    """One ZeroClassInfo per l in [0, N) with p | T(l), lazily, classed by the first of
     targets congruent to l mod N, if any."""
     classes = {}
     for t, r in zip(targets, _qt_residues_mod(n_period, targets)):
         if r is not None:
             classes.setdefault(r, t)
-    infos = []
     for ell, t_ell, t_ell_n in _zero_scan(p, n_period):
         deriv_ok = (t_ell_n - t_ell) % (p * p) != 0
         u = _u_residue(p, n_period, t_ell, t_ell_n, ell) if deriv_ok else None
-        infos.append(ZeroClassInfo(ell, deriv_ok, u, classes.get(ell)))
-    return infos
+        yield ZeroClassInfo(ell, deriv_ok, u, classes.get(ell))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +343,12 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     return tuple(b.digits())
 
 
-def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
-    """Decide both conjecture forms for one prime; deterministic, smallest witness first."""
+def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
+    """Decide both conjecture forms for one prime; deterministic, smallest witness first.
+
+    With full_table False the period scan stops at the first rational-form witness, which
+    is also an integer-form witness at or after the first one: the verdicts and witnesses
+    are those of the full table, and zero_table is its prefix up to that witness."""
     if p in EXCLUDED_PRIMES:
         return _excluded_record(p, prec)
     if p == 3:
@@ -355,7 +357,13 @@ def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
     n_period = ctx.n_period
     zt_p = {t % p for t in ZT}
     qt_p = {r for r in _qt_residues_mod(p) if r is not None}
-    infos = _zero_table(p, n_period)
+    infos = []
+    complete = True
+    for info in _zero_table(p, n_period):
+        infos.append(info)
+        if not full_table and info.deriv_ok and info.u not in qt_p:
+            complete = False
+            break
     all_deriv = all(i.deriv_ok for i in infos)
 
     def first_witness(targets_mod_p):
@@ -430,7 +438,7 @@ def classify_prime(p: int, prec: int = 24) -> ClassificationRecord:
         verdict_rat = Verdict(STATUS_UNDECIDED, diagnostic=DIAG_U_IN_TARGETS)
 
     return ClassificationRecord(
-        p, prec, ctx.d, n_period, verdict_ml, verdict_rat, tuple(infos), formula, certs
+        p, prec, ctx.d, n_period, verdict_ml, verdict_rat, tuple(infos), formula, certs, complete
     )
 
 
@@ -470,7 +478,7 @@ def p3_pipeline(prec: int = 24) -> ClassificationRecord:
     p = 3
     ctx = prime_context(p, prec)
     n_period = ctx.n_period
-    infos = _zero_table(p, n_period, ZT)
+    infos = list(_zero_table(p, n_period, ZT))
     if [i.ell for i in infos] != [0, 7, 9, 12]:
         raise PrecisionError(f"unexpected zero classes mod 13: {[i.ell for i in infos]}")
 
@@ -665,15 +673,16 @@ class TableRow:
 
 
 def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[ClassificationRecord]:
-    """classify_prime on every prime in [p_min, p_max], in order, on at most jobs worker processes."""
+    """classify_prime on every prime in [p_min, p_max], in order, on at most jobs worker processes;
+    each scan stops at the prime's witnesses, so the zero tables may be partial."""
     if p_max > P_MAX:
         raise ValueError(f"p_max = {p_max} is above the supported {P_MAX}")
     ps = [p for p in primes_upto(p_max) if p >= p_min]
     workers = min(jobs, os.cpu_count() or 1, len(ps))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(classify_prime, ps, [prec] * len(ps)))
-    return [classify_prime(p, prec) for p in ps]
+            return list(pool.map(classify_prime, ps, [prec] * len(ps), [False] * len(ps)))
+    return [classify_prime(p, prec, full_table=False) for p in ps]
 
 
 def reproduce_table(p_max: int, prec: int = 24, jobs: int = 1) -> list[TableRow]:

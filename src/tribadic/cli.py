@@ -170,6 +170,7 @@ def _record_dict(rec: ClassificationRecord) -> dict:
             _jsonable({"ell": i.ell, "deriv_ok": i.deriv_ok, "u": i.u, "class": i.target})
             for i in rec.zero_table
         ],
+        "zero_table_complete": rec.zero_table_complete,
     }
     if rec.formula is not None:
         out["formula"] = spec_to_dict(rec.formula)

@@ -24,6 +24,7 @@ from tribadic import (
     validate_published_rows,
     verify_formula,
 )
+from tribadic._factor import primes_upto
 from tribadic.classifier import (
     DIAG_DERIVATIVE,
     DIAG_QT_COLLISION,
@@ -33,7 +34,10 @@ from tribadic.classifier import (
     STATUS_HOLDS,
     STATUS_UNDECIDED,
     ZT,
+    _classify_range,
+    _zero_scan,
 )
+from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.padic import VAL_INF, val_int
 
 
@@ -139,6 +143,56 @@ class TestClassifyPrime:
                 continue
             u = (ell - (t_ell // 59) * pow((t_n - t_ell) // 59 % 59, -1, 59) * rec.n_period) % 59
             assert u in {t % 59 for t in ZT}
+
+
+def oracle_zero_scan(p, n_period):
+    """(l, T(l), T(l+N)) mod p^2 for the l in [0, N) with p | T(l), by walking [0, 2N)."""
+    p2 = p * p
+    first = {}
+    out = []
+    a, b, c = 0, 1, 1
+    for n in range(2 * n_period):
+        if n < n_period:
+            if a % p == 0:
+                first[n] = a
+        elif n - n_period in first:
+            out.append((n - n_period, first[n - n_period], a))
+        a, b, c = b, c, (a + b + c) % p2
+    return out
+
+
+class TestZeroScan:
+    def test_matches_two_period_walk(self):
+        ps = [p for p in primes_upto(399) if p not in EXCLUDED_PRIMES] + [757, 1999]
+        for p in ps:
+            n_period = prime_context(p, 24).n_period
+            assert list(_zero_scan(p, n_period)) == oracle_zero_scan(p, n_period), p
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("p", [p for p in primes_upto(300) if p not in EXCLUDED_PRIMES])
+    def test_same_verdicts_as_full_table(self, p):
+        full, partial = classify_prime(p), classify_prime(p, 24, full_table=False)
+        assert full.zero_table_complete
+        for field in ("verdict_ml", "verdict_rat", "formula", "certificates"):
+            assert getattr(partial, field) == getattr(full, field), field
+        assert partial.zero_table == full.zero_table[: len(partial.zero_table)]
+        if partial.zero_table_complete:
+            assert partial.zero_table == full.zero_table
+        else:
+            assert partial.verdict_rat.status == STATUS_FAILS
+
+    def test_partial_table_ends_at_rational_witness(self):
+        full, partial = classify_prime(179), classify_prime(179, full_table=False)
+        assert partial.n_period == 32221
+        assert partial.verdict_ml.ell == partial.verdict_rat.ell == 100
+        assert partial.zero_table[-1].ell == 100
+        assert len(partial.zero_table) < len(full.zero_table)
+        assert not partial.zero_table_complete
+
+    def test_excluded_and_p3_are_complete(self):
+        for p in (2, 3, 11):
+            assert classify_prime(p, full_table=False).zero_table_complete
 
 
 class TestP3Pipeline:
@@ -330,6 +384,9 @@ class TestTableAndScan:
         parallel = scan_range(60, jobs=2)
         assert serial == parallel
         assert reproduce_table(120, jobs=2) == reproduce_table(120, jobs=1)
+        records = _classify_range(200, 24, jobs=2)
+        assert records == _classify_range(200, 24, jobs=1)  # zero tables included: both stop early
+        assert any(not r.zero_table_complete for r in records)
 
     def test_workers_bounded_by_cpus(self, monkeypatch):
         seen = []

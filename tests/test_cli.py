@@ -98,6 +98,11 @@ class TestSchema:
         assert set(rec) == {"command", "params", "status", "payload", "precision_used", "elapsed_ms"}
         assert rec["command"] == "classify"
 
+    def test_classify_keeps_the_whole_zero_table(self, capsys):
+        _, rec = run_json(capsys, "classify", "--prime", "179")
+        assert rec["payload"]["zero_table_complete"] is True
+        assert len(rec["payload"]["zero_table"]) == len(classifier.classify_prime(179).zero_table)
+
     def test_payload_round_trips(self, capsys):
         _, rec = run_json(capsys, "scan", "--max", "60")
         assert json.loads(json.dumps(rec["payload"])) == rec["payload"]
@@ -158,8 +163,12 @@ class TestVerify:
             {"a": "1/x"},
             "list",
             {"a": "1/0"},
+            {"p": 4, "Q": 4, "cases": [{"residues": [0], "kappa": 1}]},  # a whole spec
+            {"p": 1, "Q": 4, "cases": []},
+            {"p": 5, "Q": 0, "cases": []},
         ],
-        ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator"],
+        ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator",
+             "p-not-prime", "p-one", "q-zero"],
     )
     def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
         data = spec_to_dict(builtin_spec("p3"))
@@ -167,6 +176,8 @@ class TestVerify:
             text = "{"
         elif change == "list":
             text = json.dumps([data])
+        elif "cases" in change:
+            text = json.dumps(change)
         else:
             next(c for c in data["cases"] if c["a"] is not None).update(change)
             text = json.dumps(data)
