@@ -40,6 +40,6 @@ broken = FormulaSpec(
     + spec3.cases[2:],
     spec3.default_kappa,
 )
-mismatches = verify_formula(broken, 1, 10_000, spot_every=0)
+mismatches = verify_formula(broken, 1, 10_000)
 print(f"  {len(mismatches)} mismatches; first: n = {mismatches[0].n}, "
       f"predicted {mismatches[0].predicted}, actual {mismatches[0].actual}")

@@ -31,7 +31,7 @@ from .interpolation import (
     series_coeffs,
     strassman_mu,
 )
-from .padic import VAL_INF, PAdicInt, PrecisionError, _vp, val_int
+from .padic import VAL_INF, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, _power, trib_mod, trib_val
 
 ZT = ZERO_SET
@@ -189,13 +189,14 @@ def _zero_scan(p: int, n_period: int):
         a, b, c = b, c, (a + b + c) % p2
 
 
-def _u_residue(p: int, n_period: int, t_ell: int, t_ell_n: int, ell: int) -> int:
-    """u = l - (T(l)/p) * ((T(l+N) - T(l))/p)^(-1) * N mod p, from mod-p^2 data."""
+def _u_residue(p: int, n_period: int, t_ell: int, t_ell_n: int, ell: int) -> int | None:
+    """u = l - (T(l)/p) * ((T(l+N) - T(l))/p)^(-1) * N mod p, from mod-p^2 data with p | T(l);
+    None where the derivative condition T(l+N) != T(l) (mod p^2) fails."""
     p2 = p * p
-    t0 = (t_ell % p2) // p
-    delta = (t_ell_n - t_ell) % p2
-    t1 = delta // p
-    return (ell - t0 * pow(t1 % p, -1, p) * n_period) % p
+    t1 = (t_ell_n - t_ell) % p2 // p
+    if t1 == 0:
+        return None
+    return (ell - (t_ell % p2) // p * pow(t1, -1, p) * n_period) % p
 
 
 def _qt_residues_mod(m: int, targets=QT):
@@ -218,29 +219,12 @@ def _zero_table(p: int, n_period: int, targets=QT):
         if r is not None:
             classes.setdefault(r, t)
     for ell, t_ell, t_ell_n in _zero_scan(p, n_period):
-        deriv_ok = (t_ell_n - t_ell) % (p * p) != 0
-        u = _u_residue(p, n_period, t_ell, t_ell_n, ell) if deriv_ok else None
-        yield ZeroClassInfo(ell, deriv_ok, u, classes.get(ell))
+        u = _u_residue(p, n_period, t_ell, t_ell_n, ell)
+        yield ZeroClassInfo(ell, u is not None, u, classes.get(ell))
 
 
 # ---------------------------------------------------------------------------
 # linear-formula certificates
-
-
-def _recenter(betas, b):
-    """Coefficients of the series recentered at b: gamma_k = sum C(j,k) beta_j b^(j-k)."""
-    J = len(betas) - 1
-    one = PAdicInt(b.p, b.prec, 1)
-    pows = [one]
-    for _ in range(J):
-        pows.append(pows[-1] * b)
-    out = []
-    for k in range(J + 1):
-        acc = PAdicInt(b.p, b.prec, 0)
-        for j in range(k, J + 1):
-            acc = acc + math.comb(j, k) * betas[j] * pows[j - k]
-        out.append(acc)
-    return out
 
 
 def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
@@ -255,28 +239,27 @@ def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
 
 
 def _derive_once(ctx: PrimeContext, ell: int, s: int, record: ZeroRecord | None = None):
-    """derive_linear_formula at ctx.prec alone; record is locate_zero(ctx, ell, s) if known."""
+    """derive_linear_formula at ctx.prec alone; record is locate_zero(ctx, ell, s) if known.
+
+    At the zero b of g, gamma_1 = g'(b) dominates the series recentred at b exactly
+    when that series has Weierstrass degree 1 (g(b) = 0, nu_p(gamma_1) < prec), and
+    translating by b in Z_p keeps the degree: strassman_mu reads it off g as it is."""
     p, prec = ctx.p, ctx.prec
     q = s * ctx.n_period
     a = next((t for t in ZT if (ell - t) % q == 0), None)
     if a is not None:
-        series = series_coeffs(ctx, a, s)
-        if not series.coeffs[0].is_zero():
-            raise PrecisionError("T vanishes on Z_T yet beta_0 is nonzero")
-        shifted = list(series.coeffs)
+        series, b = series_coeffs(ctx, a, s), 0
     else:
         record = record or locate_zero(ctx, ell, s)
         if record.target is None or record.target.kind == "other":
             return None
-        a = record.target.value
-        series = record.series
-        shifted = _recenter(series.coeffs, record.b)
-        if not shifted[0].is_zero():
-            raise PrecisionError("recentered constant term does not vanish at the zero")
-    v1 = shifted[1].known_val
+        a, series, b = record.target.value, record.series, record.b
+    if not series.eval(b).is_zero():
+        raise PrecisionError("the series does not vanish at its zero mod p^prec")
+    v1 = series.eval_deriv(b).known_val
     if v1 >= prec:
         raise PrecisionError("gamma_1 vanishes mod p^prec; double the precision")
-    if any(g.known_val <= v1 for g in shifted[2:]):
+    if strassman_mu(series) != 1:
         return None  # no certified dominance, hence no linear formula at this precision
     kappa = series.e + v1 - _vp(q, p)
     return LinearCertificate(p, s, q, ell % q, a, kappa, 1, v1, series.e)
@@ -605,13 +588,16 @@ class Mismatch:
     actual: object
 
 
-def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=(), spot_every: int = 997):
+_SPOT_EVERY = 997  # verify_formula's cadence of walk-versus-matrix-power checks
+
+
+def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     """Compare the predicted nu_p(T(n)) with the actual valuation on [lo, hi]
     plus any extra points; an empty report is a pass.
 
     The range walks the recurrence mod p^24 incrementally and cross-checks
-    against the matrix-power path every spot_every steps; extra points (e.g.
-    CRT-generated near-misses of the targets) always use the direct path."""
+    against the matrix-power path at every multiple of _SPOT_EVERY; extra points
+    (e.g. CRT-generated near-misses of the targets) always use the direct path."""
     p = spec.p
     out = []
     wp = 24
@@ -624,7 +610,7 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=(), spot_every: in
             actual = trib_val(n, p)
         else:
             actual = _vp(a, p)
-        if spot_every and n % spot_every == 0 and actual != trib_val(n, p):
+        if n % _SPOT_EVERY == 0 and actual != trib_val(n, p):
             raise AssertionError(f"incremental walk out of sync at n = {n}")
         predicted = spec.predict(n)
         if predicted != actual:
@@ -751,12 +737,11 @@ def validate_published_rows(
         t_ell = trib_mod(row.ell, p2)
         t_ell_n = trib_mod(row.ell + n, p2)
         ell_is_zero = t_ell % row.p == 0
-        deriv_ok = ell_is_zero and (t_ell_n - t_ell) % p2 != 0
-        u_ok = deriv_ok and _u_residue(row.p, n, t_ell, t_ell_n, row.ell) % row.p == row.u
+        u = _u_residue(row.p, n, t_ell, t_ell_n, row.ell) if ell_is_zero else None
         smallest = None
         if row.p in ours and ours[row.p].ell is not None:
             smallest = ours[row.p].ell == row.ell
-        checks.append(RowCheck(row.p, n == row.n_period, ell_is_zero, deriv_ok, u_ok, smallest))
+        checks.append(RowCheck(row.p, n == row.n_period, ell_is_zero, u is not None, u == row.u, smallest))
     return checks
 
 

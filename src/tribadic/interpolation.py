@@ -96,6 +96,8 @@ class ZeroTarget:
 class ZeroRecord:
     """A certified zero b of g, with the Strassman uniqueness flag (mu = 1).
 
+    unique also backs the linear certificate: mu = 1 is g'(b) dominating the series
+    recentred at b, since translating within Z_p keeps the Weierstrass degree.
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test
     suite uses to observe quadratic convergence.  series is the SeriesTrunc b was found on;
     classifier.locate_zero sets target (the class of l + sN*b), or b = None where g'(0) = 0 mod p.
@@ -132,8 +134,8 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
         raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
     if s < 1:
         raise ValueError("period multiplier s must be >= 1")
-    logs = [(lam ** (s * n)).log() for lam in ctx.roots]
-    log_val = min(lg.val() for lg in logs)
+    # nu_p(log x) = nu_p(x - 1) on 1 + pO for odd p, the extension being unramified
+    log_val = min((lam ** (s * n) - 1).val() for lam in ctx.roots)
     if log_val >= prec:
         raise PrecisionError(f"log(lambda^(sN)) vanishes mod {p}^{prec}")
     tval = trib_val(ell, p)
@@ -186,6 +188,8 @@ def eval_f(ctx: PrimeContext, ell: int, z) -> PAdicInt:
 def strassman_mu(series: SeriesTrunc) -> int:
     """Strassman bound: the largest index attaining the maximal |beta_k|.
 
+    mu = 1 also certifies a linear valuation formula: at any zero in Z_p, the
+    recentred series has the same mu, so its linear coefficient dominates.
     The certified tail (nu >= prec for k > J) rules the tail out as long as
     some computed coefficient is nonzero mod p^prec; if all vanish, precision
     escalation is required and a PrecisionError is raised.
@@ -214,7 +218,7 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     for _ in range(4 * prec.bit_length() + 8):
         g = series.eval(b)
         residuals.append(g.known_val)
-        if g.known_val >= prec:
+        if residuals[-1] >= prec:
             break
         b = b - g * series.eval_deriv(b).inv()
     else:

@@ -1,9 +1,9 @@
-"""Fixed-precision arithmetic in Z_p with tracked valuations, its unramified
-extensions Z_p[x]/(h), and exp, log and cube roots.
+"""Fixed-precision arithmetic in Z_p, its unramified extensions Z_p[x]/(h),
+and exp, log and cube roots.
 
-A value is a residue mod p^prec together with the valuation that residue
-certifies: residue 0 only certifies "valuation >= prec".  Working precision is
-fixed per value (default 24 digits); callers that need a quantity to be
+A value is a residue mod p^prec; its valuation is read from the residue on
+demand, and residue 0 only certifies "valuation >= prec".  Working precision
+is fixed per value (default 24 digits); callers that need a quantity to be
 nonzero and find it vanishing mod p^prec are expected to recompute at doubled
 precision (see e.g. tribonacci.trib_val).
 
@@ -61,12 +61,12 @@ def vp_factorial(n: int, p: int) -> int:
 class PAdicInt:
     """An element of Z_p known modulo p^prec.
 
-    Invariants: 0 <= residue < p^prec, and known_val = min(nu_p(residue), prec)
-    with residue 0 encoding "valuation >= prec".  Arithmetic across different
-    primes is an error; mixed precisions truncate to the smaller one.
+    Invariant: 0 <= residue < p^prec, with residue 0 encoding "valuation >= prec".
+    Arithmetic across different primes is an error; mixed precisions truncate
+    to the smaller one.
     """
 
-    __slots__ = ("p", "prec", "residue", "known_val")
+    __slots__ = ("p", "prec", "residue")
 
     def __init__(self, p: int, prec: int, residue: int):
         if p < 3:
@@ -75,9 +75,7 @@ class PAdicInt:
             raise ValueError("precision must be >= 1")
         self.p = p
         self.prec = prec
-        r = residue % (p**prec)
-        self.residue = r
-        self.known_val = prec if r == 0 else _vp(r, p)
+        self.residue = residue % (p**prec)
 
     @classmethod
     def of(cls, x: int, p: int, prec: int = DEFAULT_PRECISION) -> "PAdicInt":
@@ -85,6 +83,11 @@ class PAdicInt:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return cls(p, prec, x)
+
+    @property
+    def known_val(self) -> int:
+        """min(nu_p(residue), prec): the valuation the residue certifies."""
+        return self.prec if self.residue == 0 else _vp(self.residue, self.p)
 
     # -- helpers ---------------------------------------------------------
 
@@ -109,7 +112,7 @@ class PAdicInt:
         return self.residue == 0
 
     def is_unit(self) -> bool:
-        return self.known_val == 0
+        return self.residue % self.p != 0
 
     def digits(self) -> list[int]:
         """Base-p digits, least significant first, length prec."""
@@ -161,7 +164,7 @@ class PAdicInt:
 
     def inv(self) -> "PAdicInt":
         """Multiplicative inverse mod p^prec; the value must be a unit."""
-        if self.known_val != 0:
+        if not self.is_unit():
             raise PrecisionError(f"not a unit mod {self.p}^{self.prec}: valuation >= {self.known_val}")
         return PAdicInt(self.p, self.prec, pow(self.residue, -1, self.p**self.prec))
 

@@ -209,7 +209,7 @@ def test_criterion_7_negative_controls():
                 spec.cases[:idx] + (broken_case,) + spec.cases[idx + 1 :],
                 spec.default_kappa,
             )
-            assert verify_formula(broken, 1, 10**4, spot_every=0), (
+            assert verify_formula(broken, 1, 10**4), (
                 f"corrupting {name} case {idx} went undetected"
             )
             corruptions += 1

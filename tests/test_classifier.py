@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,10 +37,15 @@ from tribadic.classifier import (
     STATUS_UNDECIDED,
     ZT,
     _classify_range,
+    _derive_once,
     _zero_scan,
+    _zero_table,
+    locate_zero,
 )
 from tribadic.galois import EXCLUDED_PRIMES
-from tribadic.padic import VAL_INF, val_int
+from tribadic.interpolation import series_coeffs, strassman_mu
+from tribadic.padic import VAL_INF, PAdicInt, PrecisionError, val_int
+from tribadic.tribonacci import trib_val
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -236,6 +243,18 @@ class TestDeriveLinearFormula:
         ctx = prime_context(3, 24)
         assert derive_linear_formula(ctx, 9, 3) is None
 
+    @pytest.mark.parametrize("p, ell", [(5, 30), (3, 9)])
+    def test_class_over_z_t_without_dominance_yields_none(self, p, ell):
+        # l sits over -1 (p = 5) or -4 (p = 3) mod N, but mu = 2: no linear formula at s = 1
+        assert derive_linear_formula(prime_context(p, 24), ell, 1) is None
+
+    def test_zero_that_does_not_vanish_raises(self, ctx269):
+        # g(b) != 0 mod p^prec is a precision fault, never a certificate
+        record = locate_zero(ctx269, 179)
+        moved = replace(record, b=record.b + 269**23)
+        with pytest.raises(PrecisionError):
+            _derive_once(ctx269, 179, 1, moved)
+
     def test_rational_class(self, ctx269):
         ell = pow(3, -1, 268) % 268
         cert = derive_linear_formula(ctx269, ell, 1)
@@ -246,6 +265,82 @@ class TestDeriveLinearFormula:
         # must double its way up rather than fail
         cert = derive_linear_formula(prime_context(3, 2), 35, 3)
         assert cert is not None and (cert.a, cert.kappa) == (-4, 4)
+
+
+def taylor_shift(betas, b):
+    """Reference recentring: gamma_k = sum_j C(j, k) beta_j b^(j-k), the O(J^2) Taylor shift."""
+    one = PAdicInt(b.p, b.prec, 1)
+    pows = [one]
+    for _ in range(len(betas) - 1):
+        pows.append(pows[-1] * b)
+    out = []
+    for k in range(len(betas)):
+        acc = PAdicInt(b.p, b.prec, 0)
+        for j in range(k, len(betas)):
+            acc = acc + math.comb(j, k) * betas[j] * pows[j - k]
+        out.append(acc)
+    return out
+
+
+def centred_series(ctx, ell, s):
+    """(series, zero) pairs with a certified zero on the class n = l (mod sN): the located
+    Hensel zero, and for a class over Z_T also the series at l with its integer zero
+    (a - l)/sN and the series at a with its zero 0."""
+    q = s * ctx.n_period
+    out = []
+    record = locate_zero(ctx, ell, s)
+    if record.b is not None:
+        out.append((record.series, record.b))
+    a = next((t for t in ZT if (ell - t) % q == 0), None)
+    if a is not None:
+        out.append((series_coeffs(ctx, ell, s), PAdicInt(ctx.p, ctx.prec, (a - ell) // q)))
+        out.append((series_coeffs(ctx, a, s), PAdicInt(ctx.p, ctx.prec, 0)))
+    return out
+
+
+class TestStrassmanDominance:
+    """The linear certificate reads dominance of gamma_1 from strassman_mu on the series as it
+    is centred; the Taylor shift to the zero is the oracle."""
+
+    CLASSES = [(p, info.ell, 1) for p in (5, 83, 269, 397, 401)
+               for info in _zero_table(p, prime_context(p, 3).n_period)] + [(3, 22, 3), (3, 35, 3)]
+
+    @pytest.mark.parametrize("prec", [24, 48])
+    def test_matches_taylor_shift(self, prec):
+        dominated = {True: 0, False: 0}
+        for p, ell, s in self.CLASSES:
+            ctx = prime_context(p, prec)
+            pairs = centred_series(ctx, ell, s)
+            assert pairs, f"no certified zero at p = {p}, l = {ell}, s = {s}"
+            for series, zero in pairs:
+                gammas = taylor_shift(series.coeffs, zero)
+                assert gammas[0].is_zero() and series.eval(zero).is_zero()
+                v1 = gammas[1].known_val
+                assert gammas[1] == series.eval_deriv(zero) and v1 < prec
+                dom = all(g.known_val > v1 for g in gammas[2:])
+                assert dom == (strassman_mu(series) == 1), f"p = {p}, l = {ell}, s = {s}, zero = {zero}"
+                dominated[dom] += 1
+        # both outcomes occur: p = 5, l = 30 sits over -1 with mu = 2
+        assert dominated[True] > 50 and dominated[False] >= 2
+
+
+class TestLocatedZeroOracle:
+    def test_valuations_along_the_zero(self):
+        # nu_p(T(l + N*m)) = e + nu_p(m - b) for m = b mod p^j: integer-only check of b and unique
+        checked = 0
+        for row in published_table()[::4]:
+            ctx = prime_context(row.p, 24)
+            record = locate_zero(ctx, row.ell)
+            assert record.b is not None and record.unique, f"p = {row.p}, l = {row.ell}"
+            for j in range(1, 7):
+                m = record.b.residue % row.p**j
+                diff = PAdicInt(row.p, ctx.prec, m) - record.b
+                if diff.is_zero():
+                    continue
+                expected = record.series.e + diff.known_val
+                assert trib_val(row.ell + ctx.n_period * m, row.p) == expected, (row.p, row.ell, j)
+                checked += 1
+        assert checked == 6 * 26
 
 
 class TestFormulaSpec:

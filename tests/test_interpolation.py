@@ -50,6 +50,13 @@ class TestSeriesCoeffs:
         assert ser.coeffs[0].is_zero()
         assert ser.coeffs[1].known_val == 3
 
+    @pytest.mark.parametrize("p, ell, s", [(3, 0, 1), (3, 35, 3), (5, 21, 1), (7, 0, 1), (83, 270, 1), (269, 179, 1)])
+    def test_log_val_is_the_valuation_of_the_logs(self, p, ell, s):
+        # log_val comes from nu_p(lambda^(sN) - 1); the logarithms themselves must agree
+        ctx = prime_context(p, 24)
+        ser = series_coeffs(ctx, ell, s)
+        assert ser.log_val == min((lam ** (s * ctx.n_period)).log().val() for lam in ctx.roots)
+
     def test_higher_coefficients_in_p_zp(self):
         for p in (5, 7, 13):
             ctx = prime_context(p, 20)
