@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from ._factor import crt_pair, is_prime, primes_upto
-from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
+from .galois import EXCLUDED_PRIMES, PrimeContext, _prime_data, prime_context
 from .interpolation import (
     ZERO_TARGETS_RAT,
     ConditionNotMet,
@@ -101,6 +101,9 @@ class FormulaSpec:
             raise ValueError(f"p = {self.p} is not prime")
         if self.q < 1:
             raise ValueError(f"q = {self.q} must be >= 1")
+        rules = [self.default_kappa] + [x for case in self.cases for x in (case.kappa, case.mu)]
+        if any(type(x) is not int for x in rules):
+            raise ValueError("kappa, default_kappa and mu must be integers")
         seen = set()
         for case in self.cases:
             for r in case.residues:
@@ -306,16 +309,14 @@ def _excluded_record(p: int, prec: int) -> ClassificationRecord:
 
 def _holds_spec(ctx: PrimeContext, infos):
     """FormulaSpec + certificates for a holds verdict: one linear case per zero class."""
-    cases = []
+    n = ctx.n_period
     certs = []
     for info in infos:
         cert = derive_linear_formula(ctx, info.ell, 1)
         if cert is None or Fraction(cert.a) != Fraction(info.target):
             return None, ()
-        cases.append(FormulaCase((info.ell % ctx.n_period,), cert.kappa, cert.a, cert.mu))
         certs.append(cert)
-    spec = FormulaSpec(ctx.p, ctx.n_period, tuple(cases), 0)
-    return spec, tuple(certs)
+    return assemble_spec(ctx.p, n, [(n, (c.residue,), c.a, c.kappa) for c in certs]), tuple(certs)
 
 
 def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
@@ -357,13 +358,12 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
 
     # integer form
     w = first_witness(zt_p)
-    zt_classes = {t % n_period for t in ZT}
     formula = None
     certs = ()
     holds = None  # _holds_spec(ctx, infos) once it has run: both forms test the same classes
     if w is not None:
         verdict_ml = Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=_witness_zero(ctx, w.ell, w.u))
-    elif all_deriv and all(i.ell % n_period in zt_classes and isinstance(i.target, int) for i in infos):
+    elif all_deriv and all(isinstance(i.target, int) for i in infos):  # Z_T targets are assigned first
         holds = _holds_spec(ctx, infos)
         spec, certs = holds
         if spec is not None:
@@ -721,9 +721,7 @@ class RowCheck:
         return self.n_matches and self.ell_is_zero and self.deriv_holds and self.u_matches
 
 
-def validate_published_rows(
-    prec: int = 24, our_rows: list[TableRow] | None = None, p_max: int | None = None
-) -> list[RowCheck]:
+def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int | None = None) -> list[RowCheck]:
     """Revalidate every published (p, N, l, u): N agrees, p | T(l), the mod-p^2
     derivative condition holds, and u recomputes exactly from l."""
     ours = {r.p: r for r in our_rows} if our_rows else {}
@@ -731,8 +729,7 @@ def validate_published_rows(
     for row in published_table():
         if p_max is not None and row.p > p_max:
             continue
-        ctx = prime_context(row.p, prec)
-        n = ctx.n_period
+        n = _prime_data(row.p)[2]
         p2 = row.p * row.p
         t_ell = trib_mod(row.ell, p2)
         t_ell_n = trib_mod(row.ell + n, p2)

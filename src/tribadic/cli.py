@@ -272,7 +272,7 @@ def _cmd_table(args) -> int:
     }
     status = "pass"
     if args.validate_paper:
-        checks = validate_published_rows(args.precision, our_rows=rows, p_max=args.max)
+        checks = validate_published_rows(our_rows=rows, p_max=args.max)
         bad = [c for c in checks if not c.ok]
         payload["published_validation"] = {
             "rows_checked": len(checks),

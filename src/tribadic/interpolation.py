@@ -1,10 +1,13 @@
 """Analytic interpolation of the Tribonacci sequence along residue classes mod the period.
 
-For l with p | T(l), the function f_l(z) = sum c_lambda lambda^l exp(z log lambda^(sN))
-interpolates m -> T(l + m*sN).  This module extracts the power-series
-coefficients beta_k of g = f_l / p^e with a certified tail bound, locates and
-certifies zeros (Hensel iteration plus Strassman's bound), and identifies a
-zero b with an element of Z_T or with 1/3 or -5/3 via a = l + sN*b.
+In R = Z_p[x]/(P), x acts as the companion matrix of the recurrence, and
+T(n) = phi(x^n) for the linear form phi(a + bx + cx^2) = b + c; phi(g) is the
+Binet sum of g over the roots of P.  For l with p | T(l), the function
+f_l(z) = phi(x^l exp(z log x^(sN))) interpolates m -> T(l + m*sN).  This module
+extracts the power-series coefficients beta_k of g = f_l / p^e in R with a
+certified tail bound, locates and certifies zeros (Hensel iteration plus
+Strassman's bound), and identifies a zero b with an element of Z_T or with 1/3
+or -5/3 via a = l + sN*b.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._factor import crt_pair
-from .galois import PrimeContext, prime_context
+from .galois import _P, PrimeContext
 from .padic import (
     VAL_INF,
+    ExtElem,
+    ExtRing,
     PAdicInt,
     PrecisionError,
     _hensel_cube_root,
@@ -44,7 +49,7 @@ class ConditionNotMet(ValueError):
 class SeriesTrunc:
     """Truncated coefficients beta_0..beta_J of g = f_l / p^e, built with period s*N.
 
-    log_val is E = min_lambda nu_p(log lambda^(sN)); the tail obeys
+    log_val is E = nu_p(log x^(sN)) in Z_p[x]/(P), the minimum over the roots; the tail obeys
     nu_p(beta_k) >= (k-1)*E - nu_p(k!), which is >= prec for every k > J by the
     choice of J, so the truncation is certified.
     """
@@ -119,50 +124,51 @@ def _default_cut(p: int, log_val: int, prec: int) -> int:
     return -(-num // den)
 
 
+def _phi(g: ExtElem) -> int:
+    # phi(a + bx + cx^2) = b + c: T(n) = phi(x^n), and phi(g) = sum c_lambda g(lambda)
+    return (g.coords[1] + g.coords[2]) % g.ring.pk
+
+
 def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None) -> SeriesTrunc:
     """Coefficients of g = f_l / p^e modulo p^prec.
 
     Requires condition (p | T(l)); the divisor exponent is
-    e = min(min_lambda nu_p(log lambda^(sN)), nu_p(T(l))), which gives e = 1 in
-    the single-period case and reproduces the p = 3, s = 3 exponent e = 2.
-    Every coefficient is computed in the extension at raised internal precision,
-    checked to have vanishing nonconstant coordinates, and projected to Z_p.
+    e = min(nu_p(log x^(sN)), nu_p(T(l))), which gives e = 1 in the
+    single-period case and reproduces the p = 3, s = 3 exponent e = 2.
+    Coefficient k is phi(x^l (log x^(sN))^k) / k!, computed in Z_p[x]/(P) at
+    raised internal precision and divided exactly by p^(e + nu_p(k!)).
     """
     p, prec = ctx.p, ctx.prec
-    n = ctx.n_period
+    sn = s * ctx.n_period
     if trib_mod(ell, p) != 0:
         raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
     if s < 1:
         raise ValueError("period multiplier s must be >= 1")
-    # nu_p(log x) = nu_p(x - 1) on 1 + pO for odd p, the extension being unramified
-    log_val = min((lam ** (s * n) - 1).val() for lam in ctx.roots)
+    # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
+    # product of unramified rings and its coordinate valuation is the minimum over the roots
+    log_val = (ExtRing(p, prec, _P).gen ** sn - 1).val()
     if log_val >= prec:
-        raise PrecisionError(f"log(lambda^(sN)) vanishes mod {p}^{prec}")
+        raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
     tval = trib_val(ell, p)
     e = log_val if tval == VAL_INF else min(log_val, int(tval))
     if J is None:
         J = _default_cut(p, log_val, prec)
-    work = prec + e + vp_factorial(J, p)
-    big = prime_context(p, work)
-    logs = [(lam ** (s * n)).log() for lam in big.roots]
-    terms = [ci * (li**ell) for ci, li in zip(big.weights, big.roots)]
-    total = terms[0] + terms[1] + terms[2]
-    if total != big.ring.embed(trib_mod(ell, big.ring.pk)):
-        raise PrecisionError("Binet sum disagrees with T(l) in the extension")
+    ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
+    log_x = (ring.gen**sn).log()
+    term = ring.gen**ell
+    if _phi(term) != trib_mod(ell, ring.pk):
+        raise PrecisionError("phi(x^l) disagrees with T(l) in Z_p[x]/(P)")
     coeffs = [PAdicInt(p, prec, trib_mod(ell, p ** (prec + e)) // p**e)]
     pk_small = p**prec
     fact_unit = 1
     vfac = 0
     for k in range(1, J + 1):
-        terms = [t * lg for t, lg in zip(terms, logs)]
-        sk = terms[0] + terms[1] + terms[2]
-        if any(sk.coords[1:]):
-            raise PrecisionError("series coefficient has nonvanishing extension coordinates")
+        term = term * log_x
         w = _vp(k, p)
         vfac += w
-        fact_unit = fact_unit * (k // p**w if w else k) % big.ring.pk
+        fact_unit = fact_unit * (k // p**w if w else k) % pk_small
         div = e + vfac
-        s0 = sk.coords[0]
+        s0 = _phi(term)
         if s0 % p**div:
             raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
         coeffs.append(PAdicInt(p, prec, (s0 // p**div) % pk_small * pow(fact_unit, -1, pk_small)))
@@ -170,19 +176,14 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
 
 
 def eval_f(ctx: PrimeContext, ell: int, z) -> PAdicInt:
-    """f_l(z) = sum c_lambda lambda^l exp(z log lambda^N); agrees with T(l + mN) at z = m."""
+    """f_l(z) = phi(x^l exp(z log x^N)) in Z_p[x]/(P); agrees with T(l + mN) at z = m."""
     p, prec = ctx.p, ctx.prec
     if isinstance(z, PAdicInt):
         if z.p != p:
             raise ValueError("mismatched primes")
-        zres = z.residue
-    else:
-        zres = z % ctx.ring.pk
-    acc = ctx.ring.zero
-    for ci, li in zip(ctx.weights, ctx.roots):
-        lg = (li**ctx.n_period).log()
-        acc = acc + ci * (li**ell) * (lg * zres).exp()
-    return acc.to_padic()
+        z = z.residue
+    x = ExtRing(p, prec, _P).gen
+    return PAdicInt(p, prec, _phi(x**ell * ((x**ctx.n_period).log() * z).exp()))
 
 
 def strassman_mu(series: SeriesTrunc) -> int:

@@ -1,4 +1,4 @@
-"""Fixed-precision arithmetic in Z_p, its unramified extensions Z_p[x]/(h),
+"""Fixed-precision arithmetic in Z_p, its unramified extensions and their products Z_p[x]/(h),
 and exp, log and cube roots.
 
 A value is a residue mod p^prec; its valuation is read from the residue on
@@ -237,7 +237,8 @@ def _fp_inverse(a: list[int], h: list[int], p: int) -> list[int]:
 
 
 class ExtRing:
-    """Z[x]/(h, p^prec) for a monic h of degree d irreducible mod p (d = 1: Z/p^prec)."""
+    """Z[x]/(h, p^prec) for a monic h of degree d squarefree mod p (d = 1: Z/p^prec): a product
+    of unramified extensions, one per irreducible factor of h mod p, with val() the minimum over them."""
 
     __slots__ = ("p", "prec", "pk", "modulus", "d")
 
@@ -372,7 +373,7 @@ class ExtElem:
         return y
 
     def val(self) -> int:
-        """Valuation: min over coordinates (the extension is unramified); prec if zero."""
+        """Valuation: min over coordinates (the ring is unramified); prec if zero."""
         v = self.ring.prec
         for c in self.coords:
             if c:

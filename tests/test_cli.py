@@ -166,9 +166,14 @@ class TestVerify:
             {"p": 4, "Q": 4, "cases": [{"residues": [0], "kappa": 1}]},  # a whole spec
             {"p": 1, "Q": 4, "cases": []},
             {"p": 5, "Q": 0, "cases": []},
+            {"default_kappa": "0"},  # non-integer rules made a false "mismatch found" (exit 1) ...
+            {"default_kappa": None},
+            {"kappa": "1"},
+            {"mu": "1"},  # ... or an internal error (exit 70)
         ],
         ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator",
-             "p-not-prime", "p-one", "q-zero"],
+             "p-not-prime", "p-one", "q-zero", "default-kappa-string", "default-kappa-null", "kappa-string",
+             "mu-string"],
     )
     def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
         data = spec_to_dict(builtin_spec("p3"))
@@ -178,6 +183,8 @@ class TestVerify:
             text = json.dumps([data])
         elif "cases" in change:
             text = json.dumps(change)
+        elif "default_kappa" in change:
+            text = json.dumps({**data, **change})
         else:
             next(c for c in data["cases"] if c["a"] is not None).update(change)
             text = json.dumps(data)

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribadic import (
     ConditionNotMet,
@@ -18,9 +21,11 @@ from tribadic import (
     trib,
     trib_mod,
 )
+from tribadic.classifier import _zero_table
 from tribadic.interpolation import SeriesTrunc
+from tribadic.padic import _vp, vp_factorial
 from tribadic._factor import primes_upto
-from tribadic.galois import splitting_type
+from tribadic.galois import EXCLUDED_PRIMES, splitting_type
 
 
 class TestSeriesCoeffs:
@@ -129,6 +134,74 @@ class TestEvalF:
             for _ in range(5):
                 z = PAdicInt(7, 24, rng.randrange(7**24))
                 assert eval_f(ctx7, ell, z).known_val == 0
+
+
+def binet_series(p, prec, ell, s, e, cut):
+    """Reference coefficients: sum c_lambda lambda^l (log lambda^(sN))^k / (p^e k!) over the
+    splitting field, from the roots and weights Newton-lifted by prime_context, projected to Z_p."""
+    big = prime_context(p, prec + e + vp_factorial(cut, p))  # room for the division by p^(e + nu(k!))
+    logs = [(lam ** (s * big.n_period)).log() for lam in big.roots]
+    terms = [c * lam**ell for c, lam in zip(big.weights, big.roots)]
+    out = []
+    for k in range(cut + 1):
+        total = (terms[0] + terms[1] + terms[2]).to_padic().residue
+        fact = math.factorial(k)
+        v = _vp(fact, p)
+        assert total % p ** (e + v) == 0, (p, ell, s, k)
+        out.append(PAdicInt(p, prec, total // p ** (e + v) * pow(fact // p**v, -1, p**prec)))
+        terms = [t * lg for t, lg in zip(terms, logs)]
+    return out
+
+
+def binet_f(ctx, ell, z):
+    """Reference f_l(z) = sum c_lambda lambda^l exp(z log lambda^N) over the splitting field."""
+    acc = ctx.ring.zero
+    for c, lam in zip(ctx.weights, ctx.roots):
+        acc = acc + c * lam**ell * ((lam**ctx.n_period).log() * z.residue).exp()
+    return acc.to_padic()
+
+
+class TestBinetOracle:
+    """series_coeffs and eval_f work in Z_p[x]/(P); the Binet sums over the lifted roots are the oracle."""
+
+    # d = 3, 2, 1, 2, 1, then the p = 3, s = 3 classes, two of them at their Z_T targets
+    CLASSES = [(p, info.ell, 1) for p in (5, 13, 47, 83, 269)
+               for info in _zero_table(p, prime_context(p, 3).n_period)]
+    CLASSES += [(3, ell, 3) for ell in (22, 35, -17, -4)]
+
+    @pytest.mark.parametrize("prec", [3, 24, 96])
+    def test_series_coeffs_match_binet_sums(self, prec):
+        assert {prime_context(p, 3).d for p, _, _ in self.CLASSES} == {1, 2, 3}
+        for p, ell, s in self.CLASSES:
+            ser = series_coeffs(prime_context(p, prec), ell, s)
+            expected = binet_series(p, prec, ell, s, ser.e, ser.cut)
+            assert list(ser.coeffs) == expected, (p, ell, s)
+
+    @pytest.mark.parametrize("prec", [3, 24, 96])
+    def test_eval_f_matches_binet_sum(self, prec):
+        rng = random.Random(prec)
+        for p, ell, _ in self.CLASSES:
+            ctx = prime_context(p, prec)
+            for _ in range(3):
+                z = PAdicInt(p, prec, rng.randrange(p**prec))
+                assert eval_f(ctx, ell, z) == binet_f(ctx, ell, z), (p, ell, z)
+
+
+ADMISSIBLE = [p for p in primes_upto(200) if p not in EXCLUDED_PRIMES]
+
+
+@given(st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.integers(3, 40))
+@settings(max_examples=60, deadline=None)
+def test_series_matches_the_integers_it_interpolates(p, pick, s, prec):
+    # integer-only oracle: g(m) = T(l + m*sN) / p^e (mod p^prec) for integer m
+    ctx = prime_context(p, prec)
+    zeros = [info.ell for info in _zero_table(p, ctx.n_period)]
+    ell = zeros[pick % len(zeros)]
+    ser = series_coeffs(ctx, ell, s)
+    pe = p**ser.e
+    for m in range(-40, 41):
+        t = trib_mod(ell + m * s * ctx.n_period, pe * p**prec)
+        assert t % pe == 0 and ser.eval(m).residue == t // pe, (p, ell, s, prec, m)
 
 
 class TestStrassman:
