@@ -32,7 +32,7 @@ from .interpolation import (
     strassman_mu,
 )
 from .padic import VAL_INF, PrecisionError, _vp, val_int
-from .tribonacci import ZERO_SET, _power, trib_mod, trib_val
+from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
 QT = ZT + ZERO_TARGETS_RAT
@@ -104,12 +104,12 @@ class FormulaSpec:
         rules = [self.default_kappa] + [x for case in self.cases for x in (case.kappa, case.mu)]
         if any(type(x) is not int for x in rules):
             raise ValueError("kappa, default_kappa and mu must be integers")
-        seen = set()
+        by_residue = {}  # r -> (kappa, numerator of a, denominator of a, mu); a = None if constant
         for case in self.cases:
             for r in case.residues:
-                if not 0 <= r < self.q or r in seen:
+                if not 0 <= r < self.q or r in by_residue:
                     raise ValueError("case residues must be distinct and in [0, q)")
-                seen.add(r)
+                by_residue[r] = (case.kappa, None, None, None)
             if case.a is not None:
                 a = Fraction(case.a)
                 if a.denominator % self.p == 0:
@@ -120,20 +120,21 @@ class FormulaSpec:
                             f"nu_p(a - i) >= nu_p(q) fails at i = {r} (a = {a}): "
                             "the class would be constant, not linear"
                         )
+                    by_residue[r] = (case.kappa, a.numerator, a.denominator, case.mu)
+        object.__setattr__(self, "_rules", by_residue)  # predict's table, built once
 
     def predict(self, n: int):
         """Predicted nu_p(T(n)); VAL_INF when n equals an integer linear target."""
-        r = n % self.q
-        for case in self.cases:
-            if r in case.residues:
-                if case.a is None:
-                    return case.kappa
-                a = Fraction(case.a)
-                diff = n * a.denominator - a.numerator
-                if diff == 0:
-                    return VAL_INF
-                return case.kappa + case.mu * val_int(diff, self.p)
-        return self.default_kappa
+        rule = self._rules.get(n % self.q)
+        if rule is None:
+            return self.default_kappa
+        kappa, num, den, mu = rule
+        if num is None:
+            return kappa
+        diff = n * den - num
+        if diff == 0:
+            return VAL_INF
+        return kappa + mu * _vp(diff, self.p)
 
     def rule_table(self):
         """Normalized per-residue rules (kappa, a, mu), for comparing specs structurally."""
@@ -182,9 +183,10 @@ class ClassificationRecord:
 
 def _zero_scan(p: int, n_period: int):
     """One pass of the recurrence mod p^2 over [0, N), lazily: (l, T(l), T(l+N)) mod p^2
-    for each l with p | T(l), T(l+N) being the last row of M^N applied to the state at l."""
+    for each l with p | T(l), T(l+N) = r0 T(l) + r1 T(l+1) + r2 T(l+2) read from
+    x^N = r0 + r1 x + r2 x^2 in (Z/p^2)[x]/(P)."""
     p2 = p * p
-    r2, r1, r0 = _power(n_period, p2)[2]
+    r0, r1, r2 = _xpow(n_period, p2)
     a, b, c = 0, 1, 1  # T(0), T(1), T(2)
     for ell in range(n_period):
         if a % p == 0:
@@ -435,9 +437,8 @@ def _constant_class_value(p: int, n_period: int, q: int, r: int, digits: int):
     m = p**digits
     per = n_period
     for _ in range(digits):  # the period mod p^digits divides N * p^(digits-1)
-        # (T(per), T(per+1), T(per+2)) = (0, 1, 1) makes M^per fix the states
-        # (0, 1, 1), (1, 1, 2), (1, 2, 4); their determinant is -1, so M^per = I
-        if (trib_mod(per, m), trib_mod(per + 1, m), trib_mod(per + 2, m)) == (0, 1, 1):
+        # x^per = 1 in (Z/p^digits)[x]/(P) exactly when per is a period of T mod p^digits
+        if _xpow(per, m) == (1, 0, 0):
             break
         per *= p
     else:
@@ -588,21 +589,21 @@ class Mismatch:
     actual: object
 
 
-_SPOT_EVERY = 997  # verify_formula's cadence of walk-versus-matrix-power checks
+_SPOT_EVERY = 997  # verify_formula's cadence of walk-versus-powering checks
 
 
 def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     """Compare the predicted nu_p(T(n)) with the actual valuation on [lo, hi]
     plus any extra points; an empty report is a pass.
 
-    The range walks the recurrence mod p^24 incrementally and cross-checks
-    against the matrix-power path at every multiple of _SPOT_EVERY; extra points
-    (e.g. CRT-generated near-misses of the targets) always use the direct path."""
+    The range walks the recurrence mod p^24 incrementally from one powering of x^lo
+    and cross-checks against trib_val's own powering at every multiple of _SPOT_EVERY;
+    extra points (e.g. CRT-generated near-misses of the targets) always use trib_val."""
     p = spec.p
     out = []
-    wp = 24
-    pk = p**wp
-    a, b, c = trib_mod(lo, pk), trib_mod(lo + 1, pk), trib_mod(lo + 2, pk)
+    pk = p**24
+    c0, c1, c2 = _xpow(lo, pk) if lo <= hi else (0, 0, 0)
+    a, b, c = (c1 + c2) % pk, (c0 + c1 + 2 * c2) % pk, (c0 + 2 * c1 + 4 * c2) % pk
     for n in range(lo, hi + 1):
         if n in ZERO_SET:
             actual = VAL_INF

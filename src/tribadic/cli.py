@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -362,6 +363,7 @@ def _cmd_scan(args) -> int:
                  "pass", payload, args.precision, t0)
 
 
+@functools.cache  # one parser per process: in-process callers pay for it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tribadic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

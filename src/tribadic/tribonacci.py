@@ -2,6 +2,10 @@
 
 T(0) = 0, T(1) = T(2) = 1, T(n+3) = T(n+2) + T(n+1) + T(n), extended backwards;
 T vanishes exactly on Z_T = {0, -1, -4, -17}.
+
+In Z[x]/(P), P = x^3 - x^2 - x - 1, T(n) = phi(x^n) with phi(c0 + c1 x + c2 x^2) = c1 + c2
+(Fiduccia's method), so one binary powering of x serves every n; x is a unit with
+x^(-1) = x^2 - x - 1, which makes the backward direction exact modulo any modulus.
 """
 
 from __future__ import annotations
@@ -11,51 +15,36 @@ from .padic import DEFAULT_PRECISION, VAL_INF, _vp
 
 ZERO_SET = (0, -1, -4, -17)
 
-# companion matrix of the recurrence and its exact inverse (det = 1, so the
-# backward direction is exact modulo any modulus)
-_M_FWD = ((1, 1, 1), (1, 0, 0), (0, 1, 0))
-_M_BWD = ((0, 1, 0), (0, 0, 1), (1, -1, -1))
 
-
-def _mat_mul(a, b, m):
-    if m is None:
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-        )
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) % m for j in range(3)) for i in range(3)
-    )
-
-
-def _mat_pow(mat, e, m):
-    out = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    while e:
-        if e & 1:
-            out = _mat_mul(out, mat, m)
-        mat = _mat_mul(mat, mat, m)
-        e >>= 1
-    return out
-
-
-def _power(n: int, m):
-    mat = _M_FWD if n >= 0 else _M_BWD
+def _xpow(n: int, m):
+    """(c0, c1, c2) with x^n = c0 + c1 x + c2 x^2 in Z[x]/(P), reduced mod m (exact if m is None)."""
+    c0, c1, c2 = 1, 0, 0
+    back = n < 0
+    for bit in bin(abs(n))[2:]:
+        # square, with x^3 = 1 + x + x^2 and x^4 = 1 + 2x + 2x^2
+        t, u = 2 * c1 * c2, c2 * c2
+        c0, c1, c2 = c0 * c0 + t + u, 2 * c0 * c1 + t + 2 * u, c1 * c1 + 2 * c0 * c2 + t + 2 * u
+        if m is not None:
+            c0, c1, c2 = c0 % m, c1 % m, c2 % m
+        if bit == "1":
+            c0, c1, c2 = (c1 - c0, c2 - c0, c0) if back else (c2, c0 + c2, c1 + c2)
     if m is not None:
-        mat = tuple(tuple(x % m for x in row) for row in mat)
-    return _mat_pow(mat, abs(n), m)
+        return c0 % m, c1 % m, c2 % m
+    return c0, c1, c2
 
 
 def trib(n: int) -> int:
-    """Exact T(n) for any integer n, by binary matrix powering."""
-    a = _power(n, None)
-    return a[2][0] + a[2][1]
+    """Exact T(n) for any integer n, by binary powering of x in Z[x]/(P)."""
+    _, c1, c2 = _xpow(n, None)
+    return c1 + c2
 
 
 def trib_mod(n: int, m: int) -> int:
-    """T(n) mod m in O(log |n|) 3x3 matrix products."""
+    """T(n) mod m in O(log |n|) squarings in (Z/m)[x]/(P)."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    a = _power(n, m)
-    return (a[2][0] + a[2][1]) % m
+    _, c1, c2 = _xpow(n, m)
+    return (c1 + c2) % m
 
 
 def trib_val(n: int, p: int, start_prec: int = DEFAULT_PRECISION):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,7 +36,9 @@ from tribadic.classifier import (
     STATUS_FAILS,
     STATUS_HOLDS,
     STATUS_UNDECIDED,
+    BUILTIN_SPEC_NAMES,
     ZT,
+    Mismatch,
     _classify_range,
     _derive_once,
     _zero_scan,
@@ -45,7 +48,7 @@ from tribadic.classifier import (
 from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.interpolation import series_coeffs, strassman_mu
 from tribadic.padic import VAL_INF, PAdicInt, PrecisionError, val_int
-from tribadic.tribonacci import trib_val
+from tribadic.tribonacci import ZERO_SET, trib, trib_val
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -369,6 +372,35 @@ class TestFormulaSpec:
         with pytest.raises(KeyError):
             builtin_spec("p600")
 
+    @staticmethod
+    def rule_oracle(spec, n):
+        kappa, a, mu = spec.rule_table()[n % spec.q]
+        if a is None:
+            return kappa
+        if n == a:
+            return VAL_INF
+        return kappa + mu * val_int((n - a).numerator, spec.p)
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_predict_matches_rule_table(self, name):
+        spec = builtin_spec(name)
+        rng = random.Random(name)
+        ns = [rng.randrange(-(10**30), 10**30) for _ in range(1000)]
+        ns += [rng.randrange(-(10**4), 10**4) for _ in range(1000)]
+        ns += [crt_witness(r, spec.q, c.a, spec.p, k)
+               for c in spec.cases if c.a is not None for r in c.residues for k in (1, 5, 12)]
+        ns += [c.a for c in spec.cases if isinstance(c.a, int)]
+        for n in ns:
+            assert spec.predict(n) == self.rule_oracle(spec, n), n
+
+    def test_predict_default_kappa_and_mu(self):
+        # 1/2 - 3 and 1/2 - 8 are -5/2 and -15/2, so 3 and 8 are linear classes mod 10 at p = 5
+        spec = FormulaSpec(5, 10, (FormulaCase((3, 8), 1, Fraction(1, 2), 2), FormulaCase((0, 4), 2)), 3)
+        rng = random.Random(5)
+        for n in [rng.randrange(-(10**12), 10**12) for _ in range(2000)] + [3, 13, 63, 313, 5**9 * 2 + 3]:
+            assert spec.predict(n) == self.rule_oracle(spec, n), n
+        assert (spec.predict(1), spec.predict(10), spec.predict(3), spec.predict(63)) == (3, 2, 3, 7)
+
 
 class TestVerifyFormula:
     @pytest.mark.parametrize("name", ["p2", "p3", "p83", "p269"])
@@ -389,6 +421,34 @@ class TestVerifyFormula:
         spec = builtin_spec("p83")
         extras = [crt_witness(287 - 17, 287, -17, 83, k) for k in range(1, 7)]
         assert verify_formula(spec, 1, 10, extra=extras) == []
+
+    @staticmethod
+    def brute_force_report(spec, lo, hi):
+        """The report with each nu_p(T(n)) read from T(n) alone: exact for |n| <= 1000,
+        else from T(n) mod p^160 (which must not vanish)."""
+        out = []
+        for n in range(lo, hi + 1):
+            if n in ZERO_SET:
+                actual = VAL_INF
+            elif abs(n) <= 1000:
+                actual = val_int(trib(n), spec.p)
+            else:
+                residue = trib_mod(n, spec.p**160)
+                assert residue != 0, n
+                actual = val_int(residue, spec.p)
+            if spec.predict(n) != actual:
+                out.append(Mismatch(n, spec.predict(n), actual))
+        return out
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_walk_start_anywhere(self, name):
+        # the walk starts from one power x^lo: before the zero set, on it, and far out
+        spec = builtin_spec(name)
+        for lo in (-300, -17, -5, 0, 1, 10**7 + 3, 2**64):
+            assert verify_formula(spec, lo, lo + 300) == self.brute_force_report(spec, lo, lo + 300), lo
+
+    def test_empty_range(self):
+        assert verify_formula(builtin_spec("p3"), 5, 4) == []
 
     def test_sync_check_survives_python_O(self):
         # the walk's spot check against trib_val must not be an assert that -O strips

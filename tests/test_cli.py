@@ -76,6 +76,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error: argument --" in err[0]
 
+    def test_one_parser_per_process(self, capsys):
+        # the parser is built once; a usage error or a flag of one call must not leak into the next
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["zero", "--prime", "5", "--ell", "21", "--precision", "2"]) == EXIT_USAGE
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        _, first = run_json(capsys, "zero", "--prime", "5", "--ell", "21", "--precision", "48")
+        _, second = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
+        assert (first["params"]["precision"], second["params"]["precision"]) == (48, 24)
+
     def test_exhausted_zero_escalation_is_internal(self, capsys, monkeypatch):
         def vanish(*args):
             raise PrecisionError("forced")

@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribadic import VAL_INF, ZERO_SET, prime_context, trib, trib_mod, trib_val
+from tribadic._factor import primes_upto
+from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.padic import val_int
+from tribadic.tribonacci import _xpow
 
 
 def forward_oracle(n):
@@ -13,6 +16,25 @@ def forward_oracle(n):
     for _ in range(n):
         a, b, c = b, c, a + b + c
     return a
+
+
+def companion_power(n, m=None):
+    """M^n for the companion matrix M of the recurrence (M^-1 for n < 0), reduced mod m
+    unless m is None: the 3x3 matrix path that x-powering replaced, kept as an oracle."""
+    mat = ((1, 1, 1), (1, 0, 0), (0, 1, 0)) if n >= 0 else ((0, 1, 0), (0, 0, 1), (1, -1, -1))
+    out = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def mul(a, b):
+        prod = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+        return prod if m is None else tuple(tuple(x % m for x in row) for row in prod)
+
+    e = abs(n)
+    while e:
+        if e & 1:
+            out = mul(out, mat)
+        mat = mul(mat, mat)
+        e >>= 1
+    return out
 
 
 class TestTrib:
@@ -60,6 +82,30 @@ class TestTribMod:
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             trib_mod(5, 1)
+
+
+class TestXPow:
+    """x^n = c0 + c1 x + c2 x^2 in Z[x]/(P) is the reversed last row of M^n, and T(n) = c1 + c2."""
+
+    @given(st.integers(min_value=-(2**200), max_value=2**200), st.integers(min_value=2, max_value=10**40))
+    @settings(max_examples=150, deadline=None)
+    def test_trib_mod_matches_companion_matrix(self, n, m):
+        row = companion_power(n, m)[2]
+        assert trib_mod(n, m) == (row[0] + row[1]) % m
+        assert _xpow(n, m) == row[::-1]
+
+    def test_exact_powers(self):
+        for n in range(-300, 301):
+            c0, c1, c2 = _xpow(n, None)
+            assert (c0, c1, c2) == companion_power(n)[2][::-1]
+            assert c1 + c2 == trib(n)
+        assert [trib(n) for n in range(-4, 6)] == [0, -1, 1, 0, 0, 1, 1, 2, 4, 7]
+
+    def test_period_powers_match_matrix_rows(self):
+        # the powers _zero_scan reads: x^N mod p^2 for every admissible p < 400, 757, 1999
+        for p in [p for p in primes_upto(399) if p not in EXCLUDED_PRIMES] + [757, 1999]:
+            n_period = prime_context(p, 24).n_period
+            assert _xpow(n_period, p * p) == companion_power(n_period, p * p)[2][::-1], p
 
 
 class TestTribVal:
