@@ -1,12 +1,16 @@
 """How the Tribonacci recurrence looks p-adically.
 
 X^3 - X^2 - X - 1 factors mod p in one of three ways (discriminant -44, so
-p = 2, 11 are off limits).  The roots are Hensel-lifted into the unramified
-extension, the Binet weights c = lambda / P'(lambda) fall out, and the period
-N of T mod p is the order of the group the roots generate in the residue field.
+p = 2, 11 are off limits).  Nothing needs its roots on their own: in
+R = Z_p[x]/(P), x acts as the companion matrix of the recurrence, so
+T(n) = phi(x^n) with phi(a + bx + cx^2) = b + c, and the period N of T mod p is
+the order of x in (Z/p)[x]/(P).
 """
 
-from tribadic import prime_context, splitting_type, trib_mod
+from tribadic import ExtRing, prime_context, splitting_type, trib_mod
+from tribadic._factor import factorize
+
+P = (-1, -1, -1, 1)  # ascending coefficients of X^3 - X^2 - X - 1
 
 print("splitting types:")
 for p in (47, 13, 5):
@@ -14,21 +18,24 @@ for p in (47, 13, 5):
     shape = {1: "three rational roots", 2: "linear x quadratic", 3: "irreducible"}[d]
     print(f"  p = {p}: d = {d} ({shape})")
 
-print("\nBinet form recovers the sequence exactly (p = 13, all in the quadratic extension):")
-ctx = prime_context(13, 24)
+print("\nT(n) = phi(x^n) in Z_13[x]/(P), whatever the splitting (p = 13 has d = 2):")
 pk = 13**24
+x = ExtRing(13, 24, P).gen
 for n in (-17, -4, 0, 1, 10, 21):
-    acc = ctx.ring.zero
-    for ci, li in zip(ctx.weights, ctx.roots):
-        acc = acc + ci * li**n
-    binet = acc.to_padic().residue  # raises if any extension coordinate survives
-    print(f"  sum c*lambda^{n:>3} = {binet % 10**9:>9}...  == T({n}) mod 13^24: {binet == trib_mod(n, pk)}")
+    c0, c1, c2 = (ci if ci < pk // 2 else ci - pk for ci in (x**n).coords)  # small integers: print them signed
+    phi = (c1 + c2) % pk
+    print(f"  x^{n:<3} = {c0:>6} + {c1:>6} x + {c2:>6} x^2   phi(x^{n}) = {c1 + c2:>6} == T({n}) mod 13^24: "
+          f"{phi == trib_mod(n, pk)}")
 
-print("\nperiods (published N column):")
+print("\nperiods (published N column), each the order of x mod p:")
 for p, listed in ((5, 31), (7, 48), (13, 168), (83, 287), (397, 132), (599, 598)):
     ctx = prime_context(p, 8)
-    mark = "ok" if ctx.n_period == listed else "MISMATCH"
-    print(f"  N_{p} = {ctx.n_period:>6}  (published {listed:>6})  {mark}")
+    n = ctx.n_period
+    res = ExtRing(p, 1, P)
+    one = res.gen**n == res.one
+    minimal = all(res.gen ** (n // q) != res.one for q in factorize(n))
+    mark = "ok" if n == listed else "MISMATCH"
+    print(f"  N_{p} = {n:>6}  (published {listed:>6})  {mark};  x^N = 1: {one}, x^(N/q) != 1 for q | N: {minimal}")
 
 print("\nand T(n + N) = T(n) (mod p) really holds, e.g. p = 83:")
 ctx = prime_context(83, 8)

@@ -322,10 +322,22 @@ def _holds_spec(ctx: PrimeContext, infos):
 
 
 def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
-    """The certified zero b behind a failure witness, with l + N*b = u (mod p) enforced."""
-    b = _escalate(ctx, lambda c: locate_zero(c, ell)).b  # the pass classifies only from precision 3
-    if b is None or (ell + ctx.n_period * b).residue % ctx.p != u:
+    """The certified zero b behind a failure witness, with l + N*b = u (mod p) enforced.
+
+    Integer-only oracle: g(z) - g(b) = (z - b) * unit on Z_p, so for m = b (mod p^j)
+    nu_p(T(l + N*m)) = e + nu_p(m - b), which is only known to be >= e + prec
+    where m = b (mod p^prec)."""
+    p, n_period = ctx.p, ctx.n_period
+    record = _escalate(ctx, lambda c: locate_zero(c, ell))  # the pass classifies only from precision 3
+    b = record.b
+    if b is None or (ell + n_period * b).residue % p != u:
         raise PrecisionError(f"witness zero at l = {ell} does not reproduce u = {u}")
+    for j in (1, 2):
+        m = b.residue % p**j
+        gap = (b - m).known_val
+        actual, expected = trib_val(ell + n_period * m, p), record.series.e + gap
+        if not (actual == expected if gap < b.prec else actual >= expected):
+            raise AssertionError(f"nu_p(T({ell} + N*{m})) = {actual}, not {expected}: witness zero at l = {ell}")
     return tuple(b.digits())
 
 
@@ -605,12 +617,7 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     c0, c1, c2 = _xpow(lo, pk) if lo <= hi else (0, 0, 0)
     a, b, c = (c1 + c2) % pk, (c0 + c1 + 2 * c2) % pk, (c0 + 2 * c1 + 4 * c2) % pk
     for n in range(lo, hi + 1):
-        if n in ZERO_SET:
-            actual = VAL_INF
-        elif a == 0:
-            actual = trib_val(n, p)
-        else:
-            actual = _vp(a, p)
+        actual = _vp(a, p) if a else trib_val(n, p)  # trib_val is VAL_INF on Z_T, where a = 0
         if n % _SPOT_EVERY == 0 and actual != trib_val(n, p):
             raise AssertionError(f"incremental walk out of sync at n = {n}")
         predicted = spec.predict(n)
@@ -618,7 +625,7 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
             out.append(Mismatch(n, predicted, actual))
         a, b, c = b, c, (a + b + c) % pk
     for n in extra:
-        actual = VAL_INF if n in ZERO_SET else trib_val(n, p)
+        actual = trib_val(n, p)
         predicted = spec.predict(n)
         if predicted != actual:
             out.append(Mismatch(n, predicted, actual))
@@ -730,7 +737,7 @@ def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int |
     for row in published_table():
         if p_max is not None and row.p > p_max:
             continue
-        n = _prime_data(row.p)[2]
+        n = _prime_data(row.p)[1]
         p2 = row.p * row.p
         t_ell = trib_mod(row.ell, p2)
         t_ell_n = trib_mod(row.ell + n, p2)

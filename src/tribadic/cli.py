@@ -23,7 +23,7 @@ from fractions import Fraction
 from ._factor import is_prime
 from .galois import EXCLUDED_PRIMES, prime_context
 from .interpolation import MIN_PRECISION, strassman_mu
-from .padic import DEFAULT_PRECISION, PrecisionError
+from .padic import DEFAULT_PRECISION
 from .tribonacci import trib_mod
 from .classifier import (
     BUILTIN_SPEC_NAMES,
@@ -318,11 +318,7 @@ def _cmd_zero(args) -> int:
     if not payload["divides"]:
         payload["conclusion"] = "p does not divide T(ell): f_ell has no zero on Z_p"
     else:
-        try:
-            record, cert = locate_and_certify(ctx, ell, s)
-        except PrecisionError:
-            print("zero: precision escalation exhausted", file=sys.stderr)
-            return EXIT_INTERNAL
+        record, cert = locate_and_certify(ctx, ell, s)
         ctx = record.series.ctx
         payload.update(e=record.series.e, mu=strassman_mu(record.series), deriv_ok=record.b is not None)
         if record.b is not None:

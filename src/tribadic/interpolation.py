@@ -292,17 +292,15 @@ def cube_root_certificate(
         raise ValueError("cube-root certificate needs all roots in Q_p (d = 1)")
     if n_period % 3 == 0:
         raise ValueError("cube-root certificate needs 3 coprime to the period N")
-    lams = [lam.to_padic() for lam in ctx.roots]
-    cs = [ci.to_padic() for ci in ctx.weights]
-    # lambda^N = 1 (mod p), so lambda^(3^-1 mod N) cubes to lambda mod p; for p = 2 (mod 3)
-    # that is the unique cube root, the one cube_root returns
-    inv3 = pow(3, -1, n_period)
-    roots3 = [_hensel_cube_root(lam, pow(lam.residue % p, inv3, p)) for lam in lams]
-    s13 = sum((ci * t for ci, t in zip(cs, roots3)), PAdicInt(p, prec, 0))
-    s53 = sum((ci * t ** (-5) for ci, t in zip(cs, roots3)), PAdicInt(p, prec, 0))
-    # Newton's-identity certificate: sum c^3 lambda = 3 * prod c
-    sym = sum((ci**3 * lam for ci, lam in zip(cs, lams)), PAdicInt(p, prec, 0))
-    sym_ok = (sym - 3 * cs[0] * cs[1] * cs[2]).is_zero()
+    # In R = Z_p[x]/(P), phi(g) is the Binet sum of g over the roots.  x^N = 1 (mod p), so
+    # x^(3^-1 mod N) cubes to x mod p; for p = 2 (mod 3) it lifts the unique cube root
+    x = ExtRing(p, prec, _P).gen
+    y = _hensel_cube_root(x, x ** pow(3, -1, n_period))
+    s13_ok, s53_ok = _phi(y) == 0, _phi(y ** (-5)) == 0
+    # Newton's-identity certificate sum c^3 lambda = 3 prod c, with c = w(lambda) for
+    # w = x P'(x)^-1 and prod c = prod lambda / prod P'(lambda) = 1/44 (-disc P = 44)
+    w = x * (3 * x * x - 2 * x - 1).inv()
+    sym_ok = (44 * _phi(w * w * x) - 3) % x.ring.pk == 0
 
     rng = random.Random(seed)
     class_mod = p - 1 if p % 3 == 2 else n_period
@@ -323,12 +321,4 @@ def cube_root_certificate(
         lhs = trib_val(n, p)
         if not lhs >= rhs:
             failures.append((n, lhs, rhs))
-    return CubeRootReport(
-        p,
-        n_period,
-        s13.is_zero(),
-        s53.is_zero(),
-        sym_ok,
-        samples,
-        tuple(failures),
-    )
+    return CubeRootReport(p, n_period, s13_ok, s53_ok, sym_ok, samples, tuple(failures))

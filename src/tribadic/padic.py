@@ -489,17 +489,15 @@ def padic_log(u: PAdicInt) -> PAdicInt:
     return ExtRing(u.p, u.prec, (0, 1)).embed(u.residue).log().to_padic()
 
 
-def _hensel_cube_root(u: PAdicInt, y: int) -> PAdicInt:
-    """The cube root of the unit u (mod p^prec) that lifts y, a cube root of u mod p,
-    by Hensel iteration on X^3 - u."""
-    p, prec = u.p, u.prec
-    mod = p**prec
+def _hensel_cube_root(u, y):
+    """The cube root of the unit u that lifts y, a cube root of u mod p, by Newton
+    iteration on X^3 - u; u and y are PAdicInts or ExtElems of one ring."""
+    prec = u.prec if isinstance(u, PAdicInt) else u.ring.prec
     for _ in range(max(prec.bit_length(), 1) + 1):
-        y = (y - (y * y * y - u.residue) * pow(3 * y * y, -1, mod)) % mod
-    root = PAdicInt(p, prec, y)
-    if not (root * root * root - u).is_zero():
+        y = y - (y * y * y - u) * (3 * y * y).inv()
+    if not (y * y * y - u).is_zero():
         raise AssertionError(f"Hensel lifting of a cube root of {u!r} failed")
-    return root
+    return y
 
 
 def cube_root(u: PAdicInt) -> PAdicInt:
@@ -512,4 +510,4 @@ def cube_root(u: PAdicInt) -> PAdicInt:
         raise ValueError("cube roots are unique only for p = 2 (mod 3)")
     if not u.is_unit():
         raise ValueError("cube_root needs a unit")
-    return _hensel_cube_root(u, pow(u.residue % p, ((2 * p - 1) // 3) % (p - 1), p))
+    return _hensel_cube_root(u, PAdicInt(p, u.prec, pow(u.residue % p, ((2 * p - 1) // 3) % (p - 1), p)))

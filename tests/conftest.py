@@ -1,6 +1,75 @@
+from functools import lru_cache
+
 import pytest
 
-from tribadic import prime_context
+from tribadic import ExtRing, prime_context, splitting_type
+
+# P and P' as integer polynomials, ascending coefficients
+_P = (-1, -1, -1, 1)
+_DP = (-1, -2, 3)
+
+
+def _peval(x, poly):
+    # Horner evaluation of an integer polynomial (ascending coefficients)
+    acc = x.ring.zero
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _newton_root(ring, start):
+    """The root of P in ring that lifts start, a root of P mod p, by Newton iteration."""
+    t = start
+    for _ in range(max(ring.prec.bit_length(), 1) + 2):
+        f = _peval(t, _P)
+        if f.is_zero():
+            return t
+        t = t - f * _peval(t, _DP).inv()
+    raise AssertionError("Newton root lifting failed")
+
+
+def _residue_roots(p):
+    """The three roots of P in F_{p^d}, in one ring: rational roots have vanishing top coordinates."""
+    d, factors = splitting_type(p)
+    if d == 1:
+        res = ExtRing(p, 1, (0, 1))
+        return tuple(res.embed(-f[0]) for f in factors)
+    if d == 2:
+        res = ExtRing(p, 1, factors[1])
+        x = res.gen
+        return (res.embed(-factors[0][0]), x, -x - factors[1][1])
+    res = ExtRing(p, 1, _P)
+    conj1 = res.gen**p
+    return (res.gen, conj1, conj1**p)
+
+
+@lru_cache(maxsize=None)
+def lifted_roots(p, prec):
+    """Test-only oracle: (ring, roots, weights) with the roots of P Newton-lifted to p^prec in
+    the unramified ring that holds all three, and the Binet weights c = lambda / P'(lambda).
+
+    For d = 2 the ring's modulus is P / (X - r) for the rational root r, lifted in Z/p^prec."""
+    d = splitting_type(p)[0]
+    residue_roots = _residue_roots(p)
+    if d == 2:
+        line = ExtRing(p, prec, (0, 1))
+        r = _newton_root(line, residue_roots[0].lift_to(line)).coords[0]
+        ring = ExtRing(p, prec, (r * r - r - 1, r - 1, 1))
+    else:
+        ring = ExtRing(p, prec, (0, 1) if d == 1 else _P)
+    roots = tuple(_newton_root(ring, lam.lift_to(ring)) for lam in residue_roots)
+    if len({tuple(c % p for c in lam.coords) for lam in roots}) != 3:
+        raise AssertionError("roots are not pairwise distinct mod p")
+    cs = tuple(lam * _peval(lam, _DP).inv() for lam in roots)
+    # Binet sanity: e1 = e3 = 1 for P, and sum c*lambda^n = T(n) at n = 0, 1
+    if (
+        roots[0] + roots[1] + roots[2] != ring.one
+        or roots[0] * roots[1] * roots[2] != ring.one
+        or not (cs[0] + cs[1] + cs[2]).is_zero()
+        or sum((ci * li for ci, li in zip(cs, roots)), ring.zero) != ring.one
+    ):
+        raise AssertionError(f"roots and Binet coefficients for p = {p} fail e1 = e3 = 1, T(0) = 0, T(1) = 1")
+    return ring, roots, cs
 
 
 @pytest.fixture(scope="session")

@@ -91,6 +91,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(classifier, "series_coeffs", vanish)
         assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def crash(*args):

@@ -12,10 +12,12 @@ from tribadic import (
 )
 from tribadic._factor import factorize, is_prime, primes_upto
 
+from conftest import lifted_roots
+
 
 def clear_context_caches():
-    prime_context.cache_clear()
     galois._prime_data.cache_clear()
+    lifted_roots.cache_clear()
 
 
 def roots_mod_p_oracle(p):
@@ -60,27 +62,25 @@ class TestSplittingType:
 class TestLiftRoots:
     @pytest.mark.parametrize("p", [3, 5, 13, 47, 83, 397])
     def test_root_identities(self, p):
-        ctx = prime_context(p, 24)
-        ring = ctx.ring
-        r1, r2, r3 = ctx.roots
+        ring, roots, _ = lifted_roots(p, 24)
+        r1, r2, r3 = roots
         assert r1 + r2 + r3 == ring.one  # e1 of P
         assert r1 * r2 * r3 == ring.one  # -constant term
-        for lam in ctx.roots:
+        for lam in roots:
             val = ((lam - 1) * lam - 1) * lam - 1
             assert val.is_zero()
 
     @pytest.mark.parametrize("p", [3, 5, 13, 47])
     def test_binet_at_0_and_1(self, p):
-        ctx = prime_context(p, 24)
-        c1, c2, c3 = ctx.weights
+        ring, roots, weights = lifted_roots(p, 24)
+        c1, c2, c3 = weights
         assert (c1 + c2 + c3).is_zero()  # T(0) = 0
-        total = sum((ci * li for ci, li in zip(ctx.weights, ctx.roots)), ctx.ring.zero)
-        assert total == ctx.ring.one  # T(1) = 1
+        total = sum((ci * li for ci, li in zip(weights, roots)), ring.zero)
+        assert total == ring.one  # T(1) = 1
 
     def test_c_lambda_units(self):
         for p in (5, 13, 47):
-            ctx = prime_context(p, 24)
-            for ci in ctx.weights:
+            for ci in lifted_roots(p, 24)[2]:
                 assert ci.val() == 0
 
 
@@ -89,13 +89,12 @@ class TestContextCache:
     def test_context_independent_of_cache_history(self, p):
         clear_context_caches()
         prime_context(p, 96)
-        warm = prime_context(p, 24)
+        lifted_roots(p, 96)
+        warm, warm_lift = prime_context(p, 24), lifted_roots(p, 24)
         clear_context_caches()
-        fresh = prime_context(p, 24)
-        assert warm is not fresh
-        assert (warm.ring, warm.roots, warm.weights, warm.n_period, warm.factorization) == (
-            fresh.ring, fresh.roots, fresh.weights, fresh.n_period, fresh.factorization
-        )
+        fresh, fresh_lift = prime_context(p, 24), lifted_roots(p, 24)
+        assert warm is not fresh and warm_lift is not fresh_lift
+        assert (warm_lift, warm.n_period, warm.factorization) == (fresh_lift, fresh.n_period, fresh.factorization)
         assert warm == fresh
 
     def test_one_factorization_per_prime(self, monkeypatch):
@@ -124,10 +123,10 @@ class TestComputeN:
     @pytest.mark.parametrize("p", [5, 7, 13, 47, 83])
     def test_group_minimality(self, p):
         # no proper divisor N' of N has lambda^N' = 1 mod p for every root
-        ctx = prime_context(p, 8)
-        n_period = ctx.n_period
-        res = ExtRing(p, 1, ctx.ring.modulus)
-        roots = [lam.lift_to(res) for lam in ctx.roots]
+        n_period = prime_context(p, 8).n_period
+        ring, lifted, _ = lifted_roots(p, 8)
+        res = ExtRing(p, 1, ring.modulus)
+        roots = [lam.lift_to(res) for lam in lifted]
         one = res.one
         for q in factorize(n_period):
             shorter = n_period // q
@@ -144,11 +143,21 @@ class TestComputeN:
             ctx = prime_context(p, 8)
             assert (p**ctx.d - 1) % ctx.n_period == 0
 
+    @pytest.mark.parametrize("p", [p for p in primes_upto(300) if p not in (2, 11)] + [757, 1999])
+    def test_n_is_the_least_period_of_the_recurrence(self, p):
+        # independent oracle: walk T mod p until the state (T(0), T(1), T(2)) comes back
+        a, b, c = 1, 1, 2  # T(1), T(2), T(3)
+        n = 1
+        while (a, b, c) != (0, 1, 1):
+            a, b, c = b, c, (a + b + c) % p
+            n += 1
+        assert prime_context(p, 8).n_period == n
+
 
 class TestExtArithmetic:
     def test_inverse_round_trip(self):
         rng = random.Random(9)
-        ring = prime_context(5, 20).ring
+        ring = lifted_roots(5, 20)[0]
         for _ in range(50):
             x = ring.elem([rng.randrange(5**20) for _ in range(3)])
             if x.val() != 0:
@@ -157,7 +166,7 @@ class TestExtArithmetic:
 
     def test_extension_exp_log_round_trip(self):
         rng = random.Random(10)
-        ring = prime_context(7, 16).ring
+        ring = lifted_roots(7, 16)[0]
         for _ in range(25):
             z = ring.elem([7 * rng.randrange(7**14) for _ in range(3)])
             assert z.exp().log() == z
@@ -166,18 +175,18 @@ class TestExtArithmetic:
 
     def test_exp_additive_in_extension(self):
         rng = random.Random(12)
-        ring = prime_context(13, 12).ring
+        ring = lifted_roots(13, 12)[0]
         for _ in range(20):
             z = ring.elem([13 * rng.randrange(13**10) for _ in range(2)])
             w = ring.elem([13 * rng.randrange(13**10) for _ in range(2)])
             assert (z + w).exp() == z.exp() * w.exp()
 
     def test_galois_stable_sums_project(self):
-        ctx = prime_context(5, 16)
+        ring, roots, weights = lifted_roots(5, 16)
         pk = 5**16
         for m in (-7, -1, 0, 1, 9, 40):
-            acc = ctx.ring.zero
-            for ci, li in zip(ctx.weights, ctx.roots):
+            acc = ring.zero
+            for ci, li in zip(weights, roots):
                 acc = acc + ci * li**m
             assert acc.to_padic().residue == trib_mod(m, pk)
 

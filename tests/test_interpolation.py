@@ -27,6 +27,8 @@ from tribadic.padic import _vp, vp_factorial
 from tribadic._factor import primes_upto
 from tribadic.galois import EXCLUDED_PRIMES, splitting_type
 
+from conftest import lifted_roots
+
 
 class TestSeriesCoeffs:
     def test_beta0_is_t21_over_5(self, ctx5):
@@ -60,7 +62,7 @@ class TestSeriesCoeffs:
         # log_val comes from nu_p(lambda^(sN) - 1); the logarithms themselves must agree
         ctx = prime_context(p, 24)
         ser = series_coeffs(ctx, ell, s)
-        assert ser.log_val == min((lam ** (s * ctx.n_period)).log().val() for lam in ctx.roots)
+        assert ser.log_val == min((lam ** (s * ctx.n_period)).log().val() for lam in lifted_roots(p, 24)[1])
 
     def test_higher_coefficients_in_p_zp(self):
         for p in (5, 7, 13):
@@ -138,10 +140,11 @@ class TestEvalF:
 
 def binet_series(p, prec, ell, s, e, cut):
     """Reference coefficients: sum c_lambda lambda^l (log lambda^(sN))^k / (p^e k!) over the
-    splitting field, from the roots and weights Newton-lifted by prime_context, projected to Z_p."""
-    big = prime_context(p, prec + e + vp_factorial(cut, p))  # room for the division by p^(e + nu(k!))
-    logs = [(lam ** (s * big.n_period)).log() for lam in big.roots]
-    terms = [c * lam**ell for c, lam in zip(big.weights, big.roots)]
+    splitting field, from the roots and weights of the lifted_roots oracle, projected to Z_p."""
+    n_period = prime_context(p, prec).n_period
+    _, roots, weights = lifted_roots(p, prec + e + vp_factorial(cut, p))  # room for the division by p^(e + nu(k!))
+    logs = [(lam ** (s * n_period)).log() for lam in roots]
+    terms = [c * lam**ell for c, lam in zip(weights, roots)]
     out = []
     for k in range(cut + 1):
         total = (terms[0] + terms[1] + terms[2]).to_padic().residue
@@ -155,8 +158,9 @@ def binet_series(p, prec, ell, s, e, cut):
 
 def binet_f(ctx, ell, z):
     """Reference f_l(z) = sum c_lambda lambda^l exp(z log lambda^N) over the splitting field."""
-    acc = ctx.ring.zero
-    for c, lam in zip(ctx.weights, ctx.roots):
+    ring, roots, weights = lifted_roots(ctx.p, ctx.prec)
+    acc = ring.zero
+    for c, lam in zip(weights, roots):
         acc = acc + c * lam**ell * ((lam**ctx.n_period).log() * z.residue).exp()
     return acc.to_padic()
 
@@ -321,3 +325,31 @@ class TestCubeRootCertificate:
     def test_rejects_wrong_splitting(self, ctx5):
         with pytest.raises(ValueError):
             cube_root_certificate(ctx5)  # d = 3 at p = 5
+
+    @pytest.mark.parametrize("prec", [24, 96])
+    def test_certificate_matches_the_sums_over_lifted_roots(self, prec):
+        # oracle: the Binet sums over the Newton-lifted roots, with integer Hensel cube roots
+        family = [p for p in primes_upto(600) if p not in EXCLUDED_PRIMES and splitting_type(p)[0] == 1
+                  and prime_context(p, prec).n_period % 3]
+        assert len(family) == 10 and family[:5] == [47, 53, 257, 269, 311]
+        for p in family:
+            ctx = prime_context(p, prec)
+            pk = p**prec
+            _, roots, weights = lifted_roots(p, prec)
+            lams = [lam.coords[0] for lam in roots]
+            cs = [c.coords[0] for c in weights]
+            cubes = []
+            for lam in lams:
+                y = pow(lam % p, pow(3, -1, ctx.n_period), p)
+                for _ in range(prec.bit_length() + 1):
+                    y = (y - (y**3 - lam) * pow(3 * y * y, -1, pk)) % pk
+                assert (y**3 - lam) % pk == 0
+                cubes.append(y)
+            s13 = sum(c * y for c, y in zip(cs, cubes)) % pk
+            s53 = sum(c * pow(y, -5, pk) for c, y in zip(cs, cubes)) % pk
+            sym = (sum(c**3 * lam for c, lam in zip(cs, lams)) - 3 * cs[0] * cs[1] * cs[2]) % pk
+            rep = cube_root_certificate(ctx, samples=4)
+            assert (rep.sum_one_third_vanishes, rep.sum_minus_five_thirds_vanishes, rep.symmetric_identity_holds) == (
+                s13 == 0, s53 == 0, sym == 0
+            ), p
+            assert rep.ok, p
