@@ -78,6 +78,21 @@ def _int_arg(lo=None, hi=None):
     return integer
 
 
+def _prime_arg(excluded=()):
+    """An argparse type: a prime not in excluded."""
+
+    def prime(text):
+        value = int(text)
+        if not is_prime(value):
+            raise argparse.ArgumentTypeError(f"{value} is not prime")
+        if value in excluded:
+            ramified = ", ".join(map(str, excluded))
+            raise argparse.ArgumentTypeError(f"{value} is excluded: {ramified} are ramified")
+        return value
+
+    return prime
+
+
 def _range_arg(text):
     """An argparse type: 'a..b' with integers a <= b, as (a, b)."""
     lo, _, hi = text.partition("..")
@@ -248,9 +263,6 @@ def table_rows_from_csv(text: str):
 
 def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
-    if not is_prime(args.prime):
-        print(f"classify: {args.prime} is not prime", file=sys.stderr)
-        return EXIT_USAGE
     rec = classify_prime(args.prime, args.precision)
     payload = _record_dict(rec)
     if rec.verdict_ml.status == STATUS_EXCLUDED:
@@ -308,9 +320,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_zero(args) -> int:
     t0 = time.perf_counter()
-    if not is_prime(args.prime) or args.prime in EXCLUDED_PRIMES:
-        print(f"zero: need an admissible prime (not 2 or 11), got {args.prime}", file=sys.stderr)
-        return EXIT_USAGE
     p, ell, s = args.prime, args.ell, args.multiplier
     ctx = prime_context(p, args.precision)
     payload = {"p": p, "N": ctx.n_period, "ell": ell, "s": s, "divides": trib_mod(ell, p) == 0}
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     sp = sub.add_parser("classify", help="decide both conjecture forms for one prime")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime_arg(), required=True)
     common(sp)
     sp.set_defaults(fn=_cmd_classify)
 
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("zero", help="locate and classify the zero of one interpolant f_ell")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime_arg(EXCLUDED_PRIMES), required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--multiplier", type=_int_arg(lo=1), default=1,
                     help="period multiplier s >= 1 (default 1)")

@@ -56,8 +56,8 @@ def _prime_data(p: int) -> tuple[int, int, dict[int, int]]:
 
     x^(p^d - 1) = 1 in (Z/p)[x]/(P), a product of fields of degree dividing d, so
     N is found by dividing p^d - 1 (factored by trial division + Pollard rho) down
-    by each prime while x^(N/q) = 1.  For d = 3 the sharper divisibility
-    N | p^2 + p + 1 is checked.
+    by each prime while x^(N/q) = 1.  x^N = 1 itself is checked, which a wrong d would
+    break, and for d = 3 the sharper divisibility N | p^2 + p + 1.
     """
     d = splitting_type(p)[0]
     group = p**d - 1
@@ -68,8 +68,8 @@ def _prime_data(p: int) -> tuple[int, int, dict[int, int]]:
             n //= q
     if d == 3 and (p * p + p + 1) % n != 0:
         raise AssertionError(f"N = {n} does not divide p^2 + p + 1 for p = {p}")
-    if group % n != 0:
-        raise AssertionError(f"N = {n} does not divide p^d - 1 for p = {p}")
+    if _xpow(n, p) != (1, 0, 0):
+        raise AssertionError(f"x^N != 1 mod {p} for N = {n}: the splitting type d = {d} is wrong")
     return d, n, fac
 
 

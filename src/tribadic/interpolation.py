@@ -5,7 +5,8 @@ T(n) = phi(x^n) for the linear form phi(a + bx + cx^2) = b + c; phi(g) is the
 Binet sum of g over the roots of P.  For l with p | T(l), the function
 f_l(z) = phi(x^l exp(z log x^(sN))) interpolates m -> T(l + m*sN).  This module
 extracts the power-series coefficients beta_k of g = f_l / p^e in R with a
-certified tail bound, locates and certifies zeros (Hensel iteration plus
+certified tail bound (every x^n read from tribonacci._xpow, so no power of x is
+ever inverted), locates and certifies zeros (Hensel iteration plus
 Strassman's bound), and identifies a zero b with an element of Z_T or with 1/3
 or -5/3 via a = l + sN*b.
 """
@@ -29,7 +30,7 @@ from .padic import (
     val_int,
     vp_factorial,
 )
-from .tribonacci import ZERO_SET, trib_mod, trib_val
+from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
 
@@ -68,25 +69,25 @@ class SeriesTrunc:
     def tail_val_bound(self, k: int) -> int:
         return (k - 1) * self.log_val - vp_factorial(k, self.ctx.p)
 
-    def _coerce(self, z) -> PAdicInt:
-        if isinstance(z, int):
-            return PAdicInt(self.ctx.p, self.ctx.prec, z)
-        return z
+    def _horner(self, z, coeffs) -> PAdicInt:
+        # Horner on residues mod p^k, k = min(prec, z.prec); an int z is read at prec
+        p, k = self.ctx.p, self.ctx.prec
+        if isinstance(z, PAdicInt):
+            if z.p != p:
+                raise ValueError(f"mixed primes: {p} vs {z.p}")
+            k, z = min(k, z.prec), z.residue
+        m = p**k
+        acc = 0
+        for c in coeffs:
+            acc = (acc * z + c) % m
+        return PAdicInt(p, k, acc)
 
     def eval(self, z) -> PAdicInt:
         """g(z) mod p^prec by Horner evaluation of the truncated series."""
-        z = self._coerce(z)
-        acc = PAdicInt(self.ctx.p, self.ctx.prec, 0)
-        for beta in reversed(self.coeffs):
-            acc = acc * z + beta
-        return acc
+        return self._horner(z, [beta.residue for beta in reversed(self.coeffs)])
 
     def eval_deriv(self, z) -> PAdicInt:
-        z = self._coerce(z)
-        acc = PAdicInt(self.ctx.p, self.ctx.prec, 0)
-        for k in range(self.cut, 0, -1):
-            acc = acc * z + k * self.coeffs[k]
-        return acc
+        return self._horner(z, [k * self.coeffs[k].residue for k in range(self.cut, 0, -1)])
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
         raise ValueError("period multiplier s must be >= 1")
     # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
     # product of unramified rings and its coordinate valuation is the minimum over the roots
-    log_val = (ExtRing(p, prec, _P).gen ** sn - 1).val()
+    log_val = (ExtRing(p, prec, _P).elem(_xpow(sn, p**prec)) - 1).val()
     if log_val >= prec:
         raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
     tval = trib_val(ell, p)
@@ -154,10 +155,12 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     if J is None:
         J = _default_cut(p, log_val, prec)
     ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
-    log_x = (ring.gen**sn).log()
-    term = ring.gen**ell
-    if _phi(term) != trib_mod(ell, ring.pk):
-        raise PrecisionError("phi(x^l) disagrees with T(l) in Z_p[x]/(P)")
+    x_sn = ring.elem(_xpow(sn, ring.pk))
+    log_x = x_sn.log()
+    term = ring.elem(_xpow(ell, ring.pk))
+    # ring._mul against _xpow's own product: phi(x^l * x^(sN)) = T(l + sN)
+    if _phi(term * x_sn) != trib_mod(ell + sn, ring.pk):
+        raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
     coeffs = [PAdicInt(p, prec, trib_mod(ell, p ** (prec + e)) // p**e)]
     pk_small = p**prec
     fact_unit = 1
@@ -182,8 +185,9 @@ def eval_f(ctx: PrimeContext, ell: int, z) -> PAdicInt:
         if z.p != p:
             raise ValueError("mismatched primes")
         z = z.residue
-    x = ExtRing(p, prec, _P).gen
-    return PAdicInt(p, prec, _phi(x**ell * ((x**ctx.n_period).log() * z).exp()))
+    ring = ExtRing(p, prec, _P)
+    x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
+    return PAdicInt(p, prec, _phi(x_ell * (x_n.log() * z).exp()))
 
 
 def strassman_mu(series: SeriesTrunc) -> int:
@@ -293,14 +297,16 @@ def cube_root_certificate(
     if n_period % 3 == 0:
         raise ValueError("cube-root certificate needs 3 coprime to the period N")
     # In R = Z_p[x]/(P), phi(g) is the Binet sum of g over the roots.  x^N = 1 (mod p), so
-    # x^(3^-1 mod N) cubes to x mod p; for p = 2 (mod 3) it lifts the unique cube root
-    x = ExtRing(p, prec, _P).gen
-    y = _hensel_cube_root(x, x ** pow(3, -1, n_period))
-    s13_ok, s53_ok = _phi(y) == 0, _phi(y ** (-5)) == 0
+    # x^(3^-1 mod N) cubes to x mod p; for p = 2 (mod 3) it lifts the unique cube root.
+    # y^3 = x, so y^-5 = x^-2 * y
+    ring = ExtRing(p, prec, _P)
+    x = ring.gen
+    y = _hensel_cube_root(x, ring.elem(_xpow(pow(3, -1, n_period), ring.pk)))
+    s13_ok, s53_ok = _phi(y) == 0, _phi(ring.elem(_xpow(-2, ring.pk)) * y) == 0
     # Newton's-identity certificate sum c^3 lambda = 3 prod c, with c = w(lambda) for
     # w = x P'(x)^-1 and prod c = prod lambda / prod P'(lambda) = 1/44 (-disc P = 44)
     w = x * (3 * x * x - 2 * x - 1).inv()
-    sym_ok = (44 * _phi(w * w * x) - 3) % x.ring.pk == 0
+    sym_ok = (44 * _phi(w * w * x) - 3) % ring.pk == 0
 
     rng = random.Random(seed)
     class_mod = p - 1 if p % 3 == 2 else n_period

@@ -77,13 +77,6 @@ class PAdicInt:
         self.prec = prec
         self.residue = residue % (p**prec)
 
-    @classmethod
-    def of(cls, x: int, p: int, prec: int = DEFAULT_PRECISION) -> "PAdicInt":
-        """Validated constructor from an integer."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return cls(p, prec, x)
-
     @property
     def known_val(self) -> int:
         """min(nu_p(residue), prec): the valuation the residue certifies."""
@@ -101,12 +94,6 @@ class PAdicInt:
             k = min(self.prec, other.prec)
             return k, self.residue, other.residue
         return -1, 0, 0  # signals NotImplemented
-
-    def at_prec(self, prec: int) -> "PAdicInt":
-        """Truncate to a lower precision."""
-        if prec > self.prec:
-            raise ValueError("cannot invent digits: at_prec only lowers precision")
-        return PAdicInt(self.p, prec, self.residue)
 
     def is_zero(self) -> bool:
         return self.residue == 0
@@ -186,59 +173,13 @@ def padic_inv(x: PAdicInt) -> PAdicInt:
 
 
 # ---------------------------------------------------------------------------
-# small polynomial helpers over F_p (degrees <= 3)
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int):
-    a = a[:]
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead % p
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bc) % p
-        a.pop()
-    return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_inverse(a: list[int], h: list[int], p: int) -> list[int]:
-    """Inverse of a modulo (h, p) by extended Euclid; a must be a unit."""
-    r0, r1 = h[:], [c % p for c in a]
-    s0, s1 = [], [1]
-    r1 = _fp_trim(r1)
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        # s = s0 - q*s1
-        prod = [0] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                prod[i + j] = (prod[i + j] + qc * sc) % p
-        s = [(x - y) % p for x, y in zip(s0 + [0] * len(prod), prod + [0] * len(s0))]
-        r0, r1, s0, s1 = r1, r, s1, _fp_trim(s)
-    if len(r0) != 1:
-        raise PrecisionError("element is not a unit in the residue field")
-    c = pow(r0[0], -1, p)
-    return [x * c % p for x in s0]
-
-
-# ---------------------------------------------------------------------------
 # the ring Z_p[x]/(h, p^prec)
 
 
 class ExtRing:
     """Z[x]/(h, p^prec) for a monic h of degree d squarefree mod p (d = 1: Z/p^prec): a product
-    of unramified extensions, one per irreducible factor of h mod p, with val() the minimum over them."""
+    of unramified extensions, one per irreducible factor of h mod p, with val() the minimum over them.
+    Inverses start from the exponent of the residue ring R/p, which needs h squarefree mod p."""
 
     __slots__ = ("p", "prec", "pk", "modulus", "d")
 
@@ -360,16 +301,20 @@ class ExtElem:
         return out
 
     def inv(self) -> "ExtElem":
-        """Inverse of a unit: residue-field inverse lifted by Newton iteration."""
+        """Inverse of a unit: g^(E-1) mod p lifted by Newton iteration, E = lcm(p^k - 1 : k <= d).
+
+        h is squarefree mod p, so R/p is a product of fields F_(p^k) with k <= d and E is a
+        multiple of the exponent of (R/p)^x.  A non-unit (a multiple of p or a zero divisor)
+        fails the final check y*g = 1.
+        """
         ring = self.ring
         p = ring.p
-        if self.val() != 0:
-            raise PrecisionError("not a unit in the extension")
-        h0 = [c % p for c in ring.modulus]
-        inv0 = _fp_inverse(list(self.coords), h0, p)
-        y = ring.elem(inv0)
+        e = math.lcm(*(p**k - 1 for k in range(1, ring.d + 1)))
+        y = (self.lift_to(ExtRing(p, 1, ring.modulus)) ** (e - 1)).lift_to(ring)
         for _ in range(max(ring.prec.bit_length(), 1)):
             y = y * (2 - self * y)
+        if self * y != ring.one:
+            raise PrecisionError("not a unit in the extension")
         return y
 
     def val(self) -> int:
@@ -398,12 +343,11 @@ class ExtElem:
         """The element with the same coordinates in ring (read modulo its p^prec)."""
         return ring.elem(self.coords)
 
-    def to_padic(self, prec: int | None = None) -> PAdicInt:
+    def to_padic(self) -> PAdicInt:
         """Project a Galois-stable element to Z_p; nonconstant coordinates must vanish."""
         if any(self.coords[1:]):
             raise PrecisionError("element has nonvanishing extension coordinates")
-        k = self.ring.prec if prec is None else prec
-        return PAdicInt(self.ring.p, k, self.coords[0])
+        return PAdicInt(self.ring.p, self.ring.prec, self.coords[0])
 
     def exp(self) -> "ExtElem":
         """exp on pO (p >= 3, unramified), truncated correctly mod p^prec."""

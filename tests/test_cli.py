@@ -44,8 +44,9 @@ class TestExitCodes:
         assert rec["payload"]["ml"]["status"] == "fails"
 
     def test_excluded(self, capsys):
-        code, _ = run(capsys, "classify", "--prime", "11")
-        assert code == EXIT_EXCLUDED
+        for p in ("11", "2"):
+            code, _ = run(capsys, "classify", "--prime", p)
+            assert code == EXIT_EXCLUDED
 
     def test_undecided(self, capsys):
         code, _ = run(capsys, "classify", "--prime", "103")
@@ -69,6 +70,8 @@ class TestExitCodes:
             ["table", "--max", "20000"],
             ["scan", "--max", "60", "--jobs", "0"],
             ["table", "--max", "60", "--jobs", "-1"],
+            ["classify", "--prime", "12"],
+            ["zero", "--prime", "11", "--ell", "0"],
         ],
     )
     def test_bad_input_exits_64_with_one_line(self, capsys, argv):

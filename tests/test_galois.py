@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from tribadic import (
     ExtRing,
+    PrecisionError,
     galois,
     prime_context,
     splitting_type,
@@ -22,6 +24,17 @@ def clear_context_caches():
 
 def roots_mod_p_oracle(p):
     return [r for r in range(p) if (r**3 - r**2 - r - 1) % p == 0]
+
+
+def mult_det_mod_p(u):
+    # determinant of g -> u*g on the basis 1, x, ..., x^(d-1), mod p (Leibniz formula)
+    ring = u.ring
+    cols = [(u * ring.elem([0] * i + [1])).coords for i in range(ring.d)]
+    det = 0
+    for perm in itertools.permutations(range(ring.d)):
+        inversions = sum(perm[i] > perm[j] for i in range(ring.d) for j in range(i + 1, ring.d))
+        det += (-1) ** inversions * math.prod(cols[i][perm[i]] for i in range(ring.d))
+    return det % ring.p
 
 
 class TestSplittingType:
@@ -120,6 +133,16 @@ class TestComputeN:
         for n in range(-30, 120):
             assert trib_mod(n + n_period, p) == trib_mod(n, p)
 
+    def test_wrong_splitting_type_is_caught(self, monkeypatch):
+        # d = 1 for p = 5 would start the period search at 4; the true N is 31 and x^4 != 1
+        clear_context_caches()
+        monkeypatch.setattr(galois, "splitting_type", lambda p: (1, []))
+        try:
+            with pytest.raises(AssertionError):
+                galois._prime_data(5)
+        finally:
+            clear_context_caches()
+
     @pytest.mark.parametrize("p", [5, 7, 13, 47, 83])
     def test_group_minimality(self, p):
         # no proper divisor N' of N has lambda^N' = 1 mod p for every root
@@ -163,6 +186,35 @@ class TestExtArithmetic:
             if x.val() != 0:
                 continue
             assert x * x.inv() == ring.one
+
+    @pytest.mark.parametrize("prec", [1, 2, 24, 96])
+    def test_inverse_in_every_ring(self, prec):
+        # rank 1, the quadratic ring of the d = 2 roots, and R for d = 3, 2, 1; the oracle
+        # for "unit" is the determinant of multiplication by u, taken mod p
+        rings = [ExtRing(13, prec, (0, 1)), lifted_roots(13, prec)[0]]
+        rings += [ExtRing(p, prec, galois._P) for p in (5, 13, 47)]
+        rng = random.Random(prec)
+        for ring in rings:
+            units = 0
+            for _ in range(40):
+                u = ring.elem([rng.randrange(ring.pk) for _ in range(ring.d)])
+                if mult_det_mod_p(u):
+                    assert u * u.inv() == ring.one
+                    units += 1
+                else:
+                    with pytest.raises(PrecisionError):
+                        u.inv()
+            assert units > 20
+
+    @pytest.mark.parametrize("p", [47, 13])  # d = 1, d = 2
+    @pytest.mark.parametrize("prec", [1, 24])
+    def test_non_units_raise(self, p, prec):
+        ring = ExtRing(p, prec, galois._P)
+        zero_divisors = [ring.gen - r for r in roots_mod_p_oracle(p)]
+        multiples = [ring.zero, ring.embed(p), p * ring.elem([1, 2, 3])]
+        for g in zero_divisors + multiples:
+            with pytest.raises(PrecisionError):
+                g.inv()
 
     def test_extension_exp_log_round_trip(self):
         rng = random.Random(10)

@@ -208,6 +208,37 @@ def test_series_matches_the_integers_it_interpolates(p, pick, s, prec):
         assert t % pe == 0 and ser.eval(m).residue == t // pe, (p, ell, s, prec, m)
 
 
+def _padic_horner(ser, z, deriv):
+    # oracle: Horner through PAdicInt arithmetic, an int z read at the series precision
+    p, prec = ser.ctx.p, ser.ctx.prec
+    if isinstance(z, int):
+        z = PAdicInt(p, prec, z)
+    terms = [k * ser.coeffs[k] for k in range(1, ser.cut + 1)] if deriv else list(ser.coeffs)
+    acc = PAdicInt(p, prec, 0)
+    for beta in reversed(terms):
+        acc = acc * z + beta
+    return acc
+
+
+@given(
+    st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.integers(3, 40), st.integers(1, 45),
+    st.integers(-(10**90), 10**90),
+)
+@settings(max_examples=60, deadline=None)
+def test_residue_horner_matches_a_padic_oracle(p, pick, prec, zprec, z):
+    # an int z, and a z known to a lower or higher precision than the series
+    ctx = prime_context(p, prec)
+    zeros = [info.ell for info in _zero_table(p, ctx.n_period)]
+    ser = series_coeffs(ctx, zeros[pick % len(zeros)])
+    for arg in (z, PAdicInt(p, zprec, z)):
+        assert ser.eval(arg) == _padic_horner(ser, arg, False)
+        assert ser.eval_deriv(arg) == _padic_horner(ser, arg, True)
+    other = PAdicInt(3 if p != 3 else 5, zprec, z)
+    for fn in (ser.eval, ser.eval_deriv):
+        with pytest.raises(ValueError):
+            fn(other)
+
+
 class TestStrassman:
     def test_mu_one_for_p5_ell21(self, ctx5):
         assert strassman_mu(series_coeffs(ctx5, 21)) == 1
