@@ -6,7 +6,9 @@ predicted zero b, and derive a verdict.  A failure witness is a pair (l, u)
 with u avoiding Z_T mod p (integer form) or Z_T plus {1/3, -5/3} (rational
 form); a holds verdict requires every zero class to sit over Z_T (resp. Q_T)
 mod N with the derivative condition everywhere, and is backed by explicit
-linear-formula certificates.  p = 3 gets its own refined pipeline (modulus 39).
+linear-formula certificates.  At p = 3 every zero class is refined by its Strassman
+degree instead: mu = 0 is a constant class, mu = 1 a certified linear one, and
+mu >= 2 splits the class mod p*sN (the derived table has modulus 39).
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class FormulaSpec:
     default_kappa: int = 0
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.p, self.q, *(r for c in self.cases for r in c.residues))):
+            raise ValueError("p, q and the case residues must be integers")
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.q < 1:
@@ -440,73 +444,50 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
 
 
 # ---------------------------------------------------------------------------
-# the refined p = 3 pipeline (modulus 39)
+# the refined p = 3 pipeline
 
 
-def _constant_class_value(p: int, n_period: int, q: int, r: int, digits: int):
-    """The constant value of T(n) mod p^digits on the class n = r (mod q), certified
-    over one full period of T mod p^digits, or None if the class is not constant."""
-    m = p**digits
-    per = n_period
-    for _ in range(digits):  # the period mod p^digits divides N * p^(digits-1)
-        # x^per = 1 in (Z/p^digits)[x]/(P) exactly when per is a period of T mod p^digits
-        if _xpow(per, m) == (1, 0, 0):
-            break
-        per *= p
-    else:
-        raise PrecisionError(f"no period of T mod {p}^{digits} within N * p^{digits}")
-    per = per * q // math.gcd(per, q)  # keep q | per so the residue scan covers the class
-    values = set()
-    a, b, c = 0, 1, 1
-    for n in range(per):
-        if n % q == r:
-            values.add(a)
-        a, b, c = b, c, (a + b + c) % m
-    if len(values) != 1:
-        return None
-    return values.pop()
+def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
+    """(assemble_spec entries, certificates) for the zero class n = l (mod sN), by its Strassman
+    degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear formula,
+    and mu >= 2 splits the class into its p classes mod p*sN."""
+
+    def once(c):  # mu and the series it is read from, at one precision
+        series = series_coeffs(c, ell, s)
+        return series, strassman_mu(series)
+
+    series, mu = _escalate(ctx, once)
+    q = s * ctx.n_period
+    if mu == 0:
+        return [(q, (ell,), None, series.e + series.coeffs[0].known_val)], []
+    if mu == 1:
+        cert = derive_linear_formula(ctx, ell, s)
+        if cert is None:
+            raise PrecisionError(f"mu = 1 on n = {ell} (mod {q}) but no linear certificate")
+        return [(q, (cert.residue,), cert.a, cert.kappa)], [cert]
+    parts = [_class_rules(ctx, ell + j * q, s * ctx.p) for j in range(ctx.p)]
+    return [e for es, _ in parts for e in es], [c for _, cs in parts for c in cs]
 
 
 def p3_pipeline(prec: int = 24) -> ClassificationRecord:
-    """The refined p = 3 analysis: period 13, zero classes {0, 7, 9, 12};
-    class 7 constant, classes 0 and 12 linear at s = 1, class 9 split mod 39
-    into a constant class and two linear classes at s = 3."""
+    """The refined p = 3 analysis: every zero class mod N refined by _class_rules until each
+    piece is constant or linear; Q is the lcm of the pieces' moduli."""
     p = 3
     ctx = prime_context(p, prec)
-    n_period = ctx.n_period
-    infos = list(_zero_table(p, n_period, ZT))
-    if [i.ell for i in infos] != [0, 7, 9, 12]:
-        raise PrecisionError(f"unexpected zero classes mod 13: {[i.ell for i in infos]}")
-
-    q = 3 * n_period  # 39
-    c7 = _constant_class_value(p, n_period, n_period, 7, 2)
-    c9 = _constant_class_value(p, n_period, q, 9, 5)
-    if c7 is None or c9 is None or val_int(c7, p) != 1 or val_int(c9, p) != 4:
-        raise PrecisionError("p = 3 constant-class certificates failed")
-    certs = [
-        derive_linear_formula(ctx, 0, 1),
-        derive_linear_formula(ctx, 12, 1),
-        derive_linear_formula(ctx, 22, 3),
-        derive_linear_formula(ctx, 35, 3),
-    ]
-    if any(c is None for c in certs):
-        raise PrecisionError("p = 3 linear certificates failed")
-    entries = [
-        (n_period, (7,), None, 1),
-        (q, (9,), None, 4),
-    ]
-    for cert in certs:
-        entries.append((cert.q, (cert.residue,), cert.a, cert.kappa))
-    spec = assemble_spec(p, q, entries, default_kappa=0)
-    verdict_ml = Verdict(STATUS_HOLDS, q=q)
+    infos = list(_zero_table(p, ctx.n_period, ZT))
+    parts = [_class_rules(ctx, info.ell) for info in infos]
+    entries = sorted((e for es, _ in parts for e in es), key=lambda e: (e[2] is not None, e[0], e[1]))
+    certs = sorted((c for _, cs in parts for c in cs), key=lambda c: (c.q, c.residue))
+    q = math.lcm(*(m for m, _, _, _ in entries))
     verdict_rat = Verdict(
         STATUS_UNDECIDED,
         diagnostic=DIAG_OUT_OF_SCOPE,
-        detail="1/3 and -5/3 are not 3-adic integers; the integer form holds with Q = 39, "
+        detail=f"1/3 and -5/3 are not 3-adic integers; the integer form holds with Q = {q}, "
         "which implies the rational form",
     )
     return ClassificationRecord(
-        p, prec, ctx.d, n_period, verdict_ml, verdict_rat, tuple(infos), spec, tuple(certs)
+        p, prec, ctx.d, ctx.n_period, Verdict(STATUS_HOLDS, q=q), verdict_rat, tuple(infos),
+        assemble_spec(p, q, entries), tuple(certs),
     )
 
 
@@ -726,7 +707,8 @@ class RowCheck:
 
     @property
     def ok(self) -> bool:
-        return self.n_matches and self.ell_is_zero and self.deriv_holds and self.u_matches
+        return (self.n_matches and self.ell_is_zero and self.deriv_holds and self.u_matches
+                and self.listed_is_smallest is not False)
 
 
 def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int | None = None) -> list[RowCheck]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import time
@@ -238,25 +237,6 @@ def _print_text(record):
     print(json.dumps(record["payload"], indent=2))
 
 
-def table_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["p", "N", "ell", "u"])
-    for r in rows:
-        w.writerow([r.p, r.n_period, r.ell, r.u])
-    return buf.getvalue()
-
-
-def table_rows_from_csv(text: str):
-    out = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        out.append(
-            {k: (int(v) if v not in ("", None) else None) for k, v in
-             (("p", rec["p"]), ("N", rec["N"]), ("ell", rec["ell"]), ("u", rec["u"]))}
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -291,7 +271,7 @@ def _cmd_table(args) -> int:
             "rows_checked": len(checks),
             "disagreements": [
                 {"p": c.p, "N": c.n_matches, "ell_is_zero": c.ell_is_zero,
-                 "deriv_ok": c.deriv_holds, "u": c.u_matches}
+                 "deriv_ok": c.deriv_holds, "u": c.u_matches, "listed_is_smallest": c.listed_is_smallest}
                 for c in bad
             ],
         }

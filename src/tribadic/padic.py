@@ -209,7 +209,7 @@ class ExtRing:
 
     @property
     def gen(self) -> "ExtElem":
-        return self.elem([0, 1][: self.d] if self.d > 1 else [0])
+        return self.elem([0, 1] if self.d > 1 else [-self.modulus[0]])  # x = -h_0 mod (x + h_0)
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Product of two coordinate tuples, reduced mod (h, p^prec)."""

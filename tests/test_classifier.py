@@ -39,6 +39,8 @@ from tribadic.classifier import (
     BUILTIN_SPEC_NAMES,
     ZT,
     Mismatch,
+    TableRow,
+    _class_rules,
     _classify_range,
     _derive_once,
     _zero_scan,
@@ -205,16 +207,54 @@ class TestEarlyExit:
             assert classify_prime(p, full_table=False).zero_table_complete
 
 
+def constant_class_values(p, q, r, digits):
+    """Brute-force oracle: the values of T(n) mod p^digits over n = r (mod q), across one full
+    period of T mod p^digits found by walking the recurrence until (0, 1, 1) recurs."""
+    m = p**digits
+    a, b, c = 1, 1, 2  # T(1), T(2), T(3)
+    period = 1
+    while (a, b, c) != (0, 1, 1):
+        a, b, c = b, c, (a + b + c) % m
+        period += 1
+    values = set()
+    a, b, c = 0, 1, 1
+    for n in range(math.lcm(period, q)):
+        if n % q == r:
+            values.add(a)
+        a, b, c = b, c, (a + b + c) % m
+    return values
+
+
 class TestP3Pipeline:
     def test_zero_classes(self):
         rec = p3_pipeline(24)
         assert [i.ell for i in rec.zero_table] == [0, 7, 9, 12]
         assert not any(i.deriv_ok for i in rec.zero_table)
 
-    def test_formula_matches_builtin(self):
-        rec = p3_pipeline(24)
+    @pytest.mark.parametrize("prec", [3, 5, 24, 96])
+    def test_formula_matches_builtin(self, prec):
+        rec = p3_pipeline(prec)
         assert rec.verdict_ml.status == STATUS_HOLDS and rec.verdict_ml.q == 39
         assert rec.formula.rule_table() == builtin_spec("p3").rule_table()
+
+    def test_class_rules_by_strassman_degree(self):
+        # mu = 0 on (7, 1) and (9, 3), mu = 1 on (0, 1) and (12, 1), mu = 2 on (9, 1): split mod 39
+        ctx = prime_context(3, 24)
+        assert _class_rules(ctx, 7) == ([(13, (7,), None, 1)], [])
+        entries, certs = _class_rules(ctx, 9)
+        assert entries == [(39, (9,), None, 4), (39, (22,), -17, 4), (39, (35,), -4, 4)]
+        assert [(c.q, c.residue) for c in certs] == [(39, 22), (39, 35)]
+        entries, certs = _class_rules(ctx, 12)
+        assert entries == [(13, (12,), -1, 2)] and len(certs) == 1
+
+    def test_constant_classes_against_period_walk(self):
+        # each mu = 0 class takes one value of T mod p^(kappa + 1), of valuation kappa
+        ctx = prime_context(3, 24)
+        constants = [e for i in p3_pipeline(24).zero_table for e in _class_rules(ctx, i.ell)[0] if e[2] is None]
+        assert [(m, r, kappa) for m, (r,), _, kappa in constants] == [(13, 7, 1), (39, 9, 4)]
+        for m, (r,), _, kappa in constants:
+            values = constant_class_values(3, m, r, kappa + 1)
+            assert len(values) == 1 and val_int(values.pop(), 3) == kappa
 
     def test_certificate_valuations(self):
         rec = p3_pipeline(24)
@@ -517,6 +557,13 @@ class TestTableAndScan:
     def test_validate_published_rows_small(self):
         checks = validate_published_rows(p_max=100)
         assert checks and all(c.ok for c in checks)
+
+    def test_listed_witness_must_be_smallest(self):
+        rows = [TableRow(r.p, r.n_period, r.ell + (r.p == 47), r.u, STATUS_FAILS)
+                for r in published_table() if r.p <= 100]
+        checks = validate_published_rows(rows, p_max=100)
+        assert [c.p for c in checks if not c.ok] == [47]
+        assert [c.p for c in checks if not c.listed_is_smallest] == [47]
 
     def test_published_table_integrity(self):
         rows = published_table()

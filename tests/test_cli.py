@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -14,10 +15,8 @@ from tribadic.cli import (
     main,
     spec_from_dict,
     spec_to_dict,
-    table_rows_from_csv,
-    table_rows_to_csv,
 )
-from tribadic.classifier import reproduce_table
+from tribadic.classifier import TableRow, published_table, reproduce_table
 
 
 def run(capsys, *argv):
@@ -135,15 +134,26 @@ class TestTable:
         assert code == EXIT_PASS
         lines = out.strip().splitlines()
         assert lines[0] == "p,N,ell,u"
-        rows = reproduce_table(60)
-        parsed = table_rows_from_csv(table_rows_to_csv(rows))
-        assert [r["p"] for r in parsed] == [r.p for r in rows]
-        assert [r["u"] for r in parsed] == [r.u for r in rows]
+        parsed = [
+            tuple(int(v) if v else None for v in (rec["p"], rec["N"], rec["ell"], rec["u"]))
+            for rec in csv.DictReader(lines)
+        ]
+        assert parsed == [(r.p, r.n_period, r.ell, r.u) for r in reproduce_table(60)]
 
     def test_validate_paper_pass(self, capsys):
         code, rec = run_json(capsys, "table", "--max", "60", "--validate-paper")
         assert code == EXIT_PASS
         assert rec["payload"]["published_validation"]["disagreements"] == []
+
+    def test_validate_paper_reports_a_listed_witness_that_is_not_smallest(self, capsys, monkeypatch):
+        rows = [TableRow(r.p, r.n_period, r.ell + (r.p == 47), r.u, "fails") for r in published_table()
+                if r.p <= 60]
+        monkeypatch.setattr(cli, "reproduce_table", lambda *args, **kwargs: rows)
+        code, rec = run_json(capsys, "table", "--max", "60", "--validate-paper")
+        assert code == EXIT_FAIL
+        assert rec["payload"]["published_validation"]["disagreements"] == [
+            {"p": 47, "N": True, "ell_is_zero": True, "deriv_ok": True, "u": True, "listed_is_smallest": False}
+        ]
 
 
 class TestVerify:
@@ -183,10 +193,13 @@ class TestVerify:
             {"default_kappa": None},
             {"kappa": "1"},
             {"mu": "1"},  # ... or an internal error (exit 70)
+            {"p": 3.0},  # exited 70 ...
+            {"Q": 39.5},  # ... 1, a false "mismatch found" ...
+            {"case": 0, "residues": [0.5]},  # ... or 0 on the kappa = 0 case, a false pass
         ],
         ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator",
              "p-not-prime", "p-one", "q-zero", "default-kappa-string", "default-kappa-null", "kappa-string",
-             "mu-string"],
+             "mu-string", "p-float", "q-float", "residue-float"],
     )
     def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
         data = spec_to_dict(builtin_spec("p3"))
@@ -196,10 +209,13 @@ class TestVerify:
             text = json.dumps([data])
         elif "cases" in change:
             text = json.dumps(change)
-        elif "default_kappa" in change:
+        elif change.keys() & {"p", "Q", "default_kappa"}:
             text = json.dumps({**data, **change})
         else:
-            next(c for c in data["cases"] if c["a"] is not None).update(change)
+            change = dict(change)
+            case = data["cases"][change.pop("case")] if "case" in change else next(
+                c for c in data["cases"] if c["a"] is not None)
+            case.update(change)
             text = json.dumps(data)
         path = tmp_path / "spec.json"
         path.write_text(text)

@@ -206,6 +206,13 @@ class TestExtArithmetic:
                         u.inv()
             assert units > 20
 
+    def test_generator_is_x_mod_h(self):
+        # x = -h_0 mod (x + h_0) on a linear modulus; x itself for d > 1
+        assert (ExtRing(5, 4, (-2, 1)).gen - 2).is_zero()
+        assert ExtRing(7, 3, (0, 1)).gen.is_zero()
+        x = ExtRing(5, 4, galois._P).gen
+        assert x.coords == (0, 1, 0) and x**3 == x * x + x + 1
+
     @pytest.mark.parametrize("p", [47, 13])  # d = 1, d = 2
     @pytest.mark.parametrize("prec", [1, 24])
     def test_non_units_raise(self, p, prec):
