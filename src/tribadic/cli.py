@@ -6,6 +6,9 @@ being the precision that produced the payload (`zero` may double it twice); `tab
 speaks CSV with columns p,N,ell,u.  Exit codes are a function of the status
 alone: 0 pass/decided, 1 fail (a counterexample or table disagreement),
 2 undecided, 3 excluded, 64 usage error (any bad input), 70 internal error.
+An internal error keeps its traceback on stderr; with --format json it also
+prints a record with status "error", the parsed options as params and the
+exception as payload {error, message}.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ _EXIT_BY_STATUS = {
     "fail": EXIT_FAIL,
     "undecided": EXIT_UNDECIDED,
     "excluded": EXIT_EXCLUDED,
+    "error": EXIT_INTERNAL,
 }
 
 
@@ -400,11 +404,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    t0 = time.perf_counter()
     try:
         return args.fn(args)
-    except Exception:  # exit 1 would read as "counterexample found"
+    except Exception as exc:  # exit 1 would read as "counterexample found"
         traceback.print_exc()
         print(f"tribadic {args.command}: internal error", file=sys.stderr)
+        if args.format == "json":
+            params = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "format")}
+            if "spec" in params:
+                params.update(spec=args.spec[0], range="{}..{}".format(*args.range))
+            payload = {"error": type(exc).__name__, "message": str(exc)}
+            _emit(args, args.command, params, "error", payload, args.precision, t0)
         return EXIT_INTERNAL
 
 

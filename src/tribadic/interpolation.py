@@ -13,6 +13,7 @@ or -5/3 via a = l + sN*b.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,7 +138,10 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     e = min(nu_p(log x^(sN)), nu_p(T(l))), which gives e = 1 in the
     single-period case and reproduces the p = 3, s = 3 exponent e = 2.
     Coefficient k is phi(x^l (log x^(sN))^k) / k!, computed in Z_p[x]/(P) at
-    raised internal precision and divided exactly by p^(e + nu_p(k!)).
+    raised internal precision and divided exactly by p^(e + nu_p(k!)); the unit
+    part of J! is inverted once and each k!^(-1) read on the way back down.
+    log x^(sN) is log(x^(sN*p)) / p, whose argument lies one digit deeper in
+    1 + pR, so its series is about half as long.
     """
     p, prec = ctx.p, ctx.prec
     sn = s * ctx.n_period
@@ -156,25 +160,34 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
         J = _default_cut(p, log_val, prec)
     ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
     x_sn = ring.elem(_xpow(sn, ring.pk))
-    log_x = x_sn.log()
+    deep = ring.lifted(1)
+    log_x = deep.elem(_xpow(sn * p, deep.pk)).log().div_exact_p(1).lift_to(ring)
     term = ring.elem(_xpow(ell, ring.pk))
     # ring._mul against _xpow's own product: phi(x^l * x^(sN)) = T(l + sN)
     if _phi(term * x_sn) != trib_mod(ell + sn, ring.pk):
         raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
-    coeffs = [PAdicInt(p, prec, trib_mod(ell, p ** (prec + e)) // p**e)]
     pk_small = p**prec
-    fact_unit = 1
-    vfac = 0
+    # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
+    # the unit part of k!, is walked down from the one inverse of J!'s unit part
+    units, divs, fact_unit = [1], [p**e], 1
+    for k in range(1, J + 1):
+        w = _vp(k, p)
+        units.append(k // p**w if w else k)
+        divs.append(divs[-1] * p**w)
+        fact_unit = fact_unit * units[k] % pk_small
+    inv_fact = [0] * (J + 1)
+    acc = pow(fact_unit, -1, pk_small)
+    for k in range(J, 0, -1):
+        inv_fact[k] = acc
+        acc = acc * units[k] % pk_small
+    coeffs = [PAdicInt(p, prec, trib_mod(ell, p ** (prec + e)) // p**e)]
     for k in range(1, J + 1):
         term = term * log_x
-        w = _vp(k, p)
-        vfac += w
-        fact_unit = fact_unit * (k // p**w if w else k) % pk_small
-        div = e + vfac
+        div = divs[k]
         s0 = _phi(term)
-        if s0 % p**div:
+        if s0 % div:
             raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
-        coeffs.append(PAdicInt(p, prec, (s0 // p**div) % pk_small * pow(fact_unit, -1, pk_small)))
+        coeffs.append(PAdicInt(p, prec, s0 // div * inv_fact[k]))
     return SeriesTrunc(ctx, ell, s, e, log_val, tuple(coeffs))
 
 
@@ -197,13 +210,17 @@ def strassman_mu(series: SeriesTrunc) -> int:
     recentred series has the same mu, so its linear coefficient dominates.
     The certified tail (nu >= prec for k > J) rules the tail out as long as
     some computed coefficient is nonzero mod p^prec; if all vanish, precision
-    escalation is required and a PrecisionError is raised.
+    escalation is required and a PrecisionError is raised.  The least valuation
+    is read from g = gcd(p^prec, beta_0, ..., beta_J) = p^min, and mu is the last
+    k with beta_k nonzero mod p*g.
     """
-    vals = [b.known_val for b in series.coeffs]
-    best = min(vals)
-    if best >= series.ctx.prec:
+    pk = series.ctx.p ** series.ctx.prec
+    residues = [b.residue for b in series.coeffs]
+    g = math.gcd(pk, *residues)
+    if g == pk:
         raise PrecisionError("all series coefficients vanish mod p^prec; double the precision")
-    return max(k for k, v in enumerate(vals) if v == best)
+    m = g * series.ctx.p
+    return max(k for k, r in enumerate(residues) if r % m)
 
 
 def hensel_zero(series: SeriesTrunc) -> ZeroRecord:

@@ -179,15 +179,22 @@ def padic_inv(x: PAdicInt) -> PAdicInt:
 class ExtRing:
     """Z[x]/(h, p^prec) for a monic h of degree d squarefree mod p (d = 1: Z/p^prec): a product
     of unramified extensions, one per irreducible factor of h mod p, with val() the minimum over them.
-    Inverses start from the exponent of the residue ring R/p, which needs h squarefree mod p."""
+    Inverses start from the exponent of the residue ring R/p, which needs h squarefree mod p.
+
+    The modulus is stored as the symmetric residues of h's coefficients, in (-p^prec/2, p^prec/2],
+    so P = x^3 - x^2 - x - 1 reads (-1, -1, -1, 1) and reduction by h multiplies by small integers.
+    Degree 3 has a straight-line product: the five convolution terms, then x^3 = r_0 + r_1 x + r_2 x^2
+    with r = -h.
+    """
 
     __slots__ = ("p", "prec", "pk", "modulus", "d")
 
     def __init__(self, p: int, prec: int, modulus: tuple[int, ...]):
         self.p = p
         self.prec = prec
-        self.pk = p**prec
-        self.modulus = tuple(c % self.pk for c in modulus[:-1]) + (1,)
+        self.pk = pk = p**prec
+        half = pk // 2
+        self.modulus = tuple(c - pk if c > half else c for c in (c % pk for c in modulus[:-1])) + (1,)
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         self.d = len(modulus) - 1
@@ -216,6 +223,17 @@ class ExtRing:
         d, pk, h = self.d, self.pk, self.modulus
         if d == 1:
             return (a[0] * b[0] % pk,)
+        if d == 3:
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            h0, h1, h2, _ = h
+            c4 = a2 * b2
+            c3 = a1 * b2 + a2 * b1 - c4 * h2  # c4 x^4 = c4 x (r_0 + r_1 x + r_2 x^2)
+            return (
+                (a0 * b0 - c3 * h0) % pk,
+                (a0 * b1 + a1 * b0 - c4 * h0 - c3 * h1) % pk,
+                (a0 * b2 + a1 * b1 + a2 * b0 - c4 * h1 - c3 * h2) % pk,
+            )
         prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -372,9 +390,10 @@ class ExtElem:
         ring = self.ring
         p, prec = ring.p, ring.prec
         w = self - ring.one
-        if w.val() < 1:
+        v = w.val()
+        if v < 1:
             raise ValueError("log needs an argument = 1 (mod p)")
-        cut, slack = _log_cutoff(p, prec)
+        cut, slack = _log_cutoff(p, prec, v)
         big = ring.lifted(slack)
         # Horner on sum_{n <= cut} (-1)^(n-1) (L/n) w^n with L = lcm(1..cut), whose
         # p-part is p^slack, then one exact division by L
@@ -401,17 +420,18 @@ def _exp_cutoff(p: int, prec: int) -> int:
     return -((-(prec * (p - 1) - 1)) // (p - 2))
 
 
-def _log_cutoff(p: int, prec: int) -> tuple[int, int]:
-    # smallest M with n - nu_p(n) >= prec for every n >= M (n - log_p(n) is
-    # increasing), and log_p(M), the largest nu_p(n) over n <= M
-    n = prec
+def _log_cutoff(p: int, prec: int, v: int) -> tuple[int, int]:
+    # for an argument 1 + w with nu_p(w) = v: the smallest M with v*n - log_p(n) >= prec
+    # (nondecreasing in n, and >= v*n - nu_p(n), so every term w^n/n with n >= M
+    # vanishes mod p^prec), and log_p(M), the largest nu_p(n) over n <= M
+    n = -(-prec // v)
     while True:
         logp = 0
         q = p
         while q <= n:
             logp += 1
             q *= p
-        if n - logp >= prec:
+        if v * n - logp >= prec:
             return n, logp
         n += 1
 

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import pytest
@@ -70,6 +71,36 @@ def lifted_roots(p, prec):
     ):
         raise AssertionError(f"roots and Binet coefficients for p = {p} fail e1 = e3 = 1, T(0) = 0, T(1) = 1")
     return ring, roots, cs
+
+
+def log_series_oracle(u):
+    """log u for an ExtElem u = 1 (mod p), summed as far as nu_p(u - 1) >= 1 alone requires.
+
+    The cutoff is the least M with n - log_p(n) >= prec for n >= M, whatever the actual
+    valuation; the terms (-1)^(n-1) (L/n) w^n, L = lcm(1..M), are summed power by power at
+    nu_p(L) extra digits and divided by L at the end."""
+    ring = u.ring
+    p, prec = ring.p, ring.prec
+    cut = prec
+    while cut - (len(_base_p_digits(cut, p)) - 1) < prec:
+        cut += 1
+    lcm = math.lcm(*range(1, cut + 1))
+    slack = len(_base_p_digits(cut, p)) - 1
+    big = ring.lifted(slack)
+    w = (u - 1).lift_to(big)
+    acc, power = big.zero, big.one
+    for n in range(1, cut + 1):
+        power = power * w
+        acc = acc + power * ((-1) ** (n - 1) * (lcm // n))
+    return (acc.div_exact_p(slack) * pow(lcm // p**slack, -1, big.pk)).lift_to(ring)
+
+
+def _base_p_digits(n, p):
+    out = []
+    while n:
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
 
 
 @pytest.fixture(scope="session")

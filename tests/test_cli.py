@@ -94,6 +94,10 @@ class TestExitCodes:
         monkeypatch.setattr(classifier, "series_coeffs", vanish)
         assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
+        code, rec = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
+        assert code == EXIT_INTERNAL
+        assert_error_envelope(rec, "zero", {"prime": 5, "ell": 21, "multiplier": 1, "precision": 24},
+                              "PrecisionError")
 
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def crash(*args):
@@ -102,6 +106,26 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "classify_prime", crash)
         assert main(["classify", "--prime", "7"]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
+        assert main(["classify", "--prime", "7", "--format", "json"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert "internal error" in err and "Traceback" in err
+        assert_error_envelope(json.loads(out), "classify", {"prime": 7, "precision": 24}, "ZeroDivisionError")
+
+    def test_internal_error_envelope_names_the_spec(self, capsys, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(cli, "verify_formula", crash)
+        code, rec = run_json(capsys, "verify", "--spec", "p3", "--range", "1..50")
+        assert code == EXIT_INTERNAL
+        assert_error_envelope(rec, "verify", {"spec": "p3", "range": "1..50", "precision": 24}, "RuntimeError")
+
+
+def assert_error_envelope(rec, command, params, error):
+    assert set(rec) == {"command", "params", "status", "payload", "precision_used", "elapsed_ms"}
+    assert (rec["command"], rec["params"], rec["status"]) == (command, params, "error")
+    assert rec["payload"] == {"error": error, "message": "forced"}
+    assert rec["precision_used"] == params["precision"]
 
 
 class TestSchema:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribadic import (
     ExtRing,
@@ -175,6 +177,54 @@ class TestComputeN:
             a, b, c = b, c, (a + b + c) % p
             n += 1
         assert prime_context(p, 8).n_period == n
+
+
+def schoolbook_mul_mod(a, b, h, pk):
+    """a*b mod (h, pk): the full product, then long division by the monic h from the top down."""
+    d = len(h) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(2 * d - 2, d - 1, -1):
+        q = prod[top]
+        for j in range(d + 1):
+            prod[top - d + j] -= q * h[j]
+        assert prod[top] == 0
+    return tuple(c % pk for c in prod[:d])
+
+
+class TestRingProduct:
+    MODULI = (galois._P, (5, -7, 3, 1), (3, -2, 1))  # P, a cubic with larger signed coefficients, a quadratic
+
+    @given(
+        st.sampled_from(MODULI),
+        st.sampled_from([3, 5, 7, 13, 47, 587]),
+        st.sampled_from([1, 3, 24, 97]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_product_against_schoolbook_division(self, h, p, prec, rng):
+        ring = ExtRing(p, prec, h)
+        pk = p**prec
+        a = ring.elem([rng.randrange(pk) for _ in range(ring.d)])
+        b = ring.elem([rng.randrange(pk) for _ in range(ring.d)])
+        expected = schoolbook_mul_mod(a.coords, b.coords, h, pk)
+        assert ring._mul(a.coords, b.coords) == expected
+        assert (a * b).coords == expected and all(0 <= c < pk for c in expected)
+
+    @pytest.mark.parametrize("prec", [1, 3, 24, 97])
+    @pytest.mark.parametrize("p", [3, 5, 47])
+    def test_modulus_stored_as_symmetric_residues(self, p, prec):
+        pk = p**prec
+        reduced = ExtRing(p, prec, tuple(c % pk for c in galois._P[:-1]) + (1,))
+        signed = ExtRing(p, prec, galois._P)
+        assert reduced == signed and hash(reduced) == hash(signed)
+        assert reduced.modulus == (-1, -1, -1, 1)
+        # rings are equal exactly when their moduli agree mod p^prec
+        other = ExtRing(p, prec, (pk + 5, -7 * pk - 7, 3, 1))
+        assert other == ExtRing(p, prec, (5, -7, 3, 1)) != ExtRing(p, prec, (6, -7, 3, 1))
+        assert all(-pk / 2 < c <= pk / 2 for c in other.modulus)
 
 
 class TestExtArithmetic:

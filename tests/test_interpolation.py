@@ -23,11 +23,12 @@ from tribadic import (
 )
 from tribadic.classifier import _zero_table
 from tribadic.interpolation import SeriesTrunc
-from tribadic.padic import _vp, vp_factorial
+from tribadic.padic import ExtRing, _vp, vp_factorial
+from tribadic.tribonacci import _xpow
 from tribadic._factor import primes_upto
-from tribadic.galois import EXCLUDED_PRIMES, splitting_type
+from tribadic.galois import _P, EXCLUDED_PRIMES, splitting_type
 
-from conftest import lifted_roots
+from conftest import lifted_roots, log_series_oracle
 
 
 class TestSeriesCoeffs:
@@ -237,6 +238,58 @@ def test_residue_horner_matches_a_padic_oracle(p, pick, prec, zprec, z):
     for fn in (ser.eval, ser.eval_deriv):
         with pytest.raises(ValueError):
             fn(other)
+
+
+def series_oracle(ctx, ell, s, e, J):
+    """beta_0..beta_J residues, one coefficient at a time: log x^(sN) summed directly, and the
+    unit part of k! inverted by pow for every k."""
+    p, prec = ctx.p, ctx.prec
+    pk = p**prec
+    ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
+    log_x = log_series_oracle(ring.elem(_xpow(s * ctx.n_period, ring.pk)))
+    term = ring.elem(_xpow(ell, ring.pk))
+    out = [trib_mod(ell, p ** (prec + e)) // p**e]
+    fact_unit, vfac = 1, 0
+    for k in range(1, J + 1):
+        term = term * log_x
+        w = _vp(k, p)
+        vfac += w
+        fact_unit = fact_unit * (k // p**w) % pk
+        phi = (term.coords[1] + term.coords[2]) % ring.pk
+        assert phi % p ** (e + vfac) == 0
+        out.append(phi // p ** (e + vfac) * pow(fact_unit, -1, pk) % pk)
+    return out
+
+
+def mu_oracle(residues, p, prec):
+    """The largest k attaining min(known_val) over beta_0..beta_J; None if every beta_k vanishes."""
+    vals = [prec if r == 0 else _vp(r, p) for r in residues]
+    best = min(vals)
+    return None if best >= prec else max(k for k, v in enumerate(vals) if v == best)
+
+
+class TestSeriesAgainstReference:
+    # p = 3 with s = 3 (e = 2), then a d = 1, a d = 2 and a d = 3 prime, plus a class of p = 3
+    # whose coefficients all vanish at precision 3
+    @pytest.mark.parametrize("prec", [3, 24, 96])
+    @pytest.mark.parametrize("p, ell, s", [(3, 35, 3), (269, 179, 1), (83, 270, 1), (5, 21, 1), (3, 9, 1)])
+    def test_coefficients_and_mu(self, p, ell, s, prec):
+        ctx = prime_context(p, prec)
+        ser = series_coeffs(ctx, ell, s)
+        residues = [b.residue for b in ser.coeffs]
+        assert residues == series_oracle(ctx, ell, s, ser.e, ser.cut)
+        mu = mu_oracle(residues, p, prec)
+        if mu is None:
+            with pytest.raises(PrecisionError):
+                strassman_mu(ser)
+        else:
+            assert strassman_mu(ser) == mu
+
+    def test_cases_cover_what_they_claim(self):
+        assert [splitting_type(p)[0] for p in (269, 83, 5)] == [1, 2, 3]
+        assert series_coeffs(prime_context(3, 24), 35, 3).e == 2
+        ser = series_coeffs(prime_context(3, 3), 9, 1)
+        assert mu_oracle([b.residue for b in ser.coeffs], 3, 3) is None
 
 
 class TestStrassman:

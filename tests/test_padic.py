@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribadic import (
+    ExtRing,
     PAdicInt,
     PrecisionError,
     cube_root,
@@ -14,6 +15,9 @@ from tribadic import (
     padic_log,
     val_int,
 )
+from tribadic.galois import _P
+
+from conftest import log_series_oracle
 
 
 def recurrence_oracle(n):
@@ -160,6 +164,27 @@ class TestExpLog:
         p, prec = 3, 16
         z = PAdicInt(p, prec, p * a)
         assert padic_log(padic_exp(z)) == z
+
+    @pytest.mark.parametrize("prec", [24, 97])
+    @pytest.mark.parametrize("v", [1, 2, 4])
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_log_cutoff_follows_the_valuation(self, p, v, prec):
+        # the log series stops at the cutoff of nu_p(u - 1) = v; it must agree with the series
+        # summed as far as v = 1 requires, in Z_p and in R = Z_p[x]/(P)
+        rng = random.Random(p * 1000 + v * 100 + prec)
+        for _ in range(4):
+            w = p**v * rng.choice([1, p - 1, rng.randrange(1, p**prec)])
+            u = PAdicInt(p, prec, 1 + w)
+            log_u = padic_log(u)
+            assert log_u.residue == log_series_oracle(ExtRing(p, prec, (0, 1)).embed(u.residue)).coords[0]
+            assert padic_log(u**p) == p * log_u
+            assert padic_exp(log_u) == u
+            ring = ExtRing(p, prec, _P)
+            g = ring.one + ring.elem([p**v * rng.randrange(p**prec) for _ in range(3)])
+            log_g = g.log()
+            assert log_g == log_series_oracle(g)
+            assert (g**p).log() == p * log_g
+            assert log_g.exp() == g
 
     def test_log_one(self):
         assert padic_log(PAdicInt(5, 8, 1)).is_zero()
