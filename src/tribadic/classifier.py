@@ -27,13 +27,14 @@ from .galois import EXCLUDED_PRIMES, PrimeContext, _prime_data, prime_context
 from .interpolation import (
     ZERO_TARGETS_RAT,
     ConditionNotMet,
+    SeriesTrunc,
     ZeroRecord,
     classify_zero,
     hensel_zero,
     series_coeffs,
     strassman_mu,
 )
-from .padic import VAL_INF, PrecisionError, _vp, val_int
+from .padic import VAL_INF, PAdicInt, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
@@ -236,35 +237,38 @@ def _zero_table(p: int, n_period: int, targets=QT):
 # linear-formula certificates
 
 
-def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
-    """series_coeffs, hensel_zero and classify_zero on the class n = l (mod sN), the one pass
-    every zero class goes through; b = None where the derivative condition fails."""
-    series = series_coeffs(ctx, ell, s)
+def _locate(series: SeriesTrunc) -> ZeroRecord:
+    """hensel_zero and classify_zero on one series; b = None where the derivative condition fails."""
     try:
         record = hensel_zero(series)
     except ConditionNotMet:
-        return ZeroRecord(ell, s, None, strassman_mu(series) == 1, (), series)
-    return replace(record, target=classify_zero(ctx, record))
+        return ZeroRecord(series.ell, series.s, None, strassman_mu(series) == 1, (), series)
+    return replace(record, target=classify_zero(series.ctx, record))
 
 
-def _derive_once(ctx: PrimeContext, ell: int, s: int, record: ZeroRecord | None = None):
-    """derive_linear_formula at ctx.prec alone; record is locate_zero(ctx, ell, s) if known.
+def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
+    """_locate on the series of the class n = l (mod sN): the one pass every zero class goes through."""
+    return _locate(series_coeffs(ctx, ell, s))
 
-    At the zero b of g, gamma_1 = g'(b) dominates the series recentred at b exactly
-    when that series has Weierstrass degree 1 (g(b) = 0, nu_p(gamma_1) < prec), and
-    translating by b in Z_p keeps the degree: strassman_mu reads it off g as it is."""
-    p, prec = ctx.p, ctx.prec
-    q = s * ctx.n_period
+
+def _certify(series: SeriesTrunc, record: ZeroRecord | None = None):
+    """The linear certificate of the class n = l (mod sN) that series was built on, or None;
+    record is _locate(series) if known.  The zero is b = (a - l)/sN, exact from a: a = t where
+    l = t (mod sN) for t in Z_T (no Hensel step), else the located zero's target, a candidate
+    until g(b) = 0 (mod p^prec).  g'(b) dominates g recentred at b iff mu = 1 (shifts in Z_p keep mu)."""
+    ctx, ell, s = series.ctx, series.ell, series.s
+    p, prec, q = ctx.p, ctx.prec, s * ctx.n_period
     a = next((t for t in ZT if (ell - t) % q == 0), None)
-    if a is not None:
-        series, b = series_coeffs(ctx, a, s), 0
-    else:
-        record = record or locate_zero(ctx, ell, s)
-        if record.target is None or record.target.kind == "other":
+    if a is None:
+        target = (record or _locate(series)).target
+        if target is None or target.kind == "other":
             return None
-        a, series, b = record.target.value, record.series, record.b
-    if not series.eval(b).is_zero():
-        raise PrecisionError("the series does not vanish at its zero mod p^prec")
+        a = target.value
+    num, den = Fraction(a).as_integer_ratio()
+    diff, pv = num - ell * den, p ** _vp(q, p)
+    b = PAdicInt(p, prec, diff // pv * pow(den * q // pv, -1, p**prec))
+    if diff % pv or not series.eval(b).is_zero():  # b not in Z_p, or not a zero mod p^prec
+        raise PrecisionError(f"g does not vanish mod p^prec at (a - l)/sN, a = {a}, l = {ell}")
     v1 = series.eval_deriv(b).known_val
     if v1 >= prec:
         raise PrecisionError("gamma_1 vanishes mod p^prec; double the precision")
@@ -285,21 +289,17 @@ def _escalate(ctx: PrimeContext, attempt):
 
 
 def derive_linear_formula(ctx: PrimeContext, ell: int, s: int = 1):
-    """Certify nu_p(T(n)) = kappa + nu_p(n - a) on the class n = l (mod sN), or None.
-
-    Uses the exact integer zero when l sits over Z_T mod sN, otherwise the
-    Hensel zero with its classification; precision doubles on demand.
-    """
-    return _escalate(ctx, lambda c: _derive_once(c, ell, s))
+    """Certify nu_p(T(n)) = kappa + nu_p(n - a) on n = l (mod sN), or None, from the class's one series."""
+    return _escalate(ctx, lambda c: _certify(series_coeffs(c, ell, s)))
 
 
 def locate_and_certify(ctx: PrimeContext, ell: int, s: int = 1):
-    """(locate_zero, derive_linear_formula) on n = l (mod sN) from one pass, escalated as one;
+    """(locate_zero, derive_linear_formula) on n = l (mod sN) from one series, escalated as one;
     the record's series.ctx.prec is the precision that produced both."""
 
     def once(c):
         record = locate_zero(c, ell, s)
-        return record, _derive_once(c, ell, s, record)
+        return record, _certify(record.series, record)
 
     return _escalate(ctx, once)
 
@@ -452,16 +452,16 @@ def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
     degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear formula,
     and mu >= 2 splits the class into its p classes mod p*sN."""
 
-    def once(c):  # mu and the series it is read from, at one precision
+    def once(c):  # mu and the certificate, read from one series at one precision
         series = series_coeffs(c, ell, s)
-        return series, strassman_mu(series)
+        mu = strassman_mu(series)
+        return series, mu, _certify(series) if mu == 1 else None
 
-    series, mu = _escalate(ctx, once)
+    series, mu, cert = _escalate(ctx, once)
     q = s * ctx.n_period
     if mu == 0:
         return [(q, (ell,), None, series.e + series.coeffs[0].known_val)], []
     if mu == 1:
-        cert = derive_linear_formula(ctx, ell, s)
         if cert is None:
             raise PrecisionError(f"mu = 1 on n = {ell} (mod {q}) but no linear certificate")
         return [(q, (cert.residue,), cert.a, cert.kappa)], [cert]
@@ -712,8 +712,8 @@ class RowCheck:
 
 
 def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int | None = None) -> list[RowCheck]:
-    """Revalidate every published (p, N, l, u): N agrees, p | T(l), the mod-p^2
-    derivative condition holds, and u recomputes exactly from l."""
+    """Revalidate every published (p, N, l, u): N agrees, p | T(l), the mod-p^2 derivative
+    condition holds, u recomputes exactly from l, and l is the witness of our row for p, if any."""
     ours = {r.p: r for r in our_rows} if our_rows else {}
     checks = []
     for row in published_table():
@@ -725,9 +725,7 @@ def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int |
         t_ell_n = trib_mod(row.ell + n, p2)
         ell_is_zero = t_ell % row.p == 0
         u = _u_residue(row.p, n, t_ell, t_ell_n, row.ell) if ell_is_zero else None
-        smallest = None
-        if row.p in ours and ours[row.p].ell is not None:
-            smallest = ours[row.p].ell == row.ell
+        smallest = ours[row.p].ell == row.ell if row.p in ours else None
         checks.append(RowCheck(row.p, n == row.n_period, ell_is_zero, u is not None, u == row.u, smallest))
     return checks
 

@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("table", help="reproduce the failure-witness table up to --max")
-    sp.add_argument("--max", type=_int_arg(hi=P_MAX), default=600)
+    sp.add_argument("--max", type=_int_arg(lo=2, hi=P_MAX), default=600)
     sp.add_argument("--validate-paper", action="store_true",
                     help="cross-check against the embedded published table")
     sp.add_argument("--jobs", type=_int_arg(lo=1), default=1)
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_zero)
 
     sp = sub.add_parser("scan", help="verdict counts and density summary up to --max")
-    sp.add_argument("--max", type=_int_arg(hi=P_MAX), default=600)
+    sp.add_argument("--max", type=_int_arg(lo=2, hi=P_MAX), default=600)
     sp.add_argument("--jobs", type=_int_arg(lo=1), default=1)
     common(sp)
     sp.set_defaults(fn=_cmd_scan)

@@ -35,7 +35,8 @@ from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
 
-# classify_zero matches rational targets mod p^(prec - 2); below this that match is vacuous
+# classify_zero matches rational targets mod p^(prec - 2), vacuous below this; a match is only a
+# candidate, which a linear certificate confirms at the exact zero (a - l)/sN, mod p^prec
 MIN_PRECISION = 3
 
 
@@ -107,7 +108,7 @@ class ZeroRecord:
     recentred at b, since translating within Z_p keeps the Weierstrass degree.
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test
     suite uses to observe quadratic convergence.  series is the SeriesTrunc b was found on;
-    classifier.locate_zero sets target (the class of l + sN*b), or b = None where g'(0) = 0 mod p.
+    classifier._locate sets target (the class of l + sN*b), or b = None where g'(0) = 0 mod p.
     """
 
     ell: int
@@ -252,9 +253,10 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
 def classify_zero(ctx: PrimeContext, record: ZeroRecord) -> ZeroTarget:
     """Identify a = l + sN*b with an element of Z_T, with 1/3 or -5/3, or neither.
 
-    Integer targets are matched mod p^prec; rational targets mod p^(prec-2),
-    the two guard digits absorbing evaluation error, so prec must be at least
-    MIN_PRECISION.  Rational targets are not p-integral for p = 3 and are
+    Integer targets are matched mod p^prec; rational targets mod p^(prec-2), the two
+    guard digits absorbing evaluation error, so prec must be at least MIN_PRECISION.
+    A match is only a candidate: classifier._certify confirms it at the exact zero
+    (a - l)/sN, mod p^prec.  Rational targets are not p-integral for p = 3 and are
     skipped there.
     """
     p, prec = ctx.p, ctx.prec

@@ -40,15 +40,16 @@ from tribadic.classifier import (
     ZT,
     Mismatch,
     TableRow,
+    _certify,
     _class_rules,
     _classify_range,
-    _derive_once,
     _zero_scan,
     _zero_table,
+    locate_and_certify,
     locate_zero,
 )
 from tribadic.galois import EXCLUDED_PRIMES
-from tribadic.interpolation import series_coeffs, strassman_mu
+from tribadic.interpolation import ZeroTarget, series_coeffs, strassman_mu
 from tribadic.padic import VAL_INF, PAdicInt, PrecisionError, val_int
 from tribadic.tribonacci import ZERO_SET, trib, trib_val
 
@@ -292,11 +293,30 @@ class TestDeriveLinearFormula:
         assert derive_linear_formula(prime_context(p, 24), ell, 1) is None
 
     def test_zero_that_does_not_vanish_raises(self, ctx269):
-        # g(b) != 0 mod p^prec is a precision fault, never a certificate
+        # l = 179 sits over 1/3: g != 0 mod p^prec at (a - l)/N for any other target a is a
+        # precision fault, never a certificate
         record = locate_zero(ctx269, 179)
-        moved = replace(record, b=record.b + 269**23)
-        with pytest.raises(PrecisionError):
-            _derive_once(ctx269, 179, 1, moved)
+        assert _certify(record.series, record).a == Fraction(1, 3)
+        for target in (ZeroTarget("rational", Fraction(-5, 3)), ZeroTarget("integer", 0)):
+            with pytest.raises(PrecisionError):
+                _certify(record.series, replace(record, target=target))
+
+    def test_low_precision_certificates_match_precision_24(self):
+        # a target matched on too few digits escalates instead of certifying: (a, kappa, Q) at
+        # precision 3 is the one at 24 on every derivative-ok class (p = 23, l = 454 once was -5/3)
+        checked = 0
+        for p in primes_upto(99):
+            if p in EXCLUDED_PRIMES:
+                continue
+            low, ref = prime_context(p, 3), prime_context(p, 24)
+            for info in _zero_table(p, low.n_period):
+                if not info.deriv_ok:
+                    continue
+                certs = [locate_and_certify(ctx, info.ell)[1] for ctx in (low, ref)]
+                rules = [c and (c.a, c.kappa, c.q) for c in certs]
+                assert rules[0] == rules[1], f"p = {p}, l = {info.ell}"
+                checked += 1
+        assert checked > 500
 
     def test_rational_class(self, ctx269):
         ell = pow(3, -1, 268) % 268
@@ -564,6 +584,12 @@ class TestTableAndScan:
         checks = validate_published_rows(rows, p_max=100)
         assert [c.p for c in checks if not c.ok] == [47]
         assert [c.p for c in checks if not c.listed_is_smallest] == [47]
+
+    def test_published_failure_without_our_witness_disagrees(self):
+        rows = [TableRow(5, 31, None, None, STATUS_UNDECIDED) if r.p == 5 else
+                TableRow(r.p, r.n_period, r.ell, r.u, STATUS_FAILS) for r in published_table() if r.p <= 100]
+        checks = validate_published_rows(rows, p_max=100)
+        assert [(c.p, c.listed_is_smallest) for c in checks if not c.ok] == [(5, False)]
 
     def test_published_table_integrity(self):
         rows = published_table()

@@ -69,6 +69,8 @@ class TestExitCodes:
             ["table", "--max", "20000"],
             ["scan", "--max", "60", "--jobs", "0"],
             ["table", "--max", "60", "--jobs", "-1"],
+            ["table", "--max", "-5"],
+            ["scan", "--max", "-3"],
             ["classify", "--prime", "12"],
             ["zero", "--prime", "11", "--ell", "0"],
         ],
@@ -277,6 +279,14 @@ class TestZero:
         assert rec["payload"]["divides"] is False
         assert "no zero" in rec["payload"]["conclusion"]
 
+    def test_low_precision_match_is_not_a_certificate(self, capsys):
+        # at 3 digits the zero of l = 454 (mod 553) matches -5/3 on u mod 23 alone; g does not
+        # vanish at (-5/3 - 454)/553, so the precision doubles and no target matches at 6
+        code, rec = run_json(capsys, "zero", "--prime", "23", "--ell", "454", "--precision", "3")
+        assert code == EXIT_PASS and rec["precision_used"] == 6
+        assert rec["payload"]["zero"]["classification"]["kind"] == "other"
+        assert "linear_certificate" not in rec["payload"]
+
 
 class TestZeroSinglePass:
     """One zero request builds each series and each Hensel zero once, and
@@ -305,34 +315,41 @@ class TestZeroSinglePass:
         assert code == EXIT_PASS and rec["payload"]["linear_certificate"]["a"] == "1/3"
         assert calls == {"series_coeffs": [179], "hensel_zero": 1}
 
-    def test_integer_class_adds_only_the_exact_series(self, capsys, monkeypatch):
+    def test_integer_class_is_certified_on_its_own_series(self, capsys, monkeypatch):
+        # l = 270 = -17 (mod 287): the certificate reads g at the integer zero (-17 - 270)/287
         calls = self.count_calls(monkeypatch)
         code, rec = run_json(capsys, "zero", "--prime", "83", "--ell", "270")
         assert code == EXIT_PASS and rec["payload"]["linear_certificate"]["a"] == -17
-        assert calls == {"series_coeffs": [270, -17], "hensel_zero": 1}
+        assert calls == {"series_coeffs": [270], "hensel_zero": 1}
+
+    def test_p3_refinement_builds_one_series_per_class(self, monkeypatch):
+        # classes 0, 7, 9, 12 mod 13, and 9, 22, 35 mod 39 after the mu = 2 split of 9
+        calls = self.count_calls(monkeypatch)
+        assert classifier.classify_prime(3).verdict_ml.q == 39
+        assert calls == {"series_coeffs": [0, 7, 9, 9, 22, 35, 12], "hensel_zero": 0}
 
     def test_failing_certificate_makes_three_attempts(self, capsys, monkeypatch):
         precisions = []
 
-        def fail(ctx, *args):
-            precisions.append(ctx.prec)
+        def fail(series, *args):
+            precisions.append(series.ctx.prec)
             raise PrecisionError("forced")
 
-        monkeypatch.setattr(classifier, "_derive_once", fail)
+        monkeypatch.setattr(classifier, "_certify", fail)
         assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
         assert precisions == [24, 48, 96]
 
     def test_precision_used_is_the_one_that_produced_the_payload(self, capsys, monkeypatch):
-        derive_once = classifier._derive_once
+        certify = classifier._certify
         attempts = []
 
-        def fail_first(ctx, *args):
-            attempts.append(ctx.prec)
+        def fail_first(series, *args):
+            attempts.append(series.ctx.prec)
             if len(attempts) == 1:
                 raise PrecisionError("forced")
-            return derive_once(ctx, *args)
+            return certify(series, *args)
 
-        monkeypatch.setattr(classifier, "_derive_once", fail_first)
+        monkeypatch.setattr(classifier, "_certify", fail_first)
         code, rec = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
         assert code == EXIT_PASS and attempts == [24, 48]
         assert rec["precision_used"] == 48
