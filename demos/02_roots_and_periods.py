@@ -1,22 +1,23 @@
 """How the Tribonacci recurrence looks p-adically.
 
 X^3 - X^2 - X - 1 factors mod p in one of three ways (discriminant -44, so
-p = 2, 11 are off limits).  Nothing needs its roots on their own: in
+p = 2, 11 are off limits).  Nothing needs its roots or factors on their own: in
 R = Z_p[x]/(P), x acts as the companion matrix of the recurrence, so
-T(n) = phi(x^n) with phi(a + bx + cx^2) = b + c, and the period N of T mod p is
-the order of x in (Z/p)[x]/(P).
+T(n) = phi(x^n) with phi(a + bx + cx^2) = b + c.  The splitting degree d is the
+least k with x^(p^k) = x in (Z/p)[x]/(P), and the period N of T mod p is the
+order of x there.
 """
 
-from tribadic import ExtRing, prime_context, splitting_type, trib_mod
+from tribadic import ExtRing, prime_context, trib_mod
 from tribadic._factor import factorize
 
 P = (-1, -1, -1, 1)  # ascending coefficients of X^3 - X^2 - X - 1
 
-print("splitting types:")
+print("splitting degrees and periods, both read from powers of x mod p:")
 for p in (47, 13, 5):
-    d, factors = splitting_type(p)
-    shape = {1: "three rational roots", 2: "linear x quadratic", 3: "irreducible"}[d]
-    print(f"  p = {p}: d = {d} ({shape})")
+    ctx = prime_context(p)
+    shape = {1: "three rational roots", 2: "linear x quadratic", 3: "irreducible"}[ctx.d]
+    print(f"  p = {p}: d = {ctx.d} ({shape}), N = {ctx.n_period}")
 
 print("\nT(n) = phi(x^n) in Z_13[x]/(P), whatever the splitting (p = 13 has d = 2):")
 pk = 13**24
@@ -41,4 +42,3 @@ print("\nand T(n + N) = T(n) (mod p) really holds, e.g. p = 83:")
 ctx = prime_context(83, 8)
 window = all(trib_mod(n + ctx.n_period, 83) == trib_mod(n, 83) for n in range(-20, 120))
 print(f"  checked on a window of 140 values: {window}")
-print(f"  p^d - 1 factored for the order computation: {ctx.factorization}")

@@ -24,7 +24,6 @@ from .galois import (
     EXCLUDED_PRIMES,
     PrimeContext,
     prime_context,
-    splitting_type,
 )
 from .interpolation import (
     ConditionNotMet,

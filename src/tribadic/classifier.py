@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 
 from ._factor import crt_pair, is_prime, primes_upto
-from .galois import EXCLUDED_PRIMES, PrimeContext, _prime_data, prime_context
+from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
 from .interpolation import (
     ZERO_TARGETS_RAT,
     ConditionNotMet,
@@ -40,7 +40,7 @@ from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 ZT = ZERO_SET
 QT = ZT + ZERO_TARGETS_RAT
 
-P_MAX = 10**4  # the largest p_max reproduce_table and scan_range accept
+P_MAX = 10**5  # the largest p_max reproduce_table and scan_range accept
 
 STATUS_HOLDS = "holds"
 STATUS_FAILS = "fails"
@@ -719,7 +719,7 @@ def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int |
     for row in published_table():
         if p_max is not None and row.p > p_max:
             continue
-        n = _prime_data(row.p)[1]
+        n = prime_context(row.p).n_period
         p2 = row.p * row.p
         t_ell = trib_mod(row.ell, p2)
         t_ell_n = trib_mod(row.ell + n, p2)

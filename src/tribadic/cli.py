@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a closed-form valuation spec against the sequence")
     sp.add_argument("--spec", type=_spec_arg, required=True,
                     help=f"one of {', '.join(BUILTIN_SPEC_NAMES)} or a JSON file")
-    sp.add_argument("--range", type=_range_arg, default="1..10000", help="inclusive range a..b")
+    sp.add_argument("--range", type=_range_arg, default="1..10000",
+                    help="inclusive range a..b; a negative start needs the = form, --range=-20..20")
     common(sp)
     sp.set_defaults(fn=_cmd_verify)
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from tribadic import ExtRing, prime_context, splitting_type
+from tribadic import ExtRing, prime_context
 
 # P and P' as integer polynomials, ascending coefficients
 _P = (-1, -1, -1, 1)
@@ -29,16 +29,27 @@ def _newton_root(ring, start):
     raise AssertionError("Newton root lifting failed")
 
 
+def roots_mod_p_oracle(p):
+    """The roots of P in F_p, by exhaustive evaluation over [0, p)."""
+    return [r for r in range(p) if (r**3 - r**2 - r - 1) % p == 0]
+
+
+def oracle_degree(p):
+    """The splitting degree d of P mod p, from the number of its roots in F_p."""
+    return {3: 1, 1: 2, 0: 3}[len(roots_mod_p_oracle(p))]
+
+
 def _residue_roots(p):
     """The three roots of P in F_{p^d}, in one ring: rational roots have vanishing top coordinates."""
-    d, factors = splitting_type(p)
-    if d == 1:
+    rational = roots_mod_p_oracle(p)
+    if len(rational) == 3:
         res = ExtRing(p, 1, (0, 1))
-        return tuple(res.embed(-f[0]) for f in factors)
-    if d == 2:
-        res = ExtRing(p, 1, factors[1])
+        return tuple(res.embed(r) for r in rational)
+    if len(rational) == 1:
+        (r,) = rational
+        res = ExtRing(p, 1, ((r * r - r - 1) % p, (r - 1) % p, 1))  # P / (X - r) mod p
         x = res.gen
-        return (res.embed(-factors[0][0]), x, -x - factors[1][1])
+        return (res.embed(r), x, -x - (r - 1))
     res = ExtRing(p, 1, _P)
     conj1 = res.gen**p
     return (res.gen, conj1, conj1**p)
@@ -50,7 +61,7 @@ def lifted_roots(p, prec):
     the unramified ring that holds all three, and the Binet weights c = lambda / P'(lambda).
 
     For d = 2 the ring's modulus is P / (X - r) for the rational root r, lifted in Z/p^prec."""
-    d = splitting_type(p)[0]
+    d = oracle_degree(p)
     residue_roots = _residue_roots(p)
     if d == 2:
         line = ExtRing(p, prec, (0, 1))

@@ -37,7 +37,6 @@ from tribadic.classifier import (
     STATUS_UNDECIDED,
 )
 from tribadic._factor import primes_upto
-from tribadic.galois import splitting_type
 from tribadic.padic import val_int
 
 
@@ -138,7 +137,7 @@ def test_criterion_5_cube_root_certification():
     for p in primes_upto(600):
         if p in (2, 11) or p % 3 != 2:
             continue
-        if splitting_type(p)[0] == 1:
+        if prime_context(p).d == 1:
             family.append(p)
         if len(family) == 5:
             break

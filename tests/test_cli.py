@@ -65,8 +65,8 @@ class TestExitCodes:
             ["zero", "--prime", "5", "--ell", "21", "--multiplier", "0"],
             ["classify", "--prime", "5", "--precision", "0"],
             ["classify", "--prime", "269", "--precision", "2"],
-            ["scan", "--max", "20000"],
-            ["table", "--max", "20000"],
+            ["scan", "--max", str(classifier.P_MAX + 1)],
+            ["table", "--max", str(classifier.P_MAX + 1)],
             ["scan", "--max", "60", "--jobs", "0"],
             ["table", "--max", "60", "--jobs", "-1"],
             ["table", "--max", "-5"],
@@ -186,6 +186,12 @@ class TestVerify:
     def test_builtin_pass(self, capsys):
         code, _ = run(capsys, "verify", "--spec", "p2", "--range", "1..2000")
         assert code == EXIT_PASS
+
+    def test_negative_start_with_equals(self, capsys):
+        # a space would make argparse read -20..20 as an option; the = form covers Z_T points -1, -4, -17
+        code, rec = run_json(capsys, "verify", "--spec", "p2", "--range=-20..20")
+        assert code == EXIT_PASS
+        assert rec["payload"]["range"] == [-20, 20]
 
     def test_spec_json_round_trip(self):
         for name in ("p2", "p269"):

@@ -11,21 +11,16 @@ from tribadic import (
     PrecisionError,
     galois,
     prime_context,
-    splitting_type,
     trib_mod,
 )
 from tribadic._factor import factorize, is_prime, primes_upto
 
-from conftest import lifted_roots
+from conftest import lifted_roots, oracle_degree, roots_mod_p_oracle
 
 
 def clear_context_caches():
     galois._prime_data.cache_clear()
     lifted_roots.cache_clear()
-
-
-def roots_mod_p_oracle(p):
-    return [r for r in range(p) if (r**3 - r**2 - r - 1) % p == 0]
 
 
 def mult_det_mod_p(u):
@@ -42,19 +37,34 @@ def mult_det_mod_p(u):
 class TestSplittingType:
     def test_p5_irreducible(self):
         assert roots_mod_p_oracle(5) == []
-        assert splitting_type(5)[0] == 3
+        assert prime_context(5).d == 3
 
     def test_p13_mixed(self):
         assert len(roots_mod_p_oracle(13)) == 1
-        assert splitting_type(13)[0] == 2
+        assert prime_context(13).d == 2
 
     def test_p47_split(self):
         assert len(roots_mod_p_oracle(47)) == 3
-        assert splitting_type(47)[0] == 1
+        assert prime_context(47).d == 1
+
+    @pytest.mark.parametrize(
+        "ps",
+        [[p for p in primes_upto(3000) if p not in (2, 11)], [p for p in primes_upto(10**5) if p > 99900]],
+        ids=["below-3000", "near-1e5"],
+    )
+    def test_degree_from_powering_matches_root_count(self, ps):
+        assert [prime_context(p).d for p in ps] == [oracle_degree(p) for p in ps]
 
     def test_factors_multiply_back(self):
+        # the oracle's roots r give the factors X - r, times P / (X - r) for d = 2, times P itself for d = 3
         for p in (5, 13, 47, 103, 599):
-            d, factors = splitting_type(p)
+            roots = roots_mod_p_oracle(p)
+            factors = [(-r % p, 1) for r in roots]
+            if len(roots) == 1:
+                r = roots[0]
+                factors.append(((r * r - r - 1) % p, (r - 1) % p, 1))
+            elif not roots:
+                factors.append(tuple(c % p for c in galois._P))
             prod = [1]
             for f in factors:
                 out = [0] * (len(prod) + len(f) - 1)
@@ -67,11 +77,11 @@ class TestSplittingType:
     def test_excluded_primes(self):
         for p in (2, 11):
             with pytest.raises(ValueError):
-                splitting_type(p)
+                prime_context(p)
 
     def test_non_prime(self):
         with pytest.raises(ValueError):
-            splitting_type(15)
+            prime_context(15)
 
 
 class TestLiftRoots:
@@ -109,7 +119,7 @@ class TestContextCache:
         clear_context_caches()
         fresh, fresh_lift = prime_context(p, 24), lifted_roots(p, 24)
         assert warm is not fresh and warm_lift is not fresh_lift
-        assert (warm_lift, warm.n_period, warm.factorization) == (fresh_lift, fresh.n_period, fresh.factorization)
+        assert (warm_lift, warm.d, warm.n_period) == (fresh_lift, fresh.d, fresh.n_period)
         assert warm == fresh
 
     def test_one_factorization_per_prime(self, monkeypatch):
@@ -117,7 +127,7 @@ class TestContextCache:
         calls = []
         monkeypatch.setattr(galois, "factorize", lambda n: calls.append(n) or factorize(n))
         for prec in (8, 24, 48, 96):
-            assert prime_context(83, prec).factorization == factorize(83**2 - 1)
+            assert prime_context(83, prec).n_period == 287
         assert calls == [83**2 - 1]
 
 
@@ -138,7 +148,7 @@ class TestComputeN:
     def test_wrong_splitting_type_is_caught(self, monkeypatch):
         # d = 1 for p = 5 would start the period search at 4; the true N is 31 and x^4 != 1
         clear_context_caches()
-        monkeypatch.setattr(galois, "splitting_type", lambda p: (1, []))
+        monkeypatch.setattr(galois, "_splitting_degree", lambda p: 1)
         try:
             with pytest.raises(AssertionError):
                 galois._prime_data(5)

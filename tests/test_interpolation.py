@@ -26,7 +26,7 @@ from tribadic.interpolation import SeriesTrunc
 from tribadic.padic import ExtRing, _vp, vp_factorial
 from tribadic.tribonacci import _xpow
 from tribadic._factor import primes_upto
-from tribadic.galois import _P, EXCLUDED_PRIMES, splitting_type
+from tribadic.galois import _P, EXCLUDED_PRIMES
 
 from conftest import lifted_roots, log_series_oracle
 
@@ -286,7 +286,7 @@ class TestSeriesAgainstReference:
             assert strassman_mu(ser) == mu
 
     def test_cases_cover_what_they_claim(self):
-        assert [splitting_type(p)[0] for p in (269, 83, 5)] == [1, 2, 3]
+        assert [prime_context(p).d for p in (269, 83, 5)] == [1, 2, 3]
         assert series_coeffs(prime_context(3, 24), 35, 3).e == 2
         ser = series_coeffs(prime_context(3, 3), 9, 1)
         assert mu_oracle([b.residue for b in ser.coeffs], 3, 3) is None
@@ -396,7 +396,7 @@ class TestCubeRootCertificate:
         for p in primes_upto(400):
             if p in (2, 11) or p % 3 != 2:
                 continue
-            if splitting_type(p)[0] == 1:
+            if prime_context(p).d == 1:
                 found.append(p)
         assert found[:5] == [47, 53, 257, 269, 311]
 
@@ -413,7 +413,7 @@ class TestCubeRootCertificate:
     @pytest.mark.parametrize("prec", [24, 96])
     def test_certificate_matches_the_sums_over_lifted_roots(self, prec):
         # oracle: the Binet sums over the Newton-lifted roots, with integer Hensel cube roots
-        family = [p for p in primes_upto(600) if p not in EXCLUDED_PRIMES and splitting_type(p)[0] == 1
+        family = [p for p in primes_upto(600) if p not in EXCLUDED_PRIMES and prime_context(p).d == 1
                   and prime_context(p, prec).n_period % 3]
         assert len(family) == 10 and family[:5] == [47, 53, 257, 269, 311]
         for p in family:
