@@ -2,18 +2,27 @@
 
 For each admissible prime: scan the period [0, N) for the l with p | T(l), test
 T(l+N) != T(l) (mod p^2), compute the mod-p residue u of l + N*b for the
-predicted zero b, and derive a verdict.  A failure witness is a pair (l, u)
-with u avoiding Z_T mod p (integer form) or Z_T plus {1/3, -5/3} (rational
-form); a holds verdict requires every zero class to sit over Z_T (resp. Q_T)
-mod N with the derivative condition everywhere, and is backed by explicit
-linear-formula certificates.  At p = 3 every zero class is refined by its Strassman
-degree instead: mu = 0 is a constant class, mu = 1 a certified linear one, and
-mu >= 2 splits the class mod p*sN (the derived table has modulus 39).
+predicted zero b, and class l by the element t of Q_T with t = l (mod N) and
+(t - l)/N in Z_p, if any.  One rule then decides each form, the integer form over
+Z_T = {0, -1, -4, -17} and the rational form over Q_T = Z_T + {1/3, -5/3}; the
+first of these that applies is the verdict:
+
+1. fails, with the first derivative-ok l whose u avoids the targets mod p as witness;
+2. undecided if two targets are congruent mod N (for p >= 5 only Q_T has such pairs);
+3. undecided if the derivative condition fails at some l;
+4. undecided if some l sits over no target mod N;
+5. undecided if the form is out of scope: the rational form needs d = 1 and 3 coprime to N;
+6. holds if every zero class has a linear certificate over its target, else undecided.
+
+At p = 3 every zero class is refined by its Strassman degree instead: mu = 0 is a
+constant class, mu = 1 a certified linear one, and mu >= 2 splits the class mod p*sN
+(the derived table has modulus 39).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -221,9 +230,10 @@ def _qt_residues_mod(m: int, targets=QT):
     return out
 
 
-def _zero_table(p: int, n_period: int, targets=QT):
-    """One ZeroClassInfo per l in [0, N) with p | T(l), lazily, classed by the first of
-    targets congruent to l mod N, if any."""
+def _zero_table(p: int, n_period: int):
+    """One ZeroClassInfo per l in [0, N) with p | T(l), lazily, classed by the first element t
+    of Q_T with t = l (mod N) and (t - l)/N in Z_p, if any: Q_T for p >= 5, Z_T for p = 3."""
+    targets = [t for t in QT if Fraction(t).denominator % p]
     classes = {}
     for t, r in zip(targets, _qt_residues_mod(n_period, targets)):
         if r is not None:
@@ -313,18 +323,6 @@ def _excluded_record(p: int, prec: int) -> ClassificationRecord:
     return ClassificationRecord(p, prec, None, None, v, v)
 
 
-def _holds_spec(ctx: PrimeContext, infos):
-    """FormulaSpec + certificates for a holds verdict: one linear case per zero class."""
-    n = ctx.n_period
-    certs = []
-    for info in infos:
-        cert = derive_linear_formula(ctx, info.ell, 1)
-        if cert is None or Fraction(cert.a) != Fraction(info.target):
-            return None, ()
-        certs.append(cert)
-    return assemble_spec(ctx.p, n, [(n, (c.residue,), c.a, c.kappa) for c in certs]), tuple(certs)
-
-
 def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     """The certified zero b behind a failure witness, with l + N*b = u (mod p) enforced.
 
@@ -345,6 +343,34 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     return tuple(b.digits())
 
 
+def _form_verdict(ctx: PrimeContext, infos, targets, name: str, out_of_scope, witness, certify):
+    """The verdict of one form over targets by the module's rule, with the certificates when it
+    holds.  out_of_scope is the detail of step 5, or None; witness(l, u) gives the zero digits
+    of a witness and certify(l) the linear certificate of the class n = l (mod N)."""
+    targets_p = set(_qt_residues_mod(ctx.p, targets))
+    w = next((i for i in infos if i.deriv_ok and i.u not in targets_p), None)
+    if w is not None:
+        return Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=witness(w.ell, w.u)), ()
+    targets_n = _qt_residues_mod(ctx.n_period, targets)
+    if None not in targets_n and len(set(targets_n)) < len(targets):
+        detail = f"two {name} targets are congruent mod N; congruences mod p cannot separate them"
+        return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_QT_COLLISION, detail=detail), ()
+    if not all(i.deriv_ok for i in infos):
+        return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_DERIVATIVE), ()
+    if not all(i.target in targets for i in infos):
+        return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_U_IN_TARGETS), ()
+    if out_of_scope:
+        return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=out_of_scope), ()
+    certs = []
+    for info in infos:
+        cert = certify(info.ell)
+        if cert is None or Fraction(cert.a) != Fraction(info.target):
+            detail = f"zero classes sit over {name} but a linear certificate failed"
+            return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
+        certs.append(cert)
+    return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(certs)
+
+
 def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
     """Decide both conjecture forms for one prime; deterministic, smallest witness first.
 
@@ -357,8 +383,7 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
         return p3_pipeline(prec)
     ctx = prime_context(p, prec)
     n_period = ctx.n_period
-    zt_p = {t % p for t in ZT}
-    qt_p = {r for r in _qt_residues_mod(p) if r is not None}
+    qt_p = set(_qt_residues_mod(p))
     infos = []
     complete = True
     for info in _zero_table(p, n_period):
@@ -366,78 +391,17 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
         if not full_table and info.deriv_ok and info.u not in qt_p:
             complete = False
             break
-    all_deriv = all(i.deriv_ok for i in infos)
-
-    def first_witness(targets_mod_p):
-        for i in infos:
-            if i.deriv_ok and i.u not in targets_mod_p:
-                return i
-        return None
-
-    # integer form
-    w = first_witness(zt_p)
-    formula = None
-    certs = ()
-    holds = None  # _holds_spec(ctx, infos) once it has run: both forms test the same classes
-    if w is not None:
-        verdict_ml = Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=_witness_zero(ctx, w.ell, w.u))
-    elif all_deriv and all(isinstance(i.target, int) for i in infos):  # Z_T targets are assigned first
-        holds = _holds_spec(ctx, infos)
-        spec, certs = holds
-        if spec is not None:
-            verdict_ml = Verdict(STATUS_HOLDS, q=n_period)
-            formula = spec
-        else:
-            verdict_ml = Verdict(
-                STATUS_UNDECIDED,
-                diagnostic=DIAG_OUT_OF_SCOPE,
-                detail="zero classes sit over Z_T but a linear certificate failed",
-            )
-    else:
-        diag = DIAG_DERIVATIVE if not all_deriv else DIAG_U_IN_TARGETS
-        verdict_ml = Verdict(STATUS_UNDECIDED, diagnostic=diag)
-
-    # rational form
-    qt_mod_n = _qt_residues_mod(n_period)
-    collision = None not in qt_mod_n and len(set(qt_mod_n)) < len(QT)
-    w = first_witness(qt_p)
-    in_qt_classes = all(i.target is not None for i in infos)
-    if w is not None:
-        digits = (
-            verdict_ml.zero_digits
-            if verdict_ml.status == STATUS_FAILS and verdict_ml.ell == w.ell
-            else _witness_zero(ctx, w.ell, w.u)
+    witness = functools.cache(lambda ell, u: _witness_zero(ctx, ell, u))  # both forms may share a witness
+    certify = functools.cache(lambda ell: derive_linear_formula(ctx, ell, 1))  # and their certificates
+    verdict_ml, certs = _form_verdict(ctx, infos, ZT, "Z_T", None, witness, certify)
+    scope = None
+    if ctx.d != 1 or n_period % 3 == 0:
+        scope = "holds-criteria need all roots rational (d = 1) and 3 coprime to N" + (
+            "; the integer form holds, which implies the rational form" if verdict_ml.status == STATUS_HOLDS else ""
         )
-        verdict_rat = Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=digits)
-    elif ctx.d == 1 and n_period % 3 != 0 and not collision and all_deriv and in_qt_classes:
-        spec, rcerts = holds or _holds_spec(ctx, infos)
-        if spec is not None:
-            verdict_rat = Verdict(STATUS_HOLDS, q=n_period)
-            formula, certs = spec, rcerts
-        else:
-            verdict_rat = Verdict(
-                STATUS_UNDECIDED,
-                diagnostic=DIAG_OUT_OF_SCOPE,
-                detail="zero classes sit over Q_T but a linear certificate failed",
-            )
-    elif collision:
-        verdict_rat = Verdict(
-            STATUS_UNDECIDED,
-            diagnostic=DIAG_QT_COLLISION,
-            detail="two Q_T targets are congruent mod N; congruences mod p cannot separate them",
-        )
-    elif not all_deriv:
-        verdict_rat = Verdict(STATUS_UNDECIDED, diagnostic=DIAG_DERIVATIVE)
-    elif in_qt_classes:
-        verdict_rat = Verdict(
-            STATUS_UNDECIDED,
-            diagnostic=DIAG_OUT_OF_SCOPE,
-            detail="holds-criteria need all roots rational (d = 1) and 3 coprime to N"
-            + ("; the integer form holds, which implies the rational form" if verdict_ml.status == STATUS_HOLDS else ""),
-        )
-    else:
-        verdict_rat = Verdict(STATUS_UNDECIDED, diagnostic=DIAG_U_IN_TARGETS)
-
+    verdict_rat, rat_certs = _form_verdict(ctx, infos, QT, "Q_T", scope, witness, certify)
+    certs = certs or rat_certs  # l = 0 is always a zero class, so a form holds iff it has certificates
+    formula = assemble_spec(p, n_period, [(n_period, (c.residue,), c.a, c.kappa) for c in certs]) if certs else None
     return ClassificationRecord(
         p, prec, ctx.d, n_period, verdict_ml, verdict_rat, tuple(infos), formula, certs, complete
     )
@@ -474,7 +438,7 @@ def p3_pipeline(prec: int = 24) -> ClassificationRecord:
     piece is constant or linear; Q is the lcm of the pieces' moduli."""
     p = 3
     ctx = prime_context(p, prec)
-    infos = list(_zero_table(p, ctx.n_period, ZT))
+    infos = list(_zero_table(p, ctx.n_period))
     parts = [_class_rules(ctx, info.ell) for info in infos]
     entries = sorted((e for es, _ in parts for e in es), key=lambda e: (e[2] is not None, e[0], e[1]))
     certs = sorted((c for _, cs in parts for c in cs), key=lambda c: (c.q, c.residue))

@@ -8,7 +8,8 @@ alone: 0 pass/decided, 1 fail (a counterexample or table disagreement),
 2 undecided, 3 excluded, 64 usage error (any bad input), 70 internal error.
 An internal error keeps its traceback on stderr; with --format json it also
 prints a record with status "error", the parsed options as params and the
-exception as payload {error, message}.
+exception as payload {error, message}.  A stdout closed by its reader (say,
+`| head`) exits 70 with one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 import traceback
@@ -211,6 +213,7 @@ def _emit(args, command, params, status, payload, prec_used, t0) -> int:
         _print_csv(command, payload)
     else:
         _print_text(record)
+    sys.stdout.flush()  # a closed stdout raises here, inside the command, not at interpreter exit
     return _EXIT_BY_STATUS[status]
 
 
@@ -405,9 +408,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    try:
+        return _run(args)
+    except BrokenPipeError:  # the reader closed stdout: nothing more can be printed there
+        print(f"tribadic {args.command}: stdout was closed; the output is incomplete", file=sys.stderr)
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor, e.g. a StringIO: nothing to redirect
+            return EXIT_INTERNAL
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)  # the interpreter's final flush of stdout must not fail again
+        os.close(devnull)
+        return EXIT_INTERNAL
+
+
+def _run(args) -> int:
+    """args.fn(args), with any exception but a closed stdout reported as an internal error."""
     t0 = time.perf_counter()
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        raise
     except Exception as exc:  # exit 1 would read as "counterexample found"
         traceback.print_exc()
         print(f"tribadic {args.command}: internal error", file=sys.stderr)

@@ -30,6 +30,7 @@ from tribadic import (
 from tribadic._factor import primes_upto
 from tribadic.classifier import (
     DIAG_DERIVATIVE,
+    DIAG_OUT_OF_SCOPE,
     DIAG_QT_COLLISION,
     DIAG_U_IN_TARGETS,
     STATUS_EXCLUDED,
@@ -158,6 +159,66 @@ class TestClassifyPrime:
             assert u in {t % 59 for t in ZT}
 
 
+class TestVerdictRule:
+    """The branches of the one verdict rule that no census up to 10^4 reaches, and its memos."""
+
+    SCOPE = "holds-criteria need all roots rational (d = 1) and 3 coprime to N"
+    IMPLIED = "; the integer form holds, which implies the rational form"
+
+    @pytest.mark.parametrize("p", [83, 397])  # d = 2, and 3 | N = 132
+    def test_out_of_scope_rational_form_is_implied(self, p):
+        rec = classify_prime(p)
+        assert rec.verdict_ml.status == STATUS_HOLDS
+        v = rec.verdict_rat
+        assert (v.status, v.diagnostic, v.detail) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE, self.SCOPE + self.IMPLIED)
+
+    def test_failed_certificate_integer_form(self, monkeypatch):
+        monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", lambda *args: None)
+        rec = classify_prime(83)
+        assert (rec.verdict_ml.status, rec.verdict_ml.diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
+        assert rec.verdict_ml.detail == "zero classes sit over Z_T but a linear certificate failed"
+        assert rec.verdict_rat.detail == self.SCOPE
+        assert (rec.formula, rec.certificates) == (None, ())
+
+    def test_failed_certificate_rational_form(self, monkeypatch):
+        monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", lambda *args: None)
+        rec = classify_prime(269)
+        assert rec.verdict_ml.status == STATUS_FAILS
+        assert (rec.verdict_rat.status, rec.verdict_rat.diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
+        assert rec.verdict_rat.detail == "zero classes sit over Q_T but a linear certificate failed"
+        assert (rec.formula, rec.certificates) == (None, ())
+
+    @pytest.mark.parametrize("p, calls", [(7, 1), (67, 2)])  # one shared witness l; two distinct ones
+    def test_one_witness_zero_per_witness(self, p, calls, monkeypatch):
+        seen = []
+        witness_zero = tribadic.classifier._witness_zero
+
+        def counted(ctx, ell, u):
+            seen.append(ell)
+            return witness_zero(ctx, ell, u)
+
+        monkeypatch.setattr(tribadic.classifier, "_witness_zero", counted)
+        rec = classify_prime(p)
+        assert rec.verdict_ml.status == rec.verdict_rat.status == STATUS_FAILS
+        assert seen == sorted({rec.verdict_ml.ell, rec.verdict_rat.ell}) and len(seen) == calls
+
+    def test_one_certificate_per_class(self, monkeypatch):
+        # p = 397: the integer form holds and the rational form is out of scope; p = 1021: both
+        # forms hold, from the same certificates.  Either way each zero class is certified once
+        seen = []
+        derive = tribadic.classifier.derive_linear_formula
+
+        def counted(ctx, ell, s=1):
+            seen.append(ell)
+            return derive(ctx, ell, s)
+
+        monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", counted)
+        for p in (397, 1021):
+            seen.clear()
+            rec = classify_prime(p)
+            assert seen == [i.ell for i in rec.zero_table] == [c.residue for c in rec.certificates]
+
+
 def oracle_zero_scan(p, n_period):
     """(l, T(l), T(l+N)) mod p^2 for the l in [0, N) with p | T(l), by walking [0, 2N)."""
     p2 = p * p
@@ -231,6 +292,8 @@ class TestP3Pipeline:
         rec = p3_pipeline(24)
         assert [i.ell for i in rec.zero_table] == [0, 7, 9, 12]
         assert not any(i.deriv_ok for i in rec.zero_table)
+        # 7 = -5/3 (mod 13), but -5/3 is not a 3-adic integer: l = 7 sits over no target
+        assert [i.target for i in rec.zero_table] == [0, None, -4, -1]
 
     @pytest.mark.parametrize("prec", [3, 5, 24, 96])
     def test_formula_matches_builtin(self, prec):

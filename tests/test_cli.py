@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tribadic
 from tribadic import PrecisionError, classifier, cli, interpolation
 from tribadic.classifier import builtin_spec
 from tribadic.cli import (
@@ -121,6 +126,36 @@ class TestExitCodes:
         code, rec = run_json(capsys, "verify", "--spec", "p3", "--range", "1..50")
         assert code == EXIT_INTERNAL
         assert_error_envelope(rec, "verify", {"spec": "p3", "range": "1..50", "precision": 24}, "RuntimeError")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--prime", "1999", "--format", "json"],  # larger than the buffer: fails in print
+            ["classify", "--prime", "7", "--format", "csv"],  # fits the buffer: fails at the flush
+        ],
+    )
+    def test_closed_stdout_exits_70_with_one_line(self, argv):
+        # stdout is a pipe whose read end is closed before the process starts, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as in a plain shell pipe
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tribadic.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stderr.splitlines() == [f"tribadic {argv[0]}: stdout was closed; the output is incomplete"]
+
+    def test_closed_stdout_without_descriptor_prints_no_envelope(self, capsys, monkeypatch):
+        def closed(*args):
+            raise BrokenPipeError("forced")
+
+        monkeypatch.setattr(cli, "classify_prime", closed)
+        assert main(["classify", "--prime", "7", "--format", "json"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["tribadic classify: stdout was closed; the output is incomplete"]
 
 
 def assert_error_envelope(rec, command, params, error):
