@@ -39,6 +39,7 @@ from .interpolation import (
     strassman_mu,
 )
 from .classifier import (
+    FORMS,
     QT,
     ZT,
     ClassificationRecord,

@@ -4,14 +4,15 @@ For each admissible prime: scan the period [0, N) for the l with p | T(l), test
 T(l+N) != T(l) (mod p^2), compute the mod-p residue u of l + N*b for the
 predicted zero b, and class l by the element t of Q_T with t = l (mod N) and
 (t - l)/N in Z_p, if any.  One rule then decides each form, the integer form over
-Z_T = {0, -1, -4, -17} and the rational form over Q_T = Z_T + {1/3, -5/3}; the
-first of these that applies is the verdict:
+Z_T = {0, -1, -4, -17} and the rational form over Q_T = Z_T + {1/3, -5/3}, both
+listed in FORMS, narrowest first; the first of these that applies is the verdict:
 
 1. fails, with the first derivative-ok l whose u avoids the targets mod p as witness;
 2. undecided if two targets are congruent mod N (for p >= 5 only Q_T has such pairs);
 3. undecided if the derivative condition fails at some l;
 4. undecided if some l sits over no target mod N;
-5. undecided if the form is out of scope: the rational form needs d = 1 and 3 coprime to N;
+5. undecided if the form is out of scope: the rational form needs d = 1 and 3 coprime to N
+   (when an earlier, narrower form holds, the detail says that it implies this one);
 6. holds if every zero class has a linear certificate over its target, else undecided.
 
 At p = 3 every zero class is refined by its Strassman degree instead: mu = 0 is a
@@ -30,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
@@ -48,6 +50,20 @@ from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
 QT = ZT + ZERO_TARGETS_RAT
+
+
+class Form(NamedTuple):
+    """One form of the conjecture, as the verdict rule reads it."""
+
+    key: str  # the JSON key of its verdict
+    label: str  # its name in verdict details
+    set_name: str  # the name of its target set
+    targets: tuple
+    needs_split: bool  # whether holds also needs all roots rational (d = 1) and 3 coprime to N
+
+
+# the forms the classifier decides, from the narrowest target set to the widest
+FORMS = (Form("ml", "integer", "Z_T", ZT, False), Form("rational", "rational", "Q_T", QT, True))
 
 P_MAX = 10**5  # the largest p_max reproduce_table and scan_range accept
 
@@ -183,8 +199,7 @@ class ClassificationRecord:
     prec: int
     d: int | None
     n_period: int | None
-    verdict_ml: Verdict
-    verdict_rat: Verdict
+    verdicts: dict  # form key -> Verdict, in the order of FORMS
     zero_table: tuple[ZeroClassInfo, ...] = ()
     formula: FormulaSpec | None = None
     certificates: tuple[LinearCertificate, ...] = ()
@@ -320,7 +335,7 @@ def locate_and_certify(ctx: PrimeContext, ell: int, s: int = 1):
 
 def _excluded_record(p: int, prec: int) -> ClassificationRecord:
     v = Verdict(STATUS_EXCLUDED, detail="ramified prime: the method excludes p in {2, 11}")
-    return ClassificationRecord(p, prec, None, None, v, v)
+    return ClassificationRecord(p, prec, None, None, {form.key: v for form in FORMS})
 
 
 def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
@@ -343,29 +358,34 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     return tuple(b.digits())
 
 
-def _form_verdict(ctx: PrimeContext, infos, targets, name: str, out_of_scope, witness, certify):
-    """The verdict of one form over targets by the module's rule, with the certificates when it
-    holds.  out_of_scope is the detail of step 5, or None; witness(l, u) gives the zero digits
-    of a witness and certify(l) the linear certificate of the class n = l (mod N)."""
+def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, certify):
+    """The verdict of one form by the module's rule, with the certificates when it holds.
+    earlier maps the keys of the forms before it to their verdicts; witness(l, u) gives the
+    zero digits of a witness and certify(l) the linear certificate of the class n = l (mod N)."""
+    targets = form.targets
     targets_p = set(_qt_residues_mod(ctx.p, targets))
     w = next((i for i in infos if i.deriv_ok and i.u not in targets_p), None)
     if w is not None:
         return Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=witness(w.ell, w.u)), ()
     targets_n = _qt_residues_mod(ctx.n_period, targets)
     if None not in targets_n and len(set(targets_n)) < len(targets):
-        detail = f"two {name} targets are congruent mod N; congruences mod p cannot separate them"
+        detail = f"two {form.set_name} targets are congruent mod N; congruences mod p cannot separate them"
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_QT_COLLISION, detail=detail), ()
     if not all(i.deriv_ok for i in infos):
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_DERIVATIVE), ()
     if not all(i.target in targets for i in infos):
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_U_IN_TARGETS), ()
-    if out_of_scope:
-        return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=out_of_scope), ()
+    if form.needs_split and (ctx.d != 1 or ctx.n_period % 3 == 0):
+        detail = "holds-criteria need all roots rational (d = 1) and 3 coprime to N"
+        held = [f.label for f in FORMS if f.key in earlier and earlier[f.key].status == STATUS_HOLDS]
+        if held:  # a narrower form that holds implies every wider one
+            detail += f"; the {held[0]} form holds, which implies the {form.label} form"
+        return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
     certs = []
     for info in infos:
         cert = certify(info.ell)
         if cert is None or Fraction(cert.a) != Fraction(info.target):
-            detail = f"zero classes sit over {name} but a linear certificate failed"
+            detail = f"zero classes sit over {form.set_name} but a linear certificate failed"
             return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
         certs.append(cert)
     return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(certs)
@@ -383,28 +403,22 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
         return p3_pipeline(prec)
     ctx = prime_context(p, prec)
     n_period = ctx.n_period
-    qt_p = set(_qt_residues_mod(p))
+    widest_p = set(_qt_residues_mod(p, FORMS[-1].targets))  # its witness is every form's witness
     infos = []
     complete = True
     for info in _zero_table(p, n_period):
         infos.append(info)
-        if not full_table and info.deriv_ok and info.u not in qt_p:
+        if not full_table and info.deriv_ok and info.u not in widest_p:
             complete = False
             break
     witness = functools.cache(lambda ell, u: _witness_zero(ctx, ell, u))  # both forms may share a witness
     certify = functools.cache(lambda ell: derive_linear_formula(ctx, ell, 1))  # and their certificates
-    verdict_ml, certs = _form_verdict(ctx, infos, ZT, "Z_T", None, witness, certify)
-    scope = None
-    if ctx.d != 1 or n_period % 3 == 0:
-        scope = "holds-criteria need all roots rational (d = 1) and 3 coprime to N" + (
-            "; the integer form holds, which implies the rational form" if verdict_ml.status == STATUS_HOLDS else ""
-        )
-    verdict_rat, rat_certs = _form_verdict(ctx, infos, QT, "Q_T", scope, witness, certify)
-    certs = certs or rat_certs  # l = 0 is always a zero class, so a form holds iff it has certificates
+    verdicts, certs = {}, ()
+    for form in FORMS:
+        verdicts[form.key], form_certs = _form_verdict(ctx, infos, form, verdicts, witness, certify)
+        certs = certs or form_certs  # l = 0 is always a zero class, so a form holds iff it has certificates
     formula = assemble_spec(p, n_period, [(n_period, (c.residue,), c.a, c.kappa) for c in certs]) if certs else None
-    return ClassificationRecord(
-        p, prec, ctx.d, n_period, verdict_ml, verdict_rat, tuple(infos), formula, certs, complete
-    )
+    return ClassificationRecord(p, prec, ctx.d, n_period, verdicts, tuple(infos), formula, certs, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +464,8 @@ def p3_pipeline(prec: int = 24) -> ClassificationRecord:
         "which implies the rational form",
     )
     return ClassificationRecord(
-        p, prec, ctx.d, ctx.n_period, Verdict(STATUS_HOLDS, q=q), verdict_rat, tuple(infos),
-        assemble_spec(p, q, entries), tuple(certs),
+        p, prec, ctx.d, ctx.n_period, {"ml": Verdict(STATUS_HOLDS, q=q), "rational": verdict_rat},
+        tuple(infos), assemble_spec(p, q, entries), tuple(certs),
     )
 
 
@@ -486,8 +500,10 @@ def assemble_spec(p: int, q: int, entries, default_kappa: int = 0) -> FormulaSpe
     return FormulaSpec(p, q, tuple(cases), default_kappa)
 
 
-def _builtin_p2() -> FormulaSpec:
-    entries = [
+# the closed-form specs shipped with the package: p -> (Q, assemble_spec entries) for p = 2 and 3,
+# whose classes split, and p -> (Q, its targets, one linear class each) for the holds primes
+_BUILTIN_REFINED = {
+    2: (32, [
         (4, (1, 2), None, 0),
         (16, (3, 11), None, 1),
         (16, (4, 8), None, 2),
@@ -496,12 +512,8 @@ def _builtin_p2() -> FormulaSpec:
         (16, (12,), -4, -1),
         (32, (15,), -17, 1),
         (32, (31,), -1, 1),
-    ]
-    return assemble_spec(2, 32, entries)
-
-
-def _builtin_p3() -> FormulaSpec:
-    entries = [
+    ]),
+    3: (39, [
         (13, (1, 2, 3, 4, 5, 6, 8, 10, 11), None, 0),
         (13, (7,), None, 1),
         (13, (0,), 0, 2),
@@ -509,34 +521,23 @@ def _builtin_p3() -> FormulaSpec:
         (39, (9,), None, 4),
         (39, (22,), -17, 4),
         (39, (35,), -4, 4),
-    ]
-    return assemble_spec(3, 39, entries)
+    ]),
+}
+_BUILTIN_HOLDS = {83: (287, ZT), 397: (132, ZT), 269: (268, QT), 401: (400, QT), 419: (418, QT),
+                  499: (166, QT), 587: (293, QT)}
 
-
-def _builtin_holds(p: int, q: int, targets) -> FormulaSpec:
-    return assemble_spec(p, q, [(q, (r,), t, 1) for t, r in zip(targets, _qt_residues_mod(q, targets))])
-
-
-_BUILTIN_QS = {83: 287, 397: 132, 269: 268, 401: 400, 419: 418, 499: 166, 587: 293}
+BUILTIN_SPEC_NAMES = tuple(f"p{p}" for p in (*_BUILTIN_REFINED, *_BUILTIN_HOLDS))
 
 
 def builtin_spec(name: str) -> FormulaSpec:
-    """The closed-form specs shipped with the package: p2, p3, p83, p397, p269,
-    p401, p419, p499, p587."""
-    if name == "p2":
-        return _builtin_p2()
-    if name == "p3":
-        return _builtin_p3()
-    if name.startswith("p") and name[1:].isdigit():
-        p = int(name[1:])
-        if p in (83, 397):
-            return _builtin_holds(p, _BUILTIN_QS[p], ZT)
-        if p in (269, 401, 419, 499, 587):
-            return _builtin_holds(p, _BUILTIN_QS[p], QT)
-    raise KeyError(f"no built-in spec named {name!r}")
-
-
-BUILTIN_SPEC_NAMES = ("p2", "p3", "p83", "p397", "p269", "p401", "p419", "p499", "p587")
+    """The closed-form spec shipped with the package under name, one of BUILTIN_SPEC_NAMES."""
+    if name not in BUILTIN_SPEC_NAMES:
+        raise KeyError(f"no built-in spec named {name!r}")
+    p = int(name[1:])
+    if p in _BUILTIN_REFINED:
+        return assemble_spec(p, *_BUILTIN_REFINED[p])
+    q, targets = _BUILTIN_HOLDS[p]
+    return assemble_spec(p, q, [(q, (r,), t, 1) for t, r in zip(targets, _qt_residues_mod(q, targets))])
 
 
 @dataclass(frozen=True)
@@ -629,7 +630,7 @@ def reproduce_table(p_max: int, prec: int = 24, jobs: int = 1) -> list[TableRow]
     fails, the smallest witness pair (l, u); holds/undecided/excluded otherwise."""
     records = _classify_range(p_max, prec, jobs, p_min=5)
     return [
-        TableRow(r.p, r.n_period, r.verdict_ml.ell, r.verdict_ml.u, r.verdict_ml.status)
+        TableRow(r.p, r.n_period, r.verdicts["ml"].ell, r.verdicts["ml"].u, r.verdicts["ml"].status)
         for r in records
     ]
 
@@ -698,8 +699,7 @@ def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int |
 class ScanSummary:
     p_max: int
     total_primes: int
-    ml: dict = field(default_factory=dict)
-    rat: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)  # form key -> status -> primes
     cube_root_family: tuple[int, ...] = ()
     cube_root_family_fraction: float = 0.0
 
@@ -708,19 +708,18 @@ def scan_range(p_max: int, prec: int = 24, jobs: int = 1) -> ScanSummary:
     """Verdict sets for every prime <= p_max, plus the fully-split p = 2 (mod 3)
     family whose density the heuristics compare with 1/12."""
     records = _classify_range(p_max, prec, jobs)
-    ml: dict[str, list[int]] = {s: [] for s in (STATUS_HOLDS, STATUS_FAILS, STATUS_UNDECIDED, STATUS_EXCLUDED)}
-    rat: dict[str, list[int]] = {s: [] for s in ml}
+    statuses = (STATUS_HOLDS, STATUS_FAILS, STATUS_UNDECIDED, STATUS_EXCLUDED)
+    verdicts = {form.key: {s: [] for s in statuses} for form in FORMS}
     family = []
     for rec in records:
-        ml[rec.verdict_ml.status].append(rec.p)
-        rat[rec.verdict_rat.status].append(rec.p)
+        for key, v in rec.verdicts.items():
+            verdicts[key][v.status].append(rec.p)
         if rec.p % 3 == 2 and rec.d == 1:
             family.append(rec.p)
     return ScanSummary(
         p_max,
         len(records),
-        {k: tuple(v) for k, v in ml.items()},
-        {k: tuple(v) for k, v in rat.items()},
+        {key: {s: tuple(ps) for s, ps in by_status.items()} for key, by_status in verdicts.items()},
         tuple(family),
         len(family) / len(records) if records else 0.0,
     )

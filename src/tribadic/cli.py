@@ -2,8 +2,10 @@
 
 Machine-readable output: every command can emit a JSON record with the fields
 {command, params, status, payload, precision_used, elapsed_ms}, precision_used
-being the precision that produced the payload (`zero` may double it twice); `table` also
-speaks CSV with columns p,N,ell,u.  Exit codes are a function of the status
+being the precision that produced the payload (`zero` may double it twice).
+With --format csv, `table` writes the columns p,N,ell,u, `verify` n,predicted,actual
+and `classify` p,N,ml_status,ml_ell,ml_u,ml_Q,rat_status,rat_Q; `zero` and `scan`
+print their payload as one JSON line.  Exit codes are a function of the status
 alone: 0 pass/decided, 1 fail (a counterexample or table disagreement),
 2 undecided, 3 excluded, 64 usage error (any bad input), 70 internal error.
 An internal error keeps its traceback on stderr; with --format json it also
@@ -31,6 +33,7 @@ from .padic import DEFAULT_PRECISION
 from .tribonacci import trib_mod
 from .classifier import (
     BUILTIN_SPEC_NAMES,
+    FORMS,
     P_MAX,
     ClassificationRecord,
     FormulaCase,
@@ -162,7 +165,7 @@ def spec_to_dict(spec: FormulaSpec) -> dict:
 
 
 def _parse_target(a):
-    if a is None or isinstance(a, int):
+    if a is None or type(a) is int:  # a JSON true or false is no target
         return a
     if isinstance(a, str):
         if "/" in a:
@@ -185,8 +188,7 @@ def _record_dict(rec: ClassificationRecord) -> dict:
         "p": rec.p,
         "d": rec.d,
         "N": rec.n_period,
-        "ml": _verdict_dict(rec.verdict_ml),
-        "rational": _verdict_dict(rec.verdict_rat),
+        **{key: _verdict_dict(v) for key, v in rec.verdicts.items()},
         "zero_table": [
             _jsonable({"ell": i.ell, "deriv_ok": i.deriv_ok, "u": i.u, "class": i.target})
             for i in rec.zero_table
@@ -224,12 +226,10 @@ def _print_csv(command, payload):
         for row in payload["rows"]:
             w.writerow([row["p"], row["N"], row["ell"], row["u"]])
     elif command == "classify":
-        w.writerow(["p", "N", "ml_status", "ml_ell", "ml_u", "ml_Q", "rat_status", "rat_Q"])
-        r = payload
-        w.writerow(
-            [r["p"], r["N"], r["ml"]["status"], r["ml"]["ell"], r["ml"]["u"], r["ml"]["Q"],
-             r["rational"]["status"], r["rational"]["Q"]]
-        )
+        w.writerow(["p", "N", "ml_status", "ml_ell", "ml_u", "ml_Q", "rat_status", "rat_Q"])  # a fixed format
+        first, second = (payload[form.key] for form in FORMS[:2])
+        w.writerow([payload["p"], payload["N"], *(first[k] for k in ("status", "ell", "u", "Q")),
+                    second["status"], second["Q"]])
     elif command == "verify":
         w.writerow(["n", "predicted", "actual"])
         for m in payload["mismatches"]:
@@ -252,9 +252,10 @@ def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
     rec = classify_prime(args.prime, args.precision)
     payload = _record_dict(rec)
-    if rec.verdict_ml.status == STATUS_EXCLUDED:
+    statuses = {v.status for v in rec.verdicts.values()}
+    if STATUS_EXCLUDED in statuses:
         status = "excluded"
-    elif rec.verdict_ml.status == STATUS_UNDECIDED and rec.verdict_rat.status == STATUS_UNDECIDED:
+    elif statuses == {STATUS_UNDECIDED}:
         status = "undecided"
     else:
         status = "pass"  # at least one conjecture form was decided
@@ -344,8 +345,7 @@ def _cmd_scan(args) -> int:
         {
             "p_max": summary.p_max,
             "total_primes": summary.total_primes,
-            "ml": summary.ml,
-            "rational": summary.rat,
+            **summary.verdicts,
             "cube_root_family": summary.cube_root_family,
             "cube_root_family_fraction": summary.cube_root_family_fraction,
             "cube_root_family_expected_density": 1 / 12,

@@ -75,10 +75,10 @@ def test_criterion_2_holds_verdicts():
     t0 = time.time()
     for p, q in ((83, 287), (397, 132)):
         rec = classify_prime(p)
-        assert rec.verdict_ml.status == STATUS_HOLDS and rec.verdict_ml.q == q, f"p = {p}"
+        assert rec.verdicts["ml"].status == STATUS_HOLDS and rec.verdicts["ml"].q == q, f"p = {p}"
     for p, q in ((269, 268), (401, 400), (419, 418), (499, 166), (587, 293)):
         rec = classify_prime(p)
-        assert rec.verdict_rat.status == STATUS_HOLDS and rec.verdict_rat.q == q, f"p = {p}"
+        assert rec.verdicts["rational"].status == STATUS_HOLDS and rec.verdicts["rational"].q == q, f"p = {p}"
     _ok("CRITERION 2 (holds verdicts with exact Q)", time.time() - t0)
 
 
@@ -86,10 +86,10 @@ def test_criterion_3_undecided_sets():
     t0 = time.time()
     summary = scan_range(600)
     in_range = lambda ps: {p for p in ps if 5 <= p <= 599 and p != 11}
-    assert in_range(summary.ml["undecided"]) == {103, 163}, "ML undecided set must be exact"
-    assert {47, 53, 103, 163} <= set(summary.rat["undecided"])
+    assert in_range(summary.verdicts["ml"]["undecided"]) == {103, 163}, "ML undecided set must be exact"
+    assert {47, 53, 103, 163} <= set(summary.verdicts["rational"]["undecided"])
     for p in (47, 53):
-        assert classify_prime(p).verdict_rat.diagnostic == DIAG_QT_COLLISION
+        assert classify_prime(p).verdicts["rational"].diagnostic == DIAG_QT_COLLISION
     _ok("CRITERION 3 (undecided sets; 47/53 collision diagnostic)", time.time() - t0)
 
 

@@ -76,39 +76,39 @@ def revalidate_witness(p, n_period, ell, u, rational):
 class TestClassifyPrime:
     def test_p5_fails_with_validated_witness(self):
         rec = classify_prime(5)
-        v = rec.verdict_ml
+        v = rec.verdicts["ml"]
         assert v.status == STATUS_FAILS and (v.ell, v.u) == (21, 2)
         assert revalidate_witness(5, rec.n_period, v.ell, v.u, rational=False)
 
     def test_holds_primes(self):
         for p, q in ((83, 287), (397, 132)):
             rec = classify_prime(p)
-            assert rec.verdict_ml.status == STATUS_HOLDS and rec.verdict_ml.q == q
+            assert rec.verdicts["ml"].status == STATUS_HOLDS and rec.verdicts["ml"].q == q
 
     def test_rational_holds_primes(self):
         for p, q in ((269, 268), (401, 400), (419, 418), (499, 166), (587, 293)):
             rec = classify_prime(p)
-            assert rec.verdict_ml.status == STATUS_FAILS
-            assert rec.verdict_rat.status == STATUS_HOLDS and rec.verdict_rat.q == q
+            assert rec.verdicts["ml"].status == STATUS_FAILS
+            assert rec.verdicts["rational"].status == STATUS_HOLDS and rec.verdicts["rational"].q == q
 
     def test_undecided_primes(self):
         rec103 = classify_prime(103)
         rec163 = classify_prime(163)
-        assert rec103.verdict_ml.status == STATUS_UNDECIDED
-        assert rec163.verdict_ml.status == STATUS_UNDECIDED
+        assert rec103.verdicts["ml"].status == STATUS_UNDECIDED
+        assert rec163.verdicts["ml"].status == STATUS_UNDECIDED
         # T(17) = 103^2 makes the derivative condition fail at some l for 103,
         # while 163 shows the pure "derivative holds, u always lands in Z_T" mode
-        assert rec103.verdict_ml.diagnostic == DIAG_DERIVATIVE
-        assert rec163.verdict_ml.diagnostic == DIAG_U_IN_TARGETS
+        assert rec103.verdicts["ml"].diagnostic == DIAG_DERIVATIVE
+        assert rec163.verdicts["ml"].diagnostic == DIAG_U_IN_TARGETS
         assert all(i.deriv_ok for i in rec163.zero_table)
         assert all(i.u in {t % 163 for t in ZT} for i in rec163.zero_table)
 
     def test_qt_collision_mode(self):
         for p in (47, 53):
             rec = classify_prime(p)
-            assert rec.verdict_ml.status == STATUS_FAILS
-            assert rec.verdict_rat.status == STATUS_UNDECIDED
-            assert rec.verdict_rat.diagnostic == DIAG_QT_COLLISION
+            assert rec.verdicts["ml"].status == STATUS_FAILS
+            assert rec.verdicts["rational"].status == STATUS_UNDECIDED
+            assert rec.verdicts["rational"].diagnostic == DIAG_QT_COLLISION
         # the collisions themselves: -17 = -5/3 mod 46 and -17 = 1/3 mod 52
         assert (-17 - Fraction(-5, 3)) % 46 == 0 or (3 * -17 + 5) % 46 == 0
         assert (3 * -17 - 1) % 52 == 0
@@ -116,19 +116,19 @@ class TestClassifyPrime:
     def test_excluded(self):
         for p in (2, 11):
             rec = classify_prime(p)
-            assert rec.verdict_ml.status == STATUS_EXCLUDED
-            assert rec.verdict_rat.status == STATUS_EXCLUDED
+            assert rec.verdicts["ml"].status == STATUS_EXCLUDED
+            assert rec.verdicts["rational"].status == STATUS_EXCLUDED
 
     def test_rational_witness_can_differ_from_ml_witness(self):
         # p = 5: u = 2 = 1/3 mod 5, so the ML witness cannot avoid the rational targets
         rec = classify_prime(5)
-        assert rec.verdict_rat.status == STATUS_UNDECIDED
+        assert rec.verdicts["rational"].status == STATUS_UNDECIDED
         one_third_mod_5 = pow(3, -1, 5)
-        assert rec.verdict_ml.u == one_third_mod_5
+        assert rec.verdicts["ml"].u == one_third_mod_5
         # ...and at p = 7 the same witness certifies both failures
         rec7 = classify_prime(7)
-        assert rec7.verdict_ml.status == rec7.verdict_rat.status == STATUS_FAILS
-        assert revalidate_witness(7, rec7.n_period, rec7.verdict_rat.ell, rec7.verdict_rat.u, True)
+        assert rec7.verdicts["ml"].status == rec7.verdicts["rational"].status == STATUS_FAILS
+        assert revalidate_witness(7, rec7.n_period, rec7.verdicts["rational"].ell, rec7.verdicts["rational"].u, True)
 
     def test_deterministic(self):
         assert classify_prime(59) == classify_prime(59)
@@ -137,14 +137,14 @@ class TestClassifyPrime:
         # at precision 2 a rational match mod p^(prec-2) is vacuous: classify_zero
         # refuses it and the linear certificate escalates instead of matching
         low, ref = classify_prime(269, 2), classify_prime(269, 24)
-        for v, w in ((low.verdict_ml, ref.verdict_ml), (low.verdict_rat, ref.verdict_rat)):
+        for v, w in ((low.verdicts["ml"], ref.verdicts["ml"]), (low.verdicts["rational"], ref.verdicts["rational"])):
             assert (v.status, v.q, v.ell, v.u, v.diagnostic) == (w.status, w.q, w.ell, w.u, w.diagnostic)
-        assert ref.verdict_rat.status == STATUS_HOLDS
+        assert ref.verdicts["rational"].status == STATUS_HOLDS
         assert (low.formula, low.certificates, low.zero_table) == (ref.formula, ref.certificates, ref.zero_table)
 
     def test_fails_witness_is_smallest(self):
         rec = classify_prime(59)
-        v = rec.verdict_ml
+        v = rec.verdicts["ml"]
         for ell in range(v.ell):
             if trib_mod(ell, 59) != 0:
                 continue
@@ -168,24 +168,25 @@ class TestVerdictRule:
     @pytest.mark.parametrize("p", [83, 397])  # d = 2, and 3 | N = 132
     def test_out_of_scope_rational_form_is_implied(self, p):
         rec = classify_prime(p)
-        assert rec.verdict_ml.status == STATUS_HOLDS
-        v = rec.verdict_rat
+        assert rec.verdicts["ml"].status == STATUS_HOLDS
+        v = rec.verdicts["rational"]
         assert (v.status, v.diagnostic, v.detail) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE, self.SCOPE + self.IMPLIED)
 
     def test_failed_certificate_integer_form(self, monkeypatch):
         monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", lambda *args: None)
         rec = classify_prime(83)
-        assert (rec.verdict_ml.status, rec.verdict_ml.diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
-        assert rec.verdict_ml.detail == "zero classes sit over Z_T but a linear certificate failed"
-        assert rec.verdict_rat.detail == self.SCOPE
+        assert (rec.verdicts["ml"].status, rec.verdicts["ml"].diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
+        assert rec.verdicts["ml"].detail == "zero classes sit over Z_T but a linear certificate failed"
+        assert rec.verdicts["rational"].detail == self.SCOPE
         assert (rec.formula, rec.certificates) == (None, ())
 
     def test_failed_certificate_rational_form(self, monkeypatch):
         monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", lambda *args: None)
         rec = classify_prime(269)
-        assert rec.verdict_ml.status == STATUS_FAILS
-        assert (rec.verdict_rat.status, rec.verdict_rat.diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
-        assert rec.verdict_rat.detail == "zero classes sit over Q_T but a linear certificate failed"
+        assert rec.verdicts["ml"].status == STATUS_FAILS
+        assert (rec.verdicts["rational"].status, rec.verdicts["rational"].diagnostic) == (
+            STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
+        assert rec.verdicts["rational"].detail == "zero classes sit over Q_T but a linear certificate failed"
         assert (rec.formula, rec.certificates) == (None, ())
 
     @pytest.mark.parametrize("p, calls", [(7, 1), (67, 2)])  # one shared witness l; two distinct ones
@@ -199,8 +200,8 @@ class TestVerdictRule:
 
         monkeypatch.setattr(tribadic.classifier, "_witness_zero", counted)
         rec = classify_prime(p)
-        assert rec.verdict_ml.status == rec.verdict_rat.status == STATUS_FAILS
-        assert seen == sorted({rec.verdict_ml.ell, rec.verdict_rat.ell}) and len(seen) == calls
+        assert rec.verdicts["ml"].status == rec.verdicts["rational"].status == STATUS_FAILS
+        assert seen == sorted({rec.verdicts["ml"].ell, rec.verdicts["rational"].ell}) and len(seen) == calls
 
     def test_one_certificate_per_class(self, monkeypatch):
         # p = 397: the integer form holds and the rational form is out of scope; p = 1021: both
@@ -248,18 +249,18 @@ class TestEarlyExit:
     def test_same_verdicts_as_full_table(self, p):
         full, partial = classify_prime(p), classify_prime(p, 24, full_table=False)
         assert full.zero_table_complete
-        for field in ("verdict_ml", "verdict_rat", "formula", "certificates"):
+        for field in ("verdicts", "formula", "certificates"):
             assert getattr(partial, field) == getattr(full, field), field
         assert partial.zero_table == full.zero_table[: len(partial.zero_table)]
         if partial.zero_table_complete:
             assert partial.zero_table == full.zero_table
         else:
-            assert partial.verdict_rat.status == STATUS_FAILS
+            assert partial.verdicts["rational"].status == STATUS_FAILS
 
     def test_partial_table_ends_at_rational_witness(self):
         full, partial = classify_prime(179), classify_prime(179, full_table=False)
         assert partial.n_period == 32221
-        assert partial.verdict_ml.ell == partial.verdict_rat.ell == 100
+        assert partial.verdicts["ml"].ell == partial.verdicts["rational"].ell == 100
         assert partial.zero_table[-1].ell == 100
         assert len(partial.zero_table) < len(full.zero_table)
         assert not partial.zero_table_complete
@@ -298,7 +299,7 @@ class TestP3Pipeline:
     @pytest.mark.parametrize("prec", [3, 5, 24, 96])
     def test_formula_matches_builtin(self, prec):
         rec = p3_pipeline(prec)
-        assert rec.verdict_ml.status == STATUS_HOLDS and rec.verdict_ml.q == 39
+        assert rec.verdicts["ml"].status == STATUS_HOLDS and rec.verdicts["ml"].q == 39
         assert rec.formula.rule_table() == builtin_spec("p3").rule_table()
 
     def test_class_rules_by_strassman_degree(self):
@@ -492,8 +493,9 @@ class TestFormulaSpec:
         assert spec.predict(287 - 17) == val_int(287, 83) + 1 == 1
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            builtin_spec("p600")
+        for name in ("p600", "p083"):  # names are looked up exactly
+            with pytest.raises(KeyError):
+                builtin_spec(name)
 
     @staticmethod
     def rule_oracle(spec, n):
@@ -666,8 +668,8 @@ class TestTableAndScan:
 
     def test_scan_small(self):
         s = scan_range(100)
-        assert s.ml["holds"] == (3, 83)
-        assert s.ml["excluded"] == (2, 11)
+        assert s.verdicts["ml"]["holds"] == (3, 83)
+        assert s.verdicts["ml"]["excluded"] == (2, 11)
         assert set(s.cube_root_family) == {47, 53}
 
     def test_scan_parallel_matches_serial(self):
@@ -703,8 +705,8 @@ class TestTableAndScan:
     def test_scan_prefix_consistency(self):
         small, big = scan_range(60), scan_range(100)
         for key in ("holds", "fails", "undecided", "excluded"):
-            assert set(small.ml[key]) <= set(big.ml[key])
-            assert set(small.rat[key]) <= set(big.rat[key])
+            assert set(small.verdicts["ml"][key]) <= set(big.verdicts["ml"][key])
+            assert set(small.verdicts["rational"][key]) <= set(big.verdicts["rational"][key])
 
 
 class TestHoldsRecordFormulas:
@@ -731,7 +733,7 @@ class TestUConsistency:
         from tribadic import locate_zero
 
         rec = classify_prime(p)
-        v = rec.verdict_ml
+        v = rec.verdicts["ml"]
         ctx = prime_context(p, 24)
         record = locate_zero(ctx, v.ell)
         a = v.ell + rec.n_period * record.b

@@ -176,6 +176,23 @@ class TestSchema:
         assert rec["payload"]["zero_table_complete"] is True
         assert len(rec["payload"]["zero_table"]) == len(classifier.classify_prime(179).zero_table)
 
+    def test_classify_and_scan_shape(self, capsys):
+        # the payload keys in order, one key per conjecture form, and the fixed classify CSV rows
+        for p, formula in ((2, False), (47, False), (83, True)):
+            _, rec = run_json(capsys, "classify", "--prime", str(p))
+            assert list(rec["payload"]) == ["p", "d", "N", "ml", "rational", "zero_table",
+                                            "zero_table_complete"] + ["formula"] * formula
+        _, rec = run_json(capsys, "scan", "--max", "60")
+        assert list(rec["payload"]) == ["p_max", "total_primes", "ml", "rational", "cube_root_family",
+                                        "cube_root_family_fraction", "cube_root_family_expected_density"]
+        for form in ("ml", "rational"):
+            assert list(rec["payload"][form]) == ["holds", "fails", "undecided", "excluded"]
+        rows = ["2,,excluded,,,,excluded,", "3,13,holds,,,39,undecided,", "47,46,fails,31,16,,undecided,",
+                "83,287,holds,,,287,undecided,", "269,268,fails,177,88,,holds,268", "397,132,holds,,,132,undecided,"]
+        for row in rows:
+            _, out = run(capsys, "classify", "--prime", row.split(",")[0], "--format", "csv")
+            assert out.splitlines() == ["p,N,ml_status,ml_ell,ml_u,ml_Q,rat_status,rat_Q", row]
+
     def test_payload_round_trips(self, capsys):
         _, rec = run_json(capsys, "scan", "--max", "60")
         assert json.loads(json.dumps(rec["payload"])) == rec["payload"]
@@ -263,10 +280,12 @@ class TestVerify:
             {"p": 3.0},  # exited 70 ...
             {"Q": 39.5},  # ... 1, a false "mismatch found" ...
             {"case": 0, "residues": [0.5]},  # ... or 0 on the kappa = 0 case, a false pass
+            {"case": 7, "a": True},  # a JSON boolean loaded as a = 1, linear on residue 22 mod 39 ...
+            {"a": False},  # ... or as a = 0
         ],
         ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator",
              "p-not-prime", "p-one", "q-zero", "default-kappa-string", "default-kappa-null", "kappa-string",
-             "mu-string", "p-float", "q-float", "residue-float"],
+             "mu-string", "p-float", "q-float", "residue-float", "target-true", "target-false"],
     )
     def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
         data = spec_to_dict(builtin_spec("p3"))
@@ -366,7 +385,7 @@ class TestZeroSinglePass:
     def test_p3_refinement_builds_one_series_per_class(self, monkeypatch):
         # classes 0, 7, 9, 12 mod 13, and 9, 22, 35 mod 39 after the mu = 2 split of 9
         calls = self.count_calls(monkeypatch)
-        assert classifier.classify_prime(3).verdict_ml.q == 39
+        assert classifier.classify_prime(3).verdicts["ml"].q == 39
         assert calls == {"series_coeffs": [0, 7, 9, 9, 22, 35, 12], "hensel_zero": 0}
 
     def test_failing_certificate_makes_three_attempts(self, capsys, monkeypatch):
