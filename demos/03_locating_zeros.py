@@ -8,7 +8,7 @@ rational point 1/3 -- one of the two twisted rational zeros of the sequence.
 """
 
 from tribadic import (
-    classify_zero,
+    derive_linear_formula,
     eval_f,
     hensel_zero,
     prime_context,
@@ -36,8 +36,8 @@ print(f"zero b, first 10 digits base 5: {record.b.digits()[:10]}")
 
 a = 21 + 31 * record.b
 print(f"\nl + N*b mod 5 = {a.residue % 5}  (the published table lists u = 2 for p = 5)")
-target = classify_zero(ctx, record)
-print(f"classification of l + N*b: {target.kind} {target.value}")
+cert = derive_linear_formula(ctx, 21)  # read from the series alone: g vanishes at (a - 21)/31
+print(f"linear certificate of the class: a = {cert.a}, kappa = {cert.kappa}, Q = {cert.q}")
 print(f"indeed 3*(l + N*b) - 1 vanishes mod 5^22: {(3 * a - 1).known_val >= 22}")
 print("\nso the only 5-adic zero of this class is the twisted rational zero 1/3:")
 print("nu_5(T(n)) = 1 + nu_5(n - 1/3) on the whole class n = 21 (mod 31).")

@@ -30,8 +30,6 @@ from .interpolation import (
     CubeRootReport,
     SeriesTrunc,
     ZeroRecord,
-    ZeroTarget,
-    classify_zero,
     cube_root_certificate,
     eval_f,
     hensel_zero,

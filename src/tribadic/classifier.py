@@ -28,7 +28,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
@@ -40,12 +40,11 @@ from .interpolation import (
     ConditionNotMet,
     SeriesTrunc,
     ZeroRecord,
-    classify_zero,
     hensel_zero,
     series_coeffs,
     strassman_mu,
 )
-from .padic import VAL_INF, PAdicInt, PrecisionError, _vp, val_int
+from .padic import VAL_INF, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
@@ -262,45 +261,38 @@ def _zero_table(p: int, n_period: int):
 # linear-formula certificates
 
 
-def _locate(series: SeriesTrunc) -> ZeroRecord:
-    """hensel_zero and classify_zero on one series; b = None where the derivative condition fails."""
-    try:
-        record = hensel_zero(series)
-    except ConditionNotMet:
-        return ZeroRecord(series.ell, series.s, None, strassman_mu(series) == 1, (), series)
-    return replace(record, target=classify_zero(series.ctx, record))
-
-
 def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
-    """_locate on the series of the class n = l (mod sN): the one pass every zero class goes through."""
-    return _locate(series_coeffs(ctx, ell, s))
+    """The Hensel zero on the series of the class n = l (mod sN), or b = None where the
+    derivative condition fails: the zero whose digits a witness and the zero command print."""
+    series = series_coeffs(ctx, ell, s)
+    try:
+        return hensel_zero(series)
+    except ConditionNotMet:
+        return ZeroRecord(ell, s, None, strassman_mu(series) == 1, (), series)
 
 
-def _certify(series: SeriesTrunc, record: ZeroRecord | None = None):
-    """The linear certificate of the class n = l (mod sN) that series was built on, or None;
-    record is _locate(series) if known.  The zero is b = (a - l)/sN, exact from a: a = t where
-    l = t (mod sN) for t in Z_T (no Hensel step), else the located zero's target, a candidate
-    until g(b) = 0 (mod p^prec).  g'(b) dominates g recentred at b iff mu = 1 (shifts in Z_p keep mu)."""
-    ctx, ell, s = series.ctx, series.ell, series.s
-    p, prec, q = ctx.p, ctx.prec, s * ctx.n_period
-    a = next((t for t in ZT if (ell - t) % q == 0), None)
-    if a is None:
-        target = (record or _locate(series)).target
-        if target is None or target.kind == "other":
-            return None
-        a = target.value
-    num, den = Fraction(a).as_integer_ratio()
-    diff, pv = num - ell * den, p ** _vp(q, p)
-    b = PAdicInt(p, prec, diff // pv * pow(den * q // pv, -1, p**prec))
-    if diff % pv or not series.eval(b).is_zero():  # b not in Z_p, or not a zero mod p^prec
-        raise PrecisionError(f"g does not vanish mod p^prec at (a - l)/sN, a = {a}, l = {ell}")
-    v1 = series.eval_deriv(b).known_val
-    if v1 >= prec:
-        raise PrecisionError("gamma_1 vanishes mod p^prec; double the precision")
+def _certify(series: SeriesTrunc):
+    """The linear certificate of the class n = l (mod sN) that series was built on, or None.
+    mu = 1 gives g one zero on Z_p and |g'| = |beta_1| on all of Z_p, so g(z) = 0 (mod p^prec)
+    at z = (a - l)/sN for a the first t in Q_T with that z in Z_p, if any; z is only tried where
+    its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1)."""
     if strassman_mu(series) != 1:
-        return None  # no certified dominance, hence no linear formula at this precision
-    kappa = series.e + v1 - _vp(q, p)
-    return LinearCertificate(p, s, q, ell % q, a, kappa, 1, v1, series.e)
+        return None
+    ctx, ell, s = series.ctx, series.ell, series.s
+    p, q, pk = ctx.p, s * ctx.n_period, ctx.p**ctx.prec
+    c0, c1 = series.coeffs[0].residue, series.coeffs[1].residue
+    v1 = _vp(c1, p)  # below prec: beta_1 attains the least valuation, which mu = 1 read off
+    digit = -(c0 // p**v1) * pow(c1 // p**v1, -1, p) % p
+    pv = p ** _vp(q, p)
+    for t in QT:
+        num, den = Fraction(t).as_integer_ratio()
+        diff = num - ell * den
+        if den % p == 0 or diff % pv:  # t is not p-integral, or (t - l)/sN is not in Z_p
+            continue
+        z = diff // pv * pow(den * q // pv, -1, pk) % pk
+        if z % p == digit and series.eval(z).is_zero():
+            return LinearCertificate(p, s, q, ell % q, t, series.e + v1 - _vp(q, p), 1, v1, series.e)
+    return None
 
 
 def _escalate(ctx: PrimeContext, attempt):
@@ -324,7 +316,7 @@ def locate_and_certify(ctx: PrimeContext, ell: int, s: int = 1):
 
     def once(c):
         record = locate_zero(c, ell, s)
-        return record, _certify(record.series, record)
+        return record, _certify(record.series)
 
     return _escalate(ctx, once)
 
@@ -345,7 +337,7 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     nu_p(T(l + N*m)) = e + nu_p(m - b), which is only known to be >= e + prec
     where m = b (mod p^prec)."""
     p, n_period = ctx.p, ctx.n_period
-    record = _escalate(ctx, lambda c: locate_zero(c, ell))  # the pass classifies only from precision 3
+    record = _escalate(ctx, lambda c: locate_zero(c, ell))
     b = record.b
     if b is None or (ell + n_period * b).residue % p != u:
         raise PrecisionError(f"witness zero at l = {ell} does not reproduce u = {u}")
@@ -432,8 +424,7 @@ def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
 
     def once(c):  # mu and the certificate, read from one series at one precision
         series = series_coeffs(c, ell, s)
-        mu = strassman_mu(series)
-        return series, mu, _certify(series) if mu == 1 else None
+        return series, strassman_mu(series), _certify(series)
 
     series, mu, cert = _escalate(ctx, once)
     q = s * ctx.n_period

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from ._factor import is_prime
 from .galois import EXCLUDED_PRIMES, prime_context
-from .interpolation import MIN_PRECISION, strassman_mu
+from .interpolation import strassman_mu
 from .padic import DEFAULT_PRECISION
 from .tribonacci import trib_mod
 from .classifier import (
@@ -55,6 +55,10 @@ EXIT_UNDECIDED = 2
 EXIT_EXCLUDED = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# the floor of --precision K: a certificate's g(z) = 0 (mod p^K) checks at most K digits of its
+# zero, the first of which the mod-p^2 period scan already fixes; K >= 3 checks two more
+MIN_PRECISION = 3
 
 _EXIT_BY_STATUS = {
     "pass": EXIT_PASS,
@@ -318,14 +322,14 @@ def _cmd_zero(args) -> int:
         record, cert = locate_and_certify(ctx, ell, s)
         ctx = record.series.ctx
         payload.update(e=record.series.e, mu=strassman_mu(record.series), deriv_ok=record.b is not None)
-        if record.b is not None:
-            kind, value = record.target.kind, record.target.value
+        if record.b is not None:  # mu = 1 here, so the certificate exists iff the zero sits over Q_T
+            kind = "other" if cert is None else "rational" if isinstance(cert.a, Fraction) else "integer"
             payload["zero"] = {
                 "digits": record.b.digits(),
                 "residue": record.b.residue,
                 "unique": record.unique,
                 "newton_residual_valuations": list(record.residual_vals),
-                "classification": _jsonable({"kind": kind, "value": value if kind != "other" else None}),
+                "classification": _jsonable({"kind": kind, "value": None if cert is None else cert.a}),
             }
         if cert is not None:
             payload["linear_certificate"] = _jsonable(

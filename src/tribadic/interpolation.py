@@ -6,9 +6,7 @@ Binet sum of g over the roots of P.  For l with p | T(l), the function
 f_l(z) = phi(x^l exp(z log x^(sN))) interpolates m -> T(l + m*sN).  This module
 extracts the power-series coefficients beta_k of g = f_l / p^e in R with a
 certified tail bound (every x^n read from tribonacci._xpow, so no power of x is
-ever inverted), locates and certifies zeros (Hensel iteration plus
-Strassman's bound), and identifies a zero b with an element of Z_T or with 1/3
-or -5/3 via a = l + sN*b.
+ever inverted) and locates zeros (Hensel iteration plus Strassman's bound).
 """
 
 from __future__ import annotations
@@ -31,13 +29,9 @@ from .padic import (
     val_int,
     vp_factorial,
 )
-from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
+from .tribonacci import _xpow, trib_mod, trib_val
 
 ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
-
-# classify_zero matches rational targets mod p^(prec - 2), vacuous below this; a match is only a
-# candidate, which a linear certificate confirms at the exact zero (a - l)/sN, mod p^prec
-MIN_PRECISION = 3
 
 
 class ConditionNotMet(ValueError):
@@ -93,14 +87,6 @@ class SeriesTrunc:
 
 
 @dataclass(frozen=True)
-class ZeroTarget:
-    """Classification of l + sN*b: an integer zero, one of 1/3, -5/3, or unrecognized."""
-
-    kind: str  # "integer" | "rational" | "other"
-    value: object  # int | Fraction | PAdicInt (the residue of b when "other")
-
-
-@dataclass(frozen=True)
 class ZeroRecord:
     """A certified zero b of g, with the Strassman uniqueness flag (mu = 1).
 
@@ -108,7 +94,8 @@ class ZeroRecord:
     recentred at b, since translating within Z_p keeps the Weierstrass degree.
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test
     suite uses to observe quadratic convergence.  series is the SeriesTrunc b was found on;
-    classifier._locate sets target (the class of l + sN*b), or b = None where g'(0) = 0 mod p.
+    classifier.locate_zero records b = None where g'(0) = 0 mod p.  Which target a = l + sN*b
+    is, if any, the class's linear certificate says, read from series alone.
     """
 
     ell: int
@@ -117,7 +104,6 @@ class ZeroRecord:
     unique: bool
     residual_vals: tuple[int, ...]
     series: SeriesTrunc
-    target: ZeroTarget | None = None
 
 
 def _default_cut(p: int, log_val: int, prec: int) -> int:
@@ -193,12 +179,13 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
 
 
 def eval_f(ctx: PrimeContext, ell: int, z) -> PAdicInt:
-    """f_l(z) = phi(x^l exp(z log x^N)) in Z_p[x]/(P); agrees with T(l + mN) at z = m."""
+    """f_l(z) = phi(x^l exp(z log x^N)) in Z_p[x]/(P); agrees with T(l + mN) at z = m.
+    Known mod p^k, k = min(prec, z.prec); an int z is read at prec."""
     p, prec = ctx.p, ctx.prec
     if isinstance(z, PAdicInt):
         if z.p != p:
             raise ValueError("mismatched primes")
-        z = z.residue
+        prec, z = min(prec, z.prec), z.residue
     ring = ExtRing(p, prec, _P)
     x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
     return PAdicInt(p, prec, _phi(x_ell * (x_n.log() * z).exp()))
@@ -248,29 +235,6 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
     unique = strassman_mu(series) == 1
     return ZeroRecord(series.ell, series.s, b, unique, tuple(residuals), series)
-
-
-def classify_zero(ctx: PrimeContext, record: ZeroRecord) -> ZeroTarget:
-    """Identify a = l + sN*b with an element of Z_T, with 1/3 or -5/3, or neither.
-
-    Integer targets are matched mod p^prec; rational targets mod p^(prec-2), the two
-    guard digits absorbing evaluation error, so prec must be at least MIN_PRECISION.
-    A match is only a candidate: classifier._certify confirms it at the exact zero
-    (a - l)/sN, mod p^prec.  Rational targets are not p-integral for p = 3 and are
-    skipped there.
-    """
-    p, prec = ctx.p, ctx.prec
-    if prec < MIN_PRECISION:
-        raise PrecisionError(f"classify_zero needs precision >= {MIN_PRECISION}, got {prec}")
-    a = record.ell + record.s * ctx.n_period * record.b
-    for t in ZERO_SET:
-        if (a - t).known_val >= prec:
-            return ZeroTarget("integer", t)
-    if p >= 5:
-        for r in ZERO_TARGETS_RAT:
-            if (a * r.denominator - r.numerator).known_val >= prec - 2:
-                return ZeroTarget("rational", r)
-    return ZeroTarget("other", record.b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from tribadic.classifier import (
     STATUS_HOLDS,
     STATUS_UNDECIDED,
     BUILTIN_SPEC_NAMES,
+    QT,
     ZT,
     Mismatch,
     TableRow,
@@ -50,8 +50,8 @@ from tribadic.classifier import (
     locate_zero,
 )
 from tribadic.galois import EXCLUDED_PRIMES
-from tribadic.interpolation import ZeroTarget, series_coeffs, strassman_mu
-from tribadic.padic import VAL_INF, PAdicInt, PrecisionError, val_int
+from tribadic.interpolation import series_coeffs, strassman_mu
+from tribadic.padic import VAL_INF, PAdicInt, val_int
 from tribadic.tribonacci import ZERO_SET, trib, trib_val
 
 
@@ -134,8 +134,8 @@ class TestClassifyPrime:
         assert classify_prime(59) == classify_prime(59)
 
     def test_precision_floor_keeps_rational_match_honest(self):
-        # at precision 2 a rational match mod p^(prec-2) is vacuous: classify_zero
-        # refuses it and the linear certificate escalates instead of matching
+        # at precision 2 a certificate checks g = 0 at (a - l)/N on two digits, one past what the
+        # mod-p^2 scan fixes; the verdicts, certificates and table are still those at precision 24
         low, ref = classify_prime(269, 2), classify_prime(269, 24)
         for v, w in ((low.verdicts["ml"], ref.verdicts["ml"]), (low.verdicts["rational"], ref.verdicts["rational"])):
             assert (v.status, v.q, v.ell, v.u, v.diagnostic) == (w.status, w.q, w.ell, w.u, w.diagnostic)
@@ -218,6 +218,22 @@ class TestVerdictRule:
             seen.clear()
             rec = classify_prime(p)
             assert seen == [i.ell for i in rec.zero_table] == [c.residue for c in rec.certificates]
+
+    @pytest.mark.parametrize("p", [269, 401])
+    def test_holds_certificates_run_no_newton_step(self, p, monkeypatch):
+        # the rational form holds, on certificates read from each class's series alone; the
+        # one Hensel zero is the integer-form witness's, whose digits the verdict prints
+        seen = []
+        hensel_zero = tribadic.classifier.hensel_zero
+
+        def counted(series):
+            seen.append(series.ell)
+            return hensel_zero(series)
+
+        monkeypatch.setattr(tribadic.classifier, "hensel_zero", counted)
+        rec = classify_prime(p)
+        assert (rec.verdicts["ml"].status, rec.verdicts["rational"].status) == (STATUS_FAILS, STATUS_HOLDS)
+        assert seen == [rec.verdicts["ml"].ell]
 
 
 def oracle_zero_scan(p, n_period):
@@ -356,31 +372,39 @@ class TestDeriveLinearFormula:
         # l sits over -1 (p = 5) or -4 (p = 3) mod N, but mu = 2: no linear formula at s = 1
         assert derive_linear_formula(prime_context(p, 24), ell, 1) is None
 
-    def test_zero_that_does_not_vanish_raises(self, ctx269):
-        # l = 179 sits over 1/3: g != 0 mod p^prec at (a - l)/N for any other target a is a
-        # precision fault, never a certificate
-        record = locate_zero(ctx269, 179)
-        assert _certify(record.series, record).a == Fraction(1, 3)
-        for target in (ZeroTarget("rational", Fraction(-5, 3)), ZeroTarget("integer", 0)):
-            with pytest.raises(PrecisionError):
-                _certify(record.series, replace(record, target=target))
+    def test_zero_over_no_target_has_no_certificate(self):
+        # l = 64 is p = 59's rational-form witness: its zero sits over no element of Q_T, and g at
+        # each (t - l)/N is a definite nonzero mod p^prec, not a precision fault
+        assert classify_prime(59).verdicts["rational"].ell == 64
+        for prec in (24, 48, 96):
+            record, cert = locate_and_certify(prime_context(59, prec), 64)
+            assert record.b is not None and cert is None
+
+    def test_only_the_target_the_zero_sits_over_vanishes(self, ctx269):
+        # l = 179 sits over 1/3; g is a unit multiple of z - b on Z_p, so it is nonzero mod
+        # p^prec at (t - l)/N for every other t in Q_T
+        series = series_coeffs(ctx269, 179)
+        assert _certify(series).a == Fraction(1, 3)
+        pk = 269**24
+        for t in map(Fraction, QT):
+            z = (t.numerator - 179 * t.denominator) * pow(268 * t.denominator, -1, pk)
+            assert series.eval(z).is_zero() == (t == Fraction(1, 3))
 
     def test_low_precision_certificates_match_precision_24(self):
-        # a target matched on too few digits escalates instead of certifying: (a, kappa, Q) at
-        # precision 3 is the one at 24 on every derivative-ok class (p = 23, l = 454 once was -5/3)
-        checked = 0
-        for p in primes_upto(99):
-            if p in EXCLUDED_PRIMES:
-                continue
-            low, ref = prime_context(p, 3), prime_context(p, 24)
-            for info in _zero_table(p, low.n_period):
-                if not info.deriv_ok:
-                    continue
-                certs = [locate_and_certify(ctx, info.ell)[1] for ctx in (low, ref)]
-                rules = [c and (c.a, c.kappa, c.q) for c in certs]
-                assert rules[0] == rules[1], f"p = {p}, l = {info.ell}"
-                checked += 1
-        assert checked > 500
+        # a target matched on too few digits is not a certificate: (a, kappa, Q) at precision 3 is
+        # the one at 24 on every zero class with p < 99, derivative-failing ones included (mu = 0
+        # and mu = 2 classes with two vanishing targets, such as 5/30, 7/15, 47/29 and 53/35), and
+        # on p = 3's classes at s = 3 (p = 23, l = 454 once was -5/3)
+        classes = [(p, info.ell, 1) for p in primes_upto(99) if p not in EXCLUDED_PRIMES
+                   for info in _zero_table(p, prime_context(p, 3).n_period)]
+        classes += [(3, ell, 3) for ell in (9, 22, 35)]
+        certified = 0
+        for p, ell, s in classes:
+            certs = [locate_and_certify(prime_context(p, prec), ell, s)[1] for prec in (3, 24)]
+            rules = [c and (c.a, c.kappa, c.q) for c in certs]
+            assert rules[0] == rules[1], f"p = {p}, l = {ell}, s = {s}"
+            certified += rules[1] is not None
+        assert len(classes) > 600 and certified > 140
 
     def test_rational_class(self, ctx269):
         ell = pow(3, -1, 268) % 268

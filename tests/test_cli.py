@@ -9,7 +9,7 @@ import pytest
 
 import tribadic
 from tribadic import PrecisionError, classifier, cli, interpolation
-from tribadic.classifier import builtin_spec
+from tribadic.classifier import FormulaCase, FormulaSpec, builtin_spec, crt_witness, verify_formula
 from tribadic.cli import (
     EXIT_EXCLUDED,
     EXIT_FAIL,
@@ -340,12 +340,26 @@ class TestZero:
         assert "no zero" in rec["payload"]["conclusion"]
 
     def test_low_precision_match_is_not_a_certificate(self, capsys):
-        # at 3 digits the zero of l = 454 (mod 553) matches -5/3 on u mod 23 alone; g does not
-        # vanish at (-5/3 - 454)/553, so the precision doubles and no target matches at 6
+        # the zero of l = 454 (mod 553) has u = -5/3 mod 23, but g does not vanish mod 23^3 at
+        # (-5/3 - 454)/553, a definite answer: no certificate, and no escalation
         code, rec = run_json(capsys, "zero", "--prime", "23", "--ell", "454", "--precision", "3")
-        assert code == EXIT_PASS and rec["precision_used"] == 6
+        assert code == EXIT_PASS and rec["precision_used"] == 3
         assert rec["payload"]["zero"]["classification"]["kind"] == "other"
         assert "linear_certificate" not in rec["payload"]
+
+    def test_projective_period_certificate(self, capsys):
+        # l = 54 is not 0 mod N = 162, but x^54 is a scalar mod 163, so the class sits over a = 0;
+        # the sequence agrees on n = 54 (mod 162), near-misses of 0 included
+        for prec in (3, 24, 96):
+            code, rec = run_json(capsys, "zero", "--prime", "163", "--ell", "54", "--precision", str(prec))
+            cert = rec["payload"]["linear_certificate"]
+            assert code == EXIT_PASS and rec["precision_used"] == prec
+            assert (cert["a"], cert["kappa"], cert["Q"], cert["residue"]) == (0, 1, 162, 54)
+        spec = FormulaSpec(163, 162, (FormulaCase((54,), 1, 0),))
+        points = [crt_witness(54, 162, 0, 163, k) for k in range(1, 7)]
+        assert all(n % 162 == 54 for n in points)
+        mismatches = verify_formula(spec, 1, 2 * 10**5, extra=points)
+        assert [m for m in mismatches if m.n % 162 == 54] == []
 
 
 class TestZeroSinglePass:

@@ -10,18 +10,16 @@ from tribadic import (
     ConditionNotMet,
     PAdicInt,
     PrecisionError,
-    classify_zero,
     cube_root_certificate,
     eval_f,
     hensel_zero,
-    locate_zero,
     prime_context,
     series_coeffs,
     strassman_mu,
     trib,
     trib_mod,
 )
-from tribadic.classifier import _zero_table
+from tribadic.classifier import _zero_table, locate_and_certify
 from tribadic.interpolation import SeriesTrunc
 from tribadic.padic import ExtRing, _vp, vp_factorial
 from tribadic.tribonacci import _xpow
@@ -128,6 +126,14 @@ class TestEvalF:
                 ell = rng.randrange(ctx.n_period)
                 m = rng.randrange(-40, 40)
                 assert eval_f(ctx, ell, m).residue == trib_mod(ell + m * ctx.n_period, pk)
+
+    def test_reads_z_at_its_own_precision(self, ctx5):
+        # z known mod 5^3 gives f_l(z) mod 5^3 only: z = 2 and z = 2 + 5^3 agree there, not beyond
+        got = eval_f(ctx5, 21, PAdicInt(5, 3, 2))
+        assert got.prec == 3
+        near = [eval_f(ctx5, 21, z) for z in (2, 2 + 5**3)]
+        assert near[0] != near[1]
+        assert all(f.residue % 5**3 == got.residue for f in near)
 
     def test_unit_when_46_fails(self, ctx7):
         # p does not divide T(l): f_l never vanishes
@@ -335,7 +341,6 @@ class TestHenselZero:
         # l = 0 sits over Z_T: the zero is exactly 0
         rec = hensel_zero(series_coeffs(ctx83, 0))
         assert rec.b.is_zero()
-        assert classify_zero(ctx83, rec) == classify_zero(ctx83, rec)
 
     def test_quadratic_convergence(self, ctx5, ctx83):
         rng = random.Random(8)
@@ -361,30 +366,32 @@ class TestHenselZero:
 
 
 class TestClassifyZero:
+    """The target a located zero sits over, as its class's linear certificate reads it."""
+
     def test_p83_all_four_integer_classes(self, ctx83):
         got = {}
         for ell in range(ctx83.n_period):
             if trib_mod(ell, 83) != 0:
                 continue
-            rec = locate_zero(ctx83, ell)
-            assert rec.target.kind == "integer"
-            got[ell] = rec.target.value
+            rec, cert = locate_and_certify(ctx83, ell)
+            assert rec.b is not None and type(cert.a) is int
+            got[ell] = cert.a
         assert sorted(got.values()) == [-17, -4, -1, 0]
 
     def test_p269_six_classes(self, ctx269):
-        kinds = []
+        values = set()
         for ell in range(ctx269.n_period):
             if trib_mod(ell, 269) != 0:
                 continue
-            rec = locate_zero(ctx269, ell)
-            kinds.append((rec.target.kind, rec.target.value))
-        values = {v for _, v in kinds}
+            rec, cert = locate_and_certify(ctx269, ell)
+            assert rec.b is not None
+            values.add(cert.a)
         assert values == {0, -1, -4, -17, Fraction(1, 3), Fraction(-5, 3)}
 
     def test_p5_zero_is_one_third(self, ctx5):
-        # u = 2 = 1/3 mod 5 and the zero matches 1/3 at full precision
-        rec = locate_zero(ctx5, 21)
-        assert rec.target.kind == "rational" and rec.target.value == Fraction(1, 3)
+        # u = 2 = 1/3 mod 5 and the zero sits over 1/3
+        rec, cert = locate_and_certify(ctx5, 21)
+        assert cert.a == Fraction(1, 3)
         # independent consequence: nu_5(T(n)) > 0 wherever n = 1/3 + 31 * 5^k-ish points land
         a = 21 + 31 * rec.b
         assert (3 * a - 1).known_val >= ctx5.prec - 2
