@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -545,27 +546,49 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     """Compare the predicted nu_p(T(n)) with the actual valuation on [lo, hi]
     plus any extra points; an empty report is a pass.
 
-    The range walks the recurrence mod p^24 incrementally from one powering of x^lo
-    and cross-checks against trib_val's own powering at every multiple of _SPOT_EVERY;
-    extra points (e.g. CRT-generated near-misses of the targets) always use trib_val."""
-    p = spec.p
+    The range walks the recurrence incrementally from one powering of x^lo, mod m, the
+    largest power of p below 2^30 (p itself once p^2 >= 2^30), so residues stay small
+    ints.  A nonzero residue gives nu_p(T(n)) exactly; a zero one defers to trib_val.
+    A step whose residue mod q has the constant rule 0 and whose residue mod m is prime
+    to p is a match and only advances the recurrence; every other step compares
+    spec.predict with the actual valuation.  The flags for the rule 0 are one list of
+    min(q, hi - lo + 1) entries, cycled along the walk.  The walk goes in segments ending
+    at each multiple of _SPOT_EVERY, whose last step also cross-checks the walk against
+    trib_val's own powering.  Extra points (e.g. CRT-generated near-misses of the
+    targets) always use trib_val."""
+    p, q = spec.p, spec.q
     out = []
-    pk = p**24
-    c0, c1, c2 = _xpow(lo, pk) if lo <= hi else (0, 0, 0)
-    a, b, c = (c1 + c2) % pk, (c0 + c1 + 2 * c2) % pk, (c0 + 2 * c1 + 4 * c2) % pk
-    for n in range(lo, hi + 1):
-        actual = _vp(a, p) if a else trib_val(n, p)  # trib_val is VAL_INF on Z_T, where a = 0
-        if n % _SPOT_EVERY == 0 and actual != trib_val(n, p):
-            raise AssertionError(f"incremental walk out of sync at n = {n}")
+
+    def compare(n, actual):
         predicted = spec.predict(n)
         if predicted != actual:
             out.append(Mismatch(n, predicted, actual))
-        a, b, c = b, c, (a + b + c) % pk
+
+    m = p
+    while m * p < 1 << 30:
+        m *= p
+    c0, c1, c2 = _xpow(lo, m) if lo <= hi else (0, 0, 0)
+    a, b, c = (c1 + c2) % m, (c0 + c1 + 2 * c2) % m, (c0 + 2 * c1 + 4 * c2) % m
+    # per residue mod q from lo on, whether its rule is the constant 0
+    default = (spec.default_kappa, None, None, None)
+    zero_rule = itertools.cycle([spec._rules.get(r % q, default) == (0, None, None, None)
+                                 for r in range(lo, lo + min(q, hi - lo + 1))])
+    n = lo
+    while n <= hi:
+        end = min(hi, n + -n % _SPOT_EVERY)  # the next multiple of _SPOT_EVERY, or hi
+        for k, zero in zip(range(n, end), zero_rule):
+            if not (zero and a % p):
+                compare(k, _vp(a, p) if a else trib_val(k, p))  # trib_val is VAL_INF on Z_T
+            a, b, c = b, c, (a + b + c) % m
+        next(zero_rule)
+        actual = _vp(a, p) if a else trib_val(end, p)
+        if end % _SPOT_EVERY == 0 and actual != trib_val(end, p):
+            raise AssertionError(f"incremental walk out of sync at n = {end}")
+        compare(end, actual)
+        a, b, c = b, c, (a + b + c) % m
+        n = end + 1
     for n in extra:
-        actual = trib_val(n, p)
-        predicted = spec.predict(n)
-        if predicted != actual:
-            out.append(Mismatch(n, predicted, actual))
+        compare(n, trib_val(n, p))
     return out
 
 

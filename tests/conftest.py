@@ -9,6 +9,9 @@ from tribadic import ExtRing, prime_context
 _P = (-1, -1, -1, 1)
 _DP = (-1, -2, 3)
 
+# 399165290221 * 798330580441: the least strong pseudoprime to all of the first 12 prime bases 2..37
+PSI_12 = 318665857834031151167461
+
 
 def _peval(x, poly):
     # Horner evaluation of an integer polynomial (ascending coefficients)

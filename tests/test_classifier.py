@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +56,8 @@ from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.interpolation import series_coeffs, strassman_mu
 from tribadic.padic import VAL_INF, PAdicInt, val_int
 from tribadic.tribonacci import ZERO_SET, trib, trib_val
+
+from conftest import PSI_12
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -511,6 +516,11 @@ class TestFormulaSpec:
             # nu_3(0 - 13) = 0 < nu_3(39): residue 13 cannot be a linear class for a = 0
             FormulaSpec(3, 39, (FormulaCase((13,), 2, 0),))
 
+    def test_composite_p_rejected(self):
+        for p in (4, PSI_12):
+            with pytest.raises(ValueError, match="not prime"):
+                FormulaSpec(p, 5, ())
+
     def test_predict_on_target(self):
         spec = builtin_spec("p83")
         assert spec.predict(-17) == VAL_INF
@@ -572,22 +582,78 @@ class TestVerifyFormula:
         assert verify_formula(spec, 1, 10, extra=extras) == []
 
     @staticmethod
-    def brute_force_report(spec, lo, hi):
-        """The report with each nu_p(T(n)) read from T(n) alone: exact for |n| <= 1000,
-        else from T(n) mod p^160 (which must not vanish)."""
+    @functools.cache
+    def brute_force_val(n, p):
+        """nu_p(T(n)) read from T(n) alone: exact for |n| <= 1000, else from T(n) mod p^160
+        (which must not vanish)."""
+        if n in ZERO_SET:
+            return VAL_INF
+        if abs(n) <= 1000:
+            return val_int(trib(n), p)
+        residue = trib_mod(n, p**160)
+        assert residue != 0, n
+        return val_int(residue, p)
+
+    @classmethod
+    def brute_force_report(cls, spec, lo, hi):
         out = []
         for n in range(lo, hi + 1):
-            if n in ZERO_SET:
-                actual = VAL_INF
-            elif abs(n) <= 1000:
-                actual = val_int(trib(n), spec.p)
-            else:
-                residue = trib_mod(n, spec.p**160)
-                assert residue != 0, n
-                actual = val_int(residue, spec.p)
+            actual = cls.brute_force_val(n, spec.p)
             if spec.predict(n) != actual:
                 out.append(Mismatch(n, spec.predict(n), actual))
         return out
+
+    @staticmethod
+    def wrong_variants(spec):
+        """spec with one rule broken: each case's kappa and the default kappa moved by -1 and +1,
+        and each case dropped (its residues fall to the default)."""
+        for i, case in enumerate(spec.cases):
+            others = spec.cases[:i] + spec.cases[i + 1:]
+            for d in (-1, 1):
+                cases = others[:i] + (dataclasses.replace(case, kappa=case.kappa + d),) + others[i:]
+                yield FormulaSpec(spec.p, spec.q, cases, spec.default_kappa)
+            yield FormulaSpec(spec.p, spec.q, others, spec.default_kappa)
+        for d in (-1, 1):
+            yield FormulaSpec(spec.p, spec.q, spec.cases, spec.default_kappa + d)
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_wrong_specs_report_every_mismatch(self, name):
+        # p2 and p3 have constant kappa = 1 classes: moved to 0, their residues have the rule 0
+        # while p | T(n), so steps with the rule 0 must still compare whenever p divides the residue
+        spec = builtin_spec(name)
+        windows = [
+            (1900, 2000 + spec.q),  # crosses the spot check at 2 * 997 and wraps q
+            (997, 1040),  # starts on a spot check
+            (1994, 1994), (5, 5),  # one term, on a spot check and off one
+            (-20, 30), (0, 50), (10**7 + 3, 10**7 + 123),
+        ]
+        reports = 0
+        for wrong in self.wrong_variants(spec):
+            for lo, hi in windows:
+                report = verify_formula(wrong, lo, hi)
+                assert report == self.brute_force_report(wrong, lo, hi), (wrong, lo, hi)
+                reports += bool(report)
+        assert reports
+
+    def test_huge_modulus_builds_no_table_of_its_size(self):
+        spec = FormulaSpec(5, 10**30, (FormulaCase((1500,), 1),))
+        tracemalloc.start()
+        try:
+            report = verify_formula(spec, 1, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == self.brute_force_report(spec, 1, 3000)
+        assert any(m.n == 1500 for m in report) and peak < 500_000
+
+    @pytest.mark.parametrize("p, lo, hi", [(65537, 92700, 93300), (2**31 - 1, -20, 1200)])
+    def test_walk_modulo_p_itself(self, p, lo, hi):
+        # p^2 >= 2^30, so the walk runs mod p and every residue p divides defers to trib_val:
+        # T(93247) = 0 (mod 65537) lies under the default rule 0, and -17..0 holds Z_T
+        spec = FormulaSpec(p, 10, (FormulaCase((3,), 1),))
+        report = verify_formula(spec, lo, hi)
+        assert report == self.brute_force_report(spec, lo, hi)
+        assert any(m.actual != 0 for m in report)
 
     @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
     def test_walk_start_anywhere(self, name):

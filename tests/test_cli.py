@@ -23,6 +23,8 @@ from tribadic.cli import (
 )
 from tribadic.classifier import TableRow, published_table, reproduce_table
 
+from conftest import PSI_12
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -78,6 +80,7 @@ class TestExitCodes:
             ["scan", "--max", "-3"],
             ["classify", "--prime", "12"],
             ["zero", "--prime", "11", "--ell", "0"],
+            ["classify", "--prime", str(PSI_12)],
         ],
     )
     def test_bad_input_exits_64_with_one_line(self, capsys, argv):
@@ -271,6 +274,7 @@ class TestVerify:
             "list",
             {"a": "1/0"},
             {"p": 4, "Q": 4, "cases": [{"residues": [0], "kappa": 1}]},  # a whole spec
+            {"p": PSI_12, "Q": 4, "cases": []},  # composite, yet a strong probable prime to bases 2..37
             {"p": 1, "Q": 4, "cases": []},
             {"p": 5, "Q": 0, "cases": []},
             {"default_kappa": "0"},  # non-integer rules made a false "mismatch found" (exit 1) ...
@@ -284,8 +288,9 @@ class TestVerify:
             {"a": False},  # ... or as a = 0
         ],
         ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator",
-             "p-not-prime", "p-one", "q-zero", "default-kappa-string", "default-kappa-null", "kappa-string",
-             "mu-string", "p-float", "q-float", "residue-float", "target-true", "target-false"],
+             "p-not-prime", "p-strong-pseudoprime", "p-one", "q-zero", "default-kappa-string",
+             "default-kappa-null", "kappa-string", "mu-string", "p-float", "q-float", "residue-float",
+             "target-true", "target-false"],
     )
     def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
         data = spec_to_dict(builtin_spec("p3"))

@@ -15,7 +15,7 @@ from tribadic import (
 )
 from tribadic._factor import factorize, is_prime, primes_upto
 
-from conftest import lifted_roots, oracle_degree, roots_mod_p_oracle
+from conftest import PSI_12, lifted_roots, oracle_degree, roots_mod_p_oracle
 
 
 def clear_context_caches():
@@ -333,6 +333,12 @@ class TestFactorHelpers:
 
     def test_is_prime_spot(self):
         assert is_prime(599) and not is_prime(1) and not is_prime(561)
+
+    def test_is_prime_rejects_strong_pseudoprime_to_first_12_bases(self):
+        assert not is_prime(PSI_12) and PSI_12 == 399165290221 * 798330580441
+        assert is_prime(399165290221) and is_prime(798330580441)
+        ps = set(primes_upto(200_000))
+        assert all(is_prime(n) == (n in ps) for n in range(200_001))
 
     def test_lcm_sanity(self):
         assert math.lcm(46, 31) == 1426
