@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +44,7 @@ from .interpolation import (
     series_coeffs,
     strassman_mu,
 )
-from .padic import VAL_INF, PrecisionError, _vp, val_int
+from .padic import DEFAULT_PRECISION, VAL_INF, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
@@ -539,23 +538,28 @@ class Mismatch:
     actual: object
 
 
-_SPOT_EVERY = 997  # verify_formula's cadence of walk-versus-powering checks
-
-
 def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     """Compare the predicted nu_p(T(n)) with the actual valuation on [lo, hi]
     plus any extra points; an empty report is a pass.
 
-    The range walks the recurrence incrementally from one powering of x^lo, mod m, the
-    largest power of p below 2^30 (p itself once p^2 >= 2^30), so residues stay small
-    ints.  A nonzero residue gives nu_p(T(n)) exactly; a zero one defers to trib_val.
-    A step whose residue mod q has the constant rule 0 and whose residue mod m is prime
-    to p is a match and only advances the recurrence; every other step compares
-    spec.predict with the actual valuation.  The flags for the rule 0 are one list of
-    min(q, hi - lo + 1) entries, cycled along the walk.  The walk goes in segments ending
-    at each multiple of _SPOT_EVERY, whose last step also cross-checks the walk against
-    trib_val's own powering.  Extra points (e.g. CRT-generated near-misses of the
-    targets) always use trib_val."""
+    Residues are taken mod m, the largest power p^K of p below 2^30 (p itself once
+    p^2 >= 2^30), so they stay small ints; a nonzero residue gives nu_p(T(n)) exactly,
+    a zero one defers to trib_val.  With x^q = r0 + r1 x + r2 x^2 (mod m), k0 is the
+    least of K, nu_p(r1) and nu_p(r2), so x^q = r0 (mod p^k0) and
+    T(n + q) = r0 T(n) (mod p^k0) with r0 a unit.  The range's first period
+    [lo, lo + q - 1] is walked by the recurrence from one powering of x^lo.  A constant
+    class with kappa < k0 whose point there shows nu_p = kappa is settled: every point
+    of the class has that valuation.  Every other class is walked in full as a jump
+    chain n, n + q, ... <= hi, each jump applying x^q to (T(n), T(n+1), T(n+2)); a
+    constant class compares only where its residue does not show nu_p = kappa, a linear
+    class compares at every point.  Every step and every jump is a bijection on states
+    mod m, so the state at the end of the first period and at the end of each chain
+    is checked against its own powering of x^n, and any corruption shows there as an
+    AssertionError.  The range's mismatches are reported in order of n.
+
+    An extra point (e.g. a CRT-generated near-miss of a target) with a finite
+    prediction e >= 0 reads T(n) mod p^(e+1), at most mod p^24, from one powering; a
+    zero residue, e = VAL_INF or e < 0 defers to trib_val."""
     p, q = spec.p, spec.q
     out = []
 
@@ -564,31 +568,61 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
         if predicted != actual:
             out.append(Mismatch(n, predicted, actual))
 
-    m = p
+    m, k_max = p, 1
     while m * p < 1 << 30:
-        m *= p
-    c0, c1, c2 = _xpow(lo, m) if lo <= hi else (0, 0, 0)
-    a, b, c = (c1 + c2) % m, (c0 + c1 + 2 * c2) % m, (c0 + 2 * c1 + 4 * c2) % m
-    # per residue mod q from lo on, whether its rule is the constant 0
-    default = (spec.default_kappa, None, None, None)
-    zero_rule = itertools.cycle([spec._rules.get(r % q, default) == (0, None, None, None)
-                                 for r in range(lo, lo + min(q, hi - lo + 1))])
-    n = lo
-    while n <= hi:
-        end = min(hi, n + -n % _SPOT_EVERY)  # the next multiple of _SPOT_EVERY, or hi
-        for k, zero in zip(range(n, end), zero_rule):
-            if not (zero and a % p):
-                compare(k, _vp(a, p) if a else trib_val(k, p))  # trib_val is VAL_INF on Z_T
+        m, k_max = m * p, k_max + 1
+    pows = [p**i for i in range(k_max + 1)]
+    r0, r1, r2 = _xpow(q, m)
+    k0 = min([k_max] + [_vp(r, p) for r in (r1, r2) if r])
+    # a jump maps (T(n), T(n+1), T(n+2)) to (T(n+q), T(n+q+1), T(n+q+2)), row i being
+    # T(n+q+i) = phi(x^(n+i) x^q) written in T(n), T(n+1), T(n+2)
+    s02, s12, s122, s0122 = r0 + r2, r1 + r2, r1 + 2 * r2, r0 + r1 + 2 * r2
+
+    def state(n):  # (T(n), T(n+1), T(n+2)) mod m from one powering of x^n
+        c0, c1, c2 = _xpow(n, m)
+        return (c1 + c2) % m, (c0 + c1 + 2 * c2) % m, (c0 + 2 * c1 + 4 * c2) % m
+
+    def check(n, walked):
+        if walked != state(n):
+            raise AssertionError(f"incremental walk out of sync at n = {n}")
+
+    def walk_class(n, a, b, c, kappa, constant):
+        shows = constant and 0 <= kappa < k_max  # the residue can show nu_p = kappa
+        pk, pk1 = (pows[kappa], pows[kappa + 1]) if shows else (1, 1)
+        first = n
+        while True:
+            if not (shows and a % pk1 and not a % pk):
+                compare(n, _vp(a, p) if a else trib_val(n, p))  # trib_val is VAL_INF on Z_T
+            if n + q > hi:
+                break
+            a, b, c = ((r0 * a + r1 * b + r2 * c) % m, (r2 * a + s02 * b + s12 * c) % m,
+                       (s12 * a + s122 * b + s0122 * c) % m)
+            n += q
+        if n != first:
+            check(n, (a, b, c))
+
+    if lo <= hi:
+        rules, default = spec._rules, (spec.default_kappa, None, None, None)
+        a, b, c = state(lo)
+        n, end = lo, min(hi, lo + q - 1)
+        while True:
+            kappa, num, _, _ = rules.get(n % q, default)
+            constant = num is None
+            if not (constant and 0 <= kappa < k0 and a % pows[kappa + 1] and not a % pows[kappa]):
+                walk_class(n, a, b, c, kappa, constant)
+            if n == end:
+                break
             a, b, c = b, c, (a + b + c) % m
-        next(zero_rule)
-        actual = _vp(a, p) if a else trib_val(end, p)
-        if end % _SPOT_EVERY == 0 and actual != trib_val(end, p):
-            raise AssertionError(f"incremental walk out of sync at n = {end}")
-        compare(end, actual)
-        a, b, c = b, c, (a + b + c) % m
-        n = end + 1
+            n += 1
+        check(end, (a, b, c))
+        out.sort(key=lambda mismatch: mismatch.n)
     for n in extra:
-        compare(n, trib_val(n, p))
+        e, residue = spec.predict(n), 0
+        if 0 <= e < VAL_INF:
+            pk = p ** min(e + 1, DEFAULT_PRECISION)
+            _, c1, c2 = _xpow(n, pk)
+            residue = (c1 + c2) % pk
+        compare(n, _vp(residue, p) if residue else trib_val(n, p))
     return out
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tribadic
 
@@ -666,12 +668,16 @@ class TestVerifyFormula:
         assert verify_formula(builtin_spec("p3"), 5, 4) == []
 
     def test_sync_check_survives_python_O(self):
-        # the walk's spot check against trib_val must not be an assert that -O strips
+        # the walk's check against its own powering must not be an assert that -O strips:
+        # with x^lo = x and x^q = x^39 true and every other powering of x one step ahead,
+        # the first check made is the end of the first jump chain, p3's kappa = 4 class
+        # n = 9 (mod 39), at 9 + 51 * 39 = 1998
         code = (
             "import sys\n"
             "import tribadic.classifier as c\n"
             "assert False, 'not running under -O'\n"
-            "c.trib_val = lambda n, p, *args: -1\n"
+            "real = c._xpow\n"
+            "c._xpow = lambda n, m: real(n if n in (1, 39) else n + 1, m)\n"
             "try:\n"
             "    c.verify_formula(c.builtin_spec('p3'), 1, 2000)\n"
             "except AssertionError as exc:\n"
@@ -682,7 +688,111 @@ class TestVerifyFormula:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
-        assert "raised: incremental walk out of sync at n = 997" in out.stdout
+        assert "raised: incremental walk out of sync at n = 1998" in out.stdout
+
+    @staticmethod
+    def scalar_depth(p, q, k_max=8):
+        """The largest k <= k_max with x^q a scalar mod p^k, read off the exact sequence:
+        x^q = r0 + r1 x + r2 x^2 has r1 = r2 = 0 (mod p^k) iff T(q) = 0 and T(q+1) = T(q+2)."""
+        t0, t1, t2 = trib(q), trib(q + 1), trib(q + 2)
+        return max(k for k in range(k_max + 1) if t0 % p**k == 0 and (t1 - t2) % p**k == 0)
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_jump_chains_over_several_periods(self, name):
+        # windows of more than three periods, so every walked class is a chain of >= 3 jumps
+        spec = builtin_spec(name)
+        windows = [(1, 4 * spec.q), (10**6 + 11, 10**6 + 11 + 3 * spec.q + spec.q // 2)]
+        for lo, hi in windows:
+            assert verify_formula(spec, lo, hi) == [], (lo, hi)
+        reports = 0
+        for wrong in self.wrong_variants(spec):
+            for lo, hi in windows:
+                report = verify_formula(wrong, lo, hi)
+                assert report == self.brute_force_report(wrong, lo, hi), (wrong, lo, hi)
+                reports += bool(report)
+        assert reports
+
+    def test_period_with_scalar_other_than_one(self):
+        # q = N/3 at p = 163: x^54 = 58 (mod 163), a scalar but not 1, so constant classes
+        # still settle from one point; the zeros of T mod 163 and the wrong kappa = 1 on
+        # n = 3 (mod 54) are walked and reported in full
+        p, q = 163, 54
+        assert prime_context(p).n_period == 3 * q
+        assert self.scalar_depth(p, q) == 1 and trib(q + 1) % p not in (0, 1)
+        spec = FormulaSpec(p, q, (FormulaCase((3,), 1), FormulaCase((10,), 0)))
+        for lo, hi in [(1, 4 * q + 5), (10**6, 10**6 + 5 * q), (-60, 3 * q)]:
+            report = verify_formula(spec, lo, hi)
+            assert report == self.brute_force_report(spec, lo, hi), (lo, hi)
+            assert [m.n for m in report if m.n % q == 3] == list(range(lo + (3 - lo) % q, hi + 1, q))
+            assert any(m.n % q != 3 for m in report)
+
+    @pytest.mark.parametrize("p, q", [(83, 286), (5, 1)])
+    def test_period_that_is_no_scalar(self, p, q):
+        # x^q is no scalar mod p (k0 = 0): no class settles and every class is one jump chain;
+        # the first point of each default class shows its kappa = 0, the zeros of T mod p
+        # come later.  At q = 1, x^q = x has r2 = 0 but r1 = 1
+        assert self.scalar_depth(p, q) == 0
+        spec = FormulaSpec(p, q, (FormulaCase((5,), 1),) if q > 5 else ())
+        for lo, hi in [(1, 3 * q + 40), (10**7, 10**7 + 4 * q + 3)]:
+            report = verify_formula(spec, lo, hi)
+            assert report == self.brute_force_report(spec, lo, hi), (lo, hi)
+            assert report
+
+    def test_constant_class_at_k0_is_walked(self):
+        # x^39 is a scalar mod 27 but not mod 81 (k0 = 3): p3's kappa = 2 classes settle from
+        # one point and its kappa = 4 class n = 9 (mod 39) is walked.  A constant kappa = 3 on
+        # n = 0 (mod 39), where nu_3(T(n)) = 2 + nu_3(n), matches at 39 and 78 but not at 117:
+        # at kappa = k0 one matching point must not settle the class
+        assert self.scalar_depth(3, 39) == 3
+        p3 = builtin_spec("p3")
+        assert {c.kappa for c in p3.cases if c.a is None} == {0, 1, 2, 4}
+        (linear,) = [c for c in p3.cases if 0 in c.residues]
+        assert (linear.residues, linear.kappa, linear.a) == ((0,), 2, 0)
+        spec = FormulaSpec(3, 39, tuple(FormulaCase((0,), 3) if c is linear else c for c in p3.cases))
+        report = verify_formula(spec, 1, 4 * 39 * 3)
+        assert report == self.brute_force_report(spec, 1, 4 * 39 * 3)
+        assert [m.n for m in report][:2] == [117, 234]
+        for wrong in self.wrong_variants(p3):
+            assert verify_formula(wrong, 2, 6 * 39) == self.brute_force_report(wrong, 2, 6 * 39), wrong
+
+    def test_report_sorted_with_extras_in_given_order(self):
+        # classes are walked one chain at a time, but the range's report is in order of n;
+        # the extra points follow in the order given, even where they repeat the range
+        spec = FormulaSpec(83, 287, (), default_kappa=1)
+        extras = [2**70 + 1, 10**9 + 1, 7, 5]
+        report = verify_formula(spec, 1, 2000, extra=extras)
+        ranged = [m.n for m in report[:-len(extras)]]
+        assert ranged == sorted(ranged) and len(set(ranged)) == len(ranged) and len(ranged) > 1900
+        assert [m.n for m in report[-len(extras):]] == extras
+        assert report == self.brute_force_report(spec, 1, 2000) + [
+            Mismatch(n, 1, self.brute_force_val(n, 83)) for n in extras]
+
+    def test_extra_points_read_one_powering(self, monkeypatch):
+        # an extra point with a finite prediction e >= 0 reads T(n) mod p^(e+1); only a zero
+        # residue (here n = 0 in Z_T under the default rule 0) or an infinite or negative
+        # prediction goes to trib_val
+        calls = []
+
+        def spy(n, p, *args):
+            calls.append(n)
+            return trib_val(n, p, *args)
+
+        monkeypatch.setattr(tribadic.classifier, "trib_val", spy)
+        spec = builtin_spec("p83")
+        extras = [crt_witness(287 - 17, 287, -17, 83, k) for k in range(1, 7)]
+        assert verify_formula(spec, 1, 10, extra=extras) == [] and calls == []
+        spec = FormulaSpec(83, 10, (FormulaCase((3,), -1),))
+        assert verify_formula(spec, 1, 0, extra=[0, 13, 5]) == [Mismatch(0, 0, VAL_INF), Mismatch(13, -1, 0)]
+        assert calls == [0, 13]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BUILTIN_SPEC_NAMES), st.integers(0, 40), st.integers(-2000, 10**7),
+           st.integers(0, 1500))
+    def test_random_windows_match_brute_force(self, name, variant, lo, length):
+        spec = builtin_spec(name)
+        specs = [spec, *self.wrong_variants(spec)]
+        spec = specs[variant % len(specs)]
+        assert verify_formula(spec, lo, lo + length) == self.brute_force_report(spec, lo, lo + length)
 
 
 class TestCrtWitness:
