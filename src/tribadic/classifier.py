@@ -548,14 +548,16 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     least of K, nu_p(r1) and nu_p(r2), so x^q = r0 (mod p^k0) and
     T(n + q) = r0 T(n) (mod p^k0) with r0 a unit.  The range's first period
     [lo, lo + q - 1] is walked by the recurrence from one powering of x^lo.  A constant
-    class with kappa < k0 whose point there shows nu_p = kappa is settled: every point
-    of the class has that valuation.  Every other class is walked in full as a jump
-    chain n, n + q, ... <= hi, each jump applying x^q to (T(n), T(n+1), T(n+2)); a
-    constant class compares only where its residue does not show nu_p = kappa, a linear
-    class compares at every point.  Every step and every jump is a bijection on states
-    mod m, so the state at the end of the first period and at the end of each chain
-    is checked against its own powering of x^n, and any corruption shows there as an
-    AssertionError.  The range's mismatches are reported in order of n.
+    class whose point there shows nu_p = v < k0 is settled: every point of the class has
+    valuation v, so the class passes if v = kappa and is reported at each of its points
+    otherwise.  Every other class is walked in full as a jump chain n, n + q, ... <= hi,
+    each jump applying x^q to (T(n), T(n+1), T(n+2)); a point passes where its residue
+    shows the valuation its rule predicts, a linear rule's read from d = n*den - num
+    (carried along the chain by adding q*den), and goes to spec.predict otherwise.
+    Every step and every jump is a bijection on states mod m, so the state at the end
+    of the first period and at the end of each chain is checked against its own
+    powering of x^n, and any corruption shows there as an AssertionError.  The range's
+    mismatches are reported in order of n.
 
     An extra point (e.g. a CRT-generated near-miss of a target) with a finite
     prediction e >= 0 reads T(n) mod p^(e+1), at most mod p^24, from one powering; a
@@ -586,12 +588,15 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
         if walked != state(n):
             raise AssertionError(f"incremental walk out of sync at n = {n}")
 
-    def walk_class(n, a, b, c, kappa, constant):
-        shows = constant and 0 <= kappa < k_max  # the residue can show nu_p = kappa
-        pk, pk1 = (pows[kappa], pows[kappa + 1]) if shows else (1, 1)
-        first = n
+    def walk_class(n, a, b, c, kappa, num, den, mu):
+        # a point passes where its residue shows the valuation its rule predicts; a linear
+        # rule's prediction is read from d = n*den - num, carried along the chain
+        first, e, d = n, kappa, None if num is None else n * den - num
         while True:
-            if not (shows and a % pk1 and not a % pk):
+            if d is not None:
+                e = kappa + mu * _vp(d, p) if d else -1  # d = 0 predicts VAL_INF: compare
+                d += q * den
+            if not (0 <= e < k_max and a % pows[e + 1] and not a % pows[e]):
                 compare(n, _vp(a, p) if a else trib_val(n, p))  # trib_val is VAL_INF on Z_T
             if n + q > hi:
                 break
@@ -606,10 +611,11 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
         a, b, c = state(lo)
         n, end = lo, min(hi, lo + q - 1)
         while True:
-            kappa, num, _, _ = rules.get(n % q, default)
-            constant = num is None
-            if not (constant and 0 <= kappa < k0 and a % pows[kappa + 1] and not a % pows[kappa]):
-                walk_class(n, a, b, c, kappa, constant)
+            kappa, num, den, mu = rules.get(n % q, default)
+            if num is not None or not a % pows[k0]:
+                walk_class(n, a, b, c, kappa, num, den, mu)
+            elif (v := _vp(a, p)) != kappa:  # nu_p = v < k0 at every point of the class
+                out.extend(Mismatch(j, kappa, v) for j in range(n, hi + 1, q))
             if n == end:
                 break
             a, b, c = b, c, (a + b + c) % m

@@ -19,7 +19,6 @@ from fractions import Fraction
 from ._factor import crt_pair
 from .galois import _P, PrimeContext
 from .padic import (
-    VAL_INF,
     ExtElem,
     ExtRing,
     PAdicInt,
@@ -40,6 +39,14 @@ class ConditionNotMet(ValueError):
     def __init__(self, condition: str, message: str):
         super().__init__(message)
         self.condition = condition
+
+
+def _horner(coeffs: list[int], z: int, m: int) -> int:
+    # the polynomial with coefficients coeffs, highest degree first, at z, mod m
+    acc = 0
+    for c in coeffs:
+        acc = (acc * z + c) % m
+    return acc
 
 
 @dataclass(frozen=True)
@@ -65,25 +72,21 @@ class SeriesTrunc:
     def tail_val_bound(self, k: int) -> int:
         return (k - 1) * self.log_val - vp_factorial(k, self.ctx.p)
 
-    def _horner(self, z, coeffs) -> PAdicInt:
+    def _at(self, z, coeffs) -> PAdicInt:
         # Horner on residues mod p^k, k = min(prec, z.prec); an int z is read at prec
         p, k = self.ctx.p, self.ctx.prec
         if isinstance(z, PAdicInt):
             if z.p != p:
                 raise ValueError(f"mixed primes: {p} vs {z.p}")
             k, z = min(k, z.prec), z.residue
-        m = p**k
-        acc = 0
-        for c in coeffs:
-            acc = (acc * z + c) % m
-        return PAdicInt(p, k, acc)
+        return PAdicInt(p, k, _horner(coeffs, z, p**k))
 
     def eval(self, z) -> PAdicInt:
         """g(z) mod p^prec by Horner evaluation of the truncated series."""
-        return self._horner(z, [beta.residue for beta in reversed(self.coeffs)])
+        return self._at(z, [beta.residue for beta in reversed(self.coeffs)])
 
     def eval_deriv(self, z) -> PAdicInt:
-        return self._horner(z, [k * self.coeffs[k].residue for k in range(self.cut, 0, -1)])
+        return self._at(z, [k * self.coeffs[k].residue for k in range(self.cut, 0, -1)])
 
 
 @dataclass(frozen=True)
@@ -118,41 +121,68 @@ def _phi(g: ExtElem) -> int:
     return (g.coords[1] + g.coords[2]) % g.ring.pk
 
 
+def _char_poly(a: ExtElem) -> tuple[int, int, int]:
+    """(t1, t2, t3): the trace, the sum of the principal 2x2 minors and the determinant of
+    multiplication by a, read off its columns a, a*x and a*x^2.  By Cayley-Hamilton,
+    a^3 = t1 a^2 - t2 a + t3."""
+    x = a.ring.gen
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = a.coords, (a * x).coords, (a * x * x).coords
+    minor0 = m11 * m22 - m12 * m21
+    t1 = m00 + m11 + m22
+    t2 = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
+    t3 = m00 * minor0 - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
+    pk = a.ring.pk
+    return t1 % pk, t2 % pk, t3 % pk
+
+
 def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None) -> SeriesTrunc:
     """Coefficients of g = f_l / p^e modulo p^prec.
 
     Requires condition (p | T(l)); the divisor exponent is
     e = min(nu_p(log x^(sN)), nu_p(T(l))), which gives e = 1 in the
     single-period case and reproduces the p = 3, s = 3 exponent e = 2.
-    Coefficient k is phi(x^l (log x^(sN))^k) / k!, computed in Z_p[x]/(P) at
-    raised internal precision and divided exactly by p^(e + nu_p(k!)); the unit
-    part of J! is inverted once and each k!^(-1) read on the way back down.
-    log x^(sN) is log(x^(sN*p)) / p, whose argument lies one digit deeper in
-    1 + pR, so its series is about half as long.
+    One powering of x^l, mod p^(prec + E + nu_p(J!)) with E = nu_p(log x^(sN)) >= e, gives
+    the divisibility test, e, beta_0 and the first term of the series.
+    Coefficient k is s_k / k! with s_k = phi(x^l L^k), L = log x^(sN), computed mod
+    p^(prec + e + nu_p(J!)) and divided exactly by p^(e + nu_p(k!)); the unit part of J!
+    is inverted once and each k!^(-1) read on the way back down.  s_0, s_1 and s_2 are
+    read from ring products; after them the Cayley-Hamilton relation
+    L^3 = t1 L^2 - t2 L + t3, checked in the ring once per series, gives the scalar
+    recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L is log(x^(sN*p)) / p, whose
+    argument lies one digit deeper in 1 + pR, so its series is about half as long.
     """
     p, prec = ctx.p, ctx.prec
     sn = s * ctx.n_period
-    if trib_mod(ell, p) != 0:
-        raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
-    if s < 1:
-        raise ValueError("period multiplier s must be >= 1")
     # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
     # product of unramified rings and its coordinate valuation is the minimum over the roots
     log_val = (ExtRing(p, prec, _P).elem(_xpow(sn, p**prec)) - 1).val()
-    if log_val >= prec:
-        raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
-    tval = trib_val(ell, p)
-    e = log_val if tval == VAL_INF else min(log_val, int(tval))
     if J is None:
         J = _default_cut(p, log_val, prec)
+    top = p ** (prec + log_val + vp_factorial(J, p))
+    x_ell = _xpow(ell, top)
+    t_ell = (x_ell[1] + x_ell[2]) % top
+    if t_ell % p:
+        raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
+    if s < 1:
+        raise ValueError("period multiplier s must be >= 1")
+    if log_val >= prec:
+        raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
+    e = log_val if t_ell % p**log_val == 0 else _vp(t_ell, p)
     ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
-    x_sn = ring.elem(_xpow(sn, ring.pk))
+    pk = ring.pk
+    term = ring.elem(x_ell)
+    # ring._mul against _xpow's own product: phi(x^l * x^(sN)) = T(l + sN)
+    if _phi(term * ring.elem(_xpow(sn, pk))) != trib_mod(ell + sn, pk):
+        raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
     deep = ring.lifted(1)
     log_x = deep.elem(_xpow(sn * p, deep.pk)).log().div_exact_p(1).lift_to(ring)
-    term = ring.elem(_xpow(ell, ring.pk))
-    # ring._mul against _xpow's own product: phi(x^l * x^(sN)) = T(l + sN)
-    if _phi(term * x_sn) != trib_mod(ell + sn, ring.pk):
-        raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
+    log_x2 = log_x * log_x
+    t1, t2, t3 = _char_poly(log_x)
+    if log_x2 * log_x != t1 * log_x2 - t2 * log_x + t3:
+        raise PrecisionError("log x^(sN) fails its Cayley-Hamilton relation in Z_p[x]/(P)")
+    phis = [t_ell % pk, _phi(term * log_x), _phi(term * log_x2)]
+    while len(phis) <= J:
+        phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % pk)
     pk_small = p**prec
     # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
     # the unit part of k!, is walked down from the one inverse of J!'s unit part
@@ -167,14 +197,12 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     for k in range(J, 0, -1):
         inv_fact[k] = acc
         acc = acc * units[k] % pk_small
-    coeffs = [PAdicInt(p, prec, trib_mod(ell, p ** (prec + e)) // p**e)]
+    coeffs = [PAdicInt(p, prec, t_ell // p**e)]
     for k in range(1, J + 1):
-        term = term * log_x
-        div = divs[k]
-        s0 = _phi(term)
-        if s0 % div:
+        s_k, div = phis[k], divs[k]
+        if s_k % div:
             raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
-        coeffs.append(PAdicInt(p, prec, s0 // div * inv_fact[k]))
+        coeffs.append(PAdicInt(p, prec, s_k // div * inv_fact[k]))
     return SeriesTrunc(ctx, ell, s, e, log_val, tuple(coeffs))
 
 
@@ -215,26 +243,37 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     """The zero of g certified by Hensel's lemma, via Newton iteration.
 
     Requires beta_1 to be a unit (condition T(l+N) != T(l) mod p^2); the start
-    b_0 = -beta_0 beta_1^(-1) then satisfies |g(b_0)| < 1, |g'(b_0)| = 1.
+    b_0 = -beta_0 beta_1^(-1) then satisfies |g(b_0)| < 1, |g'(b_0)| = 1.  Each step is
+    b - g(b) / g'(b) mod p^prec on plain residues, the coefficient lists of g and g' built
+    once.  With g(b) = 0 (mod p^r) the quotient needs g'(b) only mod p^(prec - r), so g' is
+    evaluated there, and a g'(b) divisible by p stops the iteration.
     """
-    prec = series.ctx.prec
+    p, prec = series.ctx.p, series.ctx.prec
+    pk = p**prec
     c0, c1 = series.coeffs[0], series.coeffs[1]
     if c1.known_val != 0:
         raise ConditionNotMet(
             "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
         )
-    b = -(c0 * c1.inv())
+    values = [beta.residue for beta in reversed(series.coeffs)]
+    slopes = [k * series.coeffs[k].residue for k in range(series.cut, 0, -1)]
+    b = -c0.residue * pow(c1.residue, -1, pk) % pk
     residuals = []
     for _ in range(4 * prec.bit_length() + 8):
-        g = series.eval(b)
-        residuals.append(g.known_val)
-        if residuals[-1] >= prec:
+        g = _horner(values, b, pk)
+        r = _vp(g, p) if g else prec
+        residuals.append(r)
+        if r >= prec:
             break
-        b = b - g * series.eval_deriv(b).inv()
+        m = p ** (prec - r)
+        slope = _horner(slopes, b % m, m)
+        if slope % p == 0:
+            raise PrecisionError(f"g'(b) = 0 mod {p}: Newton iteration cannot continue")
+        b = (b - g // p**r * pow(slope, -1, m) % m * p**r) % pk
     else:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
     unique = strassman_mu(series) == 1
-    return ZeroRecord(series.ell, series.s, b, unique, tuple(residuals), series)
+    return ZeroRecord(series.ell, series.s, PAdicInt(p, prec, b), unique, tuple(residuals), series)
 
 
 # ---------------------------------------------------------------------------

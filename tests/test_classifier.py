@@ -755,6 +755,69 @@ class TestVerifyFormula:
         for wrong in self.wrong_variants(p3):
             assert verify_formula(wrong, 2, 6 * 39) == self.brute_force_report(wrong, 2, 6 * 39), wrong
 
+    @staticmethod
+    def linear_variants(spec):
+        """spec with each linear case's kappa moved to -3, -1 and 40 (at or above any K), and
+        its mu doubled."""
+        for i, case in enumerate(spec.cases):
+            if case.a is None:
+                continue
+            for changed in (*(dataclasses.replace(case, kappa=k) for k in (-3, -1, 40)),
+                            dataclasses.replace(case, mu=2 * case.mu)):
+                yield FormulaSpec(spec.p, spec.q, spec.cases[:i] + (changed,) + spec.cases[i + 1:],
+                                  spec.default_kappa)
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_linear_rules_read_along_the_chain(self, name):
+        # a linear class predicts kappa + mu * nu_p(n*den - num) from its own d, carried by q*den
+        # a jump; negative kappa, kappa beyond K and d = 0 (n = a in Z_T, inside -20..30) go to
+        # spec.predict
+        spec = builtin_spec(name)
+        variants = list(self.linear_variants(spec))
+        assert variants or name == "p2"
+        for wrong in variants:
+            for lo, hi in [(-20, 30), (1, 3 * spec.q + 7), (10**6 + 5, 10**6 + 5 + 2 * spec.q)]:
+                assert verify_formula(wrong, lo, hi) == self.brute_force_report(wrong, lo, hi), (wrong, lo, hi)
+
+    @pytest.mark.parametrize("name", ["p2", "p3", "p83", "p269", "p587"])
+    def test_passing_points_skip_predict(self, monkeypatch, name):
+        # a point whose residue shows its rule's valuation passes without a spec.predict call,
+        # linear classes included
+        calls = []
+        real = FormulaSpec.predict
+
+        def spy(self, n):
+            calls.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(FormulaSpec, "predict", spy)
+        spec = builtin_spec(name)
+        assert any(c.a is not None for c in spec.cases) or name == "p2"
+        assert verify_formula(spec, 1, 6 * spec.q) == [] and calls == []
+
+    def test_wrong_constant_class_reported_from_its_first_point(self, monkeypatch):
+        # p83's classes with nu_83 = 0 < k0 under a wrong default kappa = 1: every point of such a
+        # class has nu_83 = 0, so each is reported from the first period, with no jump chain and
+        # so no chain-end powering beyond those of the right spec
+        powerings = []
+        real = tribadic.classifier._xpow
+
+        def spy(n, m):
+            powerings.append(n)
+            return real(n, m)
+
+        monkeypatch.setattr(tribadic.classifier, "_xpow", spy)
+        spec = builtin_spec("p83")
+        wrong = FormulaSpec(spec.p, spec.q, spec.cases, 1)
+        lo, hi = 5, 5 + 4 * spec.q
+        assert verify_formula(spec, lo, hi) == []
+        right = len(powerings)
+        powerings.clear()
+        report = verify_formula(wrong, lo, hi)
+        assert len(powerings) == right
+        assert report == self.brute_force_report(wrong, lo, hi)
+        assert len(report) > 3 * (spec.q - 8)
+
     def test_report_sorted_with_extras_in_given_order(self):
         # classes are walked one chain at a time, but the range's report is in order of n;
         # the extra points follow in the order given, even where they repeat the range

@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tribadic
+import tribadic.interpolation as interpolation
 from tribadic import (
     ConditionNotMet,
     PAdicInt,
@@ -18,6 +24,7 @@ from tribadic import (
     strassman_mu,
     trib,
     trib_mod,
+    trib_val,
 )
 from tribadic.classifier import _zero_table, locate_and_certify
 from tribadic.interpolation import SeriesTrunc
@@ -363,6 +370,120 @@ class TestHenselZero:
         with pytest.raises(ConditionNotMet) as err:
             hensel_zero(series_coeffs(ctx, 0))
         assert err.value.condition == "derivative"
+
+
+# (p, s) -> the zero classes l: p = 3 with s = 3, then a d = 3, a d = 2 and a d = 1 prime
+KERNEL_CLASSES = {(3, 3): [22, 35, -17, -4]}
+KERNEL_CLASSES.update({(p, 1): [info.ell for info in _zero_table(p, prime_context(p, 3).n_period)]
+                       for p in (5, 83, 587)})
+
+
+@pytest.mark.parametrize("prec", [3, 24, 97])
+@pytest.mark.parametrize("p, s", sorted(KERNEL_CLASSES))
+@given(pick=st.integers(0, 10**6))
+@settings(max_examples=4, deadline=None)
+def test_recurrence_series_matches_repeated_ring_products(p, s, prec, pick):
+    # series_coeffs reads s_k = phi(x^l L^k) off the Cayley-Hamilton recurrence of L = log x^(sN);
+    # the oracle multiplies x^l by L once per coefficient in ExtRing, with L summed directly and
+    # e = min(nu_p(L), nu_p(T(l))) found without the program's series code
+    ells = KERNEL_CLASSES[p, s]
+    ell = ells[pick % len(ells)]
+    ctx = prime_context(p, prec)
+    ser = series_coeffs(ctx, ell, s, J=8)
+    log_val = log_series_oracle(ExtRing(p, prec, _P).elem(_xpow(s * ctx.n_period, p**prec))).val()
+    assert ser.e == min(log_val, trib_val(ell, p))
+    assert [b.residue for b in ser.coeffs] == series_oracle(ctx, ell, s, ser.e, 8)
+
+
+def _padic_newton(ser):
+    """Oracle: hensel_zero's iterates in PAdicInt arithmetic, g'(b) read and inverted mod p^prec."""
+    b = -(ser.coeffs[0] * ser.coeffs[1].inv())
+    vals = []
+    for _ in range(100):
+        g = _padic_horner(ser, b, False)
+        vals.append(g.known_val)
+        if vals[-1] >= ser.ctx.prec:
+            return b, vals
+        b = b - g * _padic_horner(ser, b, True).inv()
+    raise AssertionError("the PAdicInt Newton did not converge")
+
+
+class TestNewtonOnResidues:
+    @pytest.mark.parametrize("prec", [3, 24, 96])
+    @pytest.mark.parametrize("p", [5, 13, 83, 269, 587])
+    def test_iterates_match_a_padic_newton(self, p, prec):
+        ctx = prime_context(p, prec)
+        checked = 0
+        for info in _zero_table(p, ctx.n_period):
+            ser = series_coeffs(ctx, info.ell)
+            if ser.coeffs[1].known_val:
+                continue
+            rec = hensel_zero(ser)
+            assert (rec.b, list(rec.residual_vals)) == _padic_newton(ser), (p, info.ell)
+            checked += 1
+        assert checked
+
+    def test_p5_ell21_doubles_to_precision_96(self):
+        rec = hensel_zero(series_coeffs(prime_context(5, 96), 21))
+        assert rec.residual_vals == (1, 3, 7, 15, 31, 63, 96)
+
+    def test_vanishing_derivative_at_an_iterate_raises(self, ctx5):
+        # g = -1 + z + 2z^2 over Z_5: b_0 = 1 and g'(1) = 5, so the first step has no unit to divide by
+        ser = SeriesTrunc(ctx5, 21, 1, 1, 1, tuple(PAdicInt(5, 24, c) for c in (-1, 1, 2)))
+        with pytest.raises(PrecisionError):
+            hensel_zero(ser)
+
+
+class TestCayleyHamiltonCheck:
+    """series_coeffs checks L^3 = t1 L^2 - t2 L + t3 in the ring before it runs the recurrence."""
+
+    @staticmethod
+    def corrupt(monkeypatch, which, shift):
+        real = interpolation._char_poly
+
+        def corrupted(a):
+            t = list(real(a))
+            t[which] = (t[which] + shift(a.ring)) % a.ring.pk
+            return tuple(t)
+
+        monkeypatch.setattr(interpolation, "_char_poly", corrupted)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_corrupted_coefficient_raises(self, monkeypatch, which):
+        self.corrupt(monkeypatch, which, lambda ring: 1)
+        with pytest.raises(PrecisionError, match="Cayley-Hamilton"):
+            series_coeffs(prime_context(5, 24), 21)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_a_last_digit_passes_only_where_the_recurrence_ignores_it(self, monkeypatch, which):
+        # L = 0 (mod p), so p^(R-1) t1 L^2 and p^(R-1) t2 L vanish mod p^R, and so do
+        # p^(R-1) t1 s_(k+2) and p^(R-1) t2 s_(k+1); the constant t3 meets no such factor
+        ref = series_coeffs(prime_context(5, 24), 21)
+        self.corrupt(monkeypatch, which, lambda ring: ring.pk // ring.p)
+        if which == 2:
+            with pytest.raises(PrecisionError, match="Cayley-Hamilton"):
+                series_coeffs(prime_context(5, 24), 21)
+        else:
+            assert series_coeffs(prime_context(5, 24), 21) == ref
+
+    def test_check_survives_python_O(self):
+        code = (
+            "import tribadic.interpolation as i\n"
+            "from tribadic import PrecisionError, prime_context\n"
+            "assert False, 'not running under -O'\n"
+            "real = i._char_poly\n"
+            "i._char_poly = lambda a: (lambda t: (t[0], t[1], t[2] + 1))(real(a))\n"
+            "try:\n"
+            "    i.series_coeffs(prime_context(5, 24), 21)\n"
+            "except PrecisionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert "raised: log x^(sN) fails its Cayley-Hamilton relation" in out.stdout
 
 
 class TestClassifyZero:
