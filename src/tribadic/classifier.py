@@ -236,11 +236,8 @@ def _qt_residues_mod(m: int, targets=QT):
     """Residues of the targets mod m, or None where a denominator is not invertible."""
     out = []
     for t in targets:
-        t = Fraction(t)
-        if math.gcd(t.denominator, m) != 1:
-            out.append(None)
-        else:
-            out.append(t.numerator * pow(t.denominator, -1, m) % m)
+        num, den = t.as_integer_ratio()
+        out.append(num * pow(den, -1, m) % m if math.gcd(den, m) == 1 else None)
     return out
 
 
@@ -333,9 +330,10 @@ def _excluded_record(p: int, prec: int) -> ClassificationRecord:
 def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     """The certified zero b behind a failure witness, with l + N*b = u (mod p) enforced.
 
-    Integer-only oracle: g(z) - g(b) = (z - b) * unit on Z_p, so for m = b (mod p^j)
-    nu_p(T(l + N*m)) = e + nu_p(m - b), which is only known to be >= e + prec
-    where m = b (mod p^prec)."""
+    Integer-only oracle, independent of the series: g(z) - g(b) = (z - b) * unit on Z_p, so
+    for m = b mod p^j (j = 1, 2) nu_p(T(l + N*m)) = e + gap with gap = nu_p(m - b).  One
+    trib_mod of T(l + N*m) mod p^(e + gap + 1) shows that valuation exactly; where gap >= prec
+    only nu_p >= e + gap is known, and T(l + N*m) = 0 (mod p^(e + gap)) is what is checked."""
     p, n_period = ctx.p, ctx.n_period
     record = _escalate(ctx, lambda c: locate_zero(c, ell))
     b = record.b
@@ -344,9 +342,12 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     for j in (1, 2):
         m = b.residue % p**j
         gap = (b - m).known_val
-        actual, expected = trib_val(ell + n_period * m, p), record.series.e + gap
-        if not (actual == expected if gap < b.prec else actual >= expected):
-            raise AssertionError(f"nu_p(T({ell} + N*{m})) = {actual}, not {expected}: witness zero at l = {ell}")
+        exact = gap < b.prec
+        v = record.series.e + gap
+        residue = trib_mod(ell + n_period * m, p ** (v + exact))
+        if residue % p**v or (exact and residue == 0):
+            relation = "=" if exact else ">="
+            raise AssertionError(f"nu_p(T({ell} + N*{m})) {relation} {v} fails: witness zero at l = {ell}")
     return tuple(b.digits())
 
 

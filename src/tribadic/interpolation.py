@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._factor import crt_pair
 from .galois import _P, PrimeContext
@@ -135,6 +136,34 @@ def _char_poly(a: ExtElem) -> tuple[int, int, int]:
     return t1 % pk, t2 % pk, t3 % pk
 
 
+@lru_cache(maxsize=1024)  # bounded; a census to 780 (scan, then table) builds 133 entries
+def _log_data(p: int, prec: int, sn: int, J: int | None):
+    """What series_coeffs shares across the classes of one (p, prec, sN, J):
+    (E, J, top, shared) with E = nu_p(log x^(sN)), J the cut (the default where None) and
+    top = prec + E + nu_p(J!), the exponent of the largest ring any class needs (e <= E).
+    shared is (x^(sN), L, L^2, (t1, t2, t3)): the coordinates mod p^top of x^(sN), of
+    L = log x^(sN) and of L^2, and L's characteristic polynomial, whose Cayley-Hamilton relation
+    L^3 = t1 L^2 - t2 L + t3 is checked here, once; it is None where sN < 1 or E >= prec,
+    which series_coeffs rejects.  L is log(x^(sN*p)) / p, whose argument lies one digit deeper
+    in 1 + pR, so its series is about half as long."""
+    # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
+    # product of unramified rings and its coordinate valuation is the minimum over the roots
+    log_val = (ExtRing(p, prec, _P).elem(_xpow(sn, p**prec)) - 1).val()
+    if J is None:
+        J = _default_cut(p, log_val, prec)
+    top = prec + log_val + vp_factorial(J, p)
+    if sn < 1 or log_val >= prec:
+        return log_val, J, top, None
+    ring = ExtRing(p, top, _P)
+    deep = ring.lifted(1)
+    log_x = deep.elem(_xpow(sn * p, deep.pk)).log().div_exact_p(1).lift_to(ring)
+    log_x2 = log_x * log_x
+    t1, t2, t3 = _char_poly(log_x)
+    if log_x2 * log_x != t1 * log_x2 - t2 * log_x + t3:
+        raise PrecisionError("log x^(sN) fails its Cayley-Hamilton relation in Z_p[x]/(P)")
+    return log_val, J, top, (_xpow(sn, ring.pk), log_x.coords, log_x2.coords, (t1, t2, t3))
+
+
 def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None) -> SeriesTrunc:
     """Coefficients of g = f_l / p^e modulo p^prec.
 
@@ -147,20 +176,15 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     p^(prec + e + nu_p(J!)) and divided exactly by p^(e + nu_p(k!)); the unit part of J!
     is inverted once and each k!^(-1) read on the way back down.  s_0, s_1 and s_2 are
     read from ring products; after them the Cayley-Hamilton relation
-    L^3 = t1 L^2 - t2 L + t3, checked in the ring once per series, gives the scalar
-    recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L is log(x^(sN*p)) / p, whose
-    argument lies one digit deeper in 1 + pR, so its series is about half as long.
+    L^3 = t1 L^2 - t2 L + t3, checked in the ring once per (p, prec, s), gives the scalar
+    recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L, its square and t1, t2, t3 come
+    from _log_data, built once per (p, prec, sN, J) and reduced here to this class's ring.
     """
     p, prec = ctx.p, ctx.prec
     sn = s * ctx.n_period
-    # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
-    # product of unramified rings and its coordinate valuation is the minimum over the roots
-    log_val = (ExtRing(p, prec, _P).elem(_xpow(sn, p**prec)) - 1).val()
-    if J is None:
-        J = _default_cut(p, log_val, prec)
-    top = p ** (prec + log_val + vp_factorial(J, p))
-    x_ell = _xpow(ell, top)
-    t_ell = (x_ell[1] + x_ell[2]) % top
+    log_val, J, top, shared = _log_data(p, prec, sn, J)
+    x_ell = _xpow(ell, p**top)
+    t_ell = (x_ell[1] + x_ell[2]) % p**top
     if t_ell % p:
         raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
     if s < 1:
@@ -168,18 +192,15 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     if log_val >= prec:
         raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
     e = log_val if t_ell % p**log_val == 0 else _vp(t_ell, p)
-    ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
+    # the class's ring is p^(top - E + e): below top only where e < E
+    ring = ExtRing(p, top - log_val + e, _P)
     pk = ring.pk
+    x_sn, log_x, log_x2 = (ring.elem(v) for v in shared[:3])
+    t1, t2, t3 = (t % pk for t in shared[3])
     term = ring.elem(x_ell)
     # ring._mul against _xpow's own product: phi(x^l * x^(sN)) = T(l + sN)
-    if _phi(term * ring.elem(_xpow(sn, pk))) != trib_mod(ell + sn, pk):
+    if _phi(term * x_sn) != trib_mod(ell + sn, pk):
         raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
-    deep = ring.lifted(1)
-    log_x = deep.elem(_xpow(sn * p, deep.pk)).log().div_exact_p(1).lift_to(ring)
-    log_x2 = log_x * log_x
-    t1, t2, t3 = _char_poly(log_x)
-    if log_x2 * log_x != t1 * log_x2 - t2 * log_x + t3:
-        raise PrecisionError("log x^(sN) fails its Cayley-Hamilton relation in Z_p[x]/(P)")
     phis = [t_ell % pk, _phi(term * log_x), _phi(term * log_x2)]
     while len(phis) <= J:
         phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % pk)

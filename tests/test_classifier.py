@@ -501,6 +501,97 @@ class TestLocatedZeroOracle:
         assert checked == 6 * 26
 
 
+class TestWitnessZeroOracle:
+    """_witness_zero reads nu_p(T(l + N*m)) = e + nu_p(m - b), at m = b mod p and mod p^2, from
+    one trib_mod each: exactly where nu_p(m - b) < prec, and as >= where m = b (mod p^prec).
+    trib_val is the reference it must agree with, on both branches."""
+
+    # (p, l, u) of failure witnesses; p = 23 has b = 9 + 20*23 + 0*23^2 + ..., so at precision 3
+    # its m = b mod 23^2 meets b mod 23^3 and the check takes the >= branch
+    WITNESSES = [(23, 29, 15), (5, 21, 2), (47, 31, 16)]
+
+    @staticmethod
+    def with_zero(monkeypatch, shift):
+        real = tribadic.classifier.locate_zero
+
+        def shifted(ctx, ell, s=1):
+            record = real(ctx, ell, s)
+            return dataclasses.replace(record, b=shift(record.b))
+
+        monkeypatch.setattr(tribadic.classifier, "locate_zero", shifted)
+
+    @staticmethod
+    def reference(ctx, ell, b, e):
+        """The check as trib_val reads it: True where both depths show the claimed valuation."""
+        p = ctx.p
+        for j in (1, 2):
+            m = b.residue % p**j
+            gap = (b - m).known_val
+            actual, expected = trib_val(ell + ctx.n_period * m, p), e + gap
+            if not (actual == expected if gap < b.prec else actual >= expected):
+                return False
+        return True
+
+    @pytest.mark.parametrize("prec", [3, 24])
+    @pytest.mark.parametrize("p, ell, u", WITNESSES)
+    def test_agrees_with_trib_val(self, monkeypatch, p, ell, u, prec):
+        ctx = prime_context(p, prec)
+        true = locate_zero(ctx, ell)
+        candidates = [true.b] + [true.b + p**k for k in range(1, prec)]  # each keeps u
+        candidates += [PAdicInt(p, prec, true.b.residue % p**j) for j in (1, 2, 3)]
+        branches, outcomes = set(), set()
+        for b in candidates:
+            branches |= {(b - b.residue % p**j).known_val >= prec for j in (1, 2)}
+            expected = self.reference(ctx, ell, b, true.series.e)
+            outcomes.add(expected)
+            self.with_zero(monkeypatch, lambda _, b=b: b)
+            if expected:
+                assert tribadic.classifier._witness_zero(ctx, ell, u) == tuple(b.digits())
+            else:
+                with pytest.raises(AssertionError):
+                    tribadic.classifier._witness_zero(ctx, ell, u)
+        assert outcomes == {True, False} and branches == {True, False}
+
+    def test_p23_takes_the_at_least_branch_and_passes(self):
+        ctx = prime_context(23, 3)
+        b = locate_zero(ctx, 29).b
+        assert (b - b.residue % 23**2).known_val == 3
+        assert tribadic.classifier._witness_zero(ctx, 29, 15) == tuple(b.digits())
+
+    def test_no_trib_val_and_no_primality_test(self, monkeypatch):
+        ctx = prime_context(23, 24)
+
+        def refuse(*args):
+            raise RuntimeError("called")
+
+        for module in (tribadic.classifier, tribadic.tribonacci, tribadic.galois, tribadic._factor):
+            for name in ("trib_val", "is_prime"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert tribadic.classifier._witness_zero(ctx, 29, 15)[:3] == (9, 20, 0)
+
+    def test_shifted_zero_raises_under_python_O(self):
+        # b's digit at p^2 is 0, so a shift by p^2 as well as by p breaks the valuation at m = b mod p^2
+        code = (
+            "import dataclasses\n"
+            "import tribadic.classifier as c\n"
+            "assert False, 'not running under -O'\n"
+            "real = c.locate_zero\n"
+            "for shift in (23, 23**2):\n"
+            "    c.locate_zero = lambda ctx, ell, s=1: (lambda r: dataclasses.replace(r, b=r.b + shift))(real(ctx, ell, s))\n"
+            "    try:\n"
+            "        c._witness_zero(c.prime_context(23, 24), 29, 15)\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', shift, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert [line.split()[1] for line in out.stdout.splitlines()] == ["23", "529"]
+
+
 class TestFormulaSpec:
     def test_builtin_specs_validate(self):
         for name in ("p2", "p3", "p83", "p397", "p269", "p401", "p419", "p499", "p587"):

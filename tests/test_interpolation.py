@@ -435,31 +435,39 @@ class TestNewtonOnResidues:
 
 
 class TestCayleyHamiltonCheck:
-    """series_coeffs checks L^3 = t1 L^2 - t2 L + t3 in the ring before it runs the recurrence."""
+    """series_coeffs checks L^3 = t1 L^2 - t2 L + t3 in the ring, once per memo entry, before it
+    runs the recurrence.  Every corruption starts on a cold memo and each test ends on one, so no
+    entry built from a corrupted _char_poly reaches another test."""
 
-    @staticmethod
-    def corrupt(monkeypatch, which, shift):
+    @pytest.fixture
+    def corrupt(self, monkeypatch):
         real = interpolation._char_poly
+        interpolation._log_data.cache_clear()
 
-        def corrupted(a):
-            t = list(real(a))
-            t[which] = (t[which] + shift(a.ring)) % a.ring.pk
-            return tuple(t)
+        def corrupt(which, shift):
+            def corrupted(a):
+                t = list(real(a))
+                t[which] = (t[which] + shift(a.ring)) % a.ring.pk
+                return tuple(t)
 
-        monkeypatch.setattr(interpolation, "_char_poly", corrupted)
+            monkeypatch.setattr(interpolation, "_char_poly", corrupted)
+            interpolation._log_data.cache_clear()
+
+        yield corrupt
+        interpolation._log_data.cache_clear()
 
     @pytest.mark.parametrize("which", [0, 1, 2])
-    def test_corrupted_coefficient_raises(self, monkeypatch, which):
-        self.corrupt(monkeypatch, which, lambda ring: 1)
+    def test_corrupted_coefficient_raises(self, corrupt, which):
+        corrupt(which, lambda ring: 1)
         with pytest.raises(PrecisionError, match="Cayley-Hamilton"):
             series_coeffs(prime_context(5, 24), 21)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
-    def test_a_last_digit_passes_only_where_the_recurrence_ignores_it(self, monkeypatch, which):
+    def test_a_last_digit_passes_only_where_the_recurrence_ignores_it(self, corrupt, which):
         # L = 0 (mod p), so p^(R-1) t1 L^2 and p^(R-1) t2 L vanish mod p^R, and so do
         # p^(R-1) t1 s_(k+2) and p^(R-1) t2 s_(k+1); the constant t3 meets no such factor
         ref = series_coeffs(prime_context(5, 24), 21)
-        self.corrupt(monkeypatch, which, lambda ring: ring.pk // ring.p)
+        corrupt(which, lambda ring: ring.pk // ring.p)
         if which == 2:
             with pytest.raises(PrecisionError, match="Cayley-Hamilton"):
                 series_coeffs(prime_context(5, 24), 21)
@@ -471,6 +479,7 @@ class TestCayleyHamiltonCheck:
             "import tribadic.interpolation as i\n"
             "from tribadic import PrecisionError, prime_context\n"
             "assert False, 'not running under -O'\n"
+            "print('cold:', i._log_data.cache_info().currsize)\n"
             "real = i._char_poly\n"
             "i._char_poly = lambda a: (lambda t: (t[0], t[1], t[2] + 1))(real(a))\n"
             "try:\n"
@@ -483,7 +492,59 @@ class TestCayleyHamiltonCheck:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
+        assert "cold: 0\n" in out.stdout
         assert "raised: log x^(sN) fails its Cayley-Hamilton relation" in out.stdout
+
+
+class TestLogMemo:
+    """series_coeffs reads L = log x^(sN), x^(sN) and t1, t2, t3 from one memo entry per
+    (p, prec, sN, J), built mod the largest ring any class needs.  A series must not depend on
+    whether its class built that entry (cold) or another class did (warm)."""
+
+    @pytest.fixture(autouse=True)
+    def cold_after(self):
+        yield
+        interpolation._log_data.cache_clear()
+
+    @staticmethod
+    def cold_and_warm(ctx, ell, s, J, warmers):
+        interpolation._log_data.cache_clear()
+        cold = series_coeffs(ctx, ell, s, J)
+        interpolation._log_data.cache_clear()
+        for other in warmers:
+            series_coeffs(ctx, other, s, J)
+        hits = interpolation._log_data.cache_info().hits
+        warm = series_coeffs(ctx, ell, s, J)
+        assert interpolation._log_data.cache_info().hits == hits + 1
+        return cold, warm
+
+    @pytest.mark.parametrize(
+        "prec, s, ell, warmers",
+        [(prec, 3, 7, [22, 35]) for prec in (3, 24, 96)]
+        + [(prec, 9, ell, warmers) for prec in (24, 96) for ell, warmers in ((7, [0, 22]), (22, [7]))],
+    )
+    def test_p3_below_and_at_the_log_valuation(self, prec, s, ell, warmers):
+        # p = 3, s = 3, l = 7 has e = 1 < E = 2, and s = 9, l = 7 has e = 1 < E = 3: their
+        # rings sit below the entry's; l = 22 with s = 9 has e = E = 3 (E >= prec at precision 3)
+        ctx = prime_context(3, prec)
+        cold, warm = self.cold_and_warm(ctx, ell, s, None, warmers)
+        assert cold == warm
+        assert (cold.e, cold.log_val) == ((3, 3) if ell == 22 else (1, {3: 2, 9: 3}[s]))
+        assert [b.residue for b in cold.coeffs] == series_oracle(ctx, ell, s, cold.e, cold.cut)
+
+    @pytest.mark.parametrize("J", [None, 8])
+    def test_explicit_cut_has_its_own_entry(self, ctx5, J):
+        cold, warm = self.cold_and_warm(ctx5, 21, 1, J, [0])
+        assert cold == warm and cold.cut == (8 if J else series_coeffs(ctx5, 21).cut)
+
+    @pytest.mark.parametrize("prec", [3, 24, 96])
+    @pytest.mark.parametrize("p", [5, 83, 269, 587])
+    def test_every_class_cold_and_warm(self, p, prec):
+        ctx = prime_context(p, prec)
+        ells = [info.ell for info in _zero_table(p, ctx.n_period)][:6]
+        for i, ell in enumerate(ells):
+            cold, warm = self.cold_and_warm(ctx, ell, 1, None, ells[:i] + ells[i + 1:])
+            assert cold == warm, (p, prec, ell)
 
 
 class TestClassifyZero:
