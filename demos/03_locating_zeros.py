@@ -8,11 +8,11 @@ rational point 1/3 -- one of the two twisted rational zeros of the sequence.
 """
 
 from tribadic import (
-    derive_linear_formula,
+    certify,
+    class_series,
     eval_f,
     hensel_zero,
     prime_context,
-    series_coeffs,
     strassman_mu,
     trib,
 )
@@ -25,7 +25,7 @@ for m in (0, 1, 2):
     got = eval_f(ctx, 21, m).residue
     print(f"  f({m}) mod 5^24 = {got}  == T({21 + 31 * m}) mod 5^24: {got == trib(21 + 31 * m) % 5**24}")
 
-series = series_coeffs(ctx, 21)
+series = class_series(ctx, 21)  # at 5^24, else at 5^48, else 5^96: here the first
 print(f"\ng = f/5: beta_0 = T(21)/5 = {series.coeffs[0].residue}")
 print(f"coefficient valuations: {[b.known_val for b in series.coeffs[:9]]} ...")
 print(f"Strassman bound on the number of zeros: mu = {strassman_mu(series)}")
@@ -36,7 +36,7 @@ print(f"zero b, first 10 digits base 5: {record.b.digits()[:10]}")
 
 a = 21 + 31 * record.b
 print(f"\nl + N*b mod 5 = {a.residue % 5}  (the published table lists u = 2 for p = 5)")
-cert = derive_linear_formula(ctx, 21)  # read from the series alone: g vanishes at (a - 21)/31
+cert = certify(series)  # read from the same series, no Newton step: g vanishes at (a - 21)/31
 print(f"linear certificate of the class: a = {cert.a}, kappa = {cert.kappa}, Q = {cert.q}")
 print(f"indeed 3*(l + N*b) - 1 vanishes mod 5^22: {(3 * a - 1).known_val >= 22}")
 print("\nso the only 5-adic zero of this class is the twisted rational zero 1/3:")

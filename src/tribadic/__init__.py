@@ -46,10 +46,10 @@ from .classifier import (
     LinearCertificate,
     Verdict,
     builtin_spec,
+    certify,
+    class_series,
     classify_prime,
     crt_witness,
-    derive_linear_formula,
-    locate_zero,
     p3_pipeline,
     published_table,
     reproduce_table,

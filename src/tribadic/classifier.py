@@ -37,9 +37,7 @@ from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
 from .interpolation import (
     ZERO_TARGETS_RAT,
-    ConditionNotMet,
     SeriesTrunc,
-    ZeroRecord,
     hensel_zero,
     series_coeffs,
     strassman_mu,
@@ -181,15 +179,12 @@ class FormulaSpec:
 class LinearCertificate:
     """A certified linear case: nu_p(T(n)) = kappa + nu_p(n - a) for n = residue (mod q)."""
 
-    p: int
-    s: int
     q: int
     residue: int
     a: object  # int | Fraction
     kappa: int
     mu: int
     deriv_val: int
-    e: int
 
 
 @dataclass(frozen=True)
@@ -244,7 +239,7 @@ def _qt_residues_mod(m: int, targets=QT):
 def _zero_table(p: int, n_period: int):
     """One ZeroClassInfo per l in [0, N) with p | T(l), lazily, classed by the first element t
     of Q_T with t = l (mod N) and (t - l)/N in Z_p, if any: Q_T for p >= 5, Z_T for p = 3."""
-    targets = [t for t in QT if Fraction(t).denominator % p]
+    targets = [t for t in QT if t.as_integer_ratio()[1] % p]
     classes = {}
     for t, r in zip(targets, _qt_residues_mod(n_period, targets)):
         if r is not None:
@@ -255,67 +250,51 @@ def _zero_table(p: int, n_period: int):
 
 
 # ---------------------------------------------------------------------------
-# linear-formula certificates
+# one series per zero class: precision escalation and linear certificates
 
 
-def locate_zero(ctx: PrimeContext, ell: int, s: int = 1) -> ZeroRecord:
-    """The Hensel zero on the series of the class n = l (mod sN), or b = None where the
-    derivative condition fails: the zero whose digits a witness and the zero command print."""
-    series = series_coeffs(ctx, ell, s)
-    try:
-        return hensel_zero(series)
-    except ConditionNotMet:
-        return ZeroRecord(ell, s, None, strassman_mu(series) == 1, (), series)
+def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
+    """The series g = f_l / p^e of the class n = l (mod sN) at ctx.prec, else at twice it, else
+    at four times it: the first on which series_coeffs and strassman_mu raise no PrecisionError.
+
+    Strassman's mu, the Hensel zero b and the linear certificate are all read off this one series.
+    certify never raises PrecisionError, and neither does hensel_zero on a series whose beta_1 is
+    a unit: for k >= 2, nu(beta_k) >= (k-1)E - nu_p(k!) >= 1, so g' = beta_1 (mod p) on all of
+    Z_p and Newton converges within its iteration cap.  So escalation depends on the series
+    alone, and reading the three off it outside this loop changes no result; should one of their
+    defensive raises ever fire, it propagates."""
+    for k in range(3):
+        try:
+            series = series_coeffs(prime_context(ctx.p, ctx.prec << k), ell, s)
+            strassman_mu(series)
+            return series
+        except PrecisionError as exc:
+            last = exc
+    raise last
 
 
-def _certify(series: SeriesTrunc):
+def certify(series: SeriesTrunc):
     """The linear certificate of the class n = l (mod sN) that series was built on, or None.
     mu = 1 gives g one zero on Z_p and |g'| = |beta_1| on all of Z_p, so g(z) = 0 (mod p^prec)
     at z = (a - l)/sN for a the first t in Q_T with that z in Z_p, if any; z is only tried where
     its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1)."""
     if strassman_mu(series) != 1:
         return None
-    ctx, ell, s = series.ctx, series.ell, series.s
-    p, q, pk = ctx.p, s * ctx.n_period, ctx.p**ctx.prec
+    ctx, ell = series.ctx, series.ell
+    p, q, pk = ctx.p, series.s * ctx.n_period, ctx.p**ctx.prec
     c0, c1 = series.coeffs[0].residue, series.coeffs[1].residue
     v1 = _vp(c1, p)  # below prec: beta_1 attains the least valuation, which mu = 1 read off
     digit = -(c0 // p**v1) * pow(c1 // p**v1, -1, p) % p
     pv = p ** _vp(q, p)
     for t in QT:
-        num, den = Fraction(t).as_integer_ratio()
+        num, den = t.as_integer_ratio()
         diff = num - ell * den
         if den % p == 0 or diff % pv:  # t is not p-integral, or (t - l)/sN is not in Z_p
             continue
         z = diff // pv * pow(den * q // pv, -1, pk) % pk
         if z % p == digit and series.eval(z).is_zero():
-            return LinearCertificate(p, s, q, ell % q, t, series.e + v1 - _vp(q, p), 1, v1, series.e)
+            return LinearCertificate(q, ell % q, t, series.e + v1 - _vp(q, p), 1, v1)
     return None
-
-
-def _escalate(ctx: PrimeContext, attempt):
-    """attempt(context) at ctx.prec, then twice, then four times it: the first without PrecisionError."""
-    for k in range(3):
-        try:
-            return attempt(prime_context(ctx.p, ctx.prec << k))
-        except PrecisionError as exc:
-            last = exc
-    raise last
-
-
-def derive_linear_formula(ctx: PrimeContext, ell: int, s: int = 1):
-    """Certify nu_p(T(n)) = kappa + nu_p(n - a) on n = l (mod sN), or None, from the class's one series."""
-    return _escalate(ctx, lambda c: _certify(series_coeffs(c, ell, s)))
-
-
-def locate_and_certify(ctx: PrimeContext, ell: int, s: int = 1):
-    """(locate_zero, derive_linear_formula) on n = l (mod sN) from one series, escalated as one;
-    the record's series.ctx.prec is the precision that produced both."""
-
-    def once(c):
-        record = locate_zero(c, ell, s)
-        return record, _certify(record.series)
-
-    return _escalate(ctx, once)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +314,9 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     trib_mod of T(l + N*m) mod p^(e + gap + 1) shows that valuation exactly; where gap >= prec
     only nu_p >= e + gap is known, and T(l + N*m) = 0 (mod p^(e + gap)) is what is checked."""
     p, n_period = ctx.p, ctx.n_period
-    record = _escalate(ctx, lambda c: locate_zero(c, ell))
+    record = hensel_zero(class_series(ctx, ell))
     b = record.b
-    if b is None or (ell + n_period * b).residue % p != u:
+    if (ell + n_period * b).residue % p != u:
         raise PrecisionError(f"witness zero at l = {ell} does not reproduce u = {u}")
     for j in (1, 2):
         m = b.residue % p**j
@@ -351,10 +330,10 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     return tuple(b.digits())
 
 
-def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, certify):
+def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, certificate):
     """The verdict of one form by the module's rule, with the certificates when it holds.
     earlier maps the keys of the forms before it to their verdicts; witness(l, u) gives the
-    zero digits of a witness and certify(l) the linear certificate of the class n = l (mod N)."""
+    zero digits of a witness and certificate(l) the linear certificate of the class n = l (mod N)."""
     targets = form.targets
     targets_p = set(_qt_residues_mod(ctx.p, targets))
     w = next((i for i in infos if i.deriv_ok and i.u not in targets_p), None)
@@ -376,8 +355,8 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, 
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
     certs = []
     for info in infos:
-        cert = certify(info.ell)
-        if cert is None or Fraction(cert.a) != Fraction(info.target):
+        cert = certificate(info.ell)
+        if cert is None or cert.a != info.target:
             detail = f"zero classes sit over {form.set_name} but a linear certificate failed"
             return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
         certs.append(cert)
@@ -405,10 +384,10 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
             complete = False
             break
     witness = functools.cache(lambda ell, u: _witness_zero(ctx, ell, u))  # both forms may share a witness
-    certify = functools.cache(lambda ell: derive_linear_formula(ctx, ell, 1))  # and their certificates
+    certificate = functools.cache(lambda ell: certify(class_series(ctx, ell)))  # and their certificates
     verdicts, certs = {}, ()
     for form in FORMS:
-        verdicts[form.key], form_certs = _form_verdict(ctx, infos, form, verdicts, witness, certify)
+        verdicts[form.key], form_certs = _form_verdict(ctx, infos, form, verdicts, witness, certificate)
         certs = certs or form_certs  # l = 0 is always a zero class, so a form holds iff it has certificates
     formula = assemble_spec(p, n_period, [(n_period, (c.residue,), c.a, c.kappa) for c in certs]) if certs else None
     return ClassificationRecord(p, prec, ctx.d, n_period, verdicts, tuple(infos), formula, certs, complete)
@@ -422,16 +401,12 @@ def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
     """(assemble_spec entries, certificates) for the zero class n = l (mod sN), by its Strassman
     degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear formula,
     and mu >= 2 splits the class into its p classes mod p*sN."""
-
-    def once(c):  # mu and the certificate, read from one series at one precision
-        series = series_coeffs(c, ell, s)
-        return series, strassman_mu(series), _certify(series)
-
-    series, mu, cert = _escalate(ctx, once)
-    q = s * ctx.n_period
+    series = class_series(ctx, ell, s)
+    mu, q = strassman_mu(series), s * ctx.n_period
     if mu == 0:
         return [(q, (ell,), None, series.e + series.coeffs[0].known_val)], []
     if mu == 1:
+        cert = certify(series)
         if cert is None:
             raise PrecisionError(f"mu = 1 on n = {ell} (mod {q}) but no linear certificate")
         return [(q, (cert.residue,), cert.a, cert.kappa)], [cert]
@@ -626,9 +601,7 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     for n in extra:
         e, residue = spec.predict(n), 0
         if 0 <= e < VAL_INF:
-            pk = p ** min(e + 1, DEFAULT_PRECISION)
-            _, c1, c2 = _xpow(n, pk)
-            residue = (c1 + c2) % pk
+            residue = trib_mod(n, p ** min(e + 1, DEFAULT_PRECISION))
         compare(n, _vp(residue, p) if residue else trib_val(n, p))
     return out
 

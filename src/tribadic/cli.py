@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from ._factor import is_prime
 from .galois import EXCLUDED_PRIMES, prime_context
-from .interpolation import strassman_mu
+from .interpolation import ConditionNotMet, hensel_zero, strassman_mu
 from .padic import DEFAULT_PRECISION
 from .tribonacci import trib_mod
 from .classifier import (
@@ -41,8 +41,9 @@ from .classifier import (
     STATUS_EXCLUDED,
     STATUS_UNDECIDED,
     builtin_spec,
+    certify,
+    class_series,
     classify_prime,
-    locate_and_certify,
     reproduce_table,
     scan_range,
     validate_published_rows,
@@ -124,7 +125,7 @@ def _spec_arg(text):
     try:
         with open(text) as fh:
             return text, spec_from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot load spec {text!r}: {exc}") from None
 
 
@@ -319,15 +320,19 @@ def _cmd_zero(args) -> int:
     if not payload["divides"]:
         payload["conclusion"] = "p does not divide T(ell): f_ell has no zero on Z_p"
     else:
-        record, cert = locate_and_certify(ctx, ell, s)
-        ctx = record.series.ctx
-        payload.update(e=record.series.e, mu=strassman_mu(record.series), deriv_ok=record.b is not None)
-        if record.b is not None:  # mu = 1 here, so the certificate exists iff the zero sits over Q_T
+        series = class_series(ctx, ell, s)
+        ctx, mu, cert = series.ctx, strassman_mu(series), certify(series)
+        try:
+            record = hensel_zero(series)
+        except ConditionNotMet:  # beta_1 is not a unit: no Hensel start
+            record = None
+        payload.update(e=series.e, mu=mu, deriv_ok=record is not None)
+        if record is not None:  # mu = 1 here, so the certificate exists iff the zero sits over Q_T
             kind = "other" if cert is None else "rational" if isinstance(cert.a, Fraction) else "integer"
             payload["zero"] = {
                 "digits": record.b.digits(),
                 "residue": record.b.residue,
-                "unique": record.unique,
+                "unique": mu == 1,
                 "newton_residual_valuations": list(record.residual_vals),
                 "classification": _jsonable({"kind": kind, "value": None if cert is None else cert.a}),
             }
@@ -335,7 +340,7 @@ def _cmd_zero(args) -> int:
             payload["linear_certificate"] = _jsonable(
                 {"a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
             )
-        elif record.b is None:
+        elif record is None:
             payload["conclusion"] = "derivative condition fails and no linear certificate was found"
             status = "undecided"
     params = {"prime": p, "ell": ell, "multiplier": s, "precision": ctx.prec}

@@ -6,7 +6,9 @@ Binet sum of g over the roots of P.  For l with p | T(l), the function
 f_l(z) = phi(x^l exp(z log x^(sN))) interpolates m -> T(l + m*sN).  This module
 extracts the power-series coefficients beta_k of g = f_l / p^e in R with a
 certified tail bound (every x^n read from tribonacci._xpow, so no power of x is
-ever inverted) and locates zeros (Hensel iteration plus Strassman's bound).
+ever inverted), bounds their number on Z_p (Strassman's mu) and locates the zero
+(Hensel iteration); classifier.class_series escalates the precision of one class's
+series, and everything about the class is read off that one series.
 """
 
 from __future__ import annotations
@@ -92,20 +94,14 @@ class SeriesTrunc:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A certified zero b of g, with the Strassman uniqueness flag (mu = 1).
+    """The zero b of g that hensel_zero certifies on series, the SeriesTrunc it was found on.
 
-    unique also backs the linear certificate: mu = 1 is g'(b) dominating the series
-    recentred at b, since translating within Z_p keeps the Weierstrass degree.
-    residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test
-    suite uses to observe quadratic convergence.  series is the SeriesTrunc b was found on;
-    classifier.locate_zero records b = None where g'(0) = 0 mod p.  Which target a = l + sN*b
-    is, if any, the class's linear certificate says, read from series alone.
+    residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test suite uses to
+    observe quadratic convergence.  Whether b is g's only zero on Z_p is strassman_mu(series)
+    == 1, and which target a = l + sN*b is, if any, classifier.certify(series) says.
     """
 
-    ell: int
-    s: int
-    b: PAdicInt | None
-    unique: bool
+    b: PAdicInt
     residual_vals: tuple[int, ...]
     series: SeriesTrunc
 
@@ -293,8 +289,7 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
         b = (b - g // p**r * pow(slope, -1, m) % m * p**r) % pk
     else:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
-    unique = strassman_mu(series) == 1
-    return ZeroRecord(series.ell, series.s, PAdicInt(p, prec, b), unique, tuple(residuals), series)
+    return ZeroRecord(PAdicInt(p, prec, b), tuple(residuals), series)
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,8 @@ def test_criterion_6_property_suites():
             if not deriv_ok:
                 continue
             assert strassman_mu(series) == 1, f"mu != 1 at p = {p}, l = {ell}"
-            record = hensel_zero(series)
-            assert record.unique  # one zero found, mu = 1: count <= mu
+            record = hensel_zero(series)  # one zero found, mu = 1: count <= mu
+            assert record.series is series and series.eval(record.b).is_zero()
             vals = record.residual_vals
             for i in range(len(vals) - 1):
                 assert vals[i + 1] >= min(2 * vals[i], 24), f"convergence stall at p = {p}, l = {ell}"

@@ -19,9 +19,11 @@ from tribadic import (
     FormulaCase,
     FormulaSpec,
     builtin_spec,
+    certify,
+    class_series,
     classify_prime,
     crt_witness,
-    derive_linear_formula,
+    hensel_zero,
     p3_pipeline,
     published_table,
     prime_context,
@@ -46,13 +48,10 @@ from tribadic.classifier import (
     ZT,
     Mismatch,
     TableRow,
-    _certify,
     _class_rules,
     _classify_range,
     _zero_scan,
     _zero_table,
-    locate_and_certify,
-    locate_zero,
 )
 from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.interpolation import series_coeffs, strassman_mu
@@ -180,7 +179,7 @@ class TestVerdictRule:
         assert (v.status, v.diagnostic, v.detail) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE, self.SCOPE + self.IMPLIED)
 
     def test_failed_certificate_integer_form(self, monkeypatch):
-        monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", lambda *args: None)
+        monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
         rec = classify_prime(83)
         assert (rec.verdicts["ml"].status, rec.verdicts["ml"].diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
         assert rec.verdicts["ml"].detail == "zero classes sit over Z_T but a linear certificate failed"
@@ -188,7 +187,7 @@ class TestVerdictRule:
         assert (rec.formula, rec.certificates) == (None, ())
 
     def test_failed_certificate_rational_form(self, monkeypatch):
-        monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", lambda *args: None)
+        monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
         rec = classify_prime(269)
         assert rec.verdicts["ml"].status == STATUS_FAILS
         assert (rec.verdicts["rational"].status, rec.verdicts["rational"].diagnostic) == (
@@ -214,13 +213,13 @@ class TestVerdictRule:
         # p = 397: the integer form holds and the rational form is out of scope; p = 1021: both
         # forms hold, from the same certificates.  Either way each zero class is certified once
         seen = []
-        derive = tribadic.classifier.derive_linear_formula
+        real = tribadic.classifier.class_series
 
         def counted(ctx, ell, s=1):
             seen.append(ell)
-            return derive(ctx, ell, s)
+            return real(ctx, ell, s)
 
-        monkeypatch.setattr(tribadic.classifier, "derive_linear_formula", counted)
+        monkeypatch.setattr(tribadic.classifier, "class_series", counted)
         for p in (397, 1021):
             seen.clear()
             rec = classify_prime(p)
@@ -356,42 +355,49 @@ class TestP3Pipeline:
         assert classify_prime(3).formula.rule_table() == p3_pipeline(24).formula.rule_table()
 
 
+def class_certificate(ctx, ell, s=1):
+    return certify(class_series(ctx, ell, s))
+
+
 class TestDeriveLinearFormula:
+    """Linear certificates, read by certify off the series class_series escalates."""
+
     def test_p83_class_zero(self, ctx83):
-        cert = derive_linear_formula(ctx83, 0, 1)
+        cert = class_certificate(ctx83, 0, 1)
         assert (cert.a, cert.kappa, cert.mu) == (0, 1, 1)
 
     def test_p3_classes(self):
         ctx = prime_context(3, 24)
-        assert derive_linear_formula(ctx, 0, 1).kappa == 2
-        cert = derive_linear_formula(ctx, 35, 3)
+        assert class_certificate(ctx, 0, 1).kappa == 2
+        cert = class_certificate(ctx, 35, 3)
         assert (cert.a, cert.kappa) == (-4, 4)
-        cert = derive_linear_formula(ctx, 22, 3)
+        cert = class_certificate(ctx, 22, 3)
         assert (cert.a, cert.kappa) == (-17, 4)
 
     def test_constant_class_yields_none(self):
         # l = 9 at s = 3 is the constant nu = 4 class: no linear formula
         ctx = prime_context(3, 24)
-        assert derive_linear_formula(ctx, 9, 3) is None
+        assert class_certificate(ctx, 9, 3) is None
 
     @pytest.mark.parametrize("p, ell", [(5, 30), (3, 9)])
     def test_class_over_z_t_without_dominance_yields_none(self, p, ell):
         # l sits over -1 (p = 5) or -4 (p = 3) mod N, but mu = 2: no linear formula at s = 1
-        assert derive_linear_formula(prime_context(p, 24), ell, 1) is None
+        assert class_certificate(prime_context(p, 24), ell, 1) is None
 
     def test_zero_over_no_target_has_no_certificate(self):
         # l = 64 is p = 59's rational-form witness: its zero sits over no element of Q_T, and g at
         # each (t - l)/N is a definite nonzero mod p^prec, not a precision fault
         assert classify_prime(59).verdicts["rational"].ell == 64
         for prec in (24, 48, 96):
-            record, cert = locate_and_certify(prime_context(59, prec), 64)
-            assert record.b is not None and cert is None
+            series = class_series(prime_context(59, prec), 64)
+            assert series.ctx.prec == prec and certify(series) is None
+            assert hensel_zero(series).b.prec == prec
 
     def test_only_the_target_the_zero_sits_over_vanishes(self, ctx269):
         # l = 179 sits over 1/3; g is a unit multiple of z - b on Z_p, so it is nonzero mod
         # p^prec at (t - l)/N for every other t in Q_T
         series = series_coeffs(ctx269, 179)
-        assert _certify(series).a == Fraction(1, 3)
+        assert certify(series).a == Fraction(1, 3)
         pk = 269**24
         for t in map(Fraction, QT):
             z = (t.numerator - 179 * t.denominator) * pow(268 * t.denominator, -1, pk)
@@ -407,7 +413,7 @@ class TestDeriveLinearFormula:
         classes += [(3, ell, 3) for ell in (9, 22, 35)]
         certified = 0
         for p, ell, s in classes:
-            certs = [locate_and_certify(prime_context(p, prec), ell, s)[1] for prec in (3, 24)]
+            certs = [class_certificate(prime_context(p, prec), ell, s) for prec in (3, 24)]
             rules = [c and (c.a, c.kappa, c.q) for c in certs]
             assert rules[0] == rules[1], f"p = {p}, l = {ell}, s = {s}"
             certified += rules[1] is not None
@@ -415,15 +421,14 @@ class TestDeriveLinearFormula:
 
     def test_rational_class(self, ctx269):
         ell = pow(3, -1, 268) % 268
-        cert = derive_linear_formula(ctx269, ell, 1)
+        cert = class_certificate(ctx269, ell, 1)
         assert cert.a == Fraction(1, 3) and cert.kappa == 1
 
     def test_precision_escalation(self):
         # at 2 digits the slope (valuation 3) vanishes mod 3^2; the derivation
         # must double its way up rather than fail
-        cert = derive_linear_formula(prime_context(3, 2), 35, 3)
+        cert = class_certificate(prime_context(3, 2), 35, 3)
         assert cert is not None and (cert.a, cert.kappa) == (-4, 4)
-
 
 def taylor_shift(betas, b):
     """Reference recentring: gamma_k = sum_j C(j, k) beta_j b^(j-k), the O(J^2) Taylor shift."""
@@ -446,9 +451,9 @@ def centred_series(ctx, ell, s):
     (a - l)/sN and the series at a with its zero 0."""
     q = s * ctx.n_period
     out = []
-    record = locate_zero(ctx, ell, s)
-    if record.b is not None:
-        out.append((record.series, record.b))
+    series = series_coeffs(ctx, ell, s)
+    if series.coeffs[1].known_val == 0:  # beta_1 is a unit: the Hensel zero exists
+        out.append((series, hensel_zero(series).b))
     a = next((t for t in ZT if (ell - t) % q == 0), None)
     if a is not None:
         out.append((series_coeffs(ctx, ell, s), PAdicInt(ctx.p, ctx.prec, (a - ell) // q)))
@@ -483,13 +488,32 @@ class TestStrassmanDominance:
 
 
 class TestLocatedZeroOracle:
+    def test_hensel_zero_never_raises_on_a_unit_beta_1(self):
+        # for k >= 2, nu(beta_k) >= (k-1)E - nu_p(k!) >= 1, so g' = beta_1 (mod p) on Z_p: Newton
+        # converges wherever beta_1 is a unit, which is why class_series escalates on mu alone
+        units = 0
+        for p in primes_upto(199):
+            if p in EXCLUDED_PRIMES:
+                continue
+            for prec in (3, 24):
+                ctx = prime_context(p, prec)
+                for info in _zero_table(p, ctx.n_period):
+                    series = class_series(ctx, info.ell)
+                    assert (series.coeffs[1].known_val == 0) == info.deriv_ok, (p, prec, info.ell)
+                    if info.deriv_ok:
+                        units += 1
+                        record = hensel_zero(series)
+                        assert series.eval(record.b).is_zero() and record.series is series
+        assert units > 1000
+
+
     def test_valuations_along_the_zero(self):
         # nu_p(T(l + N*m)) = e + nu_p(m - b) for m = b mod p^j: integer-only check of b and unique
         checked = 0
         for row in published_table()[::4]:
             ctx = prime_context(row.p, 24)
-            record = locate_zero(ctx, row.ell)
-            assert record.b is not None and record.unique, f"p = {row.p}, l = {row.ell}"
+            record = hensel_zero(class_series(ctx, row.ell))
+            assert strassman_mu(record.series) == 1, f"p = {row.p}, l = {row.ell}"
             for j in range(1, 7):
                 m = record.b.residue % row.p**j
                 diff = PAdicInt(row.p, ctx.prec, m) - record.b
@@ -512,13 +536,13 @@ class TestWitnessZeroOracle:
 
     @staticmethod
     def with_zero(monkeypatch, shift):
-        real = tribadic.classifier.locate_zero
+        real = tribadic.classifier.hensel_zero
 
-        def shifted(ctx, ell, s=1):
-            record = real(ctx, ell, s)
+        def shifted(series):
+            record = real(series)
             return dataclasses.replace(record, b=shift(record.b))
 
-        monkeypatch.setattr(tribadic.classifier, "locate_zero", shifted)
+        monkeypatch.setattr(tribadic.classifier, "hensel_zero", shifted)
 
     @staticmethod
     def reference(ctx, ell, b, e):
@@ -536,7 +560,7 @@ class TestWitnessZeroOracle:
     @pytest.mark.parametrize("p, ell, u", WITNESSES)
     def test_agrees_with_trib_val(self, monkeypatch, p, ell, u, prec):
         ctx = prime_context(p, prec)
-        true = locate_zero(ctx, ell)
+        true = hensel_zero(class_series(ctx, ell))
         candidates = [true.b] + [true.b + p**k for k in range(1, prec)]  # each keeps u
         candidates += [PAdicInt(p, prec, true.b.residue % p**j) for j in (1, 2, 3)]
         branches, outcomes = set(), set()
@@ -554,7 +578,7 @@ class TestWitnessZeroOracle:
 
     def test_p23_takes_the_at_least_branch_and_passes(self):
         ctx = prime_context(23, 3)
-        b = locate_zero(ctx, 29).b
+        b = hensel_zero(class_series(ctx, 29)).b
         assert (b - b.residue % 23**2).known_val == 3
         assert tribadic.classifier._witness_zero(ctx, 29, 15) == tuple(b.digits())
 
@@ -576,9 +600,9 @@ class TestWitnessZeroOracle:
             "import dataclasses\n"
             "import tribadic.classifier as c\n"
             "assert False, 'not running under -O'\n"
-            "real = c.locate_zero\n"
+            "real = c.hensel_zero\n"
             "for shift in (23, 23**2):\n"
-            "    c.locate_zero = lambda ctx, ell, s=1: (lambda r: dataclasses.replace(r, b=r.b + shift))(real(ctx, ell, s))\n"
+            "    c.hensel_zero = lambda series: (lambda r: dataclasses.replace(r, b=r.b + shift))(real(series))\n"
             "    try:\n"
             "        c._witness_zero(c.prime_context(23, 24), 29, 15)\n"
             "    except AssertionError as exc:\n"
@@ -1084,12 +1108,10 @@ class TestUConsistency:
     @pytest.mark.parametrize("p", [7, 13, 29])
     def test_witness_matches_hensel_zero(self, p):
         # l + N*b = u (mod p) where b is the certified zero of g at the witness l
-        from tribadic import locate_zero
-
         rec = classify_prime(p)
         v = rec.verdicts["ml"]
         ctx = prime_context(p, 24)
-        record = locate_zero(ctx, v.ell)
+        record = hensel_zero(class_series(ctx, v.ell))
         a = v.ell + rec.n_period * record.b
         assert a.residue % p == v.u
         # and the record carries the same zero

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tribadic
-from tribadic import PrecisionError, classifier, cli, interpolation
+from tribadic import PrecisionError, classifier, cli, interpolation, prime_context
 from tribadic.classifier import FormulaCase, FormulaSpec, builtin_spec, crt_witness, verify_formula
 from tribadic.cli import (
     EXIT_EXCLUDED,
@@ -286,16 +286,19 @@ class TestVerify:
             {"case": 0, "residues": [0.5]},  # ... or 0 on the kappa = 0 case, a false pass
             {"case": 7, "a": True},  # a JSON boolean loaded as a = 1, linear on residue 22 mod 39 ...
             {"a": False},  # ... or as a = 0
+            "nested",  # json.load raised RecursionError: exit 1 with a traceback
         ],
         ids=["truncated-json", "residue-out-of-range", "bad-target", "top-level-list", "zero-denominator",
              "p-not-prime", "p-strong-pseudoprime", "p-one", "q-zero", "default-kappa-string",
              "default-kappa-null", "kappa-string", "mu-string", "p-float", "q-float", "residue-float",
-             "target-true", "target-false"],
+             "target-true", "target-false", "deeply-nested"],
     )
     def test_malformed_spec_file_exits_64(self, capsys, tmp_path, change):
         data = spec_to_dict(builtin_spec("p3"))
         if change == "{":
             text = "{"
+        elif change == "nested":
+            text = "[" * 10**5
         elif change == "list":
             text = json.dumps([data])
         elif "cases" in change:
@@ -408,31 +411,48 @@ class TestZeroSinglePass:
         assert calls == {"series_coeffs": [0, 7, 9, 9, 22, 35, 12], "hensel_zero": 0}
 
     def test_failing_certificate_makes_three_attempts(self, capsys, monkeypatch):
+        # class_series escalates on the Strassman bound the certificate reads
         precisions = []
 
-        def fail(series, *args):
+        def fail(series):
             precisions.append(series.ctx.prec)
             raise PrecisionError("forced")
 
-        monkeypatch.setattr(classifier, "_certify", fail)
+        monkeypatch.setattr(classifier, "strassman_mu", fail)
         assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
         assert precisions == [24, 48, 96]
 
     def test_precision_used_is_the_one_that_produced_the_payload(self, capsys, monkeypatch):
-        certify = classifier._certify
+        strassman_mu = classifier.strassman_mu
         attempts = []
 
-        def fail_first(series, *args):
+        def fail_first(series):
             attempts.append(series.ctx.prec)
             if len(attempts) == 1:
                 raise PrecisionError("forced")
-            return certify(series, *args)
+            return strassman_mu(series)
 
-        monkeypatch.setattr(classifier, "_certify", fail_first)
+        monkeypatch.setattr(classifier, "strassman_mu", fail_first)
         code, rec = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
-        assert code == EXIT_PASS and attempts == [24, 48]
+        assert code == EXIT_PASS and attempts == [24, 48, 48]  # class_series twice, then certify
         assert rec["precision_used"] == 48
         assert len(rec["payload"]["zero"]["digits"]) == 48
+
+    def test_escalated_class_is_read_off_one_series(self, capsys, monkeypatch):
+        # p = 3, l = 35, s = 3: g vanishes mod 3^3, so class_series doubles to 3^6 once; e, mu,
+        # the certificate and precision_used all come from that series, whose beta_1 is no unit
+        calls = self.count_calls(monkeypatch)
+        code, rec = run_json(capsys, "zero", "--prime", "3", "--ell", "35", "--multiplier", "3",
+                             "--precision", "3")
+        assert calls == {"series_coeffs": [35, 35], "hensel_zero": 1}
+        series = classifier.class_series(prime_context(3, 3), 35, 3)
+        cert = classifier.certify(series)
+        pay = rec["payload"]
+        assert code == EXIT_PASS and series.ctx.prec == rec["precision_used"] == 6
+        assert (pay["e"], pay["mu"], pay["deriv_ok"]) == (series.e, interpolation.strassman_mu(series), False)
+        assert "zero" not in pay and pay["linear_certificate"] == {
+            "a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
+        assert (cert.a, cert.kappa) == (-4, 4)
 
 
 class TestScan:

@@ -26,7 +26,7 @@ from tribadic import (
     trib_mod,
     trib_val,
 )
-from tribadic.classifier import _zero_table, locate_and_certify
+from tribadic.classifier import _zero_table, certify, class_series
 from tribadic.interpolation import SeriesTrunc
 from tribadic.padic import ExtRing, _vp, vp_factorial
 from tribadic.tribonacci import _xpow
@@ -340,7 +340,7 @@ class TestStrassman:
 class TestHenselZero:
     def test_p5_ell21_unique_zero_with_u2(self, ctx5):
         rec = hensel_zero(series_coeffs(ctx5, 21))
-        assert rec.unique
+        assert strassman_mu(rec.series) == 1
         a = 21 + 31 * rec.b
         assert a.residue % 5 == 2  # the published u
 
@@ -555,8 +555,10 @@ class TestClassifyZero:
         for ell in range(ctx83.n_period):
             if trib_mod(ell, 83) != 0:
                 continue
-            rec, cert = locate_and_certify(ctx83, ell)
-            assert rec.b is not None and type(cert.a) is int
+            series = class_series(ctx83, ell)
+            assert hensel_zero(series).b.prec == 24
+            cert = certify(series)
+            assert type(cert.a) is int
             got[ell] = cert.a
         assert sorted(got.values()) == [-17, -4, -1, 0]
 
@@ -565,14 +567,15 @@ class TestClassifyZero:
         for ell in range(ctx269.n_period):
             if trib_mod(ell, 269) != 0:
                 continue
-            rec, cert = locate_and_certify(ctx269, ell)
-            assert rec.b is not None
-            values.add(cert.a)
+            series = class_series(ctx269, ell)
+            assert hensel_zero(series).b.prec == 24
+            values.add(certify(series).a)
         assert values == {0, -1, -4, -17, Fraction(1, 3), Fraction(-5, 3)}
 
     def test_p5_zero_is_one_third(self, ctx5):
         # u = 2 = 1/3 mod 5 and the zero sits over 1/3
-        rec, cert = locate_and_certify(ctx5, 21)
+        series = class_series(ctx5, 21)
+        rec, cert = hensel_zero(series), certify(series)
         assert cert.a == Fraction(1, 3)
         # independent consequence: nu_5(T(n)) > 0 wherever n = 1/3 + 31 * 5^k-ish points land
         a = 21 + 31 * rec.b
