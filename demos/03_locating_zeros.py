@@ -13,7 +13,6 @@ from tribadic import (
     eval_f,
     hensel_zero,
     prime_context,
-    strassman_mu,
     trib,
 )
 
@@ -28,7 +27,7 @@ for m in (0, 1, 2):
 series = class_series(ctx, 21)  # at 5^24, else at 5^48, else 5^96: here the first
 print(f"\ng = f/5: beta_0 = T(21)/5 = {series.coeffs[0].residue}")
 print(f"coefficient valuations: {[b.known_val for b in series.coeffs[:9]]} ...")
-print(f"Strassman bound on the number of zeros: mu = {strassman_mu(series)}")
+print(f"Strassman bound on the number of zeros: mu = {series.mu}")  # computed once, in class_series
 
 record = hensel_zero(series)
 print(f"\nNewton residual valuations per step: {record.residual_vals}  (doubling: Hensel at work)")

@@ -34,7 +34,6 @@ from .interpolation import (
     eval_f,
     hensel_zero,
     series_coeffs,
-    strassman_mu,
 )
 from .classifier import (
     FORMS,

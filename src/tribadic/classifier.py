@@ -40,7 +40,6 @@ from .interpolation import (
     SeriesTrunc,
     hensel_zero,
     series_coeffs,
-    strassman_mu,
 )
 from .padic import DEFAULT_PRECISION, VAL_INF, PrecisionError, _vp, val_int
 from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
@@ -227,7 +226,7 @@ def _u_residue(p: int, n_period: int, t_ell: int, t_ell_n: int, ell: int) -> int
     return (ell - (t_ell % p2) // p * pow(t1, -1, p) * n_period) % p
 
 
-def _qt_residues_mod(m: int, targets=QT):
+def _qt_residues_mod(m: int, targets):
     """Residues of the targets mod m, or None where a denominator is not invertible."""
     out = []
     for t in targets:
@@ -255,9 +254,10 @@ def _zero_table(p: int, n_period: int):
 
 def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     """The series g = f_l / p^e of the class n = l (mod sN) at ctx.prec, else at twice it, else
-    at four times it: the first on which series_coeffs and strassman_mu raise no PrecisionError.
+    at four times it: the first on which series_coeffs and then series.mu raise no PrecisionError.
 
-    Strassman's mu, the Hensel zero b and the linear certificate are all read off this one series.
+    Strassman's mu (computed here, once, and kept on the series), the Hensel zero b and the
+    linear certificate are all read off this one series.
     certify never raises PrecisionError, and neither does hensel_zero on a series whose beta_1 is
     a unit: for k >= 2, nu(beta_k) >= (k-1)E - nu_p(k!) >= 1, so g' = beta_1 (mod p) on all of
     Z_p and Newton converges within its iteration cap.  So escalation depends on the series
@@ -266,7 +266,7 @@ def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     for k in range(3):
         try:
             series = series_coeffs(prime_context(ctx.p, ctx.prec << k), ell, s)
-            strassman_mu(series)
+            series.mu  # raises where every coefficient vanishes mod p^prec
             return series
         except PrecisionError as exc:
             last = exc
@@ -278,7 +278,7 @@ def certify(series: SeriesTrunc):
     mu = 1 gives g one zero on Z_p and |g'| = |beta_1| on all of Z_p, so g(z) = 0 (mod p^prec)
     at z = (a - l)/sN for a the first t in Q_T with that z in Z_p, if any; z is only tried where
     its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1)."""
-    if strassman_mu(series) != 1:
+    if series.mu != 1:
         return None
     ctx, ell = series.ctx, series.ell
     p, q, pk = ctx.p, series.s * ctx.n_period, ctx.p**ctx.prec
@@ -402,7 +402,7 @@ def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
     degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear formula,
     and mu >= 2 splits the class into its p classes mod p*sN."""
     series = class_series(ctx, ell, s)
-    mu, q = strassman_mu(series), s * ctx.n_period
+    mu, q = series.mu, s * ctx.n_period
     if mu == 0:
         return [(q, (ell,), None, series.e + series.coeffs[0].known_val)], []
     if mu == 1:

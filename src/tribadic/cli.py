@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from ._factor import is_prime
 from .galois import EXCLUDED_PRIMES, prime_context
-from .interpolation import ConditionNotMet, hensel_zero, strassman_mu
+from .interpolation import ConditionNotMet, hensel_zero
 from .padic import DEFAULT_PRECISION
 from .tribonacci import trib_mod
 from .classifier import (
@@ -321,7 +321,7 @@ def _cmd_zero(args) -> int:
         payload["conclusion"] = "p does not divide T(ell): f_ell has no zero on Z_p"
     else:
         series = class_series(ctx, ell, s)
-        ctx, mu, cert = series.ctx, strassman_mu(series), certify(series)
+        ctx, mu, cert = series.ctx, series.mu, certify(series)
         try:
             record = hensel_zero(series)
         except ConditionNotMet:  # beta_1 is not a unit: no Hensel start

@@ -6,8 +6,8 @@ Binet sum of g over the roots of P.  For l with p | T(l), the function
 f_l(z) = phi(x^l exp(z log x^(sN))) interpolates m -> T(l + m*sN).  This module
 extracts the power-series coefficients beta_k of g = f_l / p^e in R with a
 certified tail bound (every x^n read from tribonacci._xpow, so no power of x is
-ever inverted), bounds their number on Z_p (Strassman's mu) and locates the zero
-(Hensel iteration); classifier.class_series escalates the precision of one class's
+ever inverted), bounds their number on Z_p (Strassman's mu, SeriesTrunc.mu) and locates the
+zero (Hensel iteration); classifier.class_series escalates the precision of one class's
 series, and everything about the class is read off that one series.
 """
 
@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._factor import crt_pair
 from .galois import _P, PrimeContext
@@ -26,7 +26,6 @@ from .padic import (
     ExtRing,
     PAdicInt,
     PrecisionError,
-    _hensel_cube_root,
     _vp,
     val_int,
     vp_factorial,
@@ -91,14 +90,34 @@ class SeriesTrunc:
     def eval_deriv(self, z) -> PAdicInt:
         return self._at(z, [k * self.coeffs[k].residue for k in range(self.cut, 0, -1)])
 
+    @cached_property
+    def mu(self) -> int:
+        """Strassman's bound: the largest index attaining the maximal |beta_k|, computed once.
+
+        mu = 1 also certifies a linear valuation formula: at any zero in Z_p, the
+        recentred series has the same mu, so its linear coefficient dominates.
+        The certified tail (nu >= prec for k > J) rules the tail out as long as
+        some computed coefficient is nonzero mod p^prec; if all vanish, precision
+        escalation is required and a PrecisionError is raised (and nothing is cached).
+        The least valuation is read from g = gcd(p^prec, beta_0, ..., beta_J) = p^min,
+        and mu is the last k with beta_k nonzero mod p*g.
+        """
+        pk = self.ctx.p ** self.ctx.prec
+        residues = [b.residue for b in self.coeffs]
+        g = math.gcd(pk, *residues)
+        if g == pk:
+            raise PrecisionError("all series coefficients vanish mod p^prec; double the precision")
+        m = g * self.ctx.p
+        return max(k for k, r in enumerate(residues) if r % m)
+
 
 @dataclass(frozen=True)
 class ZeroRecord:
     """The zero b of g that hensel_zero certifies on series, the SeriesTrunc it was found on.
 
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test suite uses to
-    observe quadratic convergence.  Whether b is g's only zero on Z_p is strassman_mu(series)
-    == 1, and which target a = l + sN*b is, if any, classifier.certify(series) says.
+    observe quadratic convergence.  Whether b is g's only zero on Z_p is series.mu == 1,
+    and which target a = l + sN*b is, if any, classifier.certify(series) says.
     """
 
     b: PAdicInt
@@ -139,8 +158,8 @@ def _log_data(p: int, prec: int, sn: int, J: int | None):
     top = prec + E + nu_p(J!), the exponent of the largest ring any class needs (e <= E).
     shared is (x^(sN), L, L^2, (t1, t2, t3)): the coordinates mod p^top of x^(sN), of
     L = log x^(sN) and of L^2, and L's characteristic polynomial, whose Cayley-Hamilton relation
-    L^3 = t1 L^2 - t2 L + t3 is checked here, once; it is None where sN < 1 or E >= prec,
-    which series_coeffs rejects.  L is log(x^(sN*p)) / p, whose argument lies one digit deeper
+    L^3 = t1 L^2 - t2 L + t3 is checked here, once; it is None where E >= prec, which
+    series_coeffs rejects.  L is log(x^(sN*p)) / p, whose argument lies one digit deeper
     in 1 + pR, so its series is about half as long."""
     # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
     # product of unramified rings and its coordinate valuation is the minimum over the roots
@@ -148,7 +167,7 @@ def _log_data(p: int, prec: int, sn: int, J: int | None):
     if J is None:
         J = _default_cut(p, log_val, prec)
     top = prec + log_val + vp_factorial(J, p)
-    if sn < 1 or log_val >= prec:
+    if log_val >= prec:
         return log_val, J, top, None
     ring = ExtRing(p, top, _P)
     deep = ring.lifted(1)
@@ -176,6 +195,8 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L, its square and t1, t2, t3 come
     from _log_data, built once per (p, prec, sN, J) and reduced here to this class's ring.
     """
+    if s < 1:
+        raise ValueError("period multiplier s must be >= 1")
     p, prec = ctx.p, ctx.prec
     sn = s * ctx.n_period
     log_val, J, top, shared = _log_data(p, prec, sn, J)
@@ -183,8 +204,6 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     t_ell = (x_ell[1] + x_ell[2]) % p**top
     if t_ell % p:
         raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
-    if s < 1:
-        raise ValueError("period multiplier s must be >= 1")
     if log_val >= prec:
         raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
     e = log_val if t_ell % p**log_val == 0 else _vp(t_ell, p)
@@ -234,26 +253,6 @@ def eval_f(ctx: PrimeContext, ell: int, z) -> PAdicInt:
     ring = ExtRing(p, prec, _P)
     x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
     return PAdicInt(p, prec, _phi(x_ell * (x_n.log() * z).exp()))
-
-
-def strassman_mu(series: SeriesTrunc) -> int:
-    """Strassman bound: the largest index attaining the maximal |beta_k|.
-
-    mu = 1 also certifies a linear valuation formula: at any zero in Z_p, the
-    recentred series has the same mu, so its linear coefficient dominates.
-    The certified tail (nu >= prec for k > J) rules the tail out as long as
-    some computed coefficient is nonzero mod p^prec; if all vanish, precision
-    escalation is required and a PrecisionError is raised.  The least valuation
-    is read from g = gcd(p^prec, beta_0, ..., beta_J) = p^min, and mu is the last
-    k with beta_k nonzero mod p*g.
-    """
-    pk = series.ctx.p ** series.ctx.prec
-    residues = [b.residue for b in series.coeffs]
-    g = math.gcd(pk, *residues)
-    if g == pk:
-        raise PrecisionError("all series coefficients vanish mod p^prec; double the precision")
-    m = g * series.ctx.p
-    return max(k for k, r in enumerate(residues) if r % m)
 
 
 def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
@@ -326,7 +325,8 @@ def cube_root_certificate(
     for -5/3.
 
     Requires all roots rational (d = 1) and 3 coprime to N; for p = 2 (mod 3)
-    that is automatic and the canonical cube roots are used.
+    that is automatic and the canonical cube roots are used.  The cube root y of x in
+    Z_p[x]/(P) comes from one powering of x, and y^3 = x is checked by a raise.
     """
     p, prec = ctx.p, ctx.prec
     n_period = ctx.n_period
@@ -335,11 +335,13 @@ def cube_root_certificate(
     if n_period % 3 == 0:
         raise ValueError("cube-root certificate needs 3 coprime to the period N")
     # In R = Z_p[x]/(P), phi(g) is the Binet sum of g over the roots.  x^N = 1 (mod p), so
-    # x^(3^-1 mod N) cubes to x mod p; for p = 2 (mod 3) it lifts the unique cube root.
-    # y^3 = x, so y^-5 = x^-2 * y
+    # x^(N p^(K-1)) = 1 (mod p^K) and, 3 being prime to that order, y = x^(3^-1 mod N p^(K-1))
+    # cubes to x: the Hensel lift of x^(3^-1 mod N), which cubes to x mod p.  y^-5 = x^-2 * y
     ring = ExtRing(p, prec, _P)
     x = ring.gen
-    y = _hensel_cube_root(x, ring.elem(_xpow(pow(3, -1, n_period), ring.pk)))
+    y = ring.elem(_xpow(pow(3, -1, n_period * p ** (prec - 1)), ring.pk))
+    if y * y * y != x:
+        raise AssertionError(f"the cube root of x fails y^3 = x mod {p}^{prec}")
     s13_ok, s53_ok = _phi(y) == 0, _phi(ring.elem(_xpow(-2, ring.pk)) * y) == 0
     # Newton's-identity certificate sum c^3 lambda = 3 prod c, with c = w(lambda) for
     # w = x P'(x)^-1 and prod c = prod lambda / prod P'(lambda) = 1/44 (-disc P = 44)

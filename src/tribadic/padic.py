@@ -453,25 +453,19 @@ def padic_log(u: PAdicInt) -> PAdicInt:
     return ExtRing(u.p, u.prec, (0, 1)).embed(u.residue).log().to_padic()
 
 
-def _hensel_cube_root(u, y):
-    """The cube root of the unit u that lifts y, a cube root of u mod p, by Newton
-    iteration on X^3 - u; u and y are PAdicInts or ExtElems of one ring."""
-    prec = u.prec if isinstance(u, PAdicInt) else u.ring.prec
-    for _ in range(max(prec.bit_length(), 1) + 1):
-        y = y - (y * y * y - u) * (3 * y * y).inv()
-    if not (y * y * y - u).is_zero():
-        raise AssertionError(f"Hensel lifting of a cube root of {u!r} failed")
-    return y
-
-
 def cube_root(u: PAdicInt) -> PAdicInt:
     """The unique y in Z_p^x with y^3 = u (mod p^prec), for p = 2 (mod 3).
 
-    Hensel iteration on X^3 - u from the residue start u^((2p-1)/3 mod (p-1)).
+    One powering, y = u^(3^-1 mod (p-1) p^(prec-1)): (Z/p^prec)^x is cyclic of order
+    (p-1) p^(prec-1), which 3 does not divide, so cubing is a bijection and this is its
+    inverse.  y^3 = u is checked by a raise.
     """
     p = u.p
     if p % 3 != 2:
         raise ValueError("cube roots are unique only for p = 2 (mod 3)")
     if not u.is_unit():
         raise ValueError("cube_root needs a unit")
-    return _hensel_cube_root(u, PAdicInt(p, u.prec, pow(u.residue % p, ((2 * p - 1) // 3) % (p - 1), p)))
+    y = u ** pow(3, -1, (p - 1) * p ** (u.prec - 1))
+    if y * y * y != u:
+        raise AssertionError(f"the cube root of {u!r} fails y^3 = u")
+    return y

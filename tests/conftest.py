@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from tribadic import ExtRing, prime_context
+from tribadic import ExtRing, PAdicInt, prime_context
 
 # P and P' as integer polynomials, ascending coefficients
 _P = (-1, -1, -1, 1)
@@ -85,6 +85,32 @@ def lifted_roots(p, prec):
     ):
         raise AssertionError(f"roots and Binet coefficients for p = {p} fail e1 = e3 = 1, T(0) = 0, T(1) = 1")
     return ring, roots, cs
+
+
+def hensel_cube_root(u, y):
+    """Test-only oracle: the cube root of the unit u that lifts y, a cube root of u mod p, by
+    Newton iteration on X^3 - u; u and y are PAdicInts or ExtElems of one ring."""
+    prec = u.prec if isinstance(u, PAdicInt) else u.ring.prec
+    for _ in range(max(prec.bit_length(), 1) + 1):
+        y = y - (y * y * y - u) * (3 * y * y).inv()
+    if not (y * y * y - u).is_zero():
+        raise AssertionError(f"Hensel lifting of a cube root of {u!r} failed")
+    return y
+
+
+def trib_mod_oracle(n, m):
+    """T(n) mod m for n >= 0 by powering the companion matrix of the recurrence, integers only."""
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) % m for j in range(3)] for i in range(3)]
+
+    out, mat = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1], [1, 0, 0], [0, 1, 0]]
+    while n:
+        if n & 1:
+            out = mul(out, mat)
+        mat = mul(mat, mat)
+        n >>= 1
+    return out[1][0] % m  # M^n = [[T(n+1), ...], [T(n), ...], ...]
 
 
 def log_series_oracle(u):

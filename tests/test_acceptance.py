@@ -23,7 +23,6 @@ from tribadic import (
     reproduce_table,
     scan_range,
     series_coeffs,
-    strassman_mu,
     trib_mod,
     validate_published_rows,
     verify_formula,
@@ -181,7 +180,7 @@ def test_criterion_6_property_suites():
             ) % (p * p) != 0
             if not deriv_ok:
                 continue
-            assert strassman_mu(series) == 1, f"mu != 1 at p = {p}, l = {ell}"
+            assert series.mu == 1, f"mu != 1 at p = {p}, l = {ell}"
             record = hensel_zero(series)  # one zero found, mu = 1: count <= mu
             assert record.series is series and series.eval(record.b).is_zero()
             vals = record.residual_vals

@@ -54,11 +54,11 @@ from tribadic.classifier import (
     _zero_table,
 )
 from tribadic.galois import EXCLUDED_PRIMES
-from tribadic.interpolation import series_coeffs, strassman_mu
+from tribadic.interpolation import series_coeffs
 from tribadic.padic import VAL_INF, PAdicInt, val_int
 from tribadic.tribonacci import ZERO_SET, trib, trib_val
 
-from conftest import PSI_12
+from conftest import PSI_12, trib_mod_oracle
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -462,7 +462,7 @@ def centred_series(ctx, ell, s):
 
 
 class TestStrassmanDominance:
-    """The linear certificate reads dominance of gamma_1 from strassman_mu on the series as it
+    """The linear certificate reads dominance of gamma_1 from series.mu on the series as it
     is centred; the Taylor shift to the zero is the oracle."""
 
     CLASSES = [(p, info.ell, 1) for p in (5, 83, 269, 397, 401)
@@ -481,7 +481,7 @@ class TestStrassmanDominance:
                 v1 = gammas[1].known_val
                 assert gammas[1] == series.eval_deriv(zero) and v1 < prec
                 dom = all(g.known_val > v1 for g in gammas[2:])
-                assert dom == (strassman_mu(series) == 1), f"p = {p}, l = {ell}, s = {s}, zero = {zero}"
+                assert dom == (series.mu == 1), f"p = {p}, l = {ell}, s = {s}, zero = {zero}"
                 dominated[dom] += 1
         # both outcomes occur: p = 5, l = 30 sits over -1 with mu = 2
         assert dominated[True] > 50 and dominated[False] >= 2
@@ -513,7 +513,7 @@ class TestLocatedZeroOracle:
         for row in published_table()[::4]:
             ctx = prime_context(row.p, 24)
             record = hensel_zero(class_series(ctx, row.ell))
-            assert strassman_mu(record.series) == 1, f"p = {row.p}, l = {row.ell}"
+            assert record.series.mu == 1, f"p = {row.p}, l = {row.ell}"
             for j in range(1, 7):
                 m = record.b.residue % row.p**j
                 diff = PAdicInt(row.p, ctx.prec, m) - record.b
@@ -614,6 +614,27 @@ class TestWitnessZeroOracle:
         )
         assert out.returncode == 0, out.stderr
         assert [line.split()[1] for line in out.stdout.splitlines()] == ["23", "529"]
+
+
+class TestWitnessDigitsAtFullPrecision:
+    """Every printed digit of a witness zero ties to the sequence: for the integer-form witness
+    l of each published row with p <= 300, b read from its zero_digits and e the exponent of its
+    class's series, T(l + N*b) = 0 (mod p^(e + 24)) by the integer-only matrix oracle.  The check
+    inside _witness_zero reads b mod p and b mod p^2 only."""
+
+    def test_every_published_witness_zero_vanishes_to_all_its_digits(self):
+        rows = [row for row in published_table() if row.p <= 300]
+        assert len(rows) == 56
+        for row in rows:
+            p, prec = row.p, 24
+            v = classify_prime(p, prec).verdicts["ml"]
+            assert (v.ell, v.u) == (row.ell, row.u) and len(v.zero_digits) == prec
+            b = sum(d * p**i for i, d in enumerate(v.zero_digits))
+            pe = p ** (class_series(prime_context(p, prec), v.ell).e + prec)
+            assert trib_mod_oracle(v.ell + row.n_period * b, pe) == 0, p
+            # negative controls: b moved at its fourth or its eleventh digit
+            for shift in (p**3, p**10):
+                assert trib_mod_oracle(v.ell + row.n_period * (b + shift), pe) != 0, (p, shift)
 
 
 class TestFormulaSpec:

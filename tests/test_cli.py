@@ -391,6 +391,24 @@ class TestZeroSinglePass:
             monkeypatch.setattr(module, "hensel_zero", hensel_zero, raising=False)
         return calls
 
+    @staticmethod
+    def count_mu(monkeypatch, failures=0):
+        """The precision of every computation of SeriesTrunc.mu, in order; the first failures
+        of them raise PrecisionError instead of computing mu.  The function under mu's own
+        descriptor is wrapped, so what it keeps is what is counted."""
+        descriptor = interpolation.SeriesTrunc.__dict__["mu"]
+        compute = descriptor.func
+        precisions = []
+
+        def mu(series):
+            precisions.append(series.ctx.prec)
+            if len(precisions) <= failures:
+                raise PrecisionError("forced")
+            return compute(series)
+
+        monkeypatch.setattr(descriptor, "func", mu)
+        return precisions
+
     def test_rational_class_builds_one_series_and_one_zero(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch)
         code, rec = run_json(capsys, "zero", "--prime", "269", "--ell", "179")
@@ -412,31 +430,31 @@ class TestZeroSinglePass:
 
     def test_failing_certificate_makes_three_attempts(self, capsys, monkeypatch):
         # class_series escalates on the Strassman bound the certificate reads
-        precisions = []
-
-        def fail(series):
-            precisions.append(series.ctx.prec)
-            raise PrecisionError("forced")
-
-        monkeypatch.setattr(classifier, "strassman_mu", fail)
+        precisions = self.count_mu(monkeypatch, failures=3)
         assert main(["zero", "--prime", "5", "--ell", "21"]) == EXIT_INTERNAL
         assert precisions == [24, 48, 96]
 
     def test_precision_used_is_the_one_that_produced_the_payload(self, capsys, monkeypatch):
-        strassman_mu = classifier.strassman_mu
-        attempts = []
-
-        def fail_first(series):
-            attempts.append(series.ctx.prec)
-            if len(attempts) == 1:
-                raise PrecisionError("forced")
-            return strassman_mu(series)
-
-        monkeypatch.setattr(classifier, "strassman_mu", fail_first)
+        precisions = self.count_mu(monkeypatch, failures=1)
         code, rec = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
-        assert code == EXIT_PASS and attempts == [24, 48, 48]  # class_series twice, then certify
+        # mu fails at 24 and is computed once at 48: certify and the payload read that value
+        assert code == EXIT_PASS and precisions == [24, 48]
         assert rec["precision_used"] == 48
         assert len(rec["payload"]["zero"]["digits"]) == 48
+
+    def test_mu_is_computed_once_per_request(self, capsys, monkeypatch):
+        # class_series, certify and the payload's mu share one computation
+        precisions = self.count_mu(monkeypatch)
+        code, rec = run_json(capsys, "zero", "--prime", "5", "--ell", "21")
+        assert code == EXIT_PASS and rec["payload"]["mu"] == 1 and precisions == [24]
+
+    def test_escalation_computes_mu_once_per_precision_tried(self, capsys, monkeypatch):
+        # p = 3, l = 35, s = 3: every coefficient vanishes mod 3^3, so mu raises there and is
+        # computed once more on the series at 3^6
+        precisions = self.count_mu(monkeypatch)
+        code, rec = run_json(capsys, "zero", "--prime", "3", "--ell", "35", "--multiplier", "3",
+                             "--precision", "3")
+        assert code == EXIT_PASS and rec["precision_used"] == 6 and precisions == [3, 6]
 
     def test_escalated_class_is_read_off_one_series(self, capsys, monkeypatch):
         # p = 3, l = 35, s = 3: g vanishes mod 3^3, so class_series doubles to 3^6 once; e, mu,
@@ -449,7 +467,7 @@ class TestZeroSinglePass:
         cert = classifier.certify(series)
         pay = rec["payload"]
         assert code == EXIT_PASS and series.ctx.prec == rec["precision_used"] == 6
-        assert (pay["e"], pay["mu"], pay["deriv_ok"]) == (series.e, interpolation.strassman_mu(series), False)
+        assert (pay["e"], pay["mu"], pay["deriv_ok"]) == (series.e, series.mu, False)
         assert "zero" not in pay and pay["linear_certificate"] == {
             "a": cert.a, "kappa": cert.kappa, "mu": cert.mu, "Q": cert.q, "residue": cert.residue}
         assert (cert.a, cert.kappa) == (-4, 4)

@@ -21,7 +21,6 @@ from tribadic import (
     hensel_zero,
     prime_context,
     series_coeffs,
-    strassman_mu,
     trib,
     trib_mod,
     trib_val,
@@ -33,7 +32,7 @@ from tribadic.tribonacci import _xpow
 from tribadic._factor import primes_upto
 from tribadic.galois import _P, EXCLUDED_PRIMES
 
-from conftest import lifted_roots, log_series_oracle
+from conftest import hensel_cube_root, lifted_roots, log_series_oracle
 
 
 class TestSeriesCoeffs:
@@ -294,9 +293,9 @@ class TestSeriesAgainstReference:
         mu = mu_oracle(residues, p, prec)
         if mu is None:
             with pytest.raises(PrecisionError):
-                strassman_mu(ser)
+                ser.mu
         else:
-            assert strassman_mu(ser) == mu
+            assert ser.mu == mu
 
     def test_cases_cover_what_they_claim(self):
         assert [prime_context(p).d for p in (269, 83, 5)] == [1, 2, 3]
@@ -307,7 +306,7 @@ class TestSeriesAgainstReference:
 
 class TestStrassman:
     def test_mu_one_for_p5_ell21(self, ctx5):
-        assert strassman_mu(series_coeffs(ctx5, 21)) == 1
+        assert series_coeffs(ctx5, 21).mu == 1
 
     def test_unit_beta1_gives_mu_one(self):
         for p in (7, 13, 17):
@@ -317,7 +316,7 @@ class TestStrassman:
                     continue
                 ser = series_coeffs(ctx, ell)
                 if ser.coeffs[1].known_val == 0:
-                    assert strassman_mu(ser) == 1
+                    assert ser.mu == 1
 
     def test_dominant_constant_term_gives_mu_zero(self, ctx5):
         ser = series_coeffs(ctx5, 21)
@@ -325,7 +324,7 @@ class TestStrassman:
             ser.ctx, ser.ell, ser.s, ser.e, ser.log_val,
             (PAdicInt(5, 24, 3),) + tuple(5 * b for b in ser.coeffs[1:]),
         )
-        assert strassman_mu(tweaked) == 0
+        assert tweaked.mu == 0
 
     def test_all_vanishing_raises(self, ctx5):
         ser = series_coeffs(ctx5, 21)
@@ -333,14 +332,22 @@ class TestStrassman:
             ser.ctx, ser.ell, ser.s, ser.e, ser.log_val,
             tuple(0 * b for b in ser.coeffs),
         )
-        with pytest.raises(PrecisionError):
-            strassman_mu(dead)
+        for _ in range(2):  # a raise caches nothing
+            with pytest.raises(PrecisionError):
+                dead.mu
+        assert "mu" not in vars(dead)
+
+    def test_mu_is_kept_on_the_series(self, ctx5):
+        ser = series_coeffs(ctx5, 21)
+        assert "mu" not in vars(ser)
+        assert ser.mu == 1 and vars(ser)["mu"] == 1
+        assert ser == series_coeffs(ctx5, 21)  # the kept value is no field: equality ignores it
 
 
 class TestHenselZero:
     def test_p5_ell21_unique_zero_with_u2(self, ctx5):
         rec = hensel_zero(series_coeffs(ctx5, 21))
-        assert strassman_mu(rec.series) == 1
+        assert rec.series.mu == 1
         a = 21 + 31 * rec.b
         assert a.residue % 5 == 2  # the published u
 
@@ -518,6 +525,16 @@ class TestLogMemo:
         assert interpolation._log_data.cache_info().hits == hits + 1
         return cold, warm
 
+    @pytest.mark.parametrize("s", [0, -1])
+    @pytest.mark.parametrize("ell", [1, 21])
+    def test_a_bad_multiplier_is_rejected_before_any_work(self, s, ell):
+        # p = 5 does not divide T(1): the multiplier is still what is reported, and no entry is made
+        interpolation._log_data.cache_clear()
+        with pytest.raises(ValueError, match="multiplier") as info:
+            series_coeffs(prime_context(5, 24), ell, s)
+        assert not isinstance(info.value, ConditionNotMet)
+        assert interpolation._log_data.cache_info().currsize == 0
+
     @pytest.mark.parametrize(
         "prec, s, ell, warmers",
         [(prec, 3, 7, [22, 35]) for prec in (3, 24, 96)]
@@ -601,6 +618,63 @@ class TestCubeRootCertificate:
     def test_rejects_wrong_splitting(self, ctx5):
         with pytest.raises(ValueError):
             cube_root_certificate(ctx5)  # d = 3 at p = 5
+
+    @staticmethod
+    def spy_cube_root(monkeypatch):
+        # the certificate's first phi is phi(y), y the cube root of x it computed
+        seen = []
+        real = interpolation._phi
+        monkeypatch.setattr(interpolation, "_phi", lambda g: seen.append(g) or real(g))
+        return seen
+
+    def test_cube_root_of_x_equals_hensel_lifting(self, monkeypatch):
+        # the Newton oracle from x^(3^-1 mod N), which cubes to x mod p, at every p < 700 with
+        # d = 1 and 3 prime to N
+        family = [p for p in primes_upto(700) if p not in EXCLUDED_PRIMES and prime_context(p).d == 1
+                  and prime_context(p).n_period % 3]
+        seen = self.spy_cube_root(monkeypatch)
+        for p in family:
+            for prec in (3, 24, 96):
+                ctx = prime_context(p, prec)
+                seen.clear()
+                cube_root_certificate(ctx, samples=0)
+                ring = ExtRing(p, prec, _P)
+                start = ring.elem(_xpow(pow(3, -1, ctx.n_period), ring.pk))
+                assert seen[0] == hensel_cube_root(ring.gen, start), (p, prec)
+        assert len(family) == 12
+
+    def test_a_wrong_exponent_fails_the_cube_check(self, monkeypatch):
+        # x^(e + 1) in place of x^e: the y^3 = x check must raise, not certify from a wrong root
+        ctx = prime_context(47, 24)
+        monkeypatch.setattr(interpolation, "_xpow", lambda n, m: _xpow(n + 1, m))
+        with pytest.raises(AssertionError, match="fails y\\^3 = x"):
+            cube_root_certificate(ctx, samples=0)
+
+    def test_cube_checks_survive_python_O(self):
+        code = (
+            "import builtins\n"
+            "import tribadic.interpolation as i, tribadic.padic as padic\n"
+            "from tribadic import PAdicInt, prime_context\n"
+            "assert False, 'not running under -O'\n"
+            "ctx = prime_context(47, 24)\n"
+            "real = i._xpow\n"
+            "i._xpow = lambda n, m: real(n + 1, m)\n"
+            "padic.pow = lambda b, e, m: builtins.pow(b, e if e < 0 else e + 1, m)\n"
+            "for check in (lambda: i.cube_root_certificate(ctx, samples=0), lambda: padic.cube_root(PAdicInt(5, 3, 2))):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "raised: the cube root of x fails y^3 = x mod 47^24",
+            "raised: the cube root of PAdicInt(2 mod 5^3) fails y^3 = u",
+        ]
 
     @pytest.mark.parametrize("prec", [24, 96])
     def test_certificate_matches_the_sums_over_lifted_roots(self, prec):

@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 
@@ -15,9 +16,11 @@ from tribadic import (
     padic_log,
     val_int,
 )
+import tribadic.padic as padic
+from tribadic._factor import primes_upto
 from tribadic.galois import _P
 
-from conftest import log_series_oracle
+from conftest import hensel_cube_root, log_series_oracle
 
 
 def recurrence_oracle(n):
@@ -217,6 +220,32 @@ class TestCubeRoot:
                 y = cube_root(u)
                 assert y * y * y == u
                 assert cube_root(u * u * u) == u
+
+    def test_one_powering_equals_hensel_lifting(self):
+        # the Newton oracle from the residue start u^((2p-1)/3 mod (p-1)), on seeded random units
+        # of every p = 2 (mod 3) below 700
+        rng = random.Random(700)
+        family = [p for p in primes_upto(700) if p % 3 == 2 and p > 2]
+        checked = 0
+        for p in family:
+            for k in (1, 3, 24, 96):
+                for _ in range(5):
+                    u = PAdicInt(p, k, rng.randrange(1, p**k))
+                    if not u.is_unit():
+                        continue
+                    start = PAdicInt(p, k, pow(u.residue % p, (2 * p - 1) // 3 % (p - 1), p))
+                    assert cube_root(u) == hensel_cube_root(u, start), (p, k, u)
+                    checked += 1
+        assert len(family) == 64 and checked == 1271
+
+    def test_a_wrong_exponent_fails_the_cube_check(self, monkeypatch):
+        # u^(e + 1) in place of u^e: the y^3 = u check must raise, not return a wrong root
+        def off_by_one(base, exp, mod):
+            return builtins.pow(base, exp if exp < 0 else exp + 1, mod)
+
+        monkeypatch.setattr(padic, "pow", off_by_one, raising=False)
+        with pytest.raises(AssertionError, match="fails y\\^3 = u"):
+            cube_root(PAdicInt(5, 3, 2))
 
     def test_rejects_p_1_mod_3(self):
         with pytest.raises(ValueError):
