@@ -27,8 +27,9 @@ import functools
 import hashlib
 import math
 import os
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
@@ -363,12 +364,43 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, 
     return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(certs)
 
 
+# one record per typed (p, prec, full_table), least recently used first: scan, table and classify
+# in one process classify each prime once
+_RECORDS_MAX = 10**4  # holds all 9592 primes up to P_MAX, the most scan_range accepts
+_records: OrderedDict = OrderedDict()
+
+
+def _record_key(p, prec, full_table) -> tuple:
+    """The memo key of a classification: typed, so 5.0 and True never meet the entries of 5 and 1."""
+    return p, prec, full_table, type(p), type(prec), type(full_table)
+
+
+def _remember(key, rec: ClassificationRecord) -> None:
+    _records[key] = rec
+    if len(_records) > _RECORDS_MAX:
+        _records.popitem(last=False)
+
+
 def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
     """Decide both conjecture forms for one prime; deterministic, smallest witness first.
 
     With full_table False the period scan stops at the first rational-form witness, which
     is also an integer-form witness at or after the first one: the verdicts and witnesses
-    are those of the full table, and zero_table is its prefix up to that witness."""
+    are those of the full table, and zero_table is its prefix up to that witness.
+
+    Records are memoized per process under the typed key (p, prec, full_table), at most
+    _RECORDS_MAX of them, and each call returns its own copy of the verdicts, so what a caller
+    does to a record never reaches a later call.  Failures are not memoized."""
+    key = _record_key(p, prec, full_table)
+    rec = _records.pop(key, None)  # put back last by _remember: the most recently used
+    if rec is None:
+        rec = _classify(p, prec, full_table)
+    _remember(key, rec)
+    return replace(rec, verdicts=dict(rec.verdicts))  # the one public mutable field, copied
+
+
+def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
+    """classify_prime without the memo."""
     if p in EXCLUDED_PRIMES:
         return _excluded_record(p, prec)
     if p == 3:
@@ -641,15 +673,22 @@ class TableRow:
 
 
 def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[ClassificationRecord]:
-    """classify_prime on every prime in [p_min, p_max], in order, on at most jobs worker processes;
-    each scan stops at the prime's witnesses, so the zero tables may be partial."""
+    """classify_prime(p, prec, full_table=False) on every prime in [p_min, p_max], in order; each
+    scan stops at the prime's witnesses, so the zero tables may be partial.
+
+    Records come from classify_prime's memo: on more than one worker process only the primes it
+    lacks are classified, and the workers' records are stored there first.  A second range in one
+    process classifies nothing again, and each record has its own verdicts dict."""
     if p_max > P_MAX:
         raise ValueError(f"p_max = {p_max} is above the supported {P_MAX}")
     ps = [p for p in primes_upto(p_max) if p >= p_min]
-    workers = min(jobs, os.cpu_count() or 1, len(ps))
+    misses = [p for p in ps if _record_key(p, prec, False) not in _records]
+    workers = min(jobs, os.cpu_count() or 1, len(misses))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(classify_prime, ps, [prec] * len(ps), [False] * len(ps)))
+            records = pool.map(_classify, misses, [prec] * len(misses), [False] * len(misses))
+            for p, rec in zip(misses, records):
+                _remember(_record_key(p, prec, False), rec)
     return [classify_prime(p, prec, full_table=False) for p in ps]
 
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from tribadic import ExtRing, PAdicInt, prime_context
+from tribadic import ExtRing, PAdicInt, classifier, prime_context
 
 # P and P' as integer polynomials, ascending coefficients
 _P = (-1, -1, -1, 1)
@@ -161,3 +161,13 @@ def ctx83():
 @pytest.fixture(scope="session")
 def ctx269():
     return prime_context(269, 24)
+
+
+@pytest.fixture
+def cold_records():
+    """An empty classification memo for the test, and again after it: a test that counts the
+    calls behind classify_prime sees them all, and no record it built under a monkeypatch
+    reaches another test."""
+    classifier._records.clear()
+    yield
+    classifier._records.clear()

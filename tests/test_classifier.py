@@ -165,6 +165,7 @@ class TestClassifyPrime:
             assert u in {t % 59 for t in ZT}
 
 
+@pytest.mark.usefixtures("cold_records")  # the tests count calls behind classify_prime
 class TestVerdictRule:
     """The branches of the one verdict rule that no census up to 10^4 reaches, and its memos."""
 
@@ -1080,6 +1081,7 @@ class TestTableAndScan:
         assert records == _classify_range(200, 24, jobs=1)  # zero tables included: both stop early
         assert any(not r.zero_table_complete for r in records)
 
+    @pytest.mark.usefixtures("cold_records")  # a warm memo leaves nothing for the pool
     def test_workers_bounded_by_cpus(self, monkeypatch):
         seen = []
 
@@ -1106,6 +1108,112 @@ class TestTableAndScan:
         for key in ("holds", "fails", "undecided", "excluded"):
             assert set(small.verdicts["ml"][key]) <= set(big.verdicts["ml"][key])
             assert set(small.verdicts["rational"][key]) <= set(big.verdicts["rational"][key])
+
+
+# classify_prime on inputs that are not admissible primes, for TestClassificationMemo: each p
+# cold, then again after 5 and the census to 60 are memoized; one line per call
+_BAD_PRIMES_SCRIPT = """
+from tribadic.classifier import _records, classify_prime, scan_range
+
+def attempt(p):
+    try:
+        classify_prime(p, 24, False)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no exception"
+
+for p in (4, 1, 5.0, True):
+    _records.clear()
+    cold = attempt(p)
+    classify_prime(5)
+    classify_prime(5, 24, False)
+    scan_range(60)
+    print(repr(p), cold, "|", attempt(p))
+"""
+
+
+@pytest.mark.usefixtures("cold_records")
+class TestClassificationMemo:
+    """classify_prime and _classify_range share one bounded memo of records per process, under
+    typed keys; a record read from it equals one built on a cold memo, and no caller can alter it."""
+
+    @pytest.mark.parametrize("prec, full_table", [(24, False), (24, True), (3, True)])
+    def test_warm_equals_cold(self, prec, full_table):
+        ps = primes_upto(800)
+        cold = [classify_prime(p, prec, full_table) for p in ps]
+        scan_range(800)
+        reproduce_table(800)
+        warm = [classify_prime(p, prec, full_table) for p in ps]
+        assert warm == cold
+        assert all(w.verdicts is not c.verdicts for w, c in zip(warm, cold))
+
+    def test_records_built_by_the_pool_equal_serial_ones(self):
+        pooled = _classify_range(300, 24, jobs=2)
+        warm = [classify_prime(p, 24, False) for p in primes_upto(300)]
+        tribadic.classifier._records.clear()
+        assert pooled == warm == _classify_range(300, 24, jobs=1)
+
+    def test_second_range_classifies_nothing(self, monkeypatch):
+        # the first range runs on two workers; the parent keeps their records and scans nothing
+        scanned = []
+        zero_table = tribadic.classifier._zero_table
+        monkeypatch.setattr(tribadic.classifier, "_zero_table", lambda p, n: scanned.append(p) or zero_table(p, n))
+        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
+        first = _classify_range(300, 24, jobs=2)
+        assert scanned == []
+
+        def refuse(*args):
+            raise RuntimeError("called")
+
+        for name in ("_zero_table", "_witness_zero", "p3_pipeline", "ProcessPoolExecutor"):
+            monkeypatch.setattr(tribadic.classifier, name, refuse)
+        assert _classify_range(300, 24, jobs=1) == first
+        assert _classify_range(300, 24, jobs=2) == first
+
+    def test_a_changed_record_changes_no_later_one(self):
+        reference = classify_prime(7)
+        for rec in (classify_prime(67), classify_prime(67), *_classify_range(100, 24, jobs=1)):
+            rec.verdicts["ml"] = rec.verdicts["rational"]
+            rec.verdicts.clear()
+        assert classify_prime(7) == reference and reference.verdicts
+        assert classify_prime(67).verdicts["ml"].status == STATUS_FAILS
+        for rec in _classify_range(100, 24, jobs=1):
+            assert list(rec.verdicts) == ["ml", "rational"]
+
+    def test_bound_holds_every_prime_up_to_p_max(self):
+        bound = tribadic.classifier._RECORDS_MAX
+        assert type(bound) is int and bound >= len(primes_upto(tribadic.classifier.P_MAX))
+
+    def test_least_recently_used_record_goes_first(self, monkeypatch):
+        monkeypatch.setattr(tribadic.classifier, "_RECORDS_MAX", 3)
+        for p in (5, 7, 13, 5, 17):  # 5 is used again before 17 arrives, so 7 goes
+            classify_prime(p, 24, False)
+        assert [key[0] for key in tribadic.classifier._records] == [13, 5, 17]
+
+    def test_keys_are_typed(self):
+        # 5.0 == 5 and True == 1, but neither may read the other's record
+        classify_prime(5, 24, False)
+        with pytest.raises(TypeError):
+            classify_prime(5.0, 24, False)
+        with pytest.raises(ValueError, match="True is not prime"):
+            classify_prime(True, 24, False)
+        with pytest.raises(TypeError):
+            classify_prime(5, 24.0, False)
+        assert classify_prime(5, 24, 0) == classify_prime(5, 24, False)  # 0 gets an entry of its own
+        assert [key[:3] for key in tribadic.classifier._records] == [(5, 24, 0), (5, 24, False)]
+        assert [key[5] for key in tribadic.classifier._records] == [int, bool]
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_bad_primes_raise_alike_cold_and_warm(self, flags):
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, *flags, "-c", _BAD_PRIMES_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        lines = [line.split(" ", 1) for line in out.stdout.splitlines()]
+        assert [p for p, _ in lines] == ["4", "1", "5.0", "True"]
+        for p, calls in lines:
+            cold, warm = calls.split(" | ")
+            assert cold == warm and cold.split(":")[0] in ("ValueError", "TypeError"), p
 
 
 class TestHoldsRecordFormulas:

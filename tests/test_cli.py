@@ -422,6 +422,7 @@ class TestZeroSinglePass:
         assert code == EXIT_PASS and rec["payload"]["linear_certificate"]["a"] == -17
         assert calls == {"series_coeffs": [270], "hensel_zero": 1}
 
+    @pytest.mark.usefixtures("cold_records")
     def test_p3_refinement_builds_one_series_per_class(self, monkeypatch):
         # classes 0, 7, 9, 12 mod 13, and 9, 22, 35 mod 39 after the mu = 2 split of 9
         calls = self.count_calls(monkeypatch)
