@@ -136,8 +136,11 @@ class TestClassifyPrime:
         assert rec7.verdicts["ml"].status == rec7.verdicts["rational"].status == STATUS_FAILS
         assert revalidate_witness(7, rec7.n_period, rec7.verdicts["rational"].ell, rec7.verdicts["rational"].u, True)
 
+    @pytest.mark.usefixtures("cold_records")
     def test_deterministic(self):
-        assert classify_prime(59) == classify_prime(59)
+        first = classify_prime(59)
+        tribadic.classifier._records.clear()  # the second record is built again, not read back
+        assert classify_prime(59) == first
 
     def test_precision_floor_keeps_rational_match_honest(self):
         # at precision 2 a certificate checks g = 0 at (a - l)/N on two digits, one past what the
@@ -1072,14 +1075,30 @@ class TestTableAndScan:
         assert s.verdicts["ml"]["excluded"] == (2, 11)
         assert set(s.cube_root_family) == {47, 53}
 
-    def test_scan_parallel_matches_serial(self):
-        serial = scan_range(60)
-        parallel = scan_range(60, jobs=2)
-        assert serial == parallel
-        assert reproduce_table(120, jobs=2) == reproduce_table(120, jobs=1)
-        records = _classify_range(200, 24, jobs=2)
-        assert records == _classify_range(200, 24, jobs=1)  # zero tables included: both stop early
+    @staticmethod
+    def cold(fn, *args, **kwargs):
+        """fn on an empty classification memo: every record it returns is classified afresh, on
+        the pool if it starts one, and none is read back from an earlier call."""
+        tribadic.classifier._records.clear()
+        return fn(*args, **kwargs)
+
+    @pytest.mark.usefixtures("cold_records")
+    def test_scan_parallel_matches_serial(self, monkeypatch):
+        pools, pool = [], tribadic.classifier.ProcessPoolExecutor
+
+        def counted_pool(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(tribadic.classifier, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
+        cold = self.cold
+        assert cold(scan_range, 60, jobs=2) == cold(scan_range, 60)
+        assert cold(reproduce_table, 120, jobs=2) == cold(reproduce_table, 120, jobs=1)
+        records = cold(_classify_range, 200, 24, jobs=2)
+        assert records == cold(_classify_range, 200, 24, jobs=1)  # zero tables included: both stop early
         assert any(not r.zero_table_complete for r in records)
+        assert pools == [2, 2, 2]  # each jobs=2 side ran on the pool
 
     @pytest.mark.usefixtures("cold_records")  # a warm memo leaves nothing for the pool
     def test_workers_bounded_by_cpus(self, monkeypatch):
@@ -1100,7 +1119,7 @@ class TestTableAndScan:
 
         monkeypatch.setattr(tribadic.classifier, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 3)
-        assert scan_range(60, jobs=10**6) == scan_range(60)
+        assert self.cold(scan_range, 60, jobs=10**6) == self.cold(scan_range, 60)
         assert seen == [3]
 
     def test_scan_prefix_consistency(self):
@@ -1138,14 +1157,18 @@ class TestClassificationMemo:
     typed keys; a record read from it equals one built on a cold memo, and no caller can alter it."""
 
     @pytest.mark.parametrize("prec, full_table", [(24, False), (24, True), (3, True)])
-    def test_warm_equals_cold(self, prec, full_table):
-        ps = primes_upto(800)
-        cold = [classify_prime(p, prec, full_table) for p in ps]
+    def test_warm_equals_cold(self, monkeypatch, prec, full_table):
+        # the pool fills the memo up to 400 at prec, then scan and table fill the rest at 24 with
+        # full_table False; a record that either path builds differently, or an entry read under
+        # another precision or table mode, differs from the memo-free classification
+        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
+        ps, classify = primes_upto(800), tribadic.classifier._classify
+        _classify_range(400, prec, jobs=2)
         scan_range(800)
         reproduce_table(800)
         warm = [classify_prime(p, prec, full_table) for p in ps]
-        assert warm == cold
-        assert all(w.verdicts is not c.verdicts for w, c in zip(warm, cold))
+        assert warm == [classify(p, prec, full_table) for p in ps]
+        assert _classify_range(800, prec, jobs=1) == [classify(p, prec, False) for p in ps]
 
     def test_records_built_by_the_pool_equal_serial_ones(self):
         pooled = _classify_range(300, 24, jobs=2)
