@@ -364,21 +364,40 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, 
     return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(certs)
 
 
-# one record per typed (p, prec, full_table), least recently used first: scan, table and classify
-# in one process classify each prime once
+# one record per (p, prec, full_table), least recently used first: scan, table and classify in
+# one process classify each prime once
 _RECORDS_MAX = 10**4  # holds all 9592 primes up to P_MAX, the most scan_range accepts
 _records: OrderedDict = OrderedDict()
 
 
-def _record_key(p, prec, full_table) -> tuple:
-    """The memo key of a classification: typed, so 5.0 and True never meet the entries of 5 and 1."""
-    return p, prec, full_table, type(p), type(prec), type(full_table)
+def _records_for(ps, prec: int, full_table: bool, jobs: int = 1) -> list[ClassificationRecord]:
+    """The records of the primes ps at (prec, full_table), in order, each with its own verdicts.
 
-
-def _remember(key, rec: ClassificationRecord) -> None:
-    _records[key] = rec
-    if len(_records) > _RECORDS_MAX:
+    The memo's hits are taken out first; the misses are classified, on a pool of up to jobs
+    processes when more than one is missing; then every record is stored back as the most
+    recently used.  So each prime is classified at most once per call, whatever the memo holds
+    and however long ps is.  Only an int p and an int prec reach the memo, so 5.0, True and
+    24.0 fail cold and warm alike; failures are not memoized."""
+    if type(prec) is not int:
+        raise TypeError(f"precision must be an int, not {type(prec).__name__}")
+    for p in ps:
+        if type(p) is not int:
+            raise ValueError(f"{p} is not prime")
+    full_table = bool(full_table)
+    found = {p: _records.pop((p, prec, full_table)) for p in ps if (p, prec, full_table) in _records}
+    misses = [p for p in ps if p not in found]
+    workers = min(jobs, os.cpu_count() or 1, len(misses))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            built = pool.map(_classify, misses, [prec] * len(misses), [full_table] * len(misses))
+            found.update(zip(misses, built))
+    else:
+        found.update((p, _classify(p, prec, full_table)) for p in misses)
+    for p in ps:
+        _records[p, prec, full_table] = found[p]
+    while len(_records) > _RECORDS_MAX:
         _records.popitem(last=False)
+    return [replace(found[p], verdicts=dict(found[p].verdicts)) for p in ps]  # the one mutable field
 
 
 def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
@@ -388,15 +407,11 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
     is also an integer-form witness at or after the first one: the verdicts and witnesses
     are those of the full table, and zero_table is its prefix up to that witness.
 
-    Records are memoized per process under the typed key (p, prec, full_table), at most
-    _RECORDS_MAX of them, and each call returns its own copy of the verdicts, so what a caller
-    does to a record never reaches a later call.  Failures are not memoized."""
-    key = _record_key(p, prec, full_table)
-    rec = _records.pop(key, None)  # put back last by _remember: the most recently used
-    if rec is None:
-        rec = _classify(p, prec, full_table)
-    _remember(key, rec)
-    return replace(rec, verdicts=dict(rec.verdicts))  # the one public mutable field, copied
+    The record comes from _records_for, so it is memoized per process under
+    (p, prec, bool(full_table)) with the records of scan_range and reproduce_table, and what a
+    caller does to it never reaches a later call.  A p that is not an int raises the ValueError
+    of a non-prime, and a prec that is not an int a TypeError."""
+    return _records_for([p], prec, full_table)[0]
 
 
 def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
@@ -676,20 +691,11 @@ def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[Cl
     """classify_prime(p, prec, full_table=False) on every prime in [p_min, p_max], in order; each
     scan stops at the prime's witnesses, so the zero tables may be partial.
 
-    Records come from classify_prime's memo: on more than one worker process only the primes it
-    lacks are classified, and the workers' records are stored there first.  A second range in one
-    process classifies nothing again, and each record has its own verdicts dict."""
+    One call of _records_for: on more than one worker process only the primes the memo lacks
+    are classified, and a second range in one process classifies nothing again."""
     if p_max > P_MAX:
         raise ValueError(f"p_max = {p_max} is above the supported {P_MAX}")
-    ps = [p for p in primes_upto(p_max) if p >= p_min]
-    misses = [p for p in ps if _record_key(p, prec, False) not in _records]
-    workers = min(jobs, os.cpu_count() or 1, len(misses))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = pool.map(_classify, misses, [prec] * len(misses), [False] * len(misses))
-            for p, rec in zip(misses, records):
-                _remember(_record_key(p, prec, False), rec)
-    return [classify_prime(p, prec, full_table=False) for p in ps]
+    return _records_for([p for p in primes_upto(p_max) if p >= p_min], prec, False, jobs)
 
 
 def reproduce_table(p_max: int, prec: int = 24, jobs: int = 1) -> list[TableRow]:

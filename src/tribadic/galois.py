@@ -24,7 +24,7 @@ _P = (-1, -1, -1, 1)
 
 
 def _check_admissible(p: int) -> None:
-    if not is_prime(p):
+    if type(p) is not int or not is_prime(p):  # 5.0 and True are not primes, though 5.0 == 5
         raise ValueError(f"{p} is not prime")
     if p in EXCLUDED_PRIMES:
         raise ValueError(f"p = {p} is ramified for X^3 - X^2 - X - 1 (disc = -44)")
@@ -42,7 +42,7 @@ def _splitting_degree(p: int) -> int:
     return 3
 
 
-@lru_cache(maxsize=10**4)  # holds all 9592 primes up to 10^5, the most scan_range accepts
+@lru_cache(maxsize=10**4, typed=True)  # all 9592 primes up to 10^5; typed, so 5.0 never reads 5's entry
 def _prime_data(p: int) -> tuple[int, int]:
     """(d, period N): what p alone fixes, for an admissible prime p.
 

@@ -151,7 +151,7 @@ def _char_poly(a: ExtElem) -> tuple[int, int, int]:
     return t1 % pk, t2 % pk, t3 % pk
 
 
-@lru_cache(maxsize=1024)  # bounded; a census to 780 (scan, then table) builds 133 entries
+@lru_cache(maxsize=1024)  # bounded; a scan to 780 builds 133 entries, a table after it none
 def _log_data(p: int, prec: int, sn: int, J: int | None):
     """What series_coeffs shares across the classes of one (p, prec, sN, J):
     (E, J, top, shared) with E = nu_p(log x^(sN)), J the cut (the default where None) and

@@ -367,43 +367,37 @@ class ExtElem:
             raise PrecisionError("element has nonvanishing extension coordinates")
         return PAdicInt(self.ring.p, self.ring.prec, self.coords[0])
 
+    def _series(self, coeffs: list[int], den: int, slack: int) -> "ExtElem":
+        """sum_n coeffs[n] self^n / den, where the p-part of den is p^slack: Horner on the integer
+        coefficients in a ring slack digits deeper, then one exact division by den."""
+        ring = self.ring
+        big = ring.lifted(slack)
+        acc = big.embed(coeffs[-1]).coords
+        for c in reversed(coeffs[:-1]):
+            acc = big._mul(acc, self.coords)
+            acc = (acc[0] + c,) + acc[1:]
+        out = big.elem(acc).div_exact_p(slack) * pow(den // ring.p**slack, -1, big.pk)
+        return out.lift_to(ring)
+
     def exp(self) -> "ExtElem":
         """exp on pO (p >= 3, unramified), truncated correctly mod p^prec."""
-        ring = self.ring
-        p, prec = ring.p, ring.prec
         if self.val() < 1:
             raise ValueError("exp needs valuation >= 1")
-        cut = _exp_cutoff(p, prec)
-        slack = vp_factorial(cut, p)
-        big = ring.lifted(slack)
-        # Horner on sum_{n <= cut} (cut!/n!) x^n, then one exact division by cut!
-        acc, fact = big.one.coords, 1
+        p, cut = self.ring.p, _exp_cutoff(self.ring.p, self.ring.prec)
+        coeffs = [1] * (cut + 1)  # cut!/n!, over the common denominator cut!
         for n in range(cut, 0, -1):
-            fact *= n
-            acc = big._mul(acc, self.coords)
-            acc = (acc[0] + fact,) + acc[1:]
-        out = big.elem(acc).div_exact_p(slack) * pow(fact // p**slack, -1, big.pk)
-        return out.lift_to(ring)
+            coeffs[n - 1] = coeffs[n] * n
+        return self._series(coeffs, coeffs[0], vp_factorial(cut, p))
 
     def log(self) -> "ExtElem":
         """log on 1 + pO (p >= 3, unramified), truncated correctly mod p^prec."""
-        ring = self.ring
-        p, prec = ring.p, ring.prec
-        w = self - ring.one
+        w = self - self.ring.one
         v = w.val()
         if v < 1:
             raise ValueError("log needs an argument = 1 (mod p)")
-        cut, slack = _log_cutoff(p, prec, v)
-        big = ring.lifted(slack)
-        # Horner on sum_{n <= cut} (-1)^(n-1) (L/n) w^n with L = lcm(1..cut), whose
-        # p-part is p^slack, then one exact division by L
-        lcm = math.lcm(*range(1, cut + 1))
-        acc = big.zero.coords
-        for n in range(cut, 0, -1):
-            c = lcm // n if n % 2 else -(lcm // n)
-            acc = big._mul((acc[0] + c,) + acc[1:], w.coords)
-        out = big.elem(acc).div_exact_p(slack) * pow(lcm // p**slack, -1, big.pk)
-        return out.lift_to(ring)
+        cut, slack = _log_cutoff(self.ring.p, self.ring.prec, v)
+        lcm = math.lcm(*range(1, cut + 1))  # (-1)^(n-1) L/n over L = lcm(1..cut), whose p-part is p^slack
+        return w._series([0] + [lcm // n if n % 2 else -(lcm // n) for n in range(1, cut + 1)], lcm, slack)
 
     def __eq__(self, other):
         return isinstance(other, ExtElem) and self.ring == other.ring and self.coords == other.coords

@@ -1129,32 +1129,40 @@ class TestTableAndScan:
             assert set(small.verdicts["rational"][key]) <= set(big.verdicts["rational"][key])
 
 
-# classify_prime on inputs that are not admissible primes, for TestClassificationMemo: each p
-# cold, then again after 5 and the census to 60 are memoized; one line per call
+# classify_prime and prime_context on a p that is not an admissible prime, or a precision that is
+# not an int, for TestClassificationMemo: each call cold, then again after 5 and the census to 60
+# are memoized; one line per call
 _BAD_PRIMES_SCRIPT = """
-from tribadic.classifier import _records, classify_prime, scan_range
+from tribadic import classify_prime, prime_context, scan_range
+from tribadic.classifier import _records
+from tribadic.galois import _prime_data
 
-def attempt(p):
+CALLS = [f"classify_prime({p}, 24, False)" for p in ("4", "1", "5.0", "True", "2.0", "11.0")]
+CALLS += ["prime_context(5.0)", "classify_prime(5, 24.0, False)"]
+
+def attempt(call):
     try:
-        classify_prime(p, 24, False)
+        eval(call)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return "no exception"
 
-for p in (4, 1, 5.0, True):
+for call in CALLS:
     _records.clear()
-    cold = attempt(p)
+    _prime_data.cache_clear()
+    cold = attempt(call)
     classify_prime(5)
     classify_prime(5, 24, False)
-    scan_range(60)
-    print(repr(p), cold, "|", attempt(p))
+    scan_range(60)  # 2, 5 and 11 at (24, False), and prime_context(5)
+    print(call, cold, attempt(call), sep="\t")
 """
 
 
 @pytest.mark.usefixtures("cold_records")
 class TestClassificationMemo:
-    """classify_prime and _classify_range share one bounded memo of records per process, under
-    typed keys; a record read from it equals one built on a cold memo, and no caller can alter it."""
+    """classify_prime and _classify_range share one bounded memo of records per process, which
+    only an int p and an int prec reach; a record read from it equals one built on a cold memo,
+    and no caller can alter it."""
 
     @pytest.mark.parametrize("prec, full_table", [(24, False), (24, True), (3, True)])
     def test_warm_equals_cold(self, monkeypatch, prec, full_table):
@@ -1213,18 +1221,35 @@ class TestClassificationMemo:
             classify_prime(p, 24, False)
         assert [key[0] for key in tribadic.classifier._records] == [13, 5, 17]
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_range_longer_than_the_memo_classifies_each_prime_once(self, monkeypatch, warm):
+        # 168 primes up to 1000 and room for 50: the pool builds every miss and the main process
+        # scans none of them again, on an empty memo and on one that holds the range's last primes
+        ps, classify = primes_upto(1000), tribadic.classifier._classify
+        monkeypatch.setattr(tribadic.classifier, "_RECORDS_MAX", 50)
+        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
+        if warm:
+            _classify_range(1000, 24, jobs=1, p_min=ps[-50])
+        scanned = []
+        zero_table = tribadic.classifier._zero_table
+        monkeypatch.setattr(tribadic.classifier, "_zero_table", lambda p, n: scanned.append(p) or zero_table(p, n))
+        records = _classify_range(1000, 24, jobs=2)
+        assert scanned == []
+        assert list(tribadic.classifier._records) == [(p, 24, False) for p in ps[-50:]]
+        assert records == [classify(p, 24, False) for p in ps]
+
     def test_keys_are_typed(self):
-        # 5.0 == 5 and True == 1, but neither may read the other's record
+        # 5.0 == 5 and True == 1, but only an int p and an int prec reach the memo, so its plain
+        # key (p, prec, bool(full_table)) never lets either read the other's record
         classify_prime(5, 24, False)
-        with pytest.raises(TypeError):
-            classify_prime(5.0, 24, False)
-        with pytest.raises(ValueError, match="True is not prime"):
-            classify_prime(True, 24, False)
+        for p in (5.0, True):
+            with pytest.raises(ValueError, match=f"{p} is not prime"):
+                classify_prime(p, 24, False)
         with pytest.raises(TypeError):
             classify_prime(5, 24.0, False)
-        assert classify_prime(5, 24, 0) == classify_prime(5, 24, False)  # 0 gets an entry of its own
-        assert [key[:3] for key in tribadic.classifier._records] == [(5, 24, 0), (5, 24, False)]
-        assert [key[5] for key in tribadic.classifier._records] == [int, bool]
+        assert classify_prime(5, 24, 0) == classify_prime(5, 24, False)  # 0 reads False's entry
+        assert [tuple(map(type, key)) for key in tribadic.classifier._records] == [(int, int, bool)]
+        assert list(tribadic.classifier._records) == [(5, 24, False)]
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_bad_primes_raise_alike_cold_and_warm(self, flags):
@@ -1232,11 +1257,11 @@ class TestClassificationMemo:
         out = subprocess.run([sys.executable, *flags, "-c", _BAD_PRIMES_SCRIPT], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        lines = [line.split(" ", 1) for line in out.stdout.splitlines()]
-        assert [p for p, _ in lines] == ["4", "1", "5.0", "True"]
-        for p, calls in lines:
-            cold, warm = calls.split(" | ")
-            assert cold == warm and cold.split(":")[0] in ("ValueError", "TypeError"), p
+        lines = [line.split("\t") for line in out.stdout.splitlines()]
+        assert len(lines) == 8
+        for call, cold, warm in lines:  # a bad prime fails as a non-prime, a float precision by type
+            kind = "TypeError" if "24.0" in call else "ValueError"
+            assert cold == warm and cold.startswith(f"{kind}: "), call
 
 
 class TestHoldsRecordFormulas:
