@@ -49,7 +49,6 @@ from .classifier import (
     class_series,
     classify_prime,
     crt_witness,
-    p3_pipeline,
     published_table,
     reproduce_table,
     scan_range,

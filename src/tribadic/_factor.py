@@ -12,8 +12,8 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin to the first 13 prime bases: deterministic below
     psi_13 = 3317044064679887385961981, a strong probable-prime test at and above it
     (psi_13 itself passes).  The first 12 bases alone would pass the composite
-    psi_12 = 318665857834031151167461."""
-    if n < 2:
+    psi_12 = 318665857834031151167461.  Only an int is prime: 5.0 and True are not, though 5.0 == 5."""
+    if type(n) is not int or n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:

@@ -15,9 +15,12 @@ listed in FORMS, narrowest first; the first of these that applies is the verdict
    (when an earlier, narrower form holds, the detail says that it implies this one);
 6. holds if every zero class has a linear certificate over its target, else undecided.
 
-At p = 3 every zero class is refined by its Strassman degree instead: mu = 0 is a
-constant class, mu = 1 a certified linear one, and mu >= 2 splits the class mod p*sN
-(the derived table has modulus 39).
+At p = 3, whose Z_T targets collide mod N = 13, the rule is replaced by its own: the integer
+form holds and the rational form is undecided, since 1/3 and -5/3 are not 3-adic integers.
+Every record's formula, certificates and modulus Q come from one reading of its zero classes,
+_class_rules, by Strassman degree: mu = 0 is a constant class, mu = 1 a certified linear one,
+and mu >= 2 splits the class mod p*sN.  It reads every class of p = 3 (Q = 39) and, at step 6,
+those of any other prime, which all meet the derivative condition, so mu = 1 and Q = N.
 """
 
 from __future__ import annotations
@@ -331,10 +334,10 @@ def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     return tuple(b.digits())
 
 
-def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, certificate):
-    """The verdict of one form by the module's rule, with the certificates when it holds.
-    earlier maps the keys of the forms before it to their verdicts; witness(l, u) gives the
-    zero digits of a witness and certificate(l) the linear certificate of the class n = l (mod N)."""
+def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, rules):
+    """The verdict of one form by the module's rule, with the _class_rules parts of its zero
+    classes when it holds.  earlier maps the keys of the forms before it to their verdicts;
+    witness(l, u) gives the zero digits of a witness and rules(l) the parts of the class n = l (mod N)."""
     targets = form.targets
     targets_p = set(_qt_residues_mod(ctx.p, targets))
     w = next((i for i in infos if i.deriv_ok and i.u not in targets_p), None)
@@ -354,14 +357,16 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, 
         if held:  # a narrower form that holds implies every wider one
             detail += f"; the {held[0]} form holds, which implies the {form.label} form"
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
-    certs = []
+    # every class here meets the derivative condition, so beta_1 is a unit and mu = 1 (the bound
+    # in class_series): its parts are one linear entry and its certificate, or None
+    parts = []
     for info in infos:
-        cert = certificate(info.ell)
-        if cert is None or cert.a != info.target:
+        part = rules(info.ell)
+        if part is None or [c.a for c in part[1]] != [info.target]:
             detail = f"zero classes sit over {form.set_name} but a linear certificate failed"
             return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
-        certs.append(cert)
-    return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(certs)
+        parts.append(part)
+    return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(parts)
 
 
 # one record per (p, prec, full_table), least recently used first: scan, table and classify in
@@ -418,8 +423,6 @@ def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
     """classify_prime without the memo."""
     if p in EXCLUDED_PRIMES:
         return _excluded_record(p, prec)
-    if p == 3:
-        return p3_pipeline(prec)
     ctx = prime_context(p, prec)
     n_period = ctx.n_period
     widest_p = set(_qt_residues_mod(p, FORMS[-1].targets))  # its witness is every form's witness
@@ -431,56 +434,50 @@ def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
             complete = False
             break
     witness = functools.cache(lambda ell, u: _witness_zero(ctx, ell, u))  # both forms may share a witness
-    certificate = functools.cache(lambda ell: certify(class_series(ctx, ell)))  # and their certificates
-    verdicts, certs = {}, ()
-    for form in FORMS:
-        verdicts[form.key], form_certs = _form_verdict(ctx, infos, form, verdicts, witness, certificate)
-        certs = certs or form_certs  # l = 0 is always a zero class, so a form holds iff it has certificates
-    formula = assemble_spec(p, n_period, [(n_period, (c.residue,), c.a, c.kappa) for c in certs]) if certs else None
+    rules = functools.cache(lambda ell: _class_rules(ctx, ell))  # and their certificates
+    if p == 3:  # no u avoids the targets mod 3, so the scan is complete
+        parts = [rules(info.ell) for info in infos]
+        if None in parts:
+            raise PrecisionError("a mu = 1 piece of a p = 3 zero class has no linear certificate")
+        formula, certs = _assemble(p, parts)
+        detail = (f"1/3 and -5/3 are not 3-adic integers; the integer form holds with Q = {formula.q}, "
+                  "which implies the rational form")
+        verdicts = {"ml": Verdict(STATUS_HOLDS, q=formula.q),
+                    "rational": Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail)}
+    else:
+        verdicts, parts = {}, ()
+        for form in FORMS:
+            verdicts[form.key], form_parts = _form_verdict(ctx, infos, form, verdicts, witness, rules)
+            parts = parts or form_parts  # l = 0 is always a zero class, so a form holds iff it has parts
+        formula, certs = _assemble(p, parts) if parts else (None, ())
     return ClassificationRecord(p, prec, ctx.d, n_period, verdicts, tuple(infos), formula, certs, complete)
-
-
-# ---------------------------------------------------------------------------
-# the refined p = 3 pipeline
 
 
 def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
     """(assemble_spec entries, certificates) for the zero class n = l (mod sN), by its Strassman
     degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear formula,
-    and mu >= 2 splits the class into its p classes mod p*sN."""
+    and mu >= 2 splits the class into its p classes mod p*sN.  None where a mu = 1 piece has no
+    linear certificate (its zero sits over no target)."""
     series = class_series(ctx, ell, s)
     mu, q = series.mu, s * ctx.n_period
     if mu == 0:
         return [(q, (ell,), None, series.e + series.coeffs[0].known_val)], []
     if mu == 1:
         cert = certify(series)
-        if cert is None:
-            raise PrecisionError(f"mu = 1 on n = {ell} (mod {q}) but no linear certificate")
-        return [(q, (cert.residue,), cert.a, cert.kappa)], [cert]
+        return None if cert is None else ([(q, (cert.residue,), cert.a, cert.kappa)], [cert])
     parts = [_class_rules(ctx, ell + j * q, s * ctx.p) for j in range(ctx.p)]
+    if None in parts:
+        return None
     return [e for es, _ in parts for e in es], [c for _, cs in parts for c in cs]
 
 
-def p3_pipeline(prec: int = 24) -> ClassificationRecord:
-    """The refined p = 3 analysis: every zero class mod N refined by _class_rules until each
-    piece is constant or linear; Q is the lcm of the pieces' moduli."""
-    p = 3
-    ctx = prime_context(p, prec)
-    infos = list(_zero_table(p, ctx.n_period))
-    parts = [_class_rules(ctx, info.ell) for info in infos]
+def _assemble(p: int, parts):
+    """The FormulaSpec and certificates of a record from its _class_rules parts: entries sorted
+    by (linear, modulus, residues), certificates by (modulus, residue), and Q the lcm of the
+    moduli, which is N when every class is linear mod N."""
     entries = sorted((e for es, _ in parts for e in es), key=lambda e: (e[2] is not None, e[0], e[1]))
     certs = sorted((c for _, cs in parts for c in cs), key=lambda c: (c.q, c.residue))
-    q = math.lcm(*(m for m, _, _, _ in entries))
-    verdict_rat = Verdict(
-        STATUS_UNDECIDED,
-        diagnostic=DIAG_OUT_OF_SCOPE,
-        detail=f"1/3 and -5/3 are not 3-adic integers; the integer form holds with Q = {q}, "
-        "which implies the rational form",
-    )
-    return ClassificationRecord(
-        p, prec, ctx.d, ctx.n_period, {"ml": Verdict(STATUS_HOLDS, q=q), "rational": verdict_rat},
-        tuple(infos), assemble_spec(p, q, entries), tuple(certs),
-    )
+    return assemble_spec(p, math.lcm(*(m for m, _, _, _ in entries)), entries), tuple(certs)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ _P = (-1, -1, -1, 1)
 
 
 def _check_admissible(p: int) -> None:
-    if type(p) is not int or not is_prime(p):  # 5.0 and True are not primes, though 5.0 == 5
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p in EXCLUDED_PRIMES:
         raise ValueError(f"p = {p} is ramified for X^3 - X^2 - X - 1 (disc = -44)")

@@ -24,7 +24,6 @@ from tribadic import (
     classify_prime,
     crt_witness,
     hensel_zero,
-    p3_pipeline,
     published_table,
     prime_context,
     reproduce_table,
@@ -55,7 +54,7 @@ from tribadic.classifier import (
 )
 from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.interpolation import series_coeffs
-from tribadic.padic import VAL_INF, PAdicInt, val_int
+from tribadic.padic import VAL_INF, PAdicInt, PrecisionError, val_int
 from tribadic.tribonacci import ZERO_SET, trib, trib_val
 
 from conftest import PSI_12, trib_mod_oracle
@@ -315,8 +314,10 @@ def constant_class_values(p, q, r, digits):
 
 
 class TestP3Pipeline:
+    """p = 3 through classify_prime's one record pipeline: every zero class read by _class_rules."""
+
     def test_zero_classes(self):
-        rec = p3_pipeline(24)
+        rec = classify_prime(3, 24)
         assert [i.ell for i in rec.zero_table] == [0, 7, 9, 12]
         assert not any(i.deriv_ok for i in rec.zero_table)
         # 7 = -5/3 (mod 13), but -5/3 is not a 3-adic integer: l = 7 sits over no target
@@ -324,7 +325,7 @@ class TestP3Pipeline:
 
     @pytest.mark.parametrize("prec", [3, 5, 24, 96])
     def test_formula_matches_builtin(self, prec):
-        rec = p3_pipeline(prec)
+        rec = classify_prime(3, prec)
         assert rec.verdicts["ml"].status == STATUS_HOLDS and rec.verdicts["ml"].q == 39
         assert rec.formula.rule_table() == builtin_spec("p3").rule_table()
 
@@ -341,22 +342,31 @@ class TestP3Pipeline:
     def test_constant_classes_against_period_walk(self):
         # each mu = 0 class takes one value of T mod p^(kappa + 1), of valuation kappa
         ctx = prime_context(3, 24)
-        constants = [e for i in p3_pipeline(24).zero_table for e in _class_rules(ctx, i.ell)[0] if e[2] is None]
+        rec = classify_prime(3, 24)
+        constants = [e for i in rec.zero_table for e in _class_rules(ctx, i.ell)[0] if e[2] is None]
         assert [(m, r, kappa) for m, (r,), _, kappa in constants] == [(13, 7, 1), (39, 9, 4)]
         for m, (r,), _, kappa in constants:
             values = constant_class_values(3, m, r, kappa + 1)
             assert len(values) == 1 and val_int(values.pop(), 3) == kappa
 
     def test_certificate_valuations(self):
-        rec = p3_pipeline(24)
+        rec = classify_prime(3, 24)
         by_class = {c.residue % c.q: c for c in rec.certificates}
         assert by_class[0].deriv_val == 1 and by_class[0].kappa == 2  # nu_3(beta_1) = 1
         assert by_class[12].a == -1 and by_class[12].kappa == 2
         assert by_class[22].deriv_val == 3 and by_class[22].kappa == 4  # nu_3(beta_1) = 3 at s = 3
         assert by_class[35].a == -4 and by_class[35].kappa == 4
 
-    def test_routed_from_classify(self):
-        assert classify_prime(3).formula.rule_table() == p3_pipeline(24).formula.rule_table()
+    @pytest.mark.usefixtures("cold_records")
+    def test_missing_certificate_raises(self, monkeypatch):
+        # the p >= 5 rule reads a missing certificate as undecided; p = 3 has no such verdict,
+        # so a mu = 1 piece without one is a precision fault
+        monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
+        with pytest.raises(PrecisionError, match="no linear certificate"):
+            classify_prime(3)
+        ctx = prime_context(3, 24)
+        assert _class_rules(ctx, 0) is None  # mu = 1
+        assert _class_rules(ctx, 9) is None  # mu = 2: split mod 39, with mu = 1 pieces at 22 and 35
 
 
 def class_certificate(ctx, ell, s=1):
@@ -1129,16 +1139,16 @@ class TestTableAndScan:
             assert set(small.verdicts["rational"][key]) <= set(big.verdicts["rational"][key])
 
 
-# classify_prime and prime_context on a p that is not an admissible prime, or a precision that is
-# not an int, for TestClassificationMemo: each call cold, then again after 5 and the census to 60
-# are memoized; one line per call
+# classify_prime, prime_context, val_int and trib_val on a p that is not an admissible prime, or
+# classify_prime on a precision that is not an int, for TestClassificationMemo: each call cold,
+# then again after 5 and the census to 60 are memoized; one line per call
 _BAD_PRIMES_SCRIPT = """
-from tribadic import classify_prime, prime_context, scan_range
+from tribadic import classify_prime, prime_context, scan_range, trib_val, val_int
 from tribadic.classifier import _records
 from tribadic.galois import _prime_data
 
 CALLS = [f"classify_prime({p}, 24, False)" for p in ("4", "1", "5.0", "True", "2.0", "11.0")]
-CALLS += ["prime_context(5.0)", "classify_prime(5, 24.0, False)"]
+CALLS += ["prime_context(5.0)", "val_int(25, 5.0)", "trib_val(12, 5.0)", "classify_prime(5, 24.0, False)"]
 
 def attempt(call):
     try:
@@ -1196,7 +1206,7 @@ class TestClassificationMemo:
         def refuse(*args):
             raise RuntimeError("called")
 
-        for name in ("_zero_table", "_witness_zero", "p3_pipeline", "ProcessPoolExecutor"):
+        for name in ("_zero_table", "_witness_zero", "_class_rules", "ProcessPoolExecutor"):
             monkeypatch.setattr(tribadic.classifier, name, refuse)
         assert _classify_range(300, 24, jobs=1) == first
         assert _classify_range(300, 24, jobs=2) == first
@@ -1258,10 +1268,12 @@ class TestClassificationMemo:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         lines = [line.split("\t") for line in out.stdout.splitlines()]
-        assert len(lines) == 8
+        assert len(lines) == 10
         for call, cold, warm in lines:  # a bad prime fails as a non-prime, a float precision by type
             kind = "TypeError" if "24.0" in call else "ValueError"
             assert cold == warm and cold.startswith(f"{kind}: "), call
+            if "5.0" in call:  # 5.0 == 5, but no check reads it as 5
+                assert cold == "ValueError: 5.0 is not prime", call
 
 
 class TestHoldsRecordFormulas:

@@ -109,6 +109,13 @@ class TestExitCodes:
         assert_error_envelope(rec, "zero", {"prime": 5, "ell": 21, "multiplier": 1, "precision": 24},
                               "PrecisionError")
 
+    @pytest.mark.usefixtures("cold_records")
+    def test_p3_class_without_certificate_is_internal(self, capsys, monkeypatch):
+        # p = 3 has no undecided verdict for a missing certificate: its classify raises instead
+        monkeypatch.setattr(classifier, "certify", lambda series: None)
+        code, rec = run_json(capsys, "classify", "--prime", "3")
+        assert (code, rec["status"], rec["payload"]["error"]) == (EXIT_INTERNAL, "error", "PrecisionError")
+
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def crash(*args):
             raise ZeroDivisionError("forced")
