@@ -54,6 +54,7 @@ from .classifier import (
     scan_range,
     validate_published_rows,
     verify_formula,
+    witness_zero,
 )
 
 __version__ = "0.1.0"

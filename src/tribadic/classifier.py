@@ -7,7 +7,9 @@ predicted zero b, and class l by the element t of Q_T with t = l (mod N) and
 Z_T = {0, -1, -4, -17} and the rational form over Q_T = Z_T + {1/3, -5/3}, both
 listed in FORMS, narrowest first; the first of these that applies is the verdict:
 
-1. fails, with the first derivative-ok l whose u avoids the targets mod p as witness;
+1. fails, with the first derivative-ok l whose u avoids the targets mod p as witness: there
+   e = 1 and beta_1 is a unit, so its zero b is m = (u - l)/N (mod p); one trib_mod checks
+   p^2 | T(l + N*m), true at this u and at no other residue, and raises if not;
 2. undecided if two targets are congruent mod N (for p >= 5 only Q_T has such pairs);
 3. undecided if the derivative condition fails at some l;
 4. undecided if some l sits over no target mod N;
@@ -17,10 +19,11 @@ listed in FORMS, narrowest first; the first of these that applies is the verdict
 
 At p = 3, whose Z_T targets collide mod N = 13, the rule is replaced by its own: the integer
 form holds and the rational form is undecided, since 1/3 and -5/3 are not 3-adic integers.
-Every record's formula, certificates and modulus Q come from one reading of its zero classes,
-_class_rules, by Strassman degree: mu = 0 is a constant class, mu = 1 a certified linear one,
-and mu >= 2 splits the class mod p*sN.  It reads every class of p = 3 (Q = 39) and, at step 6,
-those of any other prime, which all meet the derivative condition, so mu = 1 and Q = N.
+A record holds the decision, not its evidence: witness_zero computes a witness's zero digits
+where they are printed.  Every record's formula and modulus Q come from one reading of its zero
+classes, _class_rules, by Strassman degree: mu = 0 is a constant class, mu = 1 a certified
+linear one, and mu >= 2 splits the class mod p*sN.  It reads every class of p = 3 (Q = 39) and,
+at step 6, those of any other prime, which all meet the derivative condition, so mu = 1 and Q = N.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ class Verdict:
     u: int | None = None
     diagnostic: str | None = None
     detail: str = ""
-    zero_digits: tuple[int, ...] | None = None  # base-p digits of the witness's Hensel zero
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,6 @@ class ClassificationRecord:
     verdicts: dict  # form key -> Verdict, in the order of FORMS
     zero_table: tuple[ZeroClassInfo, ...] = ()
     formula: FormulaSpec | None = None
-    certificates: tuple[LinearCertificate, ...] = ()
     zero_table_complete: bool = True  # False when the scan stopped at the witnesses
 
 
@@ -310,40 +311,36 @@ def _excluded_record(p: int, prec: int) -> ClassificationRecord:
     return ClassificationRecord(p, prec, None, None, {form.key: v for form in FORMS})
 
 
-def _witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
-    """The certified zero b behind a failure witness, with l + N*b = u (mod p) enforced.
+def witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
+    """The base-p digits of the Hensel zero b behind the failure witness (l, u), each tied to T.
 
-    Integer-only oracle, independent of the series: g(z) - g(b) = (z - b) * unit on Z_p, so
-    for m = b mod p^j (j = 1, 2) nu_p(T(l + N*m)) = e + gap with gap = nu_p(m - b).  One
-    trib_mod of T(l + N*m) mod p^(e + gap + 1) shows that valuation exactly; where gap >= prec
-    only nu_p >= e + gap is known, and T(l + N*m) = 0 (mod p^(e + gap)) is what is checked."""
+    l + N*b = u (mod p) is enforced, and then one integer-only check, independent of the
+    series: g(z) - g(b) = (z - b) * unit on Z_p, so at m = b mod p^prec, T(l + N*m) = 0
+    (mod p^(e + prec)), read from one trib_mod; a b moved at any of its digits fails it."""
     p, n_period = ctx.p, ctx.n_period
     record = hensel_zero(class_series(ctx, ell))
-    b = record.b
-    if (ell + n_period * b).residue % p != u:
+    m = record.b.residue
+    if (ell + n_period * m) % p != u:
         raise PrecisionError(f"witness zero at l = {ell} does not reproduce u = {u}")
-    for j in (1, 2):
-        m = b.residue % p**j
-        gap = (b - m).known_val
-        exact = gap < b.prec
-        v = record.series.e + gap
-        residue = trib_mod(ell + n_period * m, p ** (v + exact))
-        if residue % p**v or (exact and residue == 0):
-            relation = "=" if exact else ">="
-            raise AssertionError(f"nu_p(T({ell} + N*{m})) {relation} {v} fails: witness zero at l = {ell}")
-    return tuple(b.digits())
+    if trib_mod(ell + n_period * m, p ** (record.series.e + record.b.prec)):
+        raise AssertionError(f"T({ell} + N*{m}) != 0 (mod p^(e + {record.b.prec})): witness zero at l = {ell}")
+    return tuple(record.b.digits())
 
 
-def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, rules):
-    """The verdict of one form by the module's rule, with the _class_rules parts of its zero
-    classes when it holds.  earlier maps the keys of the forms before it to their verdicts;
-    witness(l, u) gives the zero digits of a witness and rules(l) the parts of the class n = l (mod N)."""
+def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, rules):
+    """The verdict of one form by the module's rule, with the _class_rules entries of its zero
+    classes when it holds.  earlier maps the keys of the forms before it to their verdicts, and
+    rules(l) gives the entries of the class n = l (mod N)."""
+    p, n_period = ctx.p, ctx.n_period
     targets = form.targets
-    targets_p = set(_qt_residues_mod(ctx.p, targets))
+    targets_p = set(_qt_residues_mod(p, targets))
     w = next((i for i in infos if i.deriv_ok and i.u not in targets_p), None)
-    if w is not None:
-        return Verdict(STATUS_FAILS, ell=w.ell, u=w.u, zero_digits=witness(w.ell, w.u)), ()
-    targets_n = _qt_residues_mod(ctx.n_period, targets)
+    if w is not None:  # e = 1 and beta_1 is a unit, so the zero b = m (mod p) gives p^2 | T(l + N*m)
+        m = (w.u - w.ell) * pow(n_period, -1, p) % p
+        if trib_mod(w.ell + n_period * m, p * p):
+            raise AssertionError(f"p^2 does not divide T({w.ell} + N*{m}): u = {w.u} is not the witness's")
+        return Verdict(STATUS_FAILS, ell=w.ell, u=w.u), ()
+    targets_n = _qt_residues_mod(n_period, targets)
     if None not in targets_n and len(set(targets_n)) < len(targets):
         detail = f"two {form.set_name} targets are congruent mod N; congruences mod p cannot separate them"
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_QT_COLLISION, detail=detail), ()
@@ -351,22 +348,22 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, witness, 
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_DERIVATIVE), ()
     if not all(i.target in targets for i in infos):
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_U_IN_TARGETS), ()
-    if form.needs_split and (ctx.d != 1 or ctx.n_period % 3 == 0):
+    if form.needs_split and (ctx.d != 1 or n_period % 3 == 0):
         detail = "holds-criteria need all roots rational (d = 1) and 3 coprime to N"
         held = [f.label for f in FORMS if f.key in earlier and earlier[f.key].status == STATUS_HOLDS]
         if held:  # a narrower form that holds implies every wider one
             detail += f"; the {held[0]} form holds, which implies the {form.label} form"
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
     # every class here meets the derivative condition, so beta_1 is a unit and mu = 1 (the bound
-    # in class_series): its parts are one linear entry and its certificate, or None
+    # in class_series): its entries are one linear entry, or None
     parts = []
     for info in infos:
         part = rules(info.ell)
-        if part is None or [c.a for c in part[1]] != [info.target]:
+        if part is None or [a for _, _, a, _ in part] != [info.target]:
             detail = f"zero classes sit over {form.set_name} but a linear certificate failed"
             return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
         parts.append(part)
-    return Verdict(STATUS_HOLDS, q=ctx.n_period), tuple(parts)
+    return Verdict(STATUS_HOLDS, q=n_period), tuple(parts)
 
 
 # one record per (p, prec, full_table), least recently used first: scan, table and classify in
@@ -433,13 +430,12 @@ def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
         if not full_table and info.deriv_ok and info.u not in widest_p:
             complete = False
             break
-    witness = functools.cache(lambda ell, u: _witness_zero(ctx, ell, u))  # both forms may share a witness
-    rules = functools.cache(lambda ell: _class_rules(ctx, ell))  # and their certificates
+    rules = functools.cache(lambda ell: _class_rules(ctx, ell))  # both forms may read one class
     if p == 3:  # no u avoids the targets mod 3, so the scan is complete
         parts = [rules(info.ell) for info in infos]
         if None in parts:
             raise PrecisionError("a mu = 1 piece of a p = 3 zero class has no linear certificate")
-        formula, certs = _assemble(p, parts)
+        formula = _assemble(p, parts)
         detail = (f"1/3 and -5/3 are not 3-adic integers; the integer form holds with Q = {formula.q}, "
                   "which implies the rational form")
         verdicts = {"ml": Verdict(STATUS_HOLDS, q=formula.q),
@@ -447,37 +443,33 @@ def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
     else:
         verdicts, parts = {}, ()
         for form in FORMS:
-            verdicts[form.key], form_parts = _form_verdict(ctx, infos, form, verdicts, witness, rules)
+            verdicts[form.key], form_parts = _form_verdict(ctx, infos, form, verdicts, rules)
             parts = parts or form_parts  # l = 0 is always a zero class, so a form holds iff it has parts
-        formula, certs = _assemble(p, parts) if parts else (None, ())
-    return ClassificationRecord(p, prec, ctx.d, n_period, verdicts, tuple(infos), formula, certs, complete)
+        formula = _assemble(p, parts) if parts else None
+    return ClassificationRecord(p, prec, ctx.d, n_period, verdicts, tuple(infos), formula, complete)
 
 
 def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
-    """(assemble_spec entries, certificates) for the zero class n = l (mod sN), by its Strassman
-    degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear formula,
-    and mu >= 2 splits the class into its p classes mod p*sN.  None where a mu = 1 piece has no
-    linear certificate (its zero sits over no target)."""
+    """The assemble_spec entries (m, residues, a, kappa) of the zero class n = l (mod sN), by its
+    Strassman degree mu: mu = 0 is the constant |g| = |beta_0| on Z_p, mu = 1 a certified linear
+    formula, and mu >= 2 splits the class into its p classes mod p*sN.  None where a mu = 1 piece
+    has no linear certificate (its zero sits over no target)."""
     series = class_series(ctx, ell, s)
     mu, q = series.mu, s * ctx.n_period
     if mu == 0:
-        return [(q, (ell,), None, series.e + series.coeffs[0].known_val)], []
+        return [(q, (ell,), None, series.e + series.coeffs[0].known_val)]
     if mu == 1:
         cert = certify(series)
-        return None if cert is None else ([(q, (cert.residue,), cert.a, cert.kappa)], [cert])
+        return None if cert is None else [(q, (cert.residue,), cert.a, cert.kappa)]
     parts = [_class_rules(ctx, ell + j * q, s * ctx.p) for j in range(ctx.p)]
-    if None in parts:
-        return None
-    return [e for es, _ in parts for e in es], [c for _, cs in parts for c in cs]
+    return None if None in parts else [e for es in parts for e in es]
 
 
-def _assemble(p: int, parts):
-    """The FormulaSpec and certificates of a record from its _class_rules parts: entries sorted
-    by (linear, modulus, residues), certificates by (modulus, residue), and Q the lcm of the
-    moduli, which is N when every class is linear mod N."""
-    entries = sorted((e for es, _ in parts for e in es), key=lambda e: (e[2] is not None, e[0], e[1]))
-    certs = sorted((c for _, cs in parts for c in cs), key=lambda c: (c.q, c.residue))
-    return assemble_spec(p, math.lcm(*(m for m, _, _, _ in entries)), entries), tuple(certs)
+def _assemble(p: int, parts) -> FormulaSpec:
+    """The FormulaSpec of a record from its _class_rules entries, sorted by (linear, modulus,
+    residues), with Q the lcm of the moduli, which is N when every class is linear mod N."""
+    entries = sorted((e for es in parts for e in es), key=lambda e: (e[2] is not None, e[0], e[1]))
+    return assemble_spec(p, math.lcm(*(m for m, _, _, _ in entries)), entries)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .classifier import (
     FormulaCase,
     FormulaSpec,
     STATUS_EXCLUDED,
+    STATUS_FAILS,
     STATUS_UNDECIDED,
     builtin_spec,
     certify,
@@ -48,6 +49,7 @@ from .classifier import (
     scan_range,
     validate_published_rows,
     verify_formula,
+    witness_zero,
 )
 
 EXIT_PASS = 0
@@ -141,14 +143,14 @@ def _jsonable(x):
     return x
 
 
-def _verdict_dict(v):
+def _verdict_dict(v, zero_digits):
     return _jsonable(
         {
             "status": v.status,
             "Q": v.q,
             "ell": v.ell,
             "u": v.u,
-            "zero_digits": list(v.zero_digits) if v.zero_digits else None,
+            "zero_digits": list(zero_digits) if zero_digits else None,
             "diagnostic": v.diagnostic,
             "detail": v.detail,
         }
@@ -189,11 +191,15 @@ def spec_from_dict(data: dict) -> FormulaSpec:
 
 
 def _record_dict(rec: ClassificationRecord) -> dict:
+    """The classify payload; each fails verdict prints its witness's zero digits, computed once
+    per distinct witness at the record's precision (the forms may share one)."""
+    digits = functools.cache(lambda ell, u: witness_zero(prime_context(rec.p, rec.prec), ell, u))
     out = {
         "p": rec.p,
         "d": rec.d,
         "N": rec.n_period,
-        **{key: _verdict_dict(v) for key, v in rec.verdicts.items()},
+        **{key: _verdict_dict(v, digits(v.ell, v.u) if v.status == STATUS_FAILS else None)
+           for key, v in rec.verdicts.items()},
         "zero_table": [
             _jsonable({"ell": i.ell, "deriv_ok": i.deriv_ok, "u": i.u, "class": i.target})
             for i in rec.zero_table

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import os
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tribadic
+import tribadic.cli
 
 from tribadic import (
     FormulaCase,
@@ -31,6 +33,7 @@ from tribadic import (
     trib_mod,
     validate_published_rows,
     verify_formula,
+    witness_zero,
 )
 from tribadic._factor import primes_upto
 from tribadic.classifier import (
@@ -148,7 +151,7 @@ class TestClassifyPrime:
         for v, w in ((low.verdicts["ml"], ref.verdicts["ml"]), (low.verdicts["rational"], ref.verdicts["rational"])):
             assert (v.status, v.q, v.ell, v.u, v.diagnostic) == (w.status, w.q, w.ell, w.u, w.diagnostic)
         assert ref.verdicts["rational"].status == STATUS_HOLDS
-        assert (low.formula, low.certificates, low.zero_table) == (ref.formula, ref.certificates, ref.zero_table)
+        assert (low.formula, low.zero_table) == (ref.formula, ref.zero_table)
 
     def test_fails_witness_is_smallest(self):
         rec = classify_prime(59)
@@ -187,7 +190,7 @@ class TestVerdictRule:
         assert (rec.verdicts["ml"].status, rec.verdicts["ml"].diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
         assert rec.verdicts["ml"].detail == "zero classes sit over Z_T but a linear certificate failed"
         assert rec.verdicts["rational"].detail == self.SCOPE
-        assert (rec.formula, rec.certificates) == (None, ())
+        assert rec.formula is None
 
     def test_failed_certificate_rational_form(self, monkeypatch):
         monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
@@ -196,21 +199,62 @@ class TestVerdictRule:
         assert (rec.verdicts["rational"].status, rec.verdicts["rational"].diagnostic) == (
             STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
         assert rec.verdicts["rational"].detail == "zero classes sit over Q_T but a linear certificate failed"
-        assert (rec.formula, rec.certificates) == (None, ())
+        assert rec.formula is None
 
     @pytest.mark.parametrize("p, calls", [(7, 1), (67, 2)])  # one shared witness l; two distinct ones
-    def test_one_witness_zero_per_witness(self, p, calls, monkeypatch):
+    def test_one_witness_zero_per_witness(self, p, calls, monkeypatch, capsys):
+        # the record carries no digits: the classify payload computes them, once per witness
         seen = []
-        witness_zero = tribadic.classifier._witness_zero
+        real = tribadic.cli.witness_zero
 
         def counted(ctx, ell, u):
             seen.append(ell)
-            return witness_zero(ctx, ell, u)
+            return real(ctx, ell, u)
 
-        monkeypatch.setattr(tribadic.classifier, "_witness_zero", counted)
-        rec = classify_prime(p)
-        assert rec.verdicts["ml"].status == rec.verdicts["rational"].status == STATUS_FAILS
-        assert seen == sorted({rec.verdicts["ml"].ell, rec.verdicts["rational"].ell}) and len(seen) == calls
+        monkeypatch.setattr(tribadic.cli, "witness_zero", counted)
+        assert tribadic.cli.main(["classify", "--prime", str(p), "--format", "json"]) == 0
+        pay = json.loads(capsys.readouterr().out)["payload"]
+        assert pay["ml"]["status"] == pay["rational"]["status"] == STATUS_FAILS
+        assert seen == sorted({pay["ml"]["ell"], pay["rational"]["ell"]}) and len(seen) == calls
+        assert len(pay["ml"]["zero_digits"]) == len(pay["rational"]["zero_digits"]) == 24
+
+    @pytest.mark.parametrize("call", ["scan_range(800)", "reproduce_table(800)", "classify_prime(7)"])
+    def test_records_are_built_without_a_witness_zero(self, call, monkeypatch):
+        # a fails verdict stands on its mod-p^2 check; p = 7 fails both forms, so its record
+        # needs no series at all
+        def refuse(*args):
+            raise RuntimeError("called")
+
+        monkeypatch.setattr(tribadic.classifier, "hensel_zero", refuse)
+        if call == "classify_prime(7)":
+            monkeypatch.setattr(tribadic.classifier, "class_series", refuse)
+        eval(call)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_a_wrong_u_raises(self, flags):
+        # u shifted by one at every derivative-ok l: p^2 no longer divides T(l + N*m) at the
+        # witness, so classify_prime raises and scan exits 70, with or without -O
+        code = (
+            "import sys\n"
+            "import tribadic.classifier as c\n"
+            "from tribadic.cli import main\n"
+            "real = c._u_residue\n"
+            "def shifted(p, *args):\n"
+            "    u = real(p, *args)\n"
+            "    return None if u is None else (u + 1) % p\n"
+            "c._u_residue = shifted\n"
+            "try:\n"
+            "    c.classify_prime(7)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+            "sys.exit(main(['scan', '--max', '100', '--format', 'json']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 70, out.stderr
+        assert out.stdout.startswith("raised: p^2 does not divide T(")
+        assert "AssertionError: p^2 does not divide T(" in out.stderr
 
     def test_one_certificate_per_class(self, monkeypatch):
         # p = 397: the integer form holds and the rational form is out of scope; p = 1021: both
@@ -226,12 +270,13 @@ class TestVerdictRule:
         for p in (397, 1021):
             seen.clear()
             rec = classify_prime(p)
-            assert seen == [i.ell for i in rec.zero_table] == [c.residue for c in rec.certificates]
+            linear = [r for c in rec.formula.cases if c.a is not None for r in c.residues]
+            assert seen == [i.ell for i in rec.zero_table] == linear
 
     @pytest.mark.parametrize("p", [269, 401])
     def test_holds_certificates_run_no_newton_step(self, p, monkeypatch):
-        # the rational form holds, on certificates read from each class's series alone; the
-        # one Hensel zero is the integer-form witness's, whose digits the verdict prints
+        # the rational form holds, on certificates read from each class's series alone, and the
+        # integer form fails on its mod-p^2 check: no Hensel zero is computed
         seen = []
         hensel_zero = tribadic.classifier.hensel_zero
 
@@ -242,7 +287,7 @@ class TestVerdictRule:
         monkeypatch.setattr(tribadic.classifier, "hensel_zero", counted)
         rec = classify_prime(p)
         assert (rec.verdicts["ml"].status, rec.verdicts["rational"].status) == (STATUS_FAILS, STATUS_HOLDS)
-        assert seen == [rec.verdicts["ml"].ell]
+        assert seen == []
 
 
 def oracle_zero_scan(p, n_period):
@@ -274,7 +319,7 @@ class TestEarlyExit:
     def test_same_verdicts_as_full_table(self, p):
         full, partial = classify_prime(p), classify_prime(p, 24, full_table=False)
         assert full.zero_table_complete
-        for field in ("verdicts", "formula", "certificates"):
+        for field in ("verdicts", "formula"):
             assert getattr(partial, field) == getattr(full, field), field
         assert partial.zero_table == full.zero_table[: len(partial.zero_table)]
         if partial.zero_table_complete:
@@ -332,30 +377,27 @@ class TestP3Pipeline:
     def test_class_rules_by_strassman_degree(self):
         # mu = 0 on (7, 1) and (9, 3), mu = 1 on (0, 1) and (12, 1), mu = 2 on (9, 1): split mod 39
         ctx = prime_context(3, 24)
-        assert _class_rules(ctx, 7) == ([(13, (7,), None, 1)], [])
-        entries, certs = _class_rules(ctx, 9)
-        assert entries == [(39, (9,), None, 4), (39, (22,), -17, 4), (39, (35,), -4, 4)]
-        assert [(c.q, c.residue) for c in certs] == [(39, 22), (39, 35)]
-        entries, certs = _class_rules(ctx, 12)
-        assert entries == [(13, (12,), -1, 2)] and len(certs) == 1
+        assert _class_rules(ctx, 7) == [(13, (7,), None, 1)]
+        assert _class_rules(ctx, 9) == [(39, (9,), None, 4), (39, (22,), -17, 4), (39, (35,), -4, 4)]
+        assert _class_rules(ctx, 12) == [(13, (12,), -1, 2)]
 
     def test_constant_classes_against_period_walk(self):
         # each mu = 0 class takes one value of T mod p^(kappa + 1), of valuation kappa
         ctx = prime_context(3, 24)
         rec = classify_prime(3, 24)
-        constants = [e for i in rec.zero_table for e in _class_rules(ctx, i.ell)[0] if e[2] is None]
+        constants = [e for i in rec.zero_table for e in _class_rules(ctx, i.ell) if e[2] is None]
         assert [(m, r, kappa) for m, (r,), _, kappa in constants] == [(13, 7, 1), (39, 9, 4)]
         for m, (r,), _, kappa in constants:
             values = constant_class_values(3, m, r, kappa + 1)
             assert len(values) == 1 and val_int(values.pop(), 3) == kappa
 
     def test_certificate_valuations(self):
-        rec = classify_prime(3, 24)
-        by_class = {c.residue % c.q: c for c in rec.certificates}
-        assert by_class[0].deriv_val == 1 and by_class[0].kappa == 2  # nu_3(beta_1) = 1
-        assert by_class[12].a == -1 and by_class[12].kappa == 2
-        assert by_class[22].deriv_val == 3 and by_class[22].kappa == 4  # nu_3(beta_1) = 3 at s = 3
-        assert by_class[35].a == -4 and by_class[35].kappa == 4
+        # the formula's linear cases are the certificates', whose nu_3(beta_1) certify reads
+        ctx = prime_context(3, 24)
+        linear = {c.residues: (c.a, c.kappa) for c in classify_prime(3, 24).formula.cases if c.a is not None}
+        assert linear == {(0,): (0, 2), (38,): (-1, 2), (22,): (-17, 4), (35,): (-4, 4)}
+        assert class_certificate(ctx, 0).deriv_val == 1  # nu_3(beta_1) = 1
+        assert class_certificate(ctx, 22, 3).deriv_val == 3  # nu_3(beta_1) = 3 at s = 3
 
     @pytest.mark.usefixtures("cold_records")
     def test_missing_certificate_raises(self, monkeypatch):
@@ -540,61 +582,40 @@ class TestLocatedZeroOracle:
 
 
 class TestWitnessZeroOracle:
-    """_witness_zero reads nu_p(T(l + N*m)) = e + nu_p(m - b), at m = b mod p and mod p^2, from
-    one trib_mod each: exactly where nu_p(m - b) < prec, and as >= where m = b (mod p^prec).
-    trib_val is the reference it must agree with, on both branches."""
+    """witness_zero checks T(l + N*m) = 0 (mod p^(e + prec)) at m = b mod p^prec, from one
+    trib_mod: the true zero passes, and a zero moved at any of its digits raises.  trib_val is
+    the reference it must agree with."""
 
-    # (p, l, u) of failure witnesses; p = 23 has b = 9 + 20*23 + 0*23^2 + ..., so at precision 3
-    # its m = b mod 23^2 meets b mod 23^3 and the check takes the >= branch
-    WITNESSES = [(23, 29, 15), (5, 21, 2), (47, 31, 16)]
+    WITNESSES = [(23, 29, 15), (5, 21, 2), (47, 31, 16)]  # (p, l, u) of failure witnesses
 
     @staticmethod
-    def with_zero(monkeypatch, shift):
+    def with_zero(monkeypatch, b):
         real = tribadic.classifier.hensel_zero
-
-        def shifted(series):
-            record = real(series)
-            return dataclasses.replace(record, b=shift(record.b))
-
-        monkeypatch.setattr(tribadic.classifier, "hensel_zero", shifted)
-
-    @staticmethod
-    def reference(ctx, ell, b, e):
-        """The check as trib_val reads it: True where both depths show the claimed valuation."""
-        p = ctx.p
-        for j in (1, 2):
-            m = b.residue % p**j
-            gap = (b - m).known_val
-            actual, expected = trib_val(ell + ctx.n_period * m, p), e + gap
-            if not (actual == expected if gap < b.prec else actual >= expected):
-                return False
-        return True
+        monkeypatch.setattr(tribadic.classifier, "hensel_zero",
+                            lambda series: dataclasses.replace(real(series), b=b))
 
     @pytest.mark.parametrize("prec", [3, 24])
     @pytest.mark.parametrize("p, ell, u", WITNESSES)
     def test_agrees_with_trib_val(self, monkeypatch, p, ell, u, prec):
         ctx = prime_context(p, prec)
         true = hensel_zero(class_series(ctx, ell))
-        candidates = [true.b] + [true.b + p**k for k in range(1, prec)]  # each keeps u
-        candidates += [PAdicInt(p, prec, true.b.residue % p**j) for j in (1, 2, 3)]
-        branches, outcomes = set(), set()
-        for b in candidates:
-            branches |= {(b - b.residue % p**j).known_val >= prec for j in (1, 2)}
-            expected = self.reference(ctx, ell, b, true.series.e)
-            outcomes.add(expected)
-            self.with_zero(monkeypatch, lambda _, b=b: b)
-            if expected:
-                assert tribadic.classifier._witness_zero(ctx, ell, u) == tuple(b.digits())
-            else:
-                with pytest.raises(AssertionError):
-                    tribadic.classifier._witness_zero(ctx, ell, u)
-        assert outcomes == {True, False} and branches == {True, False}
+        bound = true.series.e + prec
+        assert trib_val(ell + ctx.n_period * true.b.residue, p) >= bound
+        assert witness_zero(ctx, ell, u) == tuple(true.b.digits())
+        for k in range(1, prec):  # each shift keeps u, and leaves nu_p(T(l + N*m)) = e + k
+            b = true.b + p**k
+            assert trib_val(ell + ctx.n_period * b.residue, p) == true.series.e + k < bound
+            self.with_zero(monkeypatch, b)
+            with pytest.raises(AssertionError, match=f"witness zero at l = {ell}"):
+                witness_zero(ctx, ell, u)
 
     def test_p23_takes_the_at_least_branch_and_passes(self):
+        # b = 9 + 20*23 + 0*23^2: at precision 3, b mod 23^2 is b itself, which only the
+        # ">= e + prec" reading of the check lets pass
         ctx = prime_context(23, 3)
         b = hensel_zero(class_series(ctx, 29)).b
-        assert (b - b.residue % 23**2).known_val == 3
-        assert tribadic.classifier._witness_zero(ctx, 29, 15) == tuple(b.digits())
+        assert b.digits() == [9, 20, 0]
+        assert witness_zero(ctx, 29, 15) == (9, 20, 0)
 
     def test_no_trib_val_and_no_primality_test(self, monkeypatch):
         ctx = prime_context(23, 24)
@@ -606,10 +627,10 @@ class TestWitnessZeroOracle:
             for name in ("trib_val", "is_prime"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        assert tribadic.classifier._witness_zero(ctx, 29, 15)[:3] == (9, 20, 0)
+        assert witness_zero(ctx, 29, 15)[:3] == (9, 20, 0)
 
     def test_shifted_zero_raises_under_python_O(self):
-        # b's digit at p^2 is 0, so a shift by p^2 as well as by p breaks the valuation at m = b mod p^2
+        # b's digit at p^2 is 0: a shift by p^2 as well as by p moves b off the zero
         code = (
             "import dataclasses\n"
             "import tribadic.classifier as c\n"
@@ -618,7 +639,7 @@ class TestWitnessZeroOracle:
             "for shift in (23, 23**2):\n"
             "    c.hensel_zero = lambda series: (lambda r: dataclasses.replace(r, b=r.b + shift))(real(series))\n"
             "    try:\n"
-            "        c._witness_zero(c.prime_context(23, 24), 29, 15)\n"
+            "        c.witness_zero(c.prime_context(23, 24), 29, 15)\n"
             "    except AssertionError as exc:\n"
             "        print('raised:', shift, exc)\n"
         )
@@ -632,19 +653,21 @@ class TestWitnessZeroOracle:
 
 class TestWitnessDigitsAtFullPrecision:
     """Every printed digit of a witness zero ties to the sequence: for the integer-form witness
-    l of each published row with p <= 300, b read from its zero_digits and e the exponent of its
-    class's series, T(l + N*b) = 0 (mod p^(e + 24)) by the integer-only matrix oracle.  The check
-    inside _witness_zero reads b mod p and b mod p^2 only."""
+    l of each published row with p <= 300, b read from witness_zero and e the exponent of its
+    class's series, T(l + N*b) = 0 (mod p^(e + 24)) by the integer-only matrix oracle."""
 
     def test_every_published_witness_zero_vanishes_to_all_its_digits(self):
         rows = [row for row in published_table() if row.p <= 300]
         assert len(rows) == 56
         for row in rows:
             p, prec = row.p, 24
+            ctx = prime_context(p, prec)
             v = classify_prime(p, prec).verdicts["ml"]
-            assert (v.ell, v.u) == (row.ell, row.u) and len(v.zero_digits) == prec
-            b = sum(d * p**i for i, d in enumerate(v.zero_digits))
-            pe = p ** (class_series(prime_context(p, prec), v.ell).e + prec)
+            assert (v.ell, v.u) == (row.ell, row.u)
+            digits = witness_zero(ctx, v.ell, v.u)
+            assert len(digits) == prec
+            b = sum(d * p**i for i, d in enumerate(digits))
+            pe = p ** (class_series(ctx, v.ell).e + prec)
             assert trib_mod_oracle(v.ell + row.n_period * b, pe) == 0, p
             # negative controls: b moved at its fourth or its eleventh digit
             for shift in (p**3, p**10):
@@ -1206,7 +1229,7 @@ class TestClassificationMemo:
         def refuse(*args):
             raise RuntimeError("called")
 
-        for name in ("_zero_table", "_witness_zero", "_class_rules", "ProcessPoolExecutor"):
+        for name in ("_zero_table", "hensel_zero", "_class_rules", "ProcessPoolExecutor"):
             monkeypatch.setattr(tribadic.classifier, name, refuse)
         assert _classify_range(300, 24, jobs=1) == first
         assert _classify_range(300, 24, jobs=2) == first
@@ -1286,11 +1309,12 @@ class TestHoldsRecordFormulas:
         assert verify_formula(spec, 1, 3000) == []
 
     def test_every_holds_class_has_certificate(self):
+        # one linear case per zero class, over the class's own target
         rec = classify_prime(269)
-        assert len(rec.certificates) == len(rec.zero_table) == 6
-        for cert, info in zip(rec.certificates, rec.zero_table):
-            assert Fraction(cert.a) == Fraction(info.target)
-            assert cert.kappa == 1 and cert.mu == 1
+        assert len(rec.formula.cases) == len(rec.zero_table) == 6
+        for case, info in zip(rec.formula.cases, rec.zero_table):
+            assert case.residues == (info.ell,) and Fraction(case.a) == Fraction(info.target)
+            assert case.kappa == 1 and case.mu == 1
 
 
 class TestUConsistency:
@@ -1303,5 +1327,5 @@ class TestUConsistency:
         record = hensel_zero(class_series(ctx, v.ell))
         a = v.ell + rec.n_period * record.b
         assert a.residue % p == v.u
-        # and the record carries the same zero
-        assert v.zero_digits == tuple(record.b.digits())
+        # and witness_zero prints the digits of the same zero
+        assert witness_zero(ctx, v.ell, v.u) == tuple(record.b.digits())
