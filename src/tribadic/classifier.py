@@ -8,8 +8,8 @@ Z_T = {0, -1, -4, -17} and the rational form over Q_T = Z_T + {1/3, -5/3}, both
 listed in FORMS, narrowest first; the first of these that applies is the verdict:
 
 1. fails, with the first derivative-ok l whose u avoids the targets mod p as witness: there
-   e = 1 and beta_1 is a unit, so its zero b is m = (u - l)/N (mod p); one trib_mod checks
-   p^2 | T(l + N*m), true at this u and at no other residue, and raises if not;
+   e = 1 and beta_1 is a unit, so its zero b is m = (u - l)/N (mod p); one trib_mod per witness
+   checks p^2 | T(l + N*m), true at this u and at no other residue, and raises if not;
 2. undecided if two targets are congruent mod N (for p >= 5 only Q_T has such pairs);
 3. undecided if the derivative condition fails at some l;
 4. undecided if some l sits over no target mod N;
@@ -34,7 +34,6 @@ import hashlib
 import math
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -329,15 +328,17 @@ def witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
 
 def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, rules):
     """The verdict of one form by the module's rule, with the _class_rules entries of its zero
-    classes when it holds.  earlier maps the keys of the forms before it to their verdicts, and
-    rules(l) gives the entries of the class n = l (mod N)."""
+    classes when it holds.  earlier maps the keys of the forms before it to their verdicts (a
+    witness (l, u) one of them fails on is not checked again), and rules(l) gives the entries of
+    the class n = l (mod N)."""
     p, n_period = ctx.p, ctx.n_period
     targets = form.targets
     targets_p = set(_qt_residues_mod(p, targets))
     w = next((i for i in infos if i.deriv_ok and i.u not in targets_p), None)
     if w is not None:  # e = 1 and beta_1 is a unit, so the zero b = m (mod p) gives p^2 | T(l + N*m)
+        checked = any(v.status == STATUS_FAILS and (v.ell, v.u) == (w.ell, w.u) for v in earlier.values())
         m = (w.u - w.ell) * pow(n_period, -1, p) % p
-        if trib_mod(w.ell + n_period * m, p * p):
+        if not checked and trib_mod(w.ell + n_period * m, p * p):
             raise AssertionError(f"p^2 does not divide T({w.ell} + N*{m}): u = {w.u} is not the witness's")
         return Verdict(STATUS_FAILS, ell=w.ell, u=w.u), ()
     targets_n = _qt_residues_mod(n_period, targets)
@@ -389,7 +390,9 @@ def _records_for(ps, prec: int, full_table: bool, jobs: int = 1) -> list[Classif
     found = {p: _records.pop((p, prec, full_table)) for p in ps if (p, prec, full_table) in _records}
     misses = [p for p in ps if p not in found]
     workers = min(jobs, os.cpu_count() or 1, len(misses))
-    if workers > 1:
+    if workers > 1:  # only here is the process machinery imported
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             built = pool.map(_classify, misses, [prec] * len(misses), [full_table] * len(misses))
             found.update(zip(misses, built))

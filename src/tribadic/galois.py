@@ -46,19 +46,19 @@ def _splitting_degree(p: int) -> int:
 def _prime_data(p: int) -> tuple[int, int]:
     """(d, period N): what p alone fixes, for an admissible prime p.
 
-    x^(p^d - 1) = 1 in (Z/p)[x]/(P), a product of fields of degree dividing d, so
-    N is found by dividing p^d - 1 (factored by trial division + Pollard rho) down
-    by each prime while x^(N/q) = 1.  x^N = 1 itself is checked, which a wrong d would
-    break, and for d = 3 the sharper divisibility N | p^2 + p + 1.
+    (Z/p)[x]/(P) is a product of fields of degree dividing d, so x^(p^d - 1) = 1 there and N
+    divides p - 1 (d = 1) or p^2 - 1 (d = 2).  For d = 3 it is the field F_(p^3), where
+    x^(1 + p + p^2) = x * x^p * x^(p^2) is the norm of x, the product of the roots of P, which
+    is 1; so N divides p^2 + p + 1.  N is found by dividing that bound (factored by trial
+    division + Pollard rho) down by each prime q while x^(N/q) = 1.  x^N = 1 itself is checked,
+    which a wrong d would break.
     """
     _check_admissible(p)
     d = _splitting_degree(p)
-    n = group = p**d - 1
-    for q in factorize(group):
+    n = bound = p * p + p + 1 if d == 3 else p**d - 1
+    for q in factorize(bound):
         while n % q == 0 and _xpow(n // q, p) == (1, 0, 0):
             n //= q
-    if d == 3 and (p * p + p + 1) % n != 0:
-        raise AssertionError(f"N = {n} does not divide p^2 + p + 1 for p = {p}")
     if _xpow(n, p) != (1, 0, 0):
         raise AssertionError(f"x^N != 1 mod {p} for N = {n}: the splitting degree d = {d} is wrong")
     return d, n

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -217,6 +218,22 @@ class TestVerdictRule:
         assert pay["ml"]["status"] == pay["rational"]["status"] == STATUS_FAILS
         assert seen == sorted({pay["ml"]["ell"], pay["rational"]["ell"]}) and len(seen) == calls
         assert len(pay["ml"]["zero_digits"]) == len(pay["rational"]["zero_digits"]) == 24
+
+    @pytest.mark.parametrize("p, checks", [(7, 1), (67, 2)])  # one witness (l, u) for both forms; two
+    def test_one_witness_check_per_witness(self, p, checks, monkeypatch):
+        # the rational form does not repeat the p^2 | T(l + N*m) check the integer form made
+        seen = []
+        real = tribadic.classifier.trib_mod
+
+        def counted(n, m):
+            seen.append(m)
+            return real(n, m)
+
+        monkeypatch.setattr(tribadic.classifier, "trib_mod", counted)
+        verdicts = classify_prime(p).verdicts.values()
+        assert all(v.status == STATUS_FAILS for v in verdicts)
+        assert len({(v.ell, v.u) for v in verdicts}) == checks
+        assert seen == [p * p] * checks
 
     @pytest.mark.parametrize("call", ["scan_range(800)", "reproduce_table(800)", "classify_prime(7)"])
     def test_records_are_built_without_a_witness_zero(self, call, monkeypatch):
@@ -1117,13 +1134,13 @@ class TestTableAndScan:
 
     @pytest.mark.usefixtures("cold_records")
     def test_scan_parallel_matches_serial(self, monkeypatch):
-        pools, pool = [], tribadic.classifier.ProcessPoolExecutor
+        pools, pool = [], concurrent.futures.ProcessPoolExecutor
 
         def counted_pool(max_workers):
             pools.append(max_workers)
             return pool(max_workers)
 
-        monkeypatch.setattr(tribadic.classifier, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
         monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
         cold = self.cold
         assert cold(scan_range, 60, jobs=2) == cold(scan_range, 60)
@@ -1150,10 +1167,29 @@ class TestTableAndScan:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(tribadic.classifier, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 3)
         assert self.cold(scan_range, 60, jobs=10**6) == self.cold(scan_range, 60)
         assert seen == [3]
+
+    def test_serial_paths_import_no_process_machinery(self):
+        # a fresh interpreter run as the benchmark's worker is (python -S): only a pool imports
+        # concurrent.futures, and with it multiprocessing
+        code = (
+            "import sys\n"
+            "import tribadic\n"
+            "from tribadic import cli\n"
+            "tribadic.published_table()\n"
+            "tribadic.classify_prime(7)\n"
+            "tribadic.scan_range(100)\n"
+            "code = cli.main(['scan', '--max', '100', '--jobs', '1'])\n"
+            "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 []"
 
     def test_scan_prefix_consistency(self):
         small, big = scan_range(60), scan_range(100)
@@ -1229,8 +1265,9 @@ class TestClassificationMemo:
         def refuse(*args):
             raise RuntimeError("called")
 
-        for name in ("_zero_table", "hensel_zero", "_class_rules", "ProcessPoolExecutor"):
+        for name in ("_zero_table", "hensel_zero", "_class_rules"):
             monkeypatch.setattr(tribadic.classifier, name, refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         assert _classify_range(300, 24, jobs=1) == first
         assert _classify_range(300, 24, jobs=2) == first
 

@@ -14,6 +14,7 @@ from tribadic import (
     trib_mod,
 )
 from tribadic._factor import factorize, is_prime, primes_upto
+from tribadic.tribonacci import _xpow
 
 from conftest import PSI_12, lifted_roots, oracle_degree, roots_mod_p_oracle
 
@@ -172,6 +173,23 @@ class TestComputeN:
             ctx = prime_context(p, 8)
             if ctx.d == 3:
                 assert (p * p + p + 1) % ctx.n_period == 0
+
+    def test_d3_period_equals_the_search_from_the_group_order(self, monkeypatch):
+        # oracle: N found by dividing p^3 - 1 down; _prime_data starts from p^2 + p + 1 and
+        # factors nothing else
+        d3 = [p for p in primes_upto(2 * 10**4) if p not in (2, 11) and galois._splitting_degree(p) == 3]
+        assert len(d3) > 700
+        clear_context_caches()
+        calls = []
+        monkeypatch.setattr(galois, "factorize", lambda n: calls.append(n) or factorize(n))
+        for p in d3:
+            n = p**3 - 1
+            for q in factorize(n):
+                while n % q == 0 and _xpow(n // q, p) == (1, 0, 0):
+                    n //= q
+            assert galois._prime_data(p) == (3, n)
+        assert calls == [p * p + p + 1 for p in d3]
+        clear_context_caches()
 
     def test_n_divides_group_order(self):
         for p in (5, 13, 47, 269):
