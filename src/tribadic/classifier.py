@@ -47,7 +47,7 @@ from .interpolation import (
     hensel_zero,
     series_coeffs,
 )
-from .padic import DEFAULT_PRECISION, VAL_INF, PrecisionError, _vp, val_int
+from .padic import DEFAULT_PRECISION, VAL_INF, PrecisionError, _vp, unit_inverse, val_int
 from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
@@ -281,23 +281,29 @@ def certify(series: SeriesTrunc):
     """The linear certificate of the class n = l (mod sN) that series was built on, or None.
     mu = 1 gives g one zero on Z_p and |g'| = |beta_1| on all of Z_p, so g(z) = 0 (mod p^prec)
     at z = (a - l)/sN for a the first t in Q_T with that z in Z_p, if any; z is only tried where
-    its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1)."""
+    its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1).
+    sN/p^nu(sN) is inverted mod p^prec once; a target's z is formed at full precision only
+    after its first digit matches."""
     if series.mu != 1:
         return None
     ctx, ell = series.ctx, series.ell
-    p, q, pk = ctx.p, series.s * ctx.n_period, ctx.p**ctx.prec
+    p, q, prec = ctx.p, series.s * ctx.n_period, ctx.prec
     c0, c1 = series.coeffs[0].residue, series.coeffs[1].residue
     v1 = _vp(c1, p)  # below prec: beta_1 attains the least valuation, which mu = 1 read off
     digit = -(c0 // p**v1) * pow(c1 // p**v1, -1, p) % p
-    pv = p ** _vp(q, p)
+    vq = _vp(q, p)
+    pv = p**vq
+    q_inv = unit_inverse(q // pv, p, prec)
     for t in QT:
         num, den = t.as_integer_ratio()
         diff = num - ell * den
         if den % p == 0 or diff % pv:  # t is not p-integral, or (t - l)/sN is not in Z_p
             continue
-        z = diff // pv * pow(den * q // pv, -1, pk) % pk
-        if z % p == digit and series.eval(z).is_zero():
-            return LinearCertificate(q, ell % q, t, series.e + v1 - _vp(q, p), 1, v1)
+        w = diff // pv * q_inv  # z = w / den (mod p^prec)
+        if w * pow(den, -1, p) % p == digit:
+            z = w * unit_inverse(den, p, prec) % p**prec
+            if series.eval(z).is_zero():
+                return LinearCertificate(q, ell % q, t, series.e + v1 - vq, 1, v1)
     return None
 
 
@@ -658,7 +664,7 @@ def crt_witness(i: int, q: int, a, p: int, k: int) -> int:
     if k <= nu:
         n = i  # n = i already agrees with a modulo p^k
     else:
-        diff = (a.numerator - i * a.denominator) * pow(a.denominator, -1, pk) % pk
+        diff = (a.numerator - i * a.denominator) * unit_inverse(a.denominator, p, k) % pk
         m = crt_pair((diff // p**nu) % p ** (k - nu), p ** (k - nu), 0, q // p**nu)
         n = i + m * p**nu
     modulus = (q // p**nu) * p ** max(nu, k)  # lcm(q, p^k)

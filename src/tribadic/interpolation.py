@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from ._factor import crt_pair
 from .galois import _P, PrimeContext
@@ -27,6 +28,7 @@ from .padic import (
     PAdicInt,
     PrecisionError,
     _vp,
+    unit_inverse,
     val_int,
     vp_factorial,
 )
@@ -43,11 +45,24 @@ class ConditionNotMet(ValueError):
         self.condition = condition
 
 
-def _horner(coeffs: list[int], z: int, m: int) -> int:
-    # the polynomial with coefficients coeffs, highest degree first, at z, mod m
+def _zp_powers(z: int, n: int, m: int) -> list[int]:
+    """z^0..z^s mod m, s = isqrt(n) + 1: the baby steps _zp_eval needs for n coefficients."""
+    z %= m
+    powers = [1, z]
+    for _ in range(math.isqrt(n)):
+        powers.append(powers[-1] * z % m)
+    return powers
+
+
+def _zp_eval(coeffs: list[int], powers: list[int], m: int) -> int:
+    """The polynomial with coefficients coeffs, lowest degree first, mod m at the z whose powers
+    z^0..z^s (mod a multiple of m) are given: each block of s coefficients is summed against
+    z^0..z^(s-1) without reduction, and one Horner step in z^s and one reduction join the blocks."""
+    s = len(powers) - 1
+    top = powers[s]
     acc = 0
-    for c in coeffs:
-        acc = (acc * z + c) % m
+    for i in range((len(coeffs) - 1) // s * s, -1, -s):
+        acc = (acc * top + sum(map(mul, coeffs[i : i + s], powers))) % m
     return acc
 
 
@@ -75,20 +90,21 @@ class SeriesTrunc:
         return (k - 1) * self.log_val - vp_factorial(k, self.ctx.p)
 
     def _at(self, z, coeffs) -> PAdicInt:
-        # Horner on residues mod p^k, k = min(prec, z.prec); an int z is read at prec
+        # _zp_eval on residues mod p^k, k = min(prec, z.prec); an int z is read at prec
         p, k = self.ctx.p, self.ctx.prec
         if isinstance(z, PAdicInt):
             if z.p != p:
                 raise ValueError(f"mixed primes: {p} vs {z.p}")
             k, z = min(k, z.prec), z.residue
-        return PAdicInt(p, k, _horner(coeffs, z, p**k))
+        m = p**k
+        return PAdicInt(p, k, _zp_eval(coeffs, _zp_powers(z, len(coeffs), m), m))
 
     def eval(self, z) -> PAdicInt:
-        """g(z) mod p^prec by Horner evaluation of the truncated series."""
-        return self._at(z, [beta.residue for beta in reversed(self.coeffs)])
+        """g(z) mod p^prec by blocked Horner evaluation of the truncated series."""
+        return self._at(z, [beta.residue for beta in self.coeffs])
 
     def eval_deriv(self, z) -> PAdicInt:
-        return self._at(z, [k * self.coeffs[k].residue for k in range(self.cut, 0, -1)])
+        return self._at(z, [k * self.coeffs[k].residue for k in range(1, self.cut + 1)])
 
     @cached_property
     def mu(self) -> int:
@@ -229,7 +245,7 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
         divs.append(divs[-1] * p**w)
         fact_unit = fact_unit * units[k] % pk_small
     inv_fact = [0] * (J + 1)
-    acc = pow(fact_unit, -1, pk_small)
+    acc = unit_inverse(fact_unit, p, prec)
     for k in range(J, 0, -1):
         inv_fact[k] = acc
         acc = acc * units[k] % pk_small
@@ -261,8 +277,10 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     Requires beta_1 to be a unit (condition T(l+N) != T(l) mod p^2); the start
     b_0 = -beta_0 beta_1^(-1) then satisfies |g(b_0)| < 1, |g'(b_0)| = 1.  Each step is
     b - g(b) / g'(b) mod p^prec on plain residues, the coefficient lists of g and g' built
-    once.  With g(b) = 0 (mod p^r) the quotient needs g'(b) only mod p^(prec - r), so g' is
-    evaluated there, and a g'(b) divisible by p stops the iteration.
+    once.  The powers of b mod p^prec that _zp_eval reads are computed once per step and serve g'
+    too.  With g(b) = 0 (mod p^r) the quotient needs g'(b) only mod p^(prec - r), so g' is
+    evaluated and inverted there, and a g'(b) divisible by p stops the iteration.  Every step
+    runs at full precision: the residual valuations it reports are those of the exact iterates.
     """
     p, prec = series.ctx.p, series.ctx.prec
     pk = p**prec
@@ -271,21 +289,22 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
         raise ConditionNotMet(
             "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
         )
-    values = [beta.residue for beta in reversed(series.coeffs)]
-    slopes = [k * series.coeffs[k].residue for k in range(series.cut, 0, -1)]
-    b = -c0.residue * pow(c1.residue, -1, pk) % pk
+    values = [beta.residue for beta in series.coeffs]
+    slopes = [k * values[k] for k in range(1, len(values))]
+    b = -c0.residue * unit_inverse(c1.residue, p, prec) % pk
     residuals = []
     for _ in range(4 * prec.bit_length() + 8):
-        g = _horner(values, b, pk)
+        powers = _zp_powers(b, len(values), pk)
+        g = _zp_eval(values, powers, pk)
         r = _vp(g, p) if g else prec
         residuals.append(r)
         if r >= prec:
             break
         m = p ** (prec - r)
-        slope = _horner(slopes, b % m, m)
+        slope = _zp_eval(slopes, powers, m)
         if slope % p == 0:
             raise PrecisionError(f"g'(b) = 0 mod {p}: Newton iteration cannot continue")
-        b = (b - g // p**r * pow(slope, -1, m) % m * p**r) % pk
+        b = (b - g // p**r * unit_inverse(slope, p, prec - r) * p**r) % pk
     else:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
     return ZeroRecord(PAdicInt(p, prec, b), tuple(residuals), series)
@@ -356,9 +375,9 @@ def cube_root_certificate(
         v = (i // 2) % (max_extra_val + 1)
         u = rng.randrange(1, p)
         pk1 = p ** (v + 1)
-        res_p = (r.numerator + u * p**v) * pow(3, -1, pk1) % pk1
+        res_p = (r.numerator + u * p**v) * unit_inverse(3, p, v + 1) % pk1
         res_m = r.numerator * pow(3, -1, class_mod) % class_mod
-        n = crt_pair(res_m, class_mod, res_p, pk1)
+        n = crt_pair(res_p, pk1, res_m, class_mod)  # crt_pair inverts pk1 mod class_mod
         if n == 0:
             n = class_mod * pk1
         rhs = val_int(3 * n - r.numerator, p)

@@ -14,6 +14,7 @@ across threads.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from ._factor import is_prime
 
@@ -46,6 +47,18 @@ def val_int(x: int, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _vp(x, p)
+
+
+def unit_inverse(a: int, p: int, k: int) -> int:
+    """a^(-1) mod p^k for a unit a: pow(a, -1, p) lifted by y <- y(2 - a*y), each step doubling
+    the digits y is right to.  A multiple of p raises ValueError, as pow does."""
+    y = pow(a, -1, p)
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        y = y * (2 - a * y) % m
+    return y
 
 
 def vp_factorial(n: int, p: int) -> int:
@@ -153,7 +166,7 @@ class PAdicInt:
         """Multiplicative inverse mod p^prec; the value must be a unit."""
         if not self.is_unit():
             raise PrecisionError(f"not a unit mod {self.p}^{self.prec}: valuation >= {self.known_val}")
-        return PAdicInt(self.p, self.prec, pow(self.residue, -1, self.p**self.prec))
+        return PAdicInt(self.p, self.prec, unit_inverse(self.residue, self.p, self.prec))
 
     def __eq__(self, other):
         if not isinstance(other, PAdicInt):
@@ -368,15 +381,26 @@ class ExtElem:
         return PAdicInt(self.ring.p, self.ring.prec, self.coords[0])
 
     def _series(self, coeffs: list[int], den: int, slack: int) -> "ExtElem":
-        """sum_n coeffs[n] self^n / den, where the p-part of den is p^slack: Horner on the integer
-        coefficients in a ring slack digits deeper, then one exact division by den."""
+        """sum_n coeffs[n] self^n / den, where the p-part of den is p^slack, in a ring slack digits
+        deeper, then one exact division by den.  Blocked Horner: with s = isqrt(n) + 1 for n
+        coefficients and the powers self^0..self^s, each block of s coefficients is an unreduced
+        integer combination of those powers' coordinates, and one ring product by self^s and one
+        reduction per block join the blocks."""
         ring = self.ring
         big = ring.lifted(slack)
-        acc = big.embed(coeffs[-1]).coords
-        for c in reversed(coeffs[:-1]):
-            acc = big._mul(acc, self.coords)
-            acc = (acc[0] + c,) + acc[1:]
-        out = big.elem(acc).div_exact_p(slack) * pow(den // ring.p**slack, -1, big.pk)
+        pk = big.pk
+        s = math.isqrt(len(coeffs)) + 1
+        powers = [big.one.coords, self.coords]
+        for _ in range(s - 1):
+            powers.append(big._mul(powers[-1], self.coords))
+        top = powers.pop()
+        columns = list(zip(*powers))  # columns[t]: coordinate t of self^0..self^(s-1)
+        acc = big.zero.coords
+        for i in range((len(coeffs) - 1) // s * s, -1, -s):
+            block = coeffs[i : i + s]
+            acc = tuple((a + sum(map(mul, block, column))) % pk
+                        for a, column in zip(big._mul(acc, top), columns))
+        out = big.elem(acc).div_exact_p(slack) * unit_inverse(den // ring.p**slack, ring.p, big.prec)
         return out.lift_to(ring)
 
     def exp(self) -> "ExtElem":

@@ -1,4 +1,8 @@
+import contextlib
 import csv
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -375,6 +379,40 @@ class TestZero:
         assert all(n % 162 == 54 for n in points)
         mismatches = verify_formula(spec, 1, 2 * 10**5, extra=points)
         assert [m for m in mismatches if m.n % 162 == 54] == []
+
+
+def certify_set_digest(seed: int) -> str:
+    """sha256 over the zero requests of perfbench's certify workload at seed, in their order: one
+    line per request, its exit code and its JSON record without elapsed_ms, keys sorted."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.make_inputs("certify", seed)
+    lines = []
+    for i, prec in inputs["requests"]:
+        task = inputs["tasks"][i]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["zero", "--prime", str(task["p"]), "--ell", str(task["ell"]),
+                         "--multiplier", str(task["s"]), "--precision", str(prec), "--format", "json"])
+        rec = json.loads(buf.getvalue())
+        del rec["elapsed_ms"]
+        lines.append(f"{code} {json.dumps(rec, sort_keys=True)}")
+    assert len(lines) == 108
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_certify_set_payloads_are_pinned():
+    """The 108 certify-set zero payloads (36 classes at precisions 24, 48 and 96, seed-1 order)
+    are byte-identical to those of commit 9959af6, before blocked series evaluation and lifted
+    inverses.  The digest was produced there, with this file's certify_set_digest, by
+
+        git archive 9959af6 src | tar -x -C /tmp/parent
+        PYTHONPATH=/tmp/parent/src python -c "import sys; sys.path[:0] = ['tests']; \\
+            from test_cli import certify_set_digest; print(certify_set_digest(1))"
+    """
+    assert certify_set_digest(1) == "a87dd8f7ff4be0e8eb4d825bc5864b0017950f0dc314cea587de5b2a6abe7c70"
 
 
 class TestZeroSinglePass:

@@ -252,6 +252,53 @@ def test_residue_horner_matches_a_padic_oracle(p, pick, prec, zprec, z):
             fn(other)
 
 
+def _plain_horner(coeffs, z, m):
+    # oracle: one Horner step and one reduction per coefficient, lowest degree first
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * z + c) % m
+    return acc
+
+
+ZP_MODULI = [(p, k) for p in (3, 5, 587) for k in (1, 3, 24, 96)]
+
+
+class TestZpEval:
+    """_zp_eval against _plain_horner: every length through 130 (each block boundary, where
+    isqrt(n) + 1 divides n, among them), z = 0, z >= m, and powers read mod a larger modulus."""
+
+    @pytest.mark.parametrize("p, k", ZP_MODULI)
+    def test_every_length_through_130(self, p, k):
+        m = p**k
+        rng = random.Random(p * 1000 + k)
+        coeffs = [rng.randrange(-m, 8 * m) for _ in range(130)]
+        boundaries = 0
+        for n in range(1, 131):
+            boundaries += n % (math.isqrt(n) + 1) == 0
+            for z in (0, 1, rng.randrange(m), m + rng.randrange(m), -rng.randrange(1, m)):
+                powers = interpolation._zp_powers(z, n, m)
+                assert len(powers) == math.isqrt(n) + 2
+                assert interpolation._zp_eval(coeffs[:n], powers, m) == _plain_horner(coeffs[:n], z, m)
+        assert boundaries > 5
+
+    @given(
+        st.sampled_from(ZP_MODULI), st.integers(1, 130),
+        st.one_of(st.just(0), st.integers(0, 10**300)), st.integers(0, 96),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_horner(self, modulus, n, z, extra, rng):
+        p, k = modulus
+        m = p**k
+        coeffs = [rng.randrange(-(m**2), m**2) for _ in range(n)]
+        # powers taken mod p^(k + extra) are also right mod p^k, as hensel_zero's g' reads them
+        powers = interpolation._zp_powers(z, n, m * p**extra)
+        assert interpolation._zp_eval(coeffs, powers, m) == _plain_horner(coeffs, z, m)
+
+    def test_no_coefficients_is_zero(self):
+        assert interpolation._zp_eval([], interpolation._zp_powers(7, 0, 125), 125) == 0
+
+
 def series_oracle(ctx, ell, s, e, J):
     """beta_0..beta_J residues, one coefficient at a time: log x^(sN) summed directly, and the
     unit part of k! inverted by pow for every k."""

@@ -1,4 +1,5 @@
 import builtins
+import math
 import random
 from fractions import Fraction
 
@@ -93,6 +94,82 @@ class TestInverse:
     def test_non_unit_rejected(self):
         with pytest.raises(PrecisionError):
             padic_inv(PAdicInt(5, 3, 10))
+
+
+class TestUnitInverse:
+    """unit_inverse, pow(a, -1, p) lifted by Newton steps, against pow(a, -1, p^k)."""
+
+    @given(st.sampled_from([3, 5, 13, 587]), st.integers(1, 200), st.integers(-(10**600), 10**600))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pow(self, p, k, a):
+        if a % p == 0:
+            with pytest.raises(ValueError):
+                padic.unit_inverse(a, p, k)
+        else:
+            assert padic.unit_inverse(a, p, k) == pow(a, -1, p**k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 24, 96])
+    def test_every_unit_and_non_units(self, k):
+        for a in [1, 2, 4, 6, 7**k - 1, 7**k + 1, 7**k * 3 + 5, -3]:
+            assert padic.unit_inverse(a, 7, k) == pow(a, -1, 7**k)
+        for a in (0, 7, 49 * 3, -7, 7**k, 7 ** (k + 1)):
+            with pytest.raises(ValueError):
+                padic.unit_inverse(a, 7, k)
+
+    def test_padic_inv_keeps_its_error(self):
+        with pytest.raises(PrecisionError):
+            PAdicInt(587, 96, 587 * 11).inv()
+        assert PAdicInt(587, 96, 5).inv().residue == pow(5, -1, 587**96)
+
+
+def ring_horner_series(x, coeffs, den, slack):
+    """Oracle: sum_n coeffs[n] x^n / den by plain ring Horner, one product per coefficient,
+    slack digits deeper than x's ring, then one exact division by den."""
+    ring = x.ring
+    big = ring.lifted(slack)
+    y = x.lift_to(big)
+    acc = big.zero
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return (acc.div_exact_p(slack) * pow(den // ring.p**slack, -1, big.pk)).lift_to(ring)
+
+
+RING_MODULI = [(0, 1), _P]  # d = 1 and d = 3
+
+
+class TestBlockedRingSeries:
+    """ExtElem._series, exp and log against ring_horner_series, for d = 1 and d = 3."""
+
+    @given(
+        st.sampled_from([3, 5, 587]), st.sampled_from([1, 3, 24, 96]), st.sampled_from(RING_MODULI),
+        st.integers(1, 130), st.integers(0, 3), st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_series_matches_ring_horner(self, p, prec, modulus, n, slack, rng):
+        ring = ExtRing(p, prec, modulus)
+        x = ring.elem([rng.randrange(-(p**prec), 2 * p**prec) for _ in range(ring.d)])
+        den = p**slack * rng.choice([1, 2, 7, 1 + p])
+        # coefficients divisible by p^slack, so the exact division always succeeds
+        coeffs = [p**slack * rng.randrange(-(p ** (2 * prec)), p ** (2 * prec)) for _ in range(n)]
+        assert x._series(coeffs, den, slack) == ring_horner_series(x, coeffs, den, slack)
+
+    @pytest.mark.parametrize("modulus", RING_MODULI)
+    @pytest.mark.parametrize("p, prec", [(3, 1), (3, 24), (5, 3), (5, 96), (587, 24), (587, 96)])
+    def test_exp_and_log(self, p, prec, modulus):
+        ring = ExtRing(p, prec, modulus)
+        rng = random.Random(p * prec)
+        for _ in range(4):
+            w = ring.elem([p * rng.randrange(p**prec) for _ in range(ring.d)])
+            cut = padic._exp_cutoff(p, prec)
+            facts = [math.factorial(cut) // math.factorial(n) for n in range(cut + 1)]
+            assert w.exp() == ring_horner_series(w, facts, facts[0], padic.vp_factorial(cut, p))
+            v = w.val()
+            if v >= prec:
+                continue
+            cut, slack = padic._log_cutoff(p, prec, v)
+            lcm = math.lcm(*range(1, cut + 1))
+            terms = [0] + [(-1) ** (n - 1) * (lcm // n) for n in range(1, cut + 1)]
+            assert (w + 1).log() == ring_horner_series(w, terms, lcm, slack)
 
 
 def exp_series_oracle(z, p, prec):
