@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -34,11 +34,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of an odd composite n, Brent's cycling variant."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
+def _brent_rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n, Brent's cycling variant on y -> y^2 + c from
+    y = c, for c = 1, 2, ... until one cycle splits n.  A factorization is unique, so no choice
+    of start and constant can change a result."""
+    for c in itertools.count(1):
+        y = c
         m = 128
         g = r = q = 1
         x = ys = y
@@ -89,7 +90,6 @@ def factorize(n: int) -> dict[int, int]:
         d += 6
     if n == 1:
         return out
-    rng = random.Random(0xD1F)
     stack = [n]
     while stack:
         m = stack.pop()
@@ -98,7 +98,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             record(m)
             continue
-        f = _brent_rho(m, rng)
+        f = _brent_rho(m)
         stack.append(f)
         stack.append(m // f)
     return out

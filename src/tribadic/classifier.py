@@ -33,11 +33,8 @@ import functools
 import hashlib
 import math
 import os
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from importlib import resources
-from typing import NamedTuple
 
 from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
@@ -54,14 +51,12 @@ ZT = ZERO_SET
 QT = ZT + ZERO_TARGETS_RAT
 
 
-class Form(NamedTuple):
-    """One form of the conjecture, as the verdict rule reads it."""
+class Form(namedtuple("Form", "key label set_name targets needs_split")):
+    """One form of the conjecture, as the verdict rule reads it: the JSON key of its verdict, its
+    name in verdict details, the name of its target set, the targets, and whether holds also needs
+    all roots rational (d = 1) and 3 coprime to N."""
 
-    key: str  # the JSON key of its verdict
-    label: str  # its name in verdict details
-    set_name: str  # the name of its target set
-    targets: tuple
-    needs_split: bool  # whether holds also needs all roots rational (d = 1) and 3 coprime to N
+    __slots__ = ()
 
 
 # the forms the classifier decides, from the narrowest target set to the widest
@@ -80,34 +75,21 @@ DIAG_QT_COLLISION = "qt-classes-collide-mod-N"
 DIAG_OUT_OF_SCOPE = "holds-criteria-out-of-scope"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    q: int | None = None
-    ell: int | None = None
-    u: int | None = None
-    diagnostic: str | None = None
-    detail: str = ""
+class Verdict(namedtuple("Verdict", "status q ell u diagnostic detail", defaults=(None,) * 4 + ("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ZeroClassInfo:
-    """One l in [0, N) with p | T(l): derivative condition, u mod p, Q_T class of l."""
+class ZeroClassInfo(namedtuple("ZeroClassInfo", "ell deriv_ok u target")):
+    """One l in [0, N) with p | T(l): derivative condition, u mod p (None where it fails), and
+    target, the Q_T element (int, Fraction or None) with l = target (mod N)."""
 
-    ell: int
-    deriv_ok: bool
-    u: int | None
-    target: object  # int | Fraction | None: the Q_T element with l = target (mod N)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FormulaCase:
-    """Residues mod Q sharing one valuation rule; a is None for a constant class."""
+class FormulaCase(namedtuple("FormulaCase", "residues kappa a mu", defaults=(None, 1))):
+    """Residues mod Q sharing one valuation rule; a (int or Fraction) is None for a constant class."""
 
-    residues: tuple[int, ...]
-    kappa: int
-    a: object = None  # int | Fraction | None
-    mu: int = 1
+    __slots__ = ()
 
 
 def _is_linear(a: Fraction, i: int, q: int, p: int) -> bool:
@@ -116,43 +98,46 @@ def _is_linear(a: Fraction, i: int, q: int, p: int) -> bool:
     return diff == 0 or val_int(diff, p) >= _vp(q, p)
 
 
-@dataclass(frozen=True)
-class FormulaSpec:
-    """A full closed-form prediction for nu_p(T(n)): cases mod q plus a constant default."""
+class FormulaSpec(namedtuple("FormulaSpec", "p q cases default_kappa")):
+    """A full closed-form prediction for nu_p(T(n)): cases mod q plus a constant default.
 
-    p: int
-    q: int
-    cases: tuple[FormulaCase, ...]
-    default_kappa: int = 0
+    Every construction is validated: _make and with it _replace go through the constructor, and
+    so does unpickling."""
 
-    def __post_init__(self):
-        if any(type(x) is not int for x in (self.p, self.q, *(r for c in self.cases for r in c.residues))):
+    def __new__(cls, p, q, cases, default_kappa=0):
+        self = super().__new__(cls, p, q, cases, default_kappa)
+        if any(type(x) is not int for x in (p, q, *(r for c in cases for r in c.residues))):
             raise ValueError("p, q and the case residues must be integers")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.q < 1:
-            raise ValueError(f"q = {self.q} must be >= 1")
-        rules = [self.default_kappa] + [x for case in self.cases for x in (case.kappa, case.mu)]
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if q < 1:
+            raise ValueError(f"q = {q} must be >= 1")
+        rules = [default_kappa] + [x for case in cases for x in (case.kappa, case.mu)]
         if any(type(x) is not int for x in rules):
             raise ValueError("kappa, default_kappa and mu must be integers")
         by_residue = {}  # r -> (kappa, numerator of a, denominator of a, mu); a = None if constant
-        for case in self.cases:
+        for case in cases:
             for r in case.residues:
-                if not 0 <= r < self.q or r in by_residue:
+                if not 0 <= r < q or r in by_residue:
                     raise ValueError("case residues must be distinct and in [0, q)")
                 by_residue[r] = (case.kappa, None, None, None)
             if case.a is not None:
                 a = Fraction(case.a)
-                if a.denominator % self.p == 0:
+                if a.denominator % p == 0:
                     raise ValueError("linear target a must be p-integral")
                 for r in case.residues:
-                    if not _is_linear(a, r, self.q, self.p):
+                    if not _is_linear(a, r, q, p):
                         raise ValueError(
                             f"nu_p(a - i) >= nu_p(q) fails at i = {r} (a = {a}): "
                             "the class would be constant, not linear"
                         )
                     by_residue[r] = (case.kappa, a.numerator, a.denominator, case.mu)
-        object.__setattr__(self, "_rules", by_residue)  # predict's table, built once
+        self._rules = by_residue  # predict's table, built once
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def predict(self, n: int):
         """Predicted nu_p(T(n)); VAL_INF when n equals an integer linear target."""
@@ -179,28 +164,20 @@ class FormulaSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinearCertificate:
-    """A certified linear case: nu_p(T(n)) = kappa + nu_p(n - a) for n = residue (mod q)."""
+class LinearCertificate(namedtuple("LinearCertificate", "q residue a kappa mu deriv_val")):
+    """A certified linear case: nu_p(T(n)) = kappa + nu_p(n - a) for n = residue (mod q), a an int
+    or a Fraction."""
 
-    q: int
-    residue: int
-    a: object  # int | Fraction
-    kappa: int
-    mu: int
-    deriv_val: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    p: int
-    prec: int
-    d: int | None
-    n_period: int | None
-    verdicts: dict  # form key -> Verdict, in the order of FORMS
-    zero_table: tuple[ZeroClassInfo, ...] = ()
-    formula: FormulaSpec | None = None
-    zero_table_complete: bool = True  # False when the scan stopped at the witnesses
+class ClassificationRecord(namedtuple("ClassificationRecord", "p prec d n_period verdicts zero_table formula "
+                                      "zero_table_complete", defaults=((), None, True))):
+    """verdicts maps each form key to its Verdict, in the order of FORMS; d and n_period are None
+    for an excluded prime, formula is None unless a form holds, and zero_table_complete is False
+    when the scan stopped at the witnesses."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +385,7 @@ def _records_for(ps, prec: int, full_table: bool, jobs: int = 1) -> list[Classif
         _records[p, prec, full_table] = found[p]
     while len(_records) > _RECORDS_MAX:
         _records.popitem(last=False)
-    return [replace(found[p], verdicts=dict(found[p].verdicts)) for p in ps]  # the one mutable field
+    return [found[p]._replace(verdicts=dict(found[p].verdicts)) for p in ps]  # the one mutable field
 
 
 def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
@@ -552,11 +529,8 @@ def builtin_spec(name: str) -> FormulaSpec:
     return assemble_spec(p, q, [(q, (r,), t, 1) for t, r in zip(targets, _qt_residues_mod(q, targets))])
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    n: int
-    predicted: object
-    actual: object
+class Mismatch(namedtuple("Mismatch", "n predicted actual")):
+    __slots__ = ()
 
 
 def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
@@ -676,13 +650,8 @@ def crt_witness(i: int, q: int, a, p: int, k: int) -> int:
 # tables and scans
 
 
-@dataclass(frozen=True)
-class TableRow:
-    p: int
-    n_period: int | None
-    ell: int | None
-    u: int | None
-    status: str
+class TableRow(namedtuple("TableRow", "p n_period ell u status")):
+    __slots__ = ()
 
 
 def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[ClassificationRecord]:
@@ -706,21 +675,17 @@ def reproduce_table(p_max: int, prec: int = 24, jobs: int = 1) -> list[TableRow]
     ]
 
 
-@dataclass(frozen=True)
-class PublishedRow:
-    p: int
-    n_period: int
-    ell: int
-    u: int
-    starred: bool
+class PublishedRow(namedtuple("PublishedRow", "p n_period ell u starred")):
+    __slots__ = ()
 
 
 _TABLE_SHA256 = "7b98d58aba8ec0f1a7afed3361f7523f96395e0685d73639416ca88cc1a76ec0"
 
 
 def published_table() -> tuple[PublishedRow, ...]:
-    """The 102 published failure witnesses (p, N, l, u), checksummed at load."""
-    data = resources.files("tribadic.data").joinpath("table1.csv").read_bytes()
+    """The 102 published failure witnesses (p, N, l, u), checksummed at load.  The CSV is read
+    through this module's own loader, from a directory or a zip alike, with no further import."""
+    data = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", "table1.csv"))
     digest = hashlib.sha256(data).hexdigest()
     if digest != _TABLE_SHA256:
         raise RuntimeError(f"embedded table corrupted: sha256 = {digest}")
@@ -732,14 +697,8 @@ def published_table() -> tuple[PublishedRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class RowCheck:
-    p: int
-    n_matches: bool
-    ell_is_zero: bool
-    deriv_holds: bool
-    u_matches: bool
-    listed_is_smallest: bool | None
+class RowCheck(namedtuple("RowCheck", "p n_matches ell_is_zero deriv_holds u_matches listed_is_smallest")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -766,13 +725,11 @@ def validate_published_rows(our_rows: list[TableRow] | None = None, p_max: int |
     return checks
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    p_max: int
-    total_primes: int
-    verdicts: dict = field(default_factory=dict)  # form key -> status -> primes
-    cube_root_family: tuple[int, ...] = ()
-    cube_root_family_fraction: float = 0.0
+class ScanSummary(namedtuple("ScanSummary", "p_max total_primes verdicts cube_root_family "
+                             "cube_root_family_fraction", defaults=((), 0.0))):
+    """verdicts maps each form key to each status to its primes."""
+
+    __slots__ = ()
 
 
 def scan_range(p_max: int, prec: int = 24, jobs: int = 1) -> ScanSummary:

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 from ._factor import is_prime
@@ -77,6 +76,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    # HelpFormatter imports shutil (and with it zlib, bz2 and lzma) for a width it is not given;
+    # this is shutil.get_terminal_size's rule for that width, read with os alone
+    def _get_formatter(self):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        return self.formatter_class(prog=self.prog, width=(columns or 80) - 2)
 
 
 def _int_arg(lo=None, hi=None):
@@ -445,6 +458,8 @@ def _run(args) -> int:
     except BrokenPipeError:
         raise
     except Exception as exc:  # exit 1 would read as "counterexample found"
+        import traceback  # only here: with it come linecache and tokenize, which no request needs
+
         traceback.print_exc()
         print(f"tribadic {args.command}: internal error", file=sys.stderr)
         if args.format == "json":

@@ -11,7 +11,7 @@ disc(P) = -44, so p = 2 and p = 11 are ramified and rejected everywhere here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._factor import factorize, is_prime
@@ -64,14 +64,10 @@ def _prime_data(p: int) -> tuple[int, int]:
     return d, n
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(namedtuple("PrimeContext", "p prec d n_period")):
     """Per-prime data (splitting degree d, period N) at precision p^prec."""
 
-    p: int
-    prec: int
-    d: int
-    n_period: int
+    __slots__ = ()
 
 
 def prime_context(p: int, prec: int = 24) -> PrimeContext:

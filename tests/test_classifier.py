@@ -1,9 +1,9 @@
 import concurrent.futures
-import dataclasses
 import functools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -26,6 +26,7 @@ from tribadic import (
     class_series,
     classify_prime,
     crt_witness,
+    cube_root_certificate,
     hensel_zero,
     published_table,
     prime_context,
@@ -47,6 +48,7 @@ from tribadic.classifier import (
     STATUS_HOLDS,
     STATUS_UNDECIDED,
     BUILTIN_SPEC_NAMES,
+    FORMS,
     QT,
     ZT,
     Mismatch,
@@ -609,7 +611,7 @@ class TestWitnessZeroOracle:
     def with_zero(monkeypatch, b):
         real = tribadic.classifier.hensel_zero
         monkeypatch.setattr(tribadic.classifier, "hensel_zero",
-                            lambda series: dataclasses.replace(real(series), b=b))
+                            lambda series: real(series)._replace(b=b))
 
     @pytest.mark.parametrize("prec", [3, 24])
     @pytest.mark.parametrize("p, ell, u", WITNESSES)
@@ -649,12 +651,11 @@ class TestWitnessZeroOracle:
     def test_shifted_zero_raises_under_python_O(self):
         # b's digit at p^2 is 0: a shift by p^2 as well as by p moves b off the zero
         code = (
-            "import dataclasses\n"
             "import tribadic.classifier as c\n"
             "assert False, 'not running under -O'\n"
             "real = c.hensel_zero\n"
             "for shift in (23, 23**2):\n"
-            "    c.hensel_zero = lambda series: (lambda r: dataclasses.replace(r, b=r.b + shift))(real(series))\n"
+            "    c.hensel_zero = lambda series: (lambda r: r._replace(b=r.b + shift))(real(series))\n"
             "    try:\n"
             "        c.witness_zero(c.prime_context(23, 24), 29, 15)\n"
             "    except AssertionError as exc:\n"
@@ -752,6 +753,62 @@ class TestFormulaSpec:
             assert spec.predict(n) == self.rule_oracle(spec, n), n
         assert (spec.predict(1), spec.predict(10), spec.predict(3), spec.predict(63)) == (3, 2, 3, 7)
 
+    def test_replace_and_make_validate(self):
+        spec = builtin_spec("p83")
+        for bad in ({"q": 0}, {"p": 4}, {"default_kappa": 1.0}, {"cases": spec.cases * 2}):
+            with pytest.raises(ValueError):
+                spec._replace(**bad)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FormulaSpec._make((83, 0, (), 0))
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_replaced_and_unpickled_specs_predict_alike(self, name):
+        spec = builtin_spec(name)
+        rng = random.Random(name)
+        ns = list(range(-50, 3 * spec.q)) + [rng.randrange(10**20) for _ in range(500)]
+        for other in (spec._replace(), spec._replace(cases=spec.cases), pickle.loads(pickle.dumps(spec))):
+            assert type(other) is FormulaSpec and other == spec
+            assert [other.predict(n) for n in ns] == [spec.predict(n) for n in ns]
+
+
+class TestRecords:
+    """Every record type is a namedtuple: no field can be assigned or deleted, and only
+    SeriesTrunc (which caches mu) and FormulaSpec (which keeps its predict table) have an
+    instance dict."""
+
+    @staticmethod
+    def records():
+        ctx = prime_context(23, 24)
+        series = class_series(ctx, 29)
+        rec = classify_prime(23)
+        spec = builtin_spec("p83")
+        return [
+            ctx, series, hensel_zero(series), cube_root_certificate(prime_context(47, 24), samples=2),
+            rec, rec.verdicts["ml"], rec.zero_table[0], spec, spec.cases[0],
+            certify(class_series(prime_context(83, 24), 270)), Mismatch(1, 0, 1), reproduce_table(30)[0],
+            published_table()[0], validate_published_rows(p_max=30)[0], scan_range(30), FORMS[0],
+        ]
+
+    def test_every_record_type_is_covered(self):
+        kinds = {type(r) for r in self.records()}
+        assert len(kinds) == 16 and all(issubclass(k, tuple) and k._fields for k in kinds)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for rec in self.records():
+            for name in rec._fields:
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, getattr(rec, name))
+                with pytest.raises(AttributeError):
+                    delattr(rec, name)
+
+    def test_only_two_types_take_new_attributes(self):
+        with_dict = {type(r).__name__ for r in self.records() if hasattr(r, "__dict__")}
+        assert with_dict == {"SeriesTrunc", "FormulaSpec"}
+        for rec in self.records():
+            if type(rec).__name__ not in with_dict:
+                with pytest.raises(AttributeError):
+                    rec.extra = 1
+
 
 class TestVerifyFormula:
     @pytest.mark.parametrize("name", ["p2", "p3", "p83", "p269"])
@@ -802,7 +859,7 @@ class TestVerifyFormula:
         for i, case in enumerate(spec.cases):
             others = spec.cases[:i] + spec.cases[i + 1:]
             for d in (-1, 1):
-                cases = others[:i] + (dataclasses.replace(case, kappa=case.kappa + d),) + others[i:]
+                cases = others[:i] + (case._replace(kappa=case.kappa + d),) + others[i:]
                 yield FormulaSpec(spec.p, spec.q, cases, spec.default_kappa)
             yield FormulaSpec(spec.p, spec.q, others, spec.default_kappa)
         for d in (-1, 1):
@@ -952,8 +1009,8 @@ class TestVerifyFormula:
         for i, case in enumerate(spec.cases):
             if case.a is None:
                 continue
-            for changed in (*(dataclasses.replace(case, kappa=k) for k in (-3, -1, 40)),
-                            dataclasses.replace(case, mu=2 * case.mu)):
+            for changed in (*(case._replace(kappa=k) for k in (-3, -1, 40)),
+                            case._replace(mu=2 * case.mu)):
                 yield FormulaSpec(spec.p, spec.q, spec.cases[:i] + (changed,) + spec.cases[i + 1:],
                                   spec.default_kappa)
 
@@ -1174,7 +1231,10 @@ class TestTableAndScan:
 
     def test_serial_paths_import_no_process_machinery(self):
         # a fresh interpreter run as the benchmark's worker is (python -S): only a pool imports
-        # concurrent.futures, and with it multiprocessing
+        # concurrent.futures, and with it multiprocessing; and no request imports dataclasses,
+        # inspect, typing, importlib.resources, random or shutil, nor, short of an internal
+        # error, traceback
+        unused = ("dataclasses", "inspect", "typing", "importlib.resources", "random", "shutil", "traceback")
         code = (
             "import sys\n"
             "import tribadic\n"
@@ -1183,13 +1243,16 @@ class TestTableAndScan:
             "tribadic.classify_prime(7)\n"
             "tribadic.scan_range(100)\n"
             "code = cli.main(['scan', '--max', '100', '--jobs', '1'])\n"
-            "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+            "zero = cli.main(['zero', '--prime', '7', '--ell', '0'])\n"
+            "cli.build_parser()\n"
+            "print(code, zero, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules],\n"
+            f"      [m for m in {unused!r} if m in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
                              timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "0 []"
+        assert out.stdout.splitlines()[-1] == "0 0 [] []"
 
     def test_scan_prefix_consistency(self):
         small, big = scan_range(60), scan_range(100)

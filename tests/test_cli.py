@@ -172,6 +172,34 @@ class TestExitCodes:
         assert out == "" and err.splitlines() == ["tribadic classify: stdout was closed; the output is incomplete"]
 
 
+class TestHelp:
+    """--help wraps at the width shutil.get_terminal_size would give argparse, read without
+    shutil: $COLUMNS, else the terminal's width, else 80, minus 2."""
+
+    COMMANDS = ((), ("classify",), ("table",), ("verify",), ("zero",), ("scan",))
+
+    @staticmethod
+    def help_text(capsys, *argv):
+        assert main([*argv, "--help"]) == EXIT_PASS
+        return capsys.readouterr().out
+
+    def test_zero_help_follows_columns(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "60")
+        assert max(map(len, self.help_text(capsys, "zero").splitlines())) <= 60
+        monkeypatch.setenv("COLUMNS", "132")
+        assert max(map(len, self.help_text(capsys, "zero").splitlines())) > 80
+
+    @pytest.mark.parametrize("columns", [None, "60", "132", "0", "wide"])
+    def test_help_equals_argparse_own_width(self, capsys, monkeypatch, columns):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        ours = [self.help_text(capsys, *argv) for argv in self.COMMANDS]
+        monkeypatch.delattr(cli._Parser, "_get_formatter")  # argparse's own, which asks shutil
+        assert [self.help_text(capsys, *argv) for argv in self.COMMANDS] == ours
+
+
 def assert_error_envelope(rec, command, params, error):
     assert set(rec) == {"command", "params", "status", "payload", "precision_used", "elapsed_ms"}
     assert (rec["command"], rec["params"], rec["status"]) == (command, params, "error")

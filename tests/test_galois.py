@@ -345,6 +345,14 @@ class TestFactorHelpers:
         fac = factorize(n)
         assert fac == {1_000_003: 1, 1_000_033: 1}
 
+    @pytest.mark.parametrize("q, r", [(10_007, 10_009), (99_991, 100_003), (2**31 - 1, 2**61 - 1)])
+    def test_factorize_semiprime_with_both_factors_past_trial_division(self, q, r):
+        # both factors exceed the trial bound 10^4, so rho must split n itself
+        fac = factorize(q * r)
+        assert math.prod(f**e for f, e in fac.items()) == q * r
+        assert all(is_prime(f) for f in fac)
+        assert fac == {q: 1, r: 1}
+
     def test_primes_upto(self):
         ps = primes_upto(600)
         assert len(ps) == 109 and ps[0] == 2 and ps[-1] == 599
