@@ -11,12 +11,8 @@ from .padic import (
     VAL_INF,
     ExtElem,
     ExtRing,
-    PAdicInt,
     PrecisionError,
     cube_root,
-    padic_exp,
-    padic_inv,
-    padic_log,
     val_int,
 )
 from .tribonacci import ZERO_SET, trib, trib_mod, trib_val
@@ -31,7 +27,6 @@ from .interpolation import (
     SeriesTrunc,
     ZeroRecord,
     cube_root_certificate,
-    eval_f,
     hensel_zero,
     series_coeffs,
 )

@@ -139,6 +139,9 @@ class FormulaSpec(namedtuple("FormulaSpec", "p q cases default_kappa")):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    def __reduce__(self):
+        return type(self), tuple(self)  # the fields alone, at every protocol: _rules is rebuilt
+
     def predict(self, n: int):
         """Predicted nu_p(T(n)); VAL_INF when n equals an integer linear target."""
         rule = self._rules.get(n % self.q)
@@ -265,7 +268,7 @@ def certify(series: SeriesTrunc):
         return None
     ctx, ell = series.ctx, series.ell
     p, q, prec = ctx.p, series.s * ctx.n_period, ctx.prec
-    c0, c1 = series.coeffs[0].residue, series.coeffs[1].residue
+    c0, c1 = series.coeffs[0], series.coeffs[1]
     v1 = _vp(c1, p)  # below prec: beta_1 attains the least valuation, which mu = 1 read off
     digit = -(c0 // p**v1) * pow(c1 // p**v1, -1, p) % p
     vq = _vp(q, p)
@@ -279,7 +282,7 @@ def certify(series: SeriesTrunc):
         w = diff // pv * q_inv  # z = w / den (mod p^prec)
         if w * pow(den, -1, p) % p == digit:
             z = w * unit_inverse(den, p, prec) % p**prec
-            if series.eval(z).is_zero():
+            if series.eval(z) == 0:
                 return LinearCertificate(q, ell % q, t, series.e + v1 - vq, 1, v1)
     return None
 
@@ -301,12 +304,12 @@ def witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     (mod p^(e + prec)), read from one trib_mod; a b moved at any of its digits fails it."""
     p, n_period = ctx.p, ctx.n_period
     record = hensel_zero(class_series(ctx, ell))
-    m = record.b.residue
+    m, prec = record.b, record.series.ctx.prec
     if (ell + n_period * m) % p != u:
         raise PrecisionError(f"witness zero at l = {ell} does not reproduce u = {u}")
-    if trib_mod(ell + n_period * m, p ** (record.series.e + record.b.prec)):
-        raise AssertionError(f"T({ell} + N*{m}) != 0 (mod p^(e + {record.b.prec})): witness zero at l = {ell}")
-    return tuple(record.b.digits())
+    if trib_mod(ell + n_period * m, p ** (record.series.e + prec)):
+        raise AssertionError(f"T({ell} + N*{m}) != 0 (mod p^(e + {prec})): witness zero at l = {ell}")
+    return tuple(record.digits())
 
 
 def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, rules):
@@ -443,7 +446,7 @@ def _class_rules(ctx: PrimeContext, ell: int, s: int = 1):
     series = class_series(ctx, ell, s)
     mu, q = series.mu, s * ctx.n_period
     if mu == 0:
-        return [(q, (ell,), None, series.e + series.coeffs[0].known_val)]
+        return [(q, (ell,), None, series.e + _vp(series.coeffs[0], ctx.p))]  # mu = 0: beta_0 != 0
     if mu == 1:
         cert = certify(series)
         return None if cert is None else [(q, (cert.residue,), cert.a, cert.kappa)]

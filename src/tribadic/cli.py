@@ -349,8 +349,8 @@ def _cmd_zero(args) -> int:
         if record is not None:  # mu = 1 here, so the certificate exists iff the zero sits over Q_T
             kind = "other" if cert is None else "rational" if isinstance(cert.a, Fraction) else "integer"
             payload["zero"] = {
-                "digits": record.b.digits(),
-                "residue": record.b.residue,
+                "digits": record.digits(),
+                "residue": record.b,
                 "unique": mu == 1,
                 "newton_residual_valuations": list(record.residual_vals),
                 "classification": _jsonable({"kind": kind, "value": None if cert is None else cert.a}),

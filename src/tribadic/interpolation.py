@@ -24,7 +24,6 @@ from .galois import _P, PrimeContext
 from .padic import (
     ExtElem,
     ExtRing,
-    PAdicInt,
     PrecisionError,
     _vp,
     unit_inverse,
@@ -66,8 +65,8 @@ def _zp_eval(coeffs: list[int], powers: list[int], m: int) -> int:
 
 
 class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs")):
-    """Truncated coefficients beta_0..beta_J (a tuple of PAdicInt) of g = f_l / p^e, built with
-    period s*N.
+    """Truncated coefficients beta_0..beta_J (a tuple of residues mod p^prec) of g = f_l / p^e,
+    built with period s*N.
 
     log_val is E = nu_p(log x^(sN)) in Z_p[x]/(P), the minimum over the roots; the tail obeys
     nu_p(beta_k) >= (k-1)*E - nu_p(k!), which is >= prec for every k > J by the
@@ -81,22 +80,16 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs")):
     def tail_val_bound(self, k: int) -> int:
         return (k - 1) * self.log_val - vp_factorial(k, self.ctx.p)
 
-    def _at(self, z, coeffs) -> PAdicInt:
-        # _zp_eval on residues mod p^k, k = min(prec, z.prec); an int z is read at prec
-        p, k = self.ctx.p, self.ctx.prec
-        if isinstance(z, PAdicInt):
-            if z.p != p:
-                raise ValueError(f"mixed primes: {p} vs {z.p}")
-            k, z = min(k, z.prec), z.residue
-        m = p**k
-        return PAdicInt(p, k, _zp_eval(coeffs, _zp_powers(z, len(coeffs), m), m))
+    def _at(self, z: int, coeffs) -> int:
+        m = self.ctx.p**self.ctx.prec
+        return _zp_eval(coeffs, _zp_powers(z, len(coeffs), m), m)
 
-    def eval(self, z) -> PAdicInt:
+    def eval(self, z: int) -> int:
         """g(z) mod p^prec by blocked Horner evaluation of the truncated series."""
-        return self._at(z, [beta.residue for beta in self.coeffs])
+        return self._at(z, self.coeffs)
 
-    def eval_deriv(self, z) -> PAdicInt:
-        return self._at(z, [k * self.coeffs[k].residue for k in range(1, self.cut + 1)])
+    def eval_deriv(self, z: int) -> int:
+        return self._at(z, [k * self.coeffs[k] for k in range(1, self.cut + 1)])
 
     @cached_property
     def mu(self) -> int:
@@ -111,17 +104,16 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs")):
         and mu is the last k with beta_k nonzero mod p*g.
         """
         pk = self.ctx.p ** self.ctx.prec
-        residues = [b.residue for b in self.coeffs]
-        g = math.gcd(pk, *residues)
+        g = math.gcd(pk, *self.coeffs)
         if g == pk:
             raise PrecisionError("all series coefficients vanish mod p^prec; double the precision")
         m = g * self.ctx.p
-        return max(k for k, r in enumerate(residues) if r % m)
+        return max(k for k, r in enumerate(self.coeffs) if r % m)
 
 
 class ZeroRecord(namedtuple("ZeroRecord", "b residual_vals series")):
-    """The zero b (a PAdicInt) of g that hensel_zero certifies on series, the SeriesTrunc it was
-    found on.
+    """The zero b (a residue mod p^prec, at the series' precision) of g that hensel_zero
+    certifies on series, the SeriesTrunc it was found on.
 
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test suite uses to
     observe quadratic convergence.  Whether b is g's only zero on Z_p is series.mu == 1,
@@ -129,6 +121,14 @@ class ZeroRecord(namedtuple("ZeroRecord", "b residual_vals series")):
     """
 
     __slots__ = ()
+
+    def digits(self) -> list[int]:
+        """The base-p digits of b, least significant first: prec of them."""
+        p, r, out = self.series.ctx.p, self.b, []
+        for _ in range(self.series.ctx.prec):
+            r, d = divmod(r, p)
+            out.append(d)
+        return out
 
 
 def _default_cut(p: int, log_val: int, prec: int) -> int:
@@ -239,26 +239,13 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     for k in range(J, 0, -1):
         inv_fact[k] = acc
         acc = acc * units[k] % pk_small
-    coeffs = [PAdicInt(p, prec, t_ell // p**e)]
+    coeffs = [t_ell // p**e % pk_small]
     for k in range(1, J + 1):
         s_k, div = phis[k], divs[k]
         if s_k % div:
             raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
-        coeffs.append(PAdicInt(p, prec, s_k // div * inv_fact[k]))
+        coeffs.append(s_k // div * inv_fact[k] % pk_small)
     return SeriesTrunc(ctx, ell, s, e, log_val, tuple(coeffs))
-
-
-def eval_f(ctx: PrimeContext, ell: int, z) -> PAdicInt:
-    """f_l(z) = phi(x^l exp(z log x^N)) in Z_p[x]/(P); agrees with T(l + mN) at z = m.
-    Known mod p^k, k = min(prec, z.prec); an int z is read at prec."""
-    p, prec = ctx.p, ctx.prec
-    if isinstance(z, PAdicInt):
-        if z.p != p:
-            raise ValueError("mismatched primes")
-        prec, z = min(prec, z.prec), z.residue
-    ring = ExtRing(p, prec, _P)
-    x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
-    return PAdicInt(p, prec, _phi(x_ell * (x_n.log() * z).exp()))
 
 
 def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
@@ -274,14 +261,13 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     """
     p, prec = series.ctx.p, series.ctx.prec
     pk = p**prec
-    c0, c1 = series.coeffs[0], series.coeffs[1]
-    if c1.known_val != 0:
+    values = series.coeffs
+    if values[1] % p == 0:
         raise ConditionNotMet(
             "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
         )
-    values = [beta.residue for beta in series.coeffs]
     slopes = [k * values[k] for k in range(1, len(values))]
-    b = -c0.residue * unit_inverse(c1.residue, p, prec) % pk
+    b = -values[0] * unit_inverse(values[1], p, prec) % pk
     residuals = []
     for _ in range(4 * prec.bit_length() + 8):
         powers = _zp_powers(b, len(values), pk)
@@ -297,7 +283,7 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
         b = (b - g // p**r * unit_inverse(slope, p, prec - r) * p**r) % pk
     else:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
-    return ZeroRecord(PAdicInt(p, prec, b), tuple(residuals), series)
+    return ZeroRecord(b, tuple(residuals), series)
 
 
 # ---------------------------------------------------------------------------

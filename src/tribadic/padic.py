@@ -1,11 +1,12 @@
 """Fixed-precision arithmetic in Z_p, its unramified extensions and their products Z_p[x]/(h),
 and exp, log and cube roots.
 
-A value is a residue mod p^prec; its valuation is read from the residue on
-demand, and residue 0 only certifies "valuation >= prec".  Working precision
-is fixed per value (default 24 digits); callers that need a quantity to be
-nonzero and find it vanishing mod p^prec are expected to recompute at doubled
-precision (see e.g. tribonacci.trib_val).
+A value is a residue mod p^prec: a plain int where the decision needs one number, and an ExtElem
+of the ring Z[x]/(h, p^prec) otherwise.  Z_p itself is the d = 1 ring ExtRing(p, prec, (0, 1)),
+with + - * ** inv val exp log.  Valuations are read from residues on demand, and residue 0 only
+certifies "valuation >= prec".  Working precision is fixed per value (default 24 digits);
+callers that need a quantity to be nonzero and find it vanishing mod p^prec are expected to
+recompute at doubled precision (see e.g. tribonacci.trib_val).
 
 Values are immutable and all functions are pure, so they are safe to share
 across threads.
@@ -71,120 +72,6 @@ def vp_factorial(n: int, p: int) -> int:
     return v
 
 
-class PAdicInt:
-    """An element of Z_p known modulo p^prec.
-
-    Invariant: 0 <= residue < p^prec, with residue 0 encoding "valuation >= prec".
-    Arithmetic across different primes is an error; mixed precisions truncate
-    to the smaller one.
-    """
-
-    __slots__ = ("p", "prec", "residue")
-
-    def __init__(self, p: int, prec: int, residue: int):
-        if p < 3:
-            raise ValueError("PAdicInt needs an odd prime p >= 3")
-        if prec < 1:
-            raise ValueError("precision must be >= 1")
-        self.p = p
-        self.prec = prec
-        self.residue = residue % (p**prec)
-
-    @property
-    def known_val(self) -> int:
-        """min(nu_p(residue), prec): the valuation the residue certifies."""
-        return self.prec if self.residue == 0 else _vp(self.residue, self.p)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _pair(self, other) -> tuple[int, int, int]:
-        # returns (prec, self-residue, other-residue) at the common precision
-        if isinstance(other, int):
-            return self.prec, self.residue, other
-        if isinstance(other, PAdicInt):
-            if other.p != self.p:
-                raise ValueError(f"mixed primes: {self.p} vs {other.p}")
-            k = min(self.prec, other.prec)
-            return k, self.residue, other.residue
-        return -1, 0, 0  # signals NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def digits(self) -> list[int]:
-        """Base-p digits, least significant first, length prec."""
-        out = []
-        r = self.residue
-        for _ in range(self.prec):
-            r, d = divmod(r, self.p)
-            out.append(d)
-        return out
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        k, a, b = self._pair(other)
-        if k < 0:
-            return NotImplemented
-        return PAdicInt(self.p, k, a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        k, a, b = self._pair(other)
-        if k < 0:
-            return NotImplemented
-        return PAdicInt(self.p, k, a - b)
-
-    def __rsub__(self, other):
-        k, a, b = self._pair(other)
-        if k < 0:
-            return NotImplemented
-        return PAdicInt(self.p, k, b - a)
-
-    def __mul__(self, other):
-        k, a, b = self._pair(other)
-        if k < 0:
-            return NotImplemented
-        return PAdicInt(self.p, k, a * b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PAdicInt(self.p, self.prec, -self.residue)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self if e >= 0 else self.inv()
-        return PAdicInt(self.p, self.prec, pow(base.residue, abs(e), self.p**self.prec))
-
-    def inv(self) -> "PAdicInt":
-        """Multiplicative inverse mod p^prec; the value must be a unit."""
-        if not self.is_unit():
-            raise PrecisionError(f"not a unit mod {self.p}^{self.prec}: valuation >= {self.known_val}")
-        return PAdicInt(self.p, self.prec, unit_inverse(self.residue, self.p, self.prec))
-
-    def __eq__(self, other):
-        if not isinstance(other, PAdicInt):
-            return NotImplemented
-        return (self.p, self.prec, self.residue) == (other.p, other.prec, other.residue)
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.residue))
-
-    def __repr__(self):
-        return f"PAdicInt({self.residue} mod {self.p}^{self.prec})"
-
-
-def padic_inv(x: PAdicInt) -> PAdicInt:
-    """Inverse of a unit: y with x*y = 1 (mod p^prec)."""
-    return x.inv()
-
-
 # ---------------------------------------------------------------------------
 # the ring Z_p[x]/(h, p^prec)
 
@@ -203,6 +90,10 @@ class ExtRing:
     __slots__ = ("p", "prec", "pk", "modulus", "d")
 
     def __init__(self, p: int, prec: int, modulus: tuple[int, ...]):
+        if p < 3:
+            raise ValueError("ExtRing needs an odd prime p >= 3")
+        if prec < 1:
+            raise ValueError("precision must be >= 1")
         self.p = p
         self.prec = prec
         self.pk = pk = p**prec
@@ -374,12 +265,6 @@ class ExtElem:
         """The element with the same coordinates in ring (read modulo its p^prec)."""
         return ring.elem(self.coords)
 
-    def to_padic(self) -> PAdicInt:
-        """Project a Galois-stable element to Z_p; nonconstant coordinates must vanish."""
-        if any(self.coords[1:]):
-            raise PrecisionError("element has nonvanishing extension coordinates")
-        return PAdicInt(self.ring.p, self.ring.prec, self.coords[0])
-
     def _series(self, coeffs: list[int], den: int, slack: int) -> "ExtElem":
         """sum_n coeffs[n] self^n / den, where the p-part of den is p^slack, in a ring slack digits
         deeper, then one exact division by den.  Blocked Horner: with s = isqrt(n) + 1 for n
@@ -404,7 +289,8 @@ class ExtElem:
         return out.lift_to(ring)
 
     def exp(self) -> "ExtElem":
-        """exp on pO (p >= 3, unramified), truncated correctly mod p^prec."""
+        """exp on pO (p >= 3, unramified), truncated correctly mod p^prec: exp(z + w) = exp(z) exp(w),
+        and nu_p(exp(z) - 1) = nu_p(z) below prec."""
         if self.val() < 1:
             raise ValueError("exp needs valuation >= 1")
         p, cut = self.ring.p, _exp_cutoff(self.ring.p, self.ring.prec)
@@ -414,7 +300,8 @@ class ExtElem:
         return self._series(coeffs, coeffs[0], vp_factorial(cut, p))
 
     def log(self) -> "ExtElem":
-        """log on 1 + pO (p >= 3, unramified), truncated correctly mod p^prec."""
+        """log on 1 + pO (p >= 3, unramified), truncated correctly mod p^prec; inverse to exp:
+        log(exp(z)) = z on pO and exp(log(u)) = u on 1 + pO."""
         w = self - self.ring.one
         v = w.val()
         if v < 1:
@@ -454,36 +341,24 @@ def _log_cutoff(p: int, prec: int, v: int) -> tuple[int, int]:
         n += 1
 
 
-def padic_exp(z: PAdicInt) -> PAdicInt:
-    """exp(z) = sum z^n/n!, for p >= 3 and z in pZ_p.
-
-    The output satisfies nu_p(exp(z) - 1) = nu_p(z) whenever nu_p(z) < prec,
-    and exp(z + w) = exp(z) exp(w) mod p^prec.
-    """
-    return ExtRing(z.p, z.prec, (0, 1)).embed(z.residue).exp().to_padic()
-
-
-def padic_log(u: PAdicInt) -> PAdicInt:
-    """log(u) = sum (-1)^(n-1) (u-1)^n / n, for u = 1 (mod p), p >= 3.
-
-    Inverse to padic_exp: log(exp(z)) = z on pZ_p and exp(log(u)) = u on 1 + pZ_p.
-    """
-    return ExtRing(u.p, u.prec, (0, 1)).embed(u.residue).log().to_padic()
-
-
-def cube_root(u: PAdicInt) -> PAdicInt:
-    """The unique y in Z_p^x with y^3 = u (mod p^prec), for p = 2 (mod 3).
+def cube_root(u: ExtElem) -> ExtElem:
+    """The unique y in Z_p^x with y^3 = u (mod p^prec), for u in the d = 1 ring Z/p^prec and
+    p = 2 (mod 3).
 
     One powering, y = u^(3^-1 mod (p-1) p^(prec-1)): (Z/p^prec)^x is cyclic of order
     (p-1) p^(prec-1), which 3 does not divide, so cubing is a bijection and this is its
     inverse.  y^3 = u is checked by a raise.
     """
-    p = u.p
+    ring = u.ring
+    p, prec = ring.p, ring.prec
+    if ring.d != 1:
+        raise ValueError("cube_root needs an element of the d = 1 ring Z/p^prec")
     if p % 3 != 2:
         raise ValueError("cube roots are unique only for p = 2 (mod 3)")
-    if not u.is_unit():
+    (r,) = u.coords
+    if r % p == 0:
         raise ValueError("cube_root needs a unit")
-    y = u ** pow(3, -1, (p - 1) * p ** (u.prec - 1))
+    y = ring.embed(pow(r, pow(3, -1, (p - 1) * p ** (prec - 1)), ring.pk))
     if y * y * y != u:
-        raise AssertionError(f"the cube root of {u!r} fails y^3 = u")
+        raise AssertionError(f"the cube root of {r} mod {p}^{prec} fails y^3 = u")
     return y

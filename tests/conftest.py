@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from tribadic import ExtRing, PAdicInt, classifier, prime_context
+from tribadic import ExtRing, classifier, prime_context
 
 # P and P' as integer polynomials, ascending coefficients
 _P = (-1, -1, -1, 1)
@@ -89,13 +89,24 @@ def lifted_roots(p, prec):
 
 def hensel_cube_root(u, y):
     """Test-only oracle: the cube root of the unit u that lifts y, a cube root of u mod p, by
-    Newton iteration on X^3 - u; u and y are PAdicInts or ExtElems of one ring."""
-    prec = u.prec if isinstance(u, PAdicInt) else u.ring.prec
-    for _ in range(max(prec.bit_length(), 1) + 1):
+    Newton iteration on X^3 - u; u and y are ExtElems of one ring."""
+    for _ in range(max(u.ring.prec.bit_length(), 1) + 1):
         y = y - (y * y * y - u) * (3 * y * y).inv()
     if not (y * y * y - u).is_zero():
         raise AssertionError(f"Hensel lifting of a cube root of {u!r} failed")
     return y
+
+
+def zp_residue(g):
+    """The residue mod p^prec of a Galois-stable ExtElem g: its extension coordinates vanish."""
+    if any(g.coords[1:]):
+        raise AssertionError(f"{g!r} has nonvanishing extension coordinates")
+    return g.coords[0]
+
+
+def known_val(r, p, prec):
+    """min(nu_p(r), prec): the valuation a residue mod p^prec certifies, read in the d = 1 ring."""
+    return ExtRing(p, prec, (0, 1)).embed(r).val()
 
 
 def trib_mod_oracle(n, m):

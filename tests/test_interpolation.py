@@ -14,10 +14,8 @@ import tribadic
 import tribadic.interpolation as interpolation
 from tribadic import (
     ConditionNotMet,
-    PAdicInt,
     PrecisionError,
     cube_root_certificate,
-    eval_f,
     hensel_zero,
     prime_context,
     series_coeffs,
@@ -32,7 +30,15 @@ from tribadic.tribonacci import _xpow
 from tribadic._factor import primes_upto
 from tribadic.galois import _P, EXCLUDED_PRIMES
 
-from conftest import hensel_cube_root, lifted_roots, log_series_oracle
+from conftest import hensel_cube_root, known_val, lifted_roots, log_series_oracle, zp_residue
+
+
+def eval_f(ctx, ell, z):
+    """Oracle: f_l(z) = phi(x^l exp(z log x^N)) mod p^prec in Z_p[x]/(P), for an int z; it agrees
+    with T(l + zN) at integers z, and p^e g(z) from series_coeffs must equal it."""
+    ring = ExtRing(ctx.p, ctx.prec, _P)
+    x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
+    return interpolation._phi(x_ell * (x_n.log() * z).exp())
 
 
 class TestSeriesCoeffs:
@@ -40,7 +46,7 @@ class TestSeriesCoeffs:
         assert trib(21) == 121415
         ser = series_coeffs(ctx5, 21)
         assert ser.e == 1
-        assert ser.coeffs[0].residue == 121415 // 5 % 5**24
+        assert ser.coeffs[0] == 121415 // 5 % 5**24
 
     def test_condition_46_enforced(self, ctx5):
         with pytest.raises(ConditionNotMet) as err:
@@ -52,15 +58,15 @@ class TestSeriesCoeffs:
         ctx = prime_context(3, 24)
         ser = series_coeffs(ctx, 0, 1)
         assert ser.e == 1
-        assert ser.coeffs[1].known_val == 1
+        assert known_val(ser.coeffs[1], 3, 24) == 1
 
     def test_p3_multiplier_3_divisor_and_slope(self):
         # triple-period series at l = -4: divisor exponent 2, nu_3(beta_1) = 3
         ctx = prime_context(3, 24)
         ser = series_coeffs(ctx, -4, 3)
         assert ser.e == 2
-        assert ser.coeffs[0].is_zero()
-        assert ser.coeffs[1].known_val == 3
+        assert ser.coeffs[0] == 0
+        assert known_val(ser.coeffs[1], 3, 24) == 3
 
     @pytest.mark.parametrize("p, ell, s", [(3, 0, 1), (3, 35, 3), (5, 21, 1), (7, 0, 1), (83, 270, 1), (269, 179, 1)])
     def test_log_val_is_the_valuation_of_the_logs(self, p, ell, s):
@@ -75,7 +81,7 @@ class TestSeriesCoeffs:
             ell = next(l for l in range(ctx.n_period) if trib_mod(l, p) == 0)
             ser = series_coeffs(ctx, ell)
             for beta in ser.coeffs[2:]:
-                assert beta.known_val >= 1
+                assert beta % p == 0
 
     def test_tail_bound_certified(self, ctx5):
         ser = series_coeffs(ctx5, 21)
@@ -93,8 +99,8 @@ class TestSeriesCoeffs:
         ser = series_coeffs(ctx5, 21)
         rng = random.Random(2)
         for _ in range(10):
-            z = PAdicInt(5, 24, rng.randrange(5**24))
-            assert 5 * ser.eval(z) == eval_f(ctx5, 21, z)
+            z = rng.randrange(5**24)
+            assert 5 * ser.eval(z) % 5**24 == eval_f(ctx5, 21, z)
 
     def test_beta1_matches_divided_difference(self):
         # beta_1 = (T(l+N) - T(l))/p (mod p)
@@ -106,23 +112,23 @@ class TestSeriesCoeffs:
                     continue
                 ser = series_coeffs(ctx, ell)
                 delta = (trib_mod(ell + n_period, p * p) - trib_mod(ell, p * p)) % (p * p)
-                assert ser.coeffs[1].residue % p == (delta // p) % p
+                assert ser.coeffs[1] % p == (delta // p) % p
 
     def test_derivative_congruent_to_beta1_by_finite_difference(self, ctx5):
         ser = series_coeffs(ctx5, 21)
         rng = random.Random(7)
         h_exp = 12
-        h = PAdicInt(5, 24, 5**h_exp)
+        h = 5**h_exp
         for _ in range(8):
-            z = PAdicInt(5, 24, rng.randrange(5**24))
-            quotient_residue = ((ser.eval(z + h) - ser.eval(z)).residue // 5**h_exp) % 5
-            assert quotient_residue == ser.coeffs[1].residue % 5
+            z = rng.randrange(5**24)
+            quotient_residue = ((ser.eval(z + h) - ser.eval(z)) % 5**24 // 5**h_exp) % 5
+            assert quotient_residue == ser.coeffs[1] % 5
 
 
 class TestEvalF:
     def test_at_zero_is_t_ell(self, ctx7):
         assert trib(5) == 7
-        assert eval_f(ctx7, 5, 0).residue == 7
+        assert eval_f(ctx7, 5, 0) == 7
 
     def test_interpolates_sequence(self, ctx5, ctx7):
         rng = random.Random(4)
@@ -131,15 +137,16 @@ class TestEvalF:
             for _ in range(50):
                 ell = rng.randrange(ctx.n_period)
                 m = rng.randrange(-40, 40)
-                assert eval_f(ctx, ell, m).residue == trib_mod(ell + m * ctx.n_period, pk)
+                assert eval_f(ctx, ell, m) == trib_mod(ell + m * ctx.n_period, pk)
 
     def test_reads_z_at_its_own_precision(self, ctx5):
-        # z known mod 5^3 gives f_l(z) mod 5^3 only: z = 2 and z = 2 + 5^3 agree there, not beyond
-        got = eval_f(ctx5, 21, PAdicInt(5, 3, 2))
-        assert got.prec == 3
+        # at precision 3, f_l(z) is known mod 5^3 only: z = 2 and z = 2 + 5^3 agree there, not beyond
+        low = prime_context(5, 3)
+        got = eval_f(low, 21, 2)
+        assert eval_f(low, 21, 2 + 5**3) == got < 5**3
         near = [eval_f(ctx5, 21, z) for z in (2, 2 + 5**3)]
         assert near[0] != near[1]
-        assert all(f.residue % 5**3 == got.residue for f in near)
+        assert all(f % 5**3 == got for f in near)
 
     def test_unit_when_46_fails(self, ctx7):
         # p does not divide T(l): f_l never vanishes
@@ -147,8 +154,8 @@ class TestEvalF:
         ells = [l for l in range(ctx7.n_period) if trib_mod(l, 7) != 0]
         for ell in rng.sample(ells, 6):
             for _ in range(5):
-                z = PAdicInt(7, 24, rng.randrange(7**24))
-                assert eval_f(ctx7, ell, z).known_val == 0
+                z = rng.randrange(7**24)
+                assert eval_f(ctx7, ell, z) % 7 != 0
 
 
 def binet_series(p, prec, ell, s, e, cut):
@@ -160,11 +167,11 @@ def binet_series(p, prec, ell, s, e, cut):
     terms = [c * lam**ell for c, lam in zip(weights, roots)]
     out = []
     for k in range(cut + 1):
-        total = (terms[0] + terms[1] + terms[2]).to_padic().residue
+        total = zp_residue(terms[0] + terms[1] + terms[2])
         fact = math.factorial(k)
         v = _vp(fact, p)
         assert total % p ** (e + v) == 0, (p, ell, s, k)
-        out.append(PAdicInt(p, prec, total // p ** (e + v) * pow(fact // p**v, -1, p**prec)))
+        out.append(total // p ** (e + v) * pow(fact // p**v, -1, p**prec) % p**prec)
         terms = [t * lg for t, lg in zip(terms, logs)]
     return out
 
@@ -174,12 +181,12 @@ def binet_f(ctx, ell, z):
     ring, roots, weights = lifted_roots(ctx.p, ctx.prec)
     acc = ring.zero
     for c, lam in zip(weights, roots):
-        acc = acc + c * lam**ell * ((lam**ctx.n_period).log() * z.residue).exp()
-    return acc.to_padic()
+        acc = acc + c * lam**ell * ((lam**ctx.n_period).log() * z).exp()
+    return zp_residue(acc)
 
 
 class TestBinetOracle:
-    """series_coeffs and eval_f work in Z_p[x]/(P); the Binet sums over the lifted roots are the oracle."""
+    """series_coeffs and the eval_f oracle work in Z_p[x]/(P); the Binet sums over the lifted roots check both."""
 
     # d = 3, 2, 1, 2, 1, then the p = 3, s = 3 classes, two of them at their Z_T targets
     CLASSES = [(p, info.ell, 1) for p in (5, 13, 47, 83, 269)
@@ -200,7 +207,7 @@ class TestBinetOracle:
         for p, ell, _ in self.CLASSES:
             ctx = prime_context(p, prec)
             for _ in range(3):
-                z = PAdicInt(p, prec, rng.randrange(p**prec))
+                z = rng.randrange(p**prec)
                 assert eval_f(ctx, ell, z) == binet_f(ctx, ell, z), (p, ell, z)
 
 
@@ -218,38 +225,28 @@ def test_series_matches_the_integers_it_interpolates(p, pick, s, prec):
     pe = p**ser.e
     for m in range(-40, 41):
         t = trib_mod(ell + m * s * ctx.n_period, pe * p**prec)
-        assert t % pe == 0 and ser.eval(m).residue == t // pe, (p, ell, s, prec, m)
+        assert t % pe == 0 and ser.eval(m) == t // pe, (p, ell, s, prec, m)
 
 
-def _padic_horner(ser, z, deriv):
-    # oracle: Horner through PAdicInt arithmetic, an int z read at the series precision
-    p, prec = ser.ctx.p, ser.ctx.prec
-    if isinstance(z, int):
-        z = PAdicInt(p, prec, z)
+def _ring_horner(ser, z, deriv):
+    # oracle: Horner in the d = 1 ring Z/p^prec, one ring product per coefficient
+    ring = ExtRing(ser.ctx.p, ser.ctx.prec, (0, 1))
     terms = [k * ser.coeffs[k] for k in range(1, ser.cut + 1)] if deriv else list(ser.coeffs)
-    acc = PAdicInt(p, prec, 0)
+    acc, z = ring.zero, ring.embed(z)
     for beta in reversed(terms):
         acc = acc * z + beta
     return acc
 
 
-@given(
-    st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.integers(3, 40), st.integers(1, 45),
-    st.integers(-(10**90), 10**90),
-)
+@given(st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.integers(3, 40), st.integers(-(10**90), 10**90))
 @settings(max_examples=60, deadline=None)
-def test_residue_horner_matches_a_padic_oracle(p, pick, prec, zprec, z):
-    # an int z, and a z known to a lower or higher precision than the series
+def test_residue_horner_matches_a_padic_oracle(p, pick, prec, z):
+    # an int z of any size and sign, read at the series precision
     ctx = prime_context(p, prec)
     zeros = [info.ell for info in _zero_table(p, ctx.n_period)]
     ser = series_coeffs(ctx, zeros[pick % len(zeros)])
-    for arg in (z, PAdicInt(p, zprec, z)):
-        assert ser.eval(arg) == _padic_horner(ser, arg, False)
-        assert ser.eval_deriv(arg) == _padic_horner(ser, arg, True)
-    other = PAdicInt(3 if p != 3 else 5, zprec, z)
-    for fn in (ser.eval, ser.eval_deriv):
-        with pytest.raises(ValueError):
-            fn(other)
+    assert ser.eval(z) == _ring_horner(ser, z, False).coords[0]
+    assert ser.eval_deriv(z) == _ring_horner(ser, z, True).coords[0]
 
 
 def _plain_horner(coeffs, z, m):
@@ -321,7 +318,8 @@ def series_oracle(ctx, ell, s, e, J):
 
 
 def mu_oracle(residues, p, prec):
-    """The largest k attaining min(known_val) over beta_0..beta_J; None if every beta_k vanishes."""
+    """The largest k attaining the least valuation over beta_0..beta_J (a zero residue counting as
+    prec); None if every beta_k vanishes."""
     vals = [prec if r == 0 else _vp(r, p) for r in residues]
     best = min(vals)
     return None if best >= prec else max(k for k, v in enumerate(vals) if v == best)
@@ -335,7 +333,7 @@ class TestSeriesAgainstReference:
     def test_coefficients_and_mu(self, p, ell, s, prec):
         ctx = prime_context(p, prec)
         ser = series_coeffs(ctx, ell, s)
-        residues = [b.residue for b in ser.coeffs]
+        residues = list(ser.coeffs)
         assert residues == series_oracle(ctx, ell, s, ser.e, ser.cut)
         mu = mu_oracle(residues, p, prec)
         if mu is None:
@@ -348,7 +346,7 @@ class TestSeriesAgainstReference:
         assert [prime_context(p).d for p in (269, 83, 5)] == [1, 2, 3]
         assert series_coeffs(prime_context(3, 24), 35, 3).e == 2
         ser = series_coeffs(prime_context(3, 3), 9, 1)
-        assert mu_oracle([b.residue for b in ser.coeffs], 3, 3) is None
+        assert mu_oracle(list(ser.coeffs), 3, 3) is None
 
 
 class TestStrassman:
@@ -362,14 +360,14 @@ class TestStrassman:
                 if trib_mod(ell, p) != 0:
                     continue
                 ser = series_coeffs(ctx, ell)
-                if ser.coeffs[1].known_val == 0:
+                if ser.coeffs[1] % p:
                     assert ser.mu == 1
 
     def test_dominant_constant_term_gives_mu_zero(self, ctx5):
         ser = series_coeffs(ctx5, 21)
         tweaked = SeriesTrunc(
             ser.ctx, ser.ell, ser.s, ser.e, ser.log_val,
-            (PAdicInt(5, 24, 3),) + tuple(5 * b for b in ser.coeffs[1:]),
+            (3,) + tuple(5 * b % 5**24 for b in ser.coeffs[1:]),
         )
         assert tweaked.mu == 0
 
@@ -377,7 +375,7 @@ class TestStrassman:
         ser = series_coeffs(ctx5, 21)
         dead = SeriesTrunc(
             ser.ctx, ser.ell, ser.s, ser.e, ser.log_val,
-            tuple(0 * b for b in ser.coeffs),
+            (0,) * len(ser.coeffs),
         )
         for _ in range(2):  # a raise caches nothing
             with pytest.raises(PrecisionError):
@@ -396,12 +394,12 @@ class TestHenselZero:
         rec = hensel_zero(series_coeffs(ctx5, 21))
         assert rec.series.mu == 1
         a = 21 + 31 * rec.b
-        assert a.residue % 5 == 2  # the published u
+        assert a % 5 == 2  # the published u
 
     def test_integer_zero_at_zt_class(self, ctx83):
         # l = 0 sits over Z_T: the zero is exactly 0
         rec = hensel_zero(series_coeffs(ctx83, 0))
-        assert rec.b.is_zero()
+        assert rec.b == 0
 
     def test_quadratic_convergence(self, ctx5, ctx83):
         rng = random.Random(8)
@@ -409,7 +407,7 @@ class TestHenselZero:
             candidates = [l for l in range(ctx.n_period) if trib_mod(l, ctx.p) == 0]
             for ell in rng.sample(candidates, min(3, len(candidates))):
                 ser = series_coeffs(ctx, ell)
-                if ser.coeffs[1].known_val != 0:
+                if ser.coeffs[1] % ctx.p == 0:
                     continue
                 rec = hensel_zero(ser)
                 vals = rec.residual_vals
@@ -417,13 +415,20 @@ class TestHenselZero:
                     assert vals[i + 1] >= min(2 * vals[i], ctx.prec)
                 assert vals[-1] >= ctx.prec
                 # the zero really is a zero
-                assert ser.eval(rec.b).known_val >= ctx.prec
+                assert ser.eval(rec.b) == 0
 
     def test_condition_48_failure_raises(self):
         ctx = prime_context(3, 24)
         with pytest.raises(ConditionNotMet) as err:
             hensel_zero(series_coeffs(ctx, 0))
         assert err.value.condition == "derivative"
+
+    @pytest.mark.parametrize("prec", [24, 96, 192])
+    def test_digits_reassemble_the_zero(self, prec):
+        rec = hensel_zero(series_coeffs(prime_context(587, prec), 98))
+        digits = rec.digits()
+        assert len(digits) == prec and all(0 <= d < 587 for d in digits)
+        assert sum(d * 587**i for i, d in enumerate(digits)) == rec.b
 
 
 # (p, s) -> the zero classes l: p = 3 with s = 3, then a d = 3, a d = 2 and a d = 1 prime
@@ -446,20 +451,22 @@ def test_recurrence_series_matches_repeated_ring_products(p, s, prec, pick):
     ser = series_coeffs(ctx, ell, s, J=8)
     log_val = log_series_oracle(ExtRing(p, prec, _P).elem(_xpow(s * ctx.n_period, p**prec))).val()
     assert ser.e == min(log_val, trib_val(ell, p))
-    assert [b.residue for b in ser.coeffs] == series_oracle(ctx, ell, s, ser.e, 8)
+    assert list(ser.coeffs) == series_oracle(ctx, ell, s, ser.e, 8)
 
 
-def _padic_newton(ser):
-    """Oracle: hensel_zero's iterates in PAdicInt arithmetic, g'(b) read and inverted mod p^prec."""
-    b = -(ser.coeffs[0] * ser.coeffs[1].inv())
+def _ring_newton(ser):
+    """Oracle: hensel_zero's iterates in the d = 1 ring Z/p^prec, g'(b) read and inverted mod p^prec."""
+    ring = ExtRing(ser.ctx.p, ser.ctx.prec, (0, 1))
+    b = -(ring.embed(ser.coeffs[0]) * ring.embed(ser.coeffs[1]).inv())
     vals = []
     for _ in range(100):
-        g = _padic_horner(ser, b, False)
-        vals.append(g.known_val)
+        (z,) = b.coords
+        g = _ring_horner(ser, z, False)
+        vals.append(g.val())
         if vals[-1] >= ser.ctx.prec:
-            return b, vals
-        b = b - g * _padic_horner(ser, b, True).inv()
-    raise AssertionError("the PAdicInt Newton did not converge")
+            return z, vals
+        b = b - g * _ring_horner(ser, z, True).inv()
+    raise AssertionError("the ring Newton did not converge")
 
 
 class TestNewtonOnResidues:
@@ -470,10 +477,10 @@ class TestNewtonOnResidues:
         checked = 0
         for info in _zero_table(p, ctx.n_period):
             ser = series_coeffs(ctx, info.ell)
-            if ser.coeffs[1].known_val:
+            if ser.coeffs[1] % p == 0:
                 continue
             rec = hensel_zero(ser)
-            assert (rec.b, list(rec.residual_vals)) == _padic_newton(ser), (p, info.ell)
+            assert (rec.b, list(rec.residual_vals)) == _ring_newton(ser), (p, info.ell)
             checked += 1
         assert checked
 
@@ -483,7 +490,7 @@ class TestNewtonOnResidues:
 
     def test_vanishing_derivative_at_an_iterate_raises(self, ctx5):
         # g = -1 + z + 2z^2 over Z_5: b_0 = 1 and g'(1) = 5, so the first step has no unit to divide by
-        ser = SeriesTrunc(ctx5, 21, 1, 1, 1, tuple(PAdicInt(5, 24, c) for c in (-1, 1, 2)))
+        ser = SeriesTrunc(ctx5, 21, 1, 1, 1, tuple(c % 5**24 for c in (-1, 1, 2)))
         with pytest.raises(PrecisionError):
             hensel_zero(ser)
 
@@ -594,7 +601,7 @@ class TestLogMemo:
         cold, warm = self.cold_and_warm(ctx, ell, s, None, warmers)
         assert cold == warm
         assert (cold.e, cold.log_val) == ((3, 3) if ell == 22 else (1, {3: 2, 9: 3}[s]))
-        assert [b.residue for b in cold.coeffs] == series_oracle(ctx, ell, s, cold.e, cold.cut)
+        assert list(cold.coeffs) == series_oracle(ctx, ell, s, cold.e, cold.cut)
 
     @pytest.mark.parametrize("J", [None, 8])
     def test_explicit_cut_has_its_own_entry(self, ctx5, J):
@@ -620,7 +627,7 @@ class TestClassifyZero:
             if trib_mod(ell, 83) != 0:
                 continue
             series = class_series(ctx83, ell)
-            assert hensel_zero(series).b.prec == 24
+            assert len(hensel_zero(series).digits()) == 24
             cert = certify(series)
             assert type(cert.a) is int
             got[ell] = cert.a
@@ -632,7 +639,7 @@ class TestClassifyZero:
             if trib_mod(ell, 269) != 0:
                 continue
             series = class_series(ctx269, ell)
-            assert hensel_zero(series).b.prec == 24
+            assert len(hensel_zero(series).digits()) == 24
             values.add(certify(series).a)
         assert values == {0, -1, -4, -17, Fraction(1, 3), Fraction(-5, 3)}
 
@@ -643,7 +650,7 @@ class TestClassifyZero:
         assert cert.a == Fraction(1, 3)
         # independent consequence: nu_5(T(n)) > 0 wherever n = 1/3 + 31 * 5^k-ish points land
         a = 21 + 31 * rec.b
-        assert (3 * a - 1).known_val >= ctx5.prec - 2
+        assert known_val(3 * a - 1, 5, ctx5.prec) >= ctx5.prec - 2
 
 
 class TestCubeRootCertificate:
@@ -701,13 +708,14 @@ class TestCubeRootCertificate:
         code = (
             "import builtins\n"
             "import tribadic.interpolation as i, tribadic.padic as padic\n"
-            "from tribadic import PAdicInt, prime_context\n"
+            "from tribadic import ExtRing, prime_context\n"
             "assert False, 'not running under -O'\n"
             "ctx = prime_context(47, 24)\n"
             "real = i._xpow\n"
             "i._xpow = lambda n, m: real(n + 1, m)\n"
             "padic.pow = lambda b, e, m: builtins.pow(b, e if e < 0 else e + 1, m)\n"
-            "for check in (lambda: i.cube_root_certificate(ctx, samples=0), lambda: padic.cube_root(PAdicInt(5, 3, 2))):\n"
+            "two = ExtRing(5, 3, (0, 1)).embed(2)\n"
+            "for check in (lambda: i.cube_root_certificate(ctx, samples=0), lambda: padic.cube_root(two)):\n"
             "    try:\n"
             "        check()\n"
             "    except AssertionError as exc:\n"
@@ -720,7 +728,7 @@ class TestCubeRootCertificate:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [
             "raised: the cube root of x fails y^3 = x mod 47^24",
-            "raised: the cube root of PAdicInt(2 mod 5^3) fails y^3 = u",
+            "raised: the cube root of 2 mod 5^3 fails y^3 = u",
         ]
 
     @pytest.mark.parametrize("prec", [24, 96])

@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribadic import (
-    ExtRing,
-    PAdicInt,
-    PrecisionError,
-    cube_root,
-    padic_exp,
-    padic_inv,
-    padic_log,
-    val_int,
-)
+from tribadic import ExtRing, PrecisionError, cube_root, val_int
 import tribadic.padic as padic
 from tribadic._factor import primes_upto
 from tribadic.galois import _P
 
 from conftest import hensel_cube_root, log_series_oracle
+
+
+def zp(p, prec, residue):
+    """residue as an element of Z_p mod p^prec: the d = 1 ring."""
+    return ExtRing(p, prec, (0, 1)).embed(residue)
 
 
 def recurrence_oracle(n):
@@ -70,12 +66,12 @@ class TestValInt:
 
 class TestInverse:
     def test_one(self):
-        one = PAdicInt(5, 3, 1)
-        assert padic_inv(one) == one
+        one = zp(5, 3, 1)
+        assert one.inv() == one
 
     def test_two_mod_125(self):
-        y = padic_inv(PAdicInt(5, 3, 2))
-        assert y.residue == 63  # 2 * 63 = 126
+        y = zp(5, 3, 2).inv()
+        assert y.coords == (63,)  # 2 * 63 = 126
 
     def test_three_mod_169_against_extended_gcd(self):
         # extended-gcd oracle
@@ -87,13 +83,13 @@ class TestInverse:
 
         g, x, _ = egcd(3, 169)
         assert g == 1
-        y = padic_inv(PAdicInt(13, 2, 3))
-        assert y.residue == x % 169
-        assert 3 * y.residue % 169 == 1
+        (y,) = zp(13, 2, 3).inv().coords
+        assert y == x % 169
+        assert 3 * y % 169 == 1
 
     def test_non_unit_rejected(self):
         with pytest.raises(PrecisionError):
-            padic_inv(PAdicInt(5, 3, 10))
+            zp(5, 3, 10).inv()
 
 
 class TestUnitInverse:
@@ -117,9 +113,10 @@ class TestUnitInverse:
                 padic.unit_inverse(a, 7, k)
 
     def test_padic_inv_keeps_its_error(self):
+        # the Z_p inverse raises PrecisionError on a non-unit, where unit_inverse raises ValueError
         with pytest.raises(PrecisionError):
-            PAdicInt(587, 96, 587 * 11).inv()
-        assert PAdicInt(587, 96, 5).inv().residue == pow(5, -1, 587**96)
+            zp(587, 96, 587 * 11).inv()
+        assert zp(587, 96, 5).inv().coords == (pow(5, -1, 587**96),)
 
 
 def ring_horner_series(x, coeffs, den, slack):
@@ -200,13 +197,13 @@ def trial_division_valuation_factorial(n, p):
 
 class TestExpLog:
     def test_exp_zero(self):
-        assert padic_exp(PAdicInt(7, 4, 0)).residue == 1
+        assert zp(7, 4, 0).exp() == zp(7, 4, 1)
 
     def test_exp_7_against_series_oracle(self):
-        r = padic_exp(PAdicInt(7, 4, 7))
-        assert r.residue == exp_series_oracle(7, 7, 4)
-        assert (r - 1).known_val == 1
-        assert padic_log(r).residue == 7
+        r = zp(7, 4, 7).exp()
+        assert r.coords == (exp_series_oracle(7, 7, 4),)
+        assert (r - 1).val() == 1
+        assert r.log() == zp(7, 4, 7)
 
     def test_exp_preserves_valuation(self):
         rng = random.Random(11)
@@ -214,36 +211,36 @@ class TestExpLog:
             for _ in range(40):
                 v = rng.randrange(1, 6)
                 unit = rng.randrange(1, p)
-                z = PAdicInt(p, 20, unit * p**v)
-                assert (padic_exp(z) - 1).known_val == v == z.known_val
+                z = zp(p, 20, unit * p**v)
+                assert (z.exp() - 1).val() == v == z.val()
 
     @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=50, deadline=None)
     def test_exp_additive(self, a, b):
         p, prec = 7, 16
-        z, w = PAdicInt(p, prec, p * a), PAdicInt(p, prec, p * b)
-        assert padic_exp(z + w) == padic_exp(z) * padic_exp(w)
+        z, w = zp(p, prec, p * a), zp(p, prec, p * b)
+        assert (z + w).exp() == z.exp() * w.exp()
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=50, deadline=None)
     def test_log_multiplicative(self, a):
         p, prec = 5, 16
-        u = PAdicInt(p, prec, 1 + p * a)
-        assert padic_log(u * u) == 2 * padic_log(u)
+        u = zp(p, prec, 1 + p * a)
+        assert (u * u).log() == 2 * u.log()
 
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_exp_log_round_trip(self, a):
         p, prec = 11, 16
-        u = PAdicInt(p, prec, 1 + p * a)
-        assert padic_exp(padic_log(u)) == u
+        u = zp(p, prec, 1 + p * a)
+        assert u.log().exp() == u
 
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_log_exp_round_trip(self, a):
         p, prec = 3, 16
-        z = PAdicInt(p, prec, p * a)
-        assert padic_log(padic_exp(z)) == z
+        z = zp(p, prec, p * a)
+        assert z.exp().log() == z
 
     @pytest.mark.parametrize("prec", [24, 97])
     @pytest.mark.parametrize("v", [1, 2, 4])
@@ -254,45 +251,40 @@ class TestExpLog:
         rng = random.Random(p * 1000 + v * 100 + prec)
         for _ in range(4):
             w = p**v * rng.choice([1, p - 1, rng.randrange(1, p**prec)])
-            u = PAdicInt(p, prec, 1 + w)
-            log_u = padic_log(u)
-            assert log_u.residue == log_series_oracle(ExtRing(p, prec, (0, 1)).embed(u.residue)).coords[0]
-            assert padic_log(u**p) == p * log_u
-            assert padic_exp(log_u) == u
             ring = ExtRing(p, prec, _P)
-            g = ring.one + ring.elem([p**v * rng.randrange(p**prec) for _ in range(3)])
-            log_g = g.log()
-            assert log_g == log_series_oracle(g)
-            assert (g**p).log() == p * log_g
-            assert log_g.exp() == g
+            for g in (zp(p, prec, 1 + w), ring.one + ring.elem([p**v * rng.randrange(p**prec) for _ in range(3)])):
+                log_g = g.log()
+                assert log_g == log_series_oracle(g)
+                assert (g**p).log() == p * log_g
+                assert log_g.exp() == g
 
     def test_log_one(self):
-        assert padic_log(PAdicInt(5, 8, 1)).is_zero()
+        assert zp(5, 8, 1).log().is_zero()
 
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(ValueError):
-            padic_exp(PAdicInt(5, 8, 2))
+            zp(5, 8, 2).exp()
 
     def test_log_needs_one_mod_p(self):
         with pytest.raises(ValueError):
-            padic_log(PAdicInt(5, 8, 3))
+            zp(5, 8, 3).log()
 
 
 class TestCubeRoot:
     def test_unit_one(self):
-        assert cube_root(PAdicInt(5, 3, 1)).residue == 1
+        assert cube_root(zp(5, 3, 1)) == zp(5, 3, 1)
 
     def test_exhaustive_oracle_p5(self):
         expected = [y for y in range(125) if y**3 % 125 == 2]
         assert len(expected) == 1
-        assert cube_root(PAdicInt(5, 3, 2)).residue == expected[0]
+        assert cube_root(zp(5, 3, 2)).coords == (expected[0],)
 
     def test_defining_identity_and_inverse(self):
         rng = random.Random(5)
         for p in (5, 17, 23):
             for _ in range(100):
-                u = PAdicInt(p, 12, rng.randrange(1, p**12))
-                if not u.is_unit():
+                u = zp(p, 12, rng.randrange(1, p**12))
+                if u.val():
                     continue
                 y = cube_root(u)
                 assert y * y * y == u
@@ -307,10 +299,10 @@ class TestCubeRoot:
         for p in family:
             for k in (1, 3, 24, 96):
                 for _ in range(5):
-                    u = PAdicInt(p, k, rng.randrange(1, p**k))
-                    if not u.is_unit():
+                    u = zp(p, k, rng.randrange(1, p**k))
+                    if u.val():
                         continue
-                    start = PAdicInt(p, k, pow(u.residue % p, (2 * p - 1) // 3 % (p - 1), p))
+                    start = zp(p, k, pow(u.coords[0] % p, (2 * p - 1) // 3 % (p - 1), p))
                     assert cube_root(u) == hensel_cube_root(u, start), (p, k, u)
                     checked += 1
         assert len(family) == 64 and checked == 1271
@@ -322,36 +314,55 @@ class TestCubeRoot:
 
         monkeypatch.setattr(padic, "pow", off_by_one, raising=False)
         with pytest.raises(AssertionError, match="fails y\\^3 = u"):
-            cube_root(PAdicInt(5, 3, 2))
+            cube_root(zp(5, 3, 2))
 
     def test_rejects_p_1_mod_3(self):
         with pytest.raises(ValueError):
-            cube_root(PAdicInt(7, 4, 2))
+            cube_root(zp(7, 4, 2))
 
     def test_rejects_p_3(self):
         with pytest.raises(ValueError):
-            cube_root(PAdicInt(3, 4, 2))
+            cube_root(zp(3, 4, 2))
+
+    def test_rejects_a_non_unit_and_a_wider_ring(self):
+        with pytest.raises(ValueError, match="unit"):
+            cube_root(zp(5, 3, 10))
+        with pytest.raises(ValueError, match="d = 1"):
+            cube_root(ExtRing(5, 3, _P).embed(2))
 
 
 class TestPAdicInt:
+    """p-adic integers mod p^K as the d = 1 ring Z/p^K."""
+
     def test_residue_range_and_known_val(self):
-        x = PAdicInt(5, 4, -1)
-        assert x.residue == 5**4 - 1 and x.known_val == 0
-        assert PAdicInt(5, 4, 0).known_val == 4
-        assert PAdicInt(5, 4, 50).known_val == 2
+        x = zp(5, 4, -1)
+        assert x.coords == (5**4 - 1,) and x.val() == 0
+        assert zp(5, 4, 0).val() == 4
+        assert zp(5, 4, 50).val() == 2
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError):
-            PAdicInt(5, 4, 1) + PAdicInt(7, 4, 1)
+            zp(5, 4, 1) + zp(7, 4, 1)
 
-    def test_mixed_precision_truncates(self):
-        x = PAdicInt(5, 6, 7) * PAdicInt(5, 3, 2)
-        assert x.prec == 3 and x.residue == 14
+    def test_mixed_precisions_rejected(self):
+        # elements at two precisions belong to two rings: nothing truncates silently
+        with pytest.raises(ValueError):
+            zp(5, 6, 7) * zp(5, 3, 2)
 
     def test_pow_negative(self):
-        x = PAdicInt(7, 5, 3)
+        x = zp(7, 5, 3)
         assert x ** (-2) == (x.inv()) ** 2
 
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
-            PAdicInt(2, 4, 1)
+            zp(2, 4, 1)
+
+    @pytest.mark.parametrize("modulus", RING_MODULI)
+    def test_ring_bounds(self, modulus):
+        # p < 3 and prec < 1 are rejected where the ring is built, so exp's cutoff never
+        # divides by p - 2 = 0
+        for p, prec in ((2, 4), (1, 4), (0, 4), (-5, 4), (5, 0), (5, -1)):
+            with pytest.raises(ValueError):
+                ExtRing(p, prec, modulus).one.exp()
+        ring = ExtRing(3, 1, modulus)  # the smallest ring admitted
+        assert ring.embed(3).exp() == ring.one
