@@ -35,6 +35,7 @@ import math
 import os
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
@@ -536,30 +537,44 @@ class Mismatch(namedtuple("Mismatch", "n predicted actual")):
     __slots__ = ()
 
 
+def _chain(u0, u1, u2, t1, t2, m):
+    """u_l = T(n + l*q) mod m for l = 0, 1, ..., from u_0, u_1 and u_2, by the recurrence
+    u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + u_l of x^q: t1 = tr x^q, t2 = tr x^(-q), det x^q = 1."""
+    while True:
+        yield u0
+        u0, u1, u2 = u1, u2, (t1 * u2 - t2 * u1 + u0) % m
+
+
 def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     """Compare the predicted nu_p(T(n)) with the actual valuation on [lo, hi]
     plus any extra points; an empty report is a pass.
 
-    Residues are taken mod m, the largest power p^K of p below 2^30 (p itself once
-    p^2 >= 2^30), so they stay small ints; a nonzero residue gives nu_p(T(n)) exactly,
-    a zero one defers to trib_val.  With x^q = r0 + r1 x + r2 x^2 (mod m), k0 is the
-    least of K, nu_p(r1) and nu_p(r2), so x^q = r0 (mod p^k0) and
-    T(n + q) = r0 T(n) (mod p^k0) with r0 a unit.  The range's first period
-    [lo, lo + q - 1] is walked by the recurrence from one powering of x^lo.  A constant
-    class whose point there shows nu_p = v < k0 is settled: every point of the class has
-    valuation v, so the class passes if v = kappa and is reported at each of its points
-    otherwise.  Every other class is walked in full as a jump chain n, n + q, ... <= hi,
-    each jump applying x^q to (T(n), T(n+1), T(n+2)); a point passes where its residue
-    shows the valuation its rule predicts, a linear rule's read from d = n*den - num
-    (carried along the chain by adding q*den), and goes to spec.predict otherwise.
-    Every step and every jump is a bijection on states mod m, so the state at the end
-    of the first period and at the end of each chain is checked against its own
-    powering of x^n, and any corruption shows there as an AssertionError.  The range's
-    mismatches are reported in order of n.
+    Each class n = i (mod q) is read as a chain u_l = T(n + l*q), which obeys the recurrence
+    of x^q (Cayley-Hamilton): u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + u_l, with t1 = tr x^q =
+    3 r0 + r1 + 3 r2 for x^q = r0 + r1 x + r2 x^2, t2 = tr x^(-q), and det x^q = 1.  A chain
+    is seeded from (T(n), T(n+1), T(n+2)) and the coordinates of x^q and x^(2q).
 
-    An extra point (e.g. a CRT-generated near-miss of a target) with a finite
-    prediction e >= 0 reads T(n) mod p^(e+1), at most mod p^24, from one powering; a
-    zero residue, e = VAL_INF or e < 0 defers to trib_val."""
+    Range residues are taken mod m, the largest power p^K of p below 2^30 (p itself once
+    p^2 >= 2^30); a nonzero residue gives nu_p(T(n)) exactly, a zero one defers to
+    trib_val.  k0 is the least of K, nu_p(r1) and nu_p(r2), so T(n + q) = r0 T(n)
+    (mod p^k0) with r0 a unit.  The first period [lo, lo + q - 1] is walked by the
+    recurrence of T from one powering of x^lo.  A constant class whose point there shows
+    nu_p = v < k0 is settled: it passes if v = kappa and is reported at each of its points
+    otherwise.  Every other class is walked as a chain n, n + q, ... <= hi; a point passes
+    where its residue shows its rule's valuation (a linear rule's read from d = n*den - num,
+    carried along the chain), and goes to spec.predict otherwise.  Each step is a bijection
+    on triples mod m (u_l's coefficient is 1), so the triple at the end of the first period
+    and of each chain is checked against the one read from a powering of x^n, and any
+    corruption raises AssertionError.  The range's mismatches are in order of n.
+
+    An extra point (e.g. a CRT near-miss of a target) with a finite prediction e >= 0
+    reads T(n) mod p^K, K = min(e + 1, 24).  Where x^q = 1 (mod p), D = x^q - 1 has
+    p^j | D^j, so for n = i + z*q, i = n mod q, the binomial series of (1 + D)^z gives
+    T(n) = sum_(j<K) C(z, j) Delta^j u_0 (mod p^K) for every integer z: u_0 .. u_(K-1) are
+    built once per class, C(z, j) exactly (mod p^K it would need 1/(j + 1)), and each
+    class's largest point is read again by trib_mod, a disagreement raising AssertionError.
+    Elsewhere each point reads its own powering.  A zero residue, e = VAL_INF or e < 0
+    defers to trib_val."""
     p, q = spec.p, spec.q
     out = []
 
@@ -572,59 +587,77 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     while m * p < 1 << 30:
         m, k_max = m * p, k_max + 1
     pows = [p**i for i in range(k_max + 1)]
-    r0, r1, r2 = _xpow(q, m)
+    extra = [(n, spec.predict(n)) for n in extra]
+    classes, residues = {}, {}  # i -> {n: K} over the extra points n = i (mod q); n -> T(n) mod p^K
+    for n, e in extra:
+        if 0 <= e < VAL_INF:
+            classes.setdefault(n % q, {})[n] = min(e + 1, DEFAULT_PRECISION)
+    top = p ** max([k_max] + [k for points in classes.values() for k in points.values()])
+    (r0, r1, r2), s, w = (_xpow(k, top) for k in (q, 2 * q, -q))
+    t1, t2 = 3 * r0 + r1 + 3 * r2, 3 * w[0] + w[1] + 3 * w[2]
     k0 = min([k_max] + [_vp(r, p) for r in (r1, r2) if r])
-    # a jump maps (T(n), T(n+1), T(n+2)) to (T(n+q), T(n+q+1), T(n+q+2)), row i being
-    # T(n+q+i) = phi(x^(n+i) x^q) written in T(n), T(n+1), T(n+2)
-    s02, s12, s122, s0122 = r0 + r2, r1 + r2, r1 + 2 * r2, r0 + r1 + 2 * r2
 
-    def state(n):  # (T(n), T(n+1), T(n+2)) mod m from one powering of x^n
-        c0, c1, c2 = _xpow(n, m)
-        return (c1 + c2) % m, (c0 + c1 + 2 * c2) % m, (c0 + 2 * c1 + 4 * c2) % m
+    def state(n, mod):  # (T(n), T(n+1), T(n+2)) mod `mod` from one powering of x^n
+        c0, c1, c2 = _xpow(n, mod)
+        return (c1 + c2) % mod, (c0 + c1 + 2 * c2) % mod, (c0 + 2 * c1 + 4 * c2) % mod
 
-    def check(n, walked):
-        if walked != state(n):
+    def seed(a, b, c, mod):  # (T(n), T(n+q), T(n+2q)) mod `mod` from (T(n), T(n+1), T(n+2))
+        return a, (r0 * a + r1 * b + r2 * c) % mod, (s[0] * a + s[1] * b + s[2] * c) % mod
+
+    def check(n, walked, read):
+        if walked != read:
             raise AssertionError(f"incremental walk out of sync at n = {n}")
 
-    def walk_class(n, a, b, c, kappa, num, den, mu):
-        # a point passes where its residue shows the valuation its rule predicts; a linear
-        # rule's prediction is read from d = n*den - num, carried along the chain
-        first, e, d = n, kappa, None if num is None else n * den - num
-        while True:
+    def walk_class(first, a, b, c, kappa, num, den, mu):
+        e, d = kappa, None if num is None else first * den - num
+        chain = _chain(*seed(a, b, c, m), t1, t2, m)
+        for n, a in zip(range(first, hi + 1, q), chain):
             if d is not None:
-                e = kappa + mu * _vp(d, p) if d else -1  # d = 0 predicts VAL_INF: compare
+                e = kappa if d % p else kappa + mu * _vp(d, p) if d else -1  # d = 0: VAL_INF, compare
                 d += q * den
             if not (0 <= e < k_max and a % pows[e + 1] and not a % pows[e]):
                 compare(n, _vp(a, p) if a else trib_val(n, p))  # trib_val is VAL_INF on Z_T
-            if n + q > hi:
-                break
-            a, b, c = ((r0 * a + r1 * b + r2 * c) % m, (r2 * a + s02 * b + s12 * c) % m,
-                       (s12 * a + s122 * b + s0122 * c) % m)
-            n += q
         if n != first:
-            check(n, (a, b, c))
+            check(n, (a, next(chain), next(chain)), seed(*state(n, m), m))
 
     if lo <= hi:
         rules, default = spec._rules, (spec.default_kappa, None, None, None)
-        a, b, c = state(lo)
+        a, b, c = state(lo, m)
         n, end = lo, min(hi, lo + q - 1)
         while True:
             kappa, num, den, mu = rules.get(n % q, default)
             if num is not None or not a % pows[k0]:
                 walk_class(n, a, b, c, kappa, num, den, mu)
-            elif (v := _vp(a, p)) != kappa:  # nu_p = v < k0 at every point of the class
+            elif (v := _vp(a, p) if a % p == 0 else 0) != kappa:  # nu_p = v < k0 in the class
                 out.extend(Mismatch(j, kappa, v) for j in range(n, hi + 1, q))
             if n == end:
                 break
             a, b, c = b, c, (a + b + c) % m
             n += 1
-        check(end, (a, b, c))
+        check(end, (a, b, c), state(end, m))
         out.sort(key=lambda mismatch: mismatch.n)
-    for n in extra:
-        e, residue = spec.predict(n), 0
-        if 0 <= e < VAL_INF:
-            residue = trib_mod(n, p ** min(e + 1, DEFAULT_PRECISION))
-        compare(n, _vp(residue, p) if residue else trib_val(n, p))
+    for i, points in classes.items():
+        if k0 == 0 or r0 % p != 1:  # x^q != 1 (mod p): one powering per point
+            residues.update((n, trib_mod(n, p**k)) for n, k in points.items())
+            continue
+        k = max(points.values())
+        row, diffs = list(islice(_chain(*seed(*state(i, p**k), p**k), t1, t2, p**k), k)), []
+        while row:  # Delta^j u_0 for j < k
+            diffs.append(row[0])
+            row = [y - x for x, y in zip(row, row[1:])]
+        for n, k in points.items():
+            z, binom, total = (n - i) // q, 1, 0
+            for j, delta in zip(range(k), diffs):
+                total += binom * delta
+                binom = binom * (z - j) // (j + 1)
+            residues[n] = total % p**k
+        n = max(points)
+        if residues[n] != trib_mod(n, p ** points[n]):
+            raise AssertionError(f"forward differences disagree with trib_mod at n = {n}")
+    for n, e in extra:
+        residue = residues.get(n, 0)
+        if (actual := _vp(residue, p) if residue else trib_val(n, p)) != e:
+            out.append(Mismatch(n, e, actual))
     return out
 
 

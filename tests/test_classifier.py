@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ from tribadic.classifier import (
     ZT,
     Mismatch,
     TableRow,
+    _chain,
     _class_rules,
     _classify_range,
     _zero_scan,
@@ -61,7 +63,7 @@ from tribadic.classifier import (
 from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.interpolation import series_coeffs
 from tribadic.padic import VAL_INF, PrecisionError, val_int
-from tribadic.tribonacci import ZERO_SET, trib, trib_val
+from tribadic.tribonacci import ZERO_SET, _xpow, trib, trib_val
 
 from conftest import PSI_12, known_val, trib_mod_oracle
 
@@ -919,9 +921,10 @@ class TestVerifyFormula:
 
     def test_sync_check_survives_python_O(self):
         # the walk's check against its own powering must not be an assert that -O strips:
-        # with x^lo = x and x^q = x^39 true and every other powering of x one step ahead,
-        # the first check made is the end of the first jump chain, p3's kappa = 4 class
-        # n = 9 (mod 39), at 9 + 51 * 39 = 1998
+        # with x^lo = x and x^q = x^39 true and every other powering of x one step ahead
+        # (x^(2q), which seeds each chain's T(n + 2q), and x^(-q), whose trace is the
+        # recurrence's t2, among them), the first check made is the end of the first jump
+        # chain, p3's kappa = 4 class n = 9 (mod 39), at 9 + 51 * 39 = 1998
         code = (
             "import sys\n"
             "import tribadic.classifier as c\n"
@@ -1081,9 +1084,10 @@ class TestVerifyFormula:
             Mismatch(n, 1, self.brute_force_val(n, 83)) for n in extras]
 
     def test_extra_points_read_one_powering(self, monkeypatch):
-        # an extra point with a finite prediction e >= 0 reads T(n) mod p^(e+1); only a zero
-        # residue (here n = 0 in Z_T under the default rule 0) or an infinite or negative
-        # prediction goes to trib_val
+        # an extra point with a finite prediction e >= 0 reads T(n) mod p^(e+1): p83's CRT points
+        # from their class's forward differences (x^287 = 1 mod 83), those of q = 10 from one
+        # powering each (x^10 != 1 mod 83); only a zero residue (here n = 0 in Z_T under the
+        # default rule 0) or an infinite or negative prediction goes to trib_val
         calls = []
 
         def spy(n, p, *args):
@@ -1097,6 +1101,130 @@ class TestVerifyFormula:
         spec = FormulaSpec(83, 10, (FormulaCase((3,), -1),))
         assert verify_formula(spec, 1, 0, extra=[0, 13, 5]) == [Mismatch(0, 0, VAL_INF), Mismatch(13, -1, 0)]
         assert calls == [0, 13]
+
+    @pytest.mark.parametrize("q", [1, 13, 32, 39, 54, 286, 287])
+    def test_chain_recurrence_of_x_to_the_q(self, q):
+        # u_l = T(n + l*q) obeys u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + u_l with t1 = tr x^q =
+        # 3 r0 + r1 + 3 r2 (tr 1 = 3, tr x = 1, tr x^2 = 3) and t2 = tr x^(-q); the traces are
+        # the power sums S(k) of P's roots: S(0), S(1), S(2) = 3, 1, 3 and S(k+3) = S(k+2) + S(k+1) + S(k)
+        def power_sum(k):
+            s = [3, 1, 3]
+            if k < 0:
+                for _ in range(-k):
+                    s = [s[2] - s[1] - s[0], s[0], s[1]]
+                return s[0]
+            for _ in range(k):
+                s = [s[1], s[2], sum(s)]
+            return s[0]
+
+        r0, r1, r2 = _xpow(q, None)
+        w0, w1, w2 = _xpow(-q, None)
+        t1, t2 = 3 * r0 + r1 + 3 * r2, 3 * w0 + w1 + 3 * w2
+        assert (t1, t2) == (power_sum(q), power_sum(-q))
+        m = 2**4000  # above 2 |T(n + l*q)| for every point below, so a residue is the exact value
+        for n in (-30, 0, 7):
+            chain = _chain(*(trib(n + l * q) % m for l in range(3)), t1, t2, m)
+            walked = [u if u < m // 2 else u - m for u in islice(chain, 8)]
+            assert walked == [trib(n + l * q) for l in range(8)], n
+
+    @staticmethod
+    def extra_points(spec, depths=range(1, 21), seed=33):
+        """CRT near-misses of every linear residue of spec at the given depths, 50 seeded random n
+        in (-10^25, 10^30) and the points of Z_T."""
+        points = [crt_witness(r, spec.q, case.a, spec.p, k)
+                  for case in spec.cases if case.a is not None for r in case.residues for k in depths]
+        rng = random.Random(seed)
+        return points + [rng.randrange(-10**25 + 1, 10**30) for _ in range(50)] + list(ZERO_SET)
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_extra_points_match_trib_val(self, name):
+        # every extra point of the right spec and of each wrong and linear variant is read as
+        # trib_val reads it, through the forward differences of its class (x^q = 1 mod p for
+        # every built-in spec)
+        spec = builtin_spec(name)
+        points = self.extra_points(spec)
+        actual = {n: trib_val(n, spec.p) for n in points}
+        reports = 0
+        for variant in (spec, *self.wrong_variants(spec), *self.linear_variants(spec)):
+            expected = [Mismatch(n, variant.predict(n), actual[n]) for n in points
+                        if variant.predict(n) != actual[n]]
+            assert verify_formula(variant, 1, 0, extra=points) == expected, variant
+            reports += bool(expected)
+        assert verify_formula(spec, 1, 0, extra=points) == [] and reports
+
+    def test_extra_points_off_the_guard_read_one_powering_each(self, monkeypatch):
+        # x^10 != 1 (mod 83), so the binomial series of (1 + D)^z need not truncate mod p^K:
+        # every point with a finite prediction e >= 0 reads its own trib_mod, and the report
+        # still matches trib_val
+        assert _xpow(10, 83) != (1, 0, 0)
+        spec = FormulaSpec(83, 10, (FormulaCase((0,), 1, 0), FormulaCase((3,), 2)))
+        points = self.extra_points(spec, range(1, 8))
+        calls = []
+
+        def spy(n, m):
+            calls.append(n)
+            return trib_mod(n, m)
+
+        monkeypatch.setattr(tribadic.classifier, "trib_mod", spy)
+        expected = [Mismatch(n, spec.predict(n), trib_val(n, 83)) for n in points
+                    if spec.predict(n) != trib_val(n, 83)]
+        assert verify_formula(spec, 1, 0, extra=points) == expected and expected
+        assert sorted(calls) == sorted(n for n in points if 0 <= spec.predict(n) < VAL_INF)
+
+    def test_crt_points_read_one_powering_per_class(self, monkeypatch):
+        # p587's 96 CRT points (6 linear residues mod 293, depths 1..16) come from forward
+        # differences: x^q, x^(2q) and x^(-q) are powered once, each class's seed x^i once, and
+        # trib_mod reads only each class's largest point, the cross-check
+        spec = builtin_spec("p587")
+        points = self.extra_points(spec, range(1, 17))[:96]
+        classes = {n % spec.q for n in points}
+        assert len(classes) == 6 and all(n > 0 for n in points)
+        powerings, reads = [], []
+        real_xpow = tribadic.classifier._xpow
+
+        def xpow_spy(n, m):
+            powerings.append(n)
+            return real_xpow(n, m)
+
+        def trib_mod_spy(n, m):
+            reads.append(n)
+            return trib_mod(n, m)
+
+        monkeypatch.setattr(tribadic.classifier, "_xpow", xpow_spy)
+        monkeypatch.setattr(tribadic.classifier, "trib_mod", trib_mod_spy)
+        monkeypatch.setattr(tribadic.classifier, "trib_val", None)  # no point may defer to it
+        assert verify_formula(spec, 1, 0, extra=points) == []
+        assert sorted(powerings) == sorted([spec.q, 2 * spec.q, -spec.q, *classes])
+        assert sorted(reads) == sorted(max(n for n in points if n % spec.q == i) for i in classes)
+
+    def test_difference_check_survives_python_O(self):
+        # the cross-check of each class's forward differences against trib_mod must not be an
+        # assert that -O strips: p83's class n = 270 (mod 287), seeded one step ahead from its
+        # powering at the extras' modulus, reads T(n + 1) for every point, and the raise names
+        # the class's largest point
+        spec = builtin_spec("p83")
+        points = [crt_witness(i, 287, a, 83, k) for i, a in ((270, -17), (0, 0)) for k in range(1, 9)]
+        largest = max(n for n in points if n % 287 == 270)
+        code = (
+            "import tribadic.classifier as c\n"
+            "assert False, 'not running under -O'\n"
+            f"points = {points!r}\n"
+            "spec = c.builtin_spec('p83')\n"
+            "top = 83 ** max(min(spec.predict(n) + 1, 24) for n in points if n % 287 == 270)\n"
+            "real = c._xpow\n"
+            "c._xpow = lambda n, m: real(n + 1 if (n, m) == (270, top) else n, m)\n"
+            "try:\n"
+            "    c.verify_formula(spec, 1, 0, extra=points)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        assert verify_formula(spec, 1, 0, extra=points) == []
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert f"raised: forward differences disagree with trib_mod at n = {largest}" in out.stdout
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(BUILTIN_SPEC_NAMES), st.integers(0, 40), st.integers(-2000, 10**7),
