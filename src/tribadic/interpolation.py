@@ -64,14 +64,31 @@ def _zp_eval(coeffs: list[int], powers: list[int], m: int) -> int:
     return acc
 
 
-class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs")):
+class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs disc", defaults=(None,))):
     """Truncated coefficients beta_0..beta_J (a tuple of residues mod p^prec) of g = f_l / p^e,
     built with period s*N.
 
     log_val is E = nu_p(log x^(sN)) in Z_p[x]/(P), the minimum over the roots; the tail obeys
     nu_p(beta_k) >= (k-1)*E - nu_p(k!), which is >= prec for every k > J by the
-    choice of J, so the truncation is certified.  No __slots__: mu is cached in the instance dict.
+    choice of J, so the truncation is certified.  No __slots__: mu, and coeffs where they are
+    built late, are kept in the instance dict.
+
+    disc is None, or (b0, gammas) for a series series_coeffs built on the disc of its zero.  Where
+    beta_1 is a unit, g has its one zero in d0 + pZ_p, d0 = b0 mod p for b0 = -beta_0/beta_1
+    mod p^prec, Newton's start.  There g(d0 + u) is the series of the class l' = l + d0*sN: the
+    same L = log x^(sN), and T(l') = T(l) (mod p^E), so e' = e.  For p | u its terms past
+    J' = _default_cut(p, E + 1, prec - 1) (at least 1) vanish mod p^prec, those of g' too, and
+    gammas are its J' + 1 coefficients, about half of J + 1.  eval and eval_deriv read them at
+    every z = d0 (mod p); coeffs, and eval off the disc, build the expansion at 0 on first use.
     """
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self[5] is not None:
+            return self[5]
+        if "coeffs" not in vars(self):
+            vars(self)["coeffs"] = _series(self.ctx, self.ell, self.s, None, False).coeffs
+        return vars(self)["coeffs"]
 
     @property
     def cut(self) -> int:
@@ -80,16 +97,22 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs")):
     def tail_val_bound(self, k: int) -> int:
         return (k - 1) * self.log_val - vp_factorial(k, self.ctx.p)
 
-    def _at(self, z: int, coeffs) -> int:
-        m = self.ctx.p**self.ctx.prec
+    def _at(self, z: int, deriv: bool) -> int:
+        p, m = self.ctx.p, self.ctx.p**self.ctx.prec
+        if self.disc is not None and (z - self.disc[0]) % p == 0:
+            z, coeffs = z - self.disc[0] % p, self.disc[1]  # u = z - d0 on the disc
+        else:
+            coeffs = self.coeffs
+        if deriv:
+            coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
         return _zp_eval(coeffs, _zp_powers(z, len(coeffs), m), m)
 
     def eval(self, z: int) -> int:
         """g(z) mod p^prec by blocked Horner evaluation of the truncated series."""
-        return self._at(z, self.coeffs)
+        return self._at(z, False)
 
     def eval_deriv(self, z: int) -> int:
-        return self._at(z, [k * self.coeffs[k] for k in range(1, self.cut + 1)])
+        return self._at(z, True)
 
     @cached_property
     def mu(self) -> int:
@@ -97,12 +120,15 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs")):
 
         mu = 1 also certifies a linear valuation formula: at any zero in Z_p, the
         recentred series has the same mu, so its linear coefficient dominates.
-        The certified tail (nu >= prec for k > J) rules the tail out as long as
+        A series built on its disc has mu = 1: beta_1 is a unit and nu(beta_k) >= 1 for k >= 2.
+        Otherwise the certified tail (nu >= prec for k > J) rules the tail out as long as
         some computed coefficient is nonzero mod p^prec; if all vanish, precision
         escalation is required and a PrecisionError is raised (and nothing is cached).
         The least valuation is read from g = gcd(p^prec, beta_0, ..., beta_J) = p^min,
         and mu is the last k with beta_k nonzero mod p*g.
         """
+        if self.disc is not None:
+            return 1
         pk = self.ctx.p ** self.ctx.prec
         g = math.gcd(pk, *self.coeffs)
         if g == pk:
@@ -200,7 +226,19 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     L^3 = t1 L^2 - t2 L + t3, checked in the ring once per (p, prec, s), gives the scalar
     recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L, its square and t1, t2, t3 come
     from _log_data, built once per (p, prec, sN, J) and reduced here to this class's ring.
+
+    With J None and beta_1 = s_1 / p^e a unit, the series is built on the disc of its zero
+    (see SeriesTrunc): beta_0, beta_1 and b0 come from the powering of x^l and one ring product,
+    and the J' + 1 coefficients of the class l' from one powering of x^(l') and the same
+    recurrence, that powering checked against trib_mod as x^l's is on the expansion at 0.
+    p^(e+1) | T(l'), which makes d0 the zero's first digit, is checked by a raise too.  The
+    expansion at 0 is then built only when coeffs is read.
     """
+    return _series(ctx, ell, s, J, J is None)
+
+
+def _series(ctx: PrimeContext, ell: int, s: int, J: int | None, on_disc: bool) -> SeriesTrunc:
+    """series_coeffs, on the disc where on_disc and beta_1 is a unit, else expanded at 0."""
     if s < 1:
         raise ValueError("period multiplier s must be >= 1")
     p, prec = ctx.p, ctx.prec
@@ -213,39 +251,70 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None)
     if log_val >= prec:
         raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
     e = log_val if t_ell % p**log_val == 0 else _vp(t_ell, p)
-    # the class's ring is p^(top - E + e): below top only where e < E
-    ring = ExtRing(p, top - log_val + e, _P)
-    pk = ring.pk
-    x_sn, log_x, log_x2 = (ring.elem(v) for v in shared[:3])
-    t1, t2, t3 = (t % pk for t in shared[3])
-    term = ring.elem(x_ell)
-    # ring._mul against _xpow's own product: phi(x^l * x^(sN)) = T(l + sN)
-    if _phi(term * x_sn) != trib_mod(ell + sn, pk):
-        raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
-    phis = [t_ell % pk, _phi(term * log_x), _phi(term * log_x2)]
-    while len(phis) <= J:
-        phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % pk)
-    pk_small = p**prec
-    # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
-    # the unit part of k!, is walked down from the one inverse of J!'s unit part
-    units, divs, fact_unit = [1], [p**e], 1
-    for k in range(1, J + 1):
-        w = _vp(k, p)
-        units.append(k // p**w if w else k)
-        divs.append(divs[-1] * p**w)
-        fact_unit = fact_unit * units[k] % pk_small
-    inv_fact = [0] * (J + 1)
-    acc = unit_inverse(fact_unit, p, prec)
-    for k in range(J, 0, -1):
-        inv_fact[k] = acc
-        acc = acc * units[k] % pk_small
-    coeffs = [t_ell // p**e % pk_small]
-    for k in range(1, J + 1):
-        s_k, div = phis[k], divs[k]
-        if s_k % div:
-            raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
-        coeffs.append(s_k // div * inv_fact[k] % pk_small)
-    return SeriesTrunc(ctx, ell, s, e, log_val, tuple(coeffs))
+    if on_disc and e == log_val:  # else beta_1 is a multiple of p^(E - e)
+        pe, pk_small = p**e, p**prec
+        cut = max(1, _default_cut(p, log_val + 1, prec - 1))
+        ring = _ClassRing(p, prec + e + vp_factorial(cut, p), shared)
+        term = ring.elem(x_ell)
+        s_1 = _phi(term * ring.log_x)
+        if s_1 % pe:
+            raise PrecisionError("phi(x^l L) is not divisible by p^e")
+        beta_1 = s_1 // pe % pk_small
+        if beta_1 % p:
+            b0 = -(t_ell // pe) * unit_inverse(beta_1, p, prec) % pk_small
+            d0 = b0 % p
+            term = ring.elem(_xpow(ell + d0 * sn, ring.pk))
+            if _phi(term) % (pe * p):
+                raise PrecisionError(f"p^(e+1) does not divide T(l + {d0}*sN): {d0} is not the zero's digit")
+            gammas = ring.coeffs(term, ell + d0 * sn, sn, e, cut, prec)
+            return SeriesTrunc(ctx, ell, s, e, log_val, None, (b0, gammas))
+    ring = _ClassRing(p, top - log_val + e, shared)  # below top only where e < E
+    return SeriesTrunc(ctx, ell, s, e, log_val, ring.coeffs(ring.elem(x_ell), ell, sn, e, J, prec))
+
+
+class _ClassRing(ExtRing):
+    """Z_p[x]/(P) at one class's precision, with x^(sN), L, L^2 and t1, t2, t3 of _log_data's
+    entry reduced to it."""
+
+    __slots__ = ("x_sn", "log_x", "log_x2", "char")
+
+    def __init__(self, p: int, prec: int, shared):
+        super().__init__(p, prec, _P)
+        self.x_sn, self.log_x, self.log_x2 = (self.elem(v) for v in shared[:3])
+        self.char = tuple(t % self.pk for t in shared[3])
+
+    def coeffs(self, term: ExtElem, n: int, sn: int, e: int, J: int, prec: int) -> tuple[int, ...]:
+        """beta_0..beta_J mod p^prec of the class n, term = x^n: s_k = phi(x^n L^k) divided
+        exactly by p^(e + nu_p(k!)) and multiplied by the inverse of k!'s unit part."""
+        p, pk = self.p, self.pk
+        t1, t2, t3 = self.char
+        # ring._mul against _xpow's own product: phi(x^n * x^(sN)) = T(n + sN)
+        if _phi(term * self.x_sn) != trib_mod(n + sn, pk):
+            raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
+        phis = [_phi(term), _phi(term * self.log_x), _phi(term * self.log_x2)]
+        while len(phis) <= J:
+            phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % pk)
+        pk_small = p**prec
+        # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
+        # the unit part of k!, is walked down from the one inverse of J!'s unit part
+        units, divs, fact_unit = [1], [p**e], 1
+        for k in range(1, J + 1):
+            w = _vp(k, p)
+            units.append(k // p**w if w else k)
+            divs.append(divs[-1] * p**w)
+            fact_unit = fact_unit * units[k] % pk_small
+        inv_fact = [0] * (J + 1)
+        acc = unit_inverse(fact_unit, p, prec)
+        for k in range(J, 0, -1):
+            inv_fact[k] = acc
+            acc = acc * units[k] % pk_small
+        coeffs = [phis[0] // divs[0] % pk_small]
+        for k in range(1, J + 1):
+            s_k, div = phis[k], divs[k]
+            if s_k % div:
+                raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
+            coeffs.append(s_k // div * inv_fact[k] % pk_small)
+        return tuple(coeffs)
 
 
 def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
@@ -254,23 +323,30 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     Requires beta_1 to be a unit (condition T(l+N) != T(l) mod p^2); the start
     b_0 = -beta_0 beta_1^(-1) then satisfies |g(b_0)| < 1, |g'(b_0)| = 1.  Each step is
     b - g(b) / g'(b) mod p^prec on plain residues, the coefficient lists of g and g' built
-    once.  The powers of b mod p^prec that _zp_eval reads are computed once per step and serve g'
-    too.  With g(b) = 0 (mod p^r) the quotient needs g'(b) only mod p^(prec - r), so g' is
-    evaluated and inverted there, and a g'(b) divisible by p stops the iteration.  Every step
-    runs at full precision: the residual valuations it reports are those of the exact iterates.
+    once.  On a series built on its disc, every iterate has b_0's first digit d0, and g and g'
+    are read at u = b - d0 from the disc's J' + 1 coefficients, certified there mod p^prec: the
+    iterates are the same numbers as on the expansion at 0.  The powers that _zp_eval reads
+    are computed once per step and serve g' too.  With g(b) = 0 (mod p^r) the quotient needs
+    g'(b) only mod p^(prec - r), so g' is evaluated and inverted there, and a g'(b) divisible
+    by p stops the iteration.  Every step runs at full precision: the residual valuations it
+    reports are those of the exact iterates.
     """
     p, prec = series.ctx.p, series.ctx.prec
     pk = p**prec
-    values = series.coeffs
-    if values[1] % p == 0:
-        raise ConditionNotMet(
-            "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
-        )
+    if series.disc is not None:
+        b, values = series.disc
+        centre = b % p
+    else:
+        values, centre = series.coeffs, 0
+        if values[1] % p == 0:
+            raise ConditionNotMet(
+                "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
+            )
+        b = -values[0] * unit_inverse(values[1], p, prec) % pk
     slopes = [k * values[k] for k in range(1, len(values))]
-    b = -values[0] * unit_inverse(values[1], p, prec) % pk
     residuals = []
     for _ in range(4 * prec.bit_length() + 8):
-        powers = _zp_powers(b, len(values), pk)
+        powers = _zp_powers(b - centre, len(values), pk)
         g = _zp_eval(values, powers, pk)
         r = _vp(g, p) if g else prec
         residuals.append(r)

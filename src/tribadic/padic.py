@@ -29,7 +29,9 @@ class PrecisionError(ArithmeticError):
 
 
 def _vp(x: int, p: int) -> int:
-    # valuation of a nonzero integer, no primality check
+    # valuation of a nonzero integer, no primality check; nu_2 is the index of the lowest set bit
+    if p == 2:
+        return (x & -x).bit_length() - 1
     v = 0
     while x % p == 0:
         x //= p
@@ -213,6 +215,8 @@ class ExtElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
+        if self.ring.d == 1:
+            return ExtElem(self.ring, (pow(self.coords[0], e, self.ring.pk),))
         out = self.ring.one
         base = self
         while e:
@@ -223,7 +227,8 @@ class ExtElem:
         return out
 
     def inv(self) -> "ExtElem":
-        """Inverse of a unit: g^(E-1) mod p lifted by Newton iteration, E = lcm(p^k - 1 : k <= d).
+        """Inverse of a unit: g^(E-1) mod p lifted by Newton iteration, E = lcm(p^k - 1 : k <= d);
+        on the d = 1 ring, unit_inverse of the one coordinate.
 
         h is squarefree mod p, so R/p is a product of fields F_(p^k) with k <= d and E is a
         multiple of the exponent of (R/p)^x.  A non-unit (a multiple of p or a zero divisor)
@@ -231,10 +236,14 @@ class ExtElem:
         """
         ring = self.ring
         p = ring.p
-        e = math.lcm(*(p**k - 1 for k in range(1, ring.d + 1)))
-        y = (self.lift_to(ExtRing(p, 1, ring.modulus)) ** (e - 1)).lift_to(ring)
-        for _ in range(max(ring.prec.bit_length(), 1)):
-            y = y * (2 - self * y)
+        if ring.d == 1:
+            (a,) = self.coords
+            y = ExtElem(ring, (unit_inverse(a, p, ring.prec) if a % p else 0,))
+        else:
+            e = math.lcm(*(p**k - 1 for k in range(1, ring.d + 1)))
+            y = (self.lift_to(ExtRing(p, 1, ring.modulus)) ** (e - 1)).lift_to(ring)
+            for _ in range(max(ring.prec.bit_length(), 1)):
+                y = y * (2 - self * y)
         if self * y != ring.one:
             raise PrecisionError("not a unit in the extension")
         return y

@@ -495,6 +495,93 @@ class TestNewtonOnResidues:
             hensel_zero(ser)
 
 
+def disc_classes():
+    """(p, l, s) of every derivative-ok zero class of an admissible p < 200, then three with
+    s = p at l = 0 (p = 7 and 19: E = 2) and p = 587, l = 98."""
+    out = []
+    for p in primes_upto(200):
+        if p not in EXCLUDED_PRIMES:
+            out += [(p, info.ell, 1) for info in _zero_table(p, prime_context(p).n_period) if info.deriv_ok]
+    return out + [(7, 0, 7), (13, 0, 13), (587, 98, 1)]
+
+
+class TestDiscSeries:
+    """Where beta_1 is a unit, series_coeffs builds g on the disc of its zero: J' + 1
+    coefficients of g(d0 + u), with mu = 1 by the lemma.  The oracle is the expansion at 0,
+    built by the same code without the disc: Hensel, mu and certify run on it must agree."""
+
+    @staticmethod
+    def at_zero(ctx, ell, s):
+        return interpolation._series(ctx, ell, s, None, False)
+
+    @pytest.mark.parametrize("prec", [3, 24, 96])
+    def test_disc_path_agrees_with_the_expansion_at_zero(self, prec):
+        for p, ell, s in disc_classes():
+            ctx = prime_context(p, prec)
+            ser, full = series_coeffs(ctx, ell, s), self.at_zero(ctx, ell, s)
+            assert ser.disc is not None and full.disc is None and "coeffs" not in vars(ser)
+            b0, gammas = ser.disc
+            cut = max(1, interpolation._default_cut(p, ser.log_val + 1, prec - 1))
+            assert len(gammas) == cut + 1 < len(full.coeffs), (p, ell, s, prec)
+            assert (ser.e, ser.log_val, ser.mu) == (full.e, full.log_val, full.mu) == (ser.log_val, ser.log_val, 1)
+            zero, ref = hensel_zero(ser), hensel_zero(full)
+            assert b0 % p == ref.b % p
+            assert (zero.b, zero.residual_vals, zero.digits()) == (ref.b, ref.residual_vals, ref.digits())
+            assert certify(ser) == certify(full), (p, ell, s, prec)
+            assert "coeffs" not in vars(ser)  # neither Newton nor the certificate left the disc
+
+    def test_named_classes(self):
+        # s = p: E = 2 at p = 7, l = 0; p = 19, l = 302 has its zero at first digit 0, so l' = l
+        ser = series_coeffs(prime_context(7, 24), 0, 7)
+        assert (ser.e, ser.log_val) == (2, 2) and ser.disc is not None
+        ser = series_coeffs(prime_context(19, 24), 302)
+        assert ser.disc[0] % 19 == 0 and ser.disc[1] == ser.coeffs[: len(ser.disc[1])]
+
+    @pytest.mark.parametrize("p, ell, s", [(5, 21, 1), (7, 0, 7), (19, 302, 1), (587, 98, 1)])
+    def test_eval_on_and_off_the_disc(self, p, ell, s):
+        ctx = prime_context(p, 24)
+        full = self.at_zero(ctx, ell, s)
+        ser = series_coeffs(ctx, ell, s)
+        d0 = ser.disc[0] % p
+        rng = random.Random(p)
+        on = [d0, d0 + p, d0 - p, ser.disc[0]] + [d0 + p * rng.randrange(p**24) for _ in range(5)]
+        for z in on:
+            assert ser.eval(z) == full.eval(z) and ser.eval_deriv(z) == full.eval_deriv(z), z
+        assert "coeffs" not in vars(ser)
+        off = [z for z in range(-3, 2 * p) if (z - d0) % p] + [rng.randrange(p**30) * p + d0 + 1]
+        for z in off:
+            assert ser.eval(z) == full.eval(z) and ser.eval_deriv(z) == full.eval_deriv(z), z
+        assert vars(ser)["coeffs"] == ser.coeffs == full.coeffs and ser.cut == full.cut
+
+    def test_a_corrupted_disc_powering_raises_under_python_O(self):
+        # T(l' + N) from trib_mod off by one, where l' = 21 + d0*31 is the disc's class; then a
+        # powering of x^21 with a wrong constant coordinate, which moves x^(l') but not T(21)
+        code = (
+            "import tribadic.interpolation as i\n"
+            "from tribadic import PrecisionError, prime_context\n"
+            "assert False, 'not running under -O'\n"
+            "ctx = prime_context(5, 24)\n"
+            "target = 21 + (i.series_coeffs(ctx, 21).disc[0] % 5 + 1) * 31\n"
+            "real_mod, real_pow = i.trib_mod, i._xpow\n"
+            "i.trib_mod = lambda n, m: (real_mod(n, m) + (n == target)) % m\n"
+            "for step in ('trib_mod', 'xpow'):\n"
+            "    try:\n"
+            "        i.series_coeffs(ctx, 21)\n"
+            "        print(step, 'passed')\n"
+            "    except PrecisionError as exc:\n"
+            "        print(step, 'raised:', exc)\n"
+            "    i.trib_mod = real_mod\n"
+            "    i._xpow = lambda n, m: (lambda c: ((c[0] + 1) % m, c[1], c[2]))(real_pow(n, m)) if n == 21 else real_pow(n, m)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert "trib_mod raised: phi(x^l * x^(sN)) disagrees with T(l + sN)" in out.stdout
+        assert "xpow raised:" in out.stdout, out.stdout
+
+
 class TestCayleyHamiltonCheck:
     """series_coeffs checks L^3 = t1 L^2 - t2 L + t3 in the ring, once per memo entry, before it
     runs the recurrence.  Every corruption starts on a cold memo and each test ends on one, so no

@@ -118,6 +118,39 @@ class TestUnitInverse:
             zp(587, 96, 587 * 11).inv()
         assert zp(587, 96, 5).inv().coords == (pow(5, -1, 587**96),)
 
+    @pytest.mark.parametrize("p", [3, 5, 587])
+    @pytest.mark.parametrize("prec", [1, 24, 96])
+    def test_zp_inverse_and_power_are_unit_inverse_and_pow(self, p, prec):
+        # on the d = 1 ring, inv is unit_inverse and ** is builtin pow; a non-unit still raises
+        rng = random.Random(p * prec)
+        pk = p**prec
+        for a in [1, 2, p - 1, p + 1, pk - 1] + [rng.randrange(pk) for _ in range(20)]:
+            if a % p == 0:
+                continue
+            x = zp(p, prec, a)
+            assert x.inv().coords == (padic.unit_inverse(a, p, prec),)
+            for e in (0, 1, 2, p, 10**40 + 7):
+                assert (x**e).coords == (pow(a, e, pk),)
+            assert (x**-3).coords == (pow(a, -3, pk),)
+        for a in (0, p, p * 2, p * (pk - 1)):
+            with pytest.raises(PrecisionError):
+                zp(p, prec, a).inv()
+
+
+class TestValuationAtTwo:
+    """_vp reads nu_2 off the lowest set bit; it must agree with the division loop."""
+
+    @given(st.integers(1, 2**300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop(self, x):
+        for y in (x, -x):
+            assert padic._vp(y, 2) == trial_division_valuation(y, 2)
+
+    def test_powers_of_two_and_their_neighbours(self):
+        for k in range(200):
+            for y in (2**k, -(2**k), 3 * 2**k, -(5 * 2**k), 2**k * (2**70 + 1)):
+                assert padic._vp(y, 2) == trial_division_valuation(y, 2) == k
+
 
 def ring_horner_series(x, coeffs, den, slack):
     """Oracle: sum_n coeffs[n] x^n / den by plain ring Horner, one product per coefficient,
