@@ -2,9 +2,10 @@
 
 T(21) = 121415 = 5 * 24283, so the class n = 21 (mod 31) is divisible by 5
 somewhere p-adically deep.  The interpolant f(z), with f(m) = T(21 + 31m),
-is divided by 5 and expanded as a power series g; Strassman's bound says one
-zero, Hensel's lemma finds it, and the zero turns out to sit exactly over the
-rational point 1/3 -- one of the two twisted rational zeros of the sequence.
+is divided by 5 and expanded as a power series g around the first digit of its
+zero; Strassman's bound says one zero, Hensel's lemma finds it, and the zero
+turns out to sit exactly over the rational point 1/3 -- one of the two twisted
+rational zeros of the sequence.
 """
 
 from tribadic import (
@@ -20,13 +21,16 @@ ctx = prime_context(5, 24)
 print(f"p = 5, N = {ctx.n_period}, T(21) = {trib(21)} = 5 * {trib(21) // 5}")
 
 series = class_series(ctx, 21)  # at 5^24, else at 5^48, else 5^96: here the first
-print("\nf = 5g interpolates the subsequence: f(m) = T(21 + 31m)")
-for m in (0, 1, 2):
+d0 = series.start % 5  # beta_1 is a unit, so g has its one zero in d0 + 5Z_5
+ell1 = 21 + 31 * d0
+print(f"\ng = f/5 has its zero in {d0} + 5Z_5: it is expanded there, as the class l' = 21 + 31*{d0} = {ell1}")
+print(f"f = 5g interpolates the subsequence there: f(m) = T(21 + 31m) for m = {d0} (mod 5)")
+for m in (d0, d0 + 5, d0 - 5):
     got = 5 * series.eval(m) % 5**24
     print(f"  f({m}) mod 5^24 = {got}  == T({21 + 31 * m}) mod 5^24: {got == trib(21 + 31 * m) % 5**24}")
 
-print(f"\ng = f/5: beta_0 = T(21)/5 = {series.coeffs[0]}")
-print(f"coefficient valuations: {[val_int(b, 5) if b else 24 for b in series.coeffs[:9]]} ...")
+print(f"\ng(d0 + u) = sum gamma_k u^k, gamma_0 = T({ell1})/5 = {series.coeffs[0]}")
+print(f"gamma valuations: {[val_int(c, 5) if c else 24 for c in series.coeffs]}")
 print(f"Strassman bound on the number of zeros: mu = {series.mu}")  # computed once, in class_series
 
 record = hensel_zero(series)

@@ -243,15 +243,9 @@ def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
 
     Strassman's mu (computed here, once, and kept on the series), the Hensel zero b and the
     linear certificate are all read off this one series.  Where beta_1 is a unit (every witness
-    class and every holds class), series_coeffs builds it on the disc d0 + pZ_p of g's zero,
-    d0 = -beta_0/beta_1 mod p: there g(d0 + u) is the series of the class l' = l + d0*sN, with
-    the same L = log x^(sN) and e' = e since T(l') = T(l) (mod p^E), and for p | u its terms
-    past J' = _default_cut(p, E + 1, prec - 1), about half of J, vanish mod p^prec, those of g'
-    too.  The lemma: for k >= 2, nu(beta_k) >= (k-1)E - nu_p(k!) >= 1, so with beta_1 a unit,
-    mu = 1 and g' = beta_1 (mod p) on all of Z_p; g's one zero then lies on that disc, and
-    Newton and certify only ever evaluate there.
+    class and every holds class), it is built on the disc of g's zero (SeriesTrunc).
     certify never raises PrecisionError, and neither does hensel_zero on a series whose beta_1 is
-    a unit, by the same lemma: Newton converges within its iteration cap.  So escalation depends
+    a unit, by the disc lemma: Newton converges within its iteration cap.  So escalation depends
     on the series alone, and reading the three off it outside this loop changes no result;
     should one of their defensive raises ever fire, it propagates."""
     for k in range(3):
@@ -269,16 +263,15 @@ def certify(series: SeriesTrunc):
     mu = 1 gives g one zero on Z_p and |g'| = |beta_1| on all of Z_p, so g(z) = 0 (mod p^prec)
     at z = (a - l)/sN for a the first t in Q_T with that z in Z_p, if any; z is only tried where
     its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1).  On
-    a series built on its disc, v = 0 and that digit is the disc's d0, so every z tried is read
-    off the disc's J' + 1 coefficients.
+    a series built on its disc (SeriesTrunc), v = 0 and that digit is d0 = start mod p.
     sN/p^nu(sN) is inverted mod p^prec once; a target's z is formed at full precision only
     after its first digit matches."""
     if series.mu != 1:
         return None
     ctx, ell = series.ctx, series.ell
     p, q, prec = ctx.p, series.s * ctx.n_period, ctx.prec
-    if series.disc is not None:
-        v1, digit = 0, series.disc[0] % p
+    if series.start is not None:
+        v1, digit = 0, series.start % p
     else:
         c0, c1 = series.coeffs[0], series.coeffs[1]
         v1 = _vp(c1, p)  # below prec: beta_1 attains the least valuation, which mu = 1 read off

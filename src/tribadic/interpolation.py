@@ -64,45 +64,38 @@ def _zp_eval(coeffs: list[int], powers: list[int], m: int) -> int:
     return acc
 
 
-class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs disc", defaults=(None,))):
-    """Truncated coefficients beta_0..beta_J (a tuple of residues mod p^prec) of g = f_l / p^e,
-    built with period s*N.
+class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs start", defaults=(None,))):
+    """The truncated series of g = f_l / p^e, built with period s*N: coeffs is a tuple of residues
+    mod p^prec, and start is None or Newton's start b0.
 
     log_val is E = nu_p(log x^(sN)) in Z_p[x]/(P), the minimum over the roots; the tail obeys
-    nu_p(beta_k) >= (k-1)*E - nu_p(k!), which is >= prec for every k > J by the
-    choice of J, so the truncation is certified.  No __slots__: mu, and coeffs where they are
-    built late, are kept in the instance dict.
+    nu_p(beta_k) >= (k-1)*E - nu_p(k!) >= 1 for k >= 2.  Where beta_1 is not a unit, start is
+    None and coeffs are beta_0..beta_J at 0, with J = _default_cut(p, E, prec): the tail bound
+    is >= prec for every k > J, so the truncation is certified on all of Z_p.
 
-    disc is None, or (b0, gammas) for a series series_coeffs built on the disc of its zero.  Where
-    beta_1 is a unit, g has its one zero in d0 + pZ_p, d0 = b0 mod p for b0 = -beta_0/beta_1
-    mod p^prec, Newton's start.  There g(d0 + u) is the series of the class l' = l + d0*sN: the
-    same L = log x^(sN), and T(l') = T(l) (mod p^E), so e' = e.  For p | u its terms past
-    J' = _default_cut(p, E + 1, prec - 1) (at least 1) vanish mod p^prec, those of g' too, and
-    gammas are its J' + 1 coefficients, about half of J + 1.  eval and eval_deriv read them at
-    every z = d0 (mod p); coeffs, and eval off the disc, build the expansion at 0 on first use.
+    The disc lemma.  Where beta_1 is a unit, |g'| = 1 and mu = 1 on Z_p, so g has its one zero
+    in d0 + pZ_p, d0 = b0 mod p for b0 = -beta_0/beta_1 mod p^prec.  There g(d0 + u) is the
+    series of the class l' = l + d0*sN: the same L = log x^(sN), and T(l') = T(l) (mod p^E), so
+    e' = e = E.  For p | u its terms gamma_k u^k past J' = _default_cut(p, E + 1, prec - 1) (at
+    least 1) vanish mod p^prec, and so do those of g' since (k-1)(E+1) - nu_p((k-1)!) >= prec
+    for k > J'.  coeffs are then gamma_0..gamma_J', about half of J + 1, start is b0, and eval,
+    eval_deriv, mu, hensel_zero and certify read g only on that disc.  gamma_0 = 0 (mod p)
+    because p^(e+1) | T(l'), gamma_1 is a unit and gamma_k = 0 (mod p) for k >= 2.
+    No __slots__: mu is kept in the instance dict.
     """
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        if self[5] is not None:
-            return self[5]
-        if "coeffs" not in vars(self):
-            vars(self)["coeffs"] = _series(self.ctx, self.ell, self.s, None, False).coeffs
-        return vars(self)["coeffs"]
 
     @property
     def cut(self) -> int:
         return len(self.coeffs) - 1
 
-    def tail_val_bound(self, k: int) -> int:
-        return (k - 1) * self.log_val - vp_factorial(k, self.ctx.p)
-
     def _at(self, z: int, deriv: bool) -> int:
         p, m = self.ctx.p, self.ctx.p**self.ctx.prec
-        if self.disc is not None and (z - self.disc[0]) % p == 0:
-            z, coeffs = z - self.disc[0] % p, self.disc[1]  # u = z - d0 on the disc
-        else:
-            coeffs = self.coeffs
+        if self.start is not None:
+            d0 = self.start % p
+            if (z - d0) % p:
+                raise ValueError(f"z = {z} is off the disc {d0} + {p}Z_p that the series was built on")
+            z -= d0
+        coeffs = self.coeffs
         if deriv:
             coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
         return _zp_eval(coeffs, _zp_powers(z, len(coeffs), m), m)
@@ -116,19 +109,16 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs disc", d
 
     @cached_property
     def mu(self) -> int:
-        """Strassman's bound: the largest index attaining the maximal |beta_k|, computed once.
+        """Strassman's bound: the largest index attaining the maximal |coefficient|, computed once.
 
         mu = 1 also certifies a linear valuation formula: at any zero in Z_p, the
         recentred series has the same mu, so its linear coefficient dominates.
-        A series built on its disc has mu = 1: beta_1 is a unit and nu(beta_k) >= 1 for k >= 2.
-        Otherwise the certified tail (nu >= prec for k > J) rules the tail out as long as
+        The certified tail (nu >= prec past the cut) rules the tail out as long as
         some computed coefficient is nonzero mod p^prec; if all vanish, precision
         escalation is required and a PrecisionError is raised (and nothing is cached).
-        The least valuation is read from g = gcd(p^prec, beta_0, ..., beta_J) = p^min,
-        and mu is the last k with beta_k nonzero mod p*g.
+        The least valuation is read from g = gcd(p^prec, coeffs) = p^min, and mu is the last k
+        with coefficient k nonzero mod p*g: 1 on every disc, by the disc lemma.
         """
-        if self.disc is not None:
-            return 1
         pk = self.ctx.p ** self.ctx.prec
         g = math.gcd(pk, *self.coeffs)
         if g == pk:
@@ -184,9 +174,9 @@ def _char_poly(a: ExtElem) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=1024)  # bounded; a scan to 780 builds 133 entries, a table after it none
-def _log_data(p: int, prec: int, sn: int, J: int | None):
-    """What series_coeffs shares across the classes of one (p, prec, sN, J):
-    (E, J, top, shared) with E = nu_p(log x^(sN)), J the cut (the default where None) and
+def _log_data(p: int, prec: int, sn: int):
+    """What series_coeffs shares across the classes of one (p, prec, sN):
+    (E, J, top, shared) with E = nu_p(log x^(sN)), J the cut at 0 and
     top = prec + E + nu_p(J!), the exponent of the largest ring any class needs (e <= E).
     shared is (x^(sN), L, L^2, (t1, t2, t3)): the coordinates mod p^top of x^(sN), of
     L = log x^(sN) and of L^2, and L's characteristic polynomial, whose Cayley-Hamilton relation
@@ -196,8 +186,7 @@ def _log_data(p: int, prec: int, sn: int, J: int | None):
     # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
     # product of unramified rings and its coordinate valuation is the minimum over the roots
     log_val = (ExtRing(p, prec, _P).elem(_xpow(sn, p**prec)) - 1).val()
-    if J is None:
-        J = _default_cut(p, log_val, prec)
+    J = _default_cut(p, log_val, prec)
     top = prec + log_val + vp_factorial(J, p)
     if log_val >= prec:
         return log_val, J, top, None
@@ -211,39 +200,34 @@ def _log_data(p: int, prec: int, sn: int, J: int | None):
     return log_val, J, top, (_xpow(sn, ring.pk), log_x.coords, log_x2.coords, (t1, t2, t3))
 
 
-def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1, J: int | None = None) -> SeriesTrunc:
-    """Coefficients of g = f_l / p^e modulo p^prec.
+def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
+    """The SeriesTrunc of g = f_l / p^e modulo p^prec: on the disc of its zero where beta_1 is a
+    unit, else beta_0..beta_J at 0 (see SeriesTrunc).
 
     Requires condition (p | T(l)); the divisor exponent is
     e = min(nu_p(log x^(sN)), nu_p(T(l))), which gives e = 1 in the
     single-period case and reproduces the p = 3, s = 3 exponent e = 2.
     One powering of x^l, mod p^(prec + E + nu_p(J!)) with E = nu_p(log x^(sN)) >= e, gives
     the divisibility test, e, beta_0 and the first term of the series.
-    Coefficient k is s_k / k! with s_k = phi(x^l L^k), L = log x^(sN), computed mod
+    Coefficient k is s_k / k! with s_k = phi(x^n L^k), L = log x^(sN), computed mod
     p^(prec + e + nu_p(J!)) and divided exactly by p^(e + nu_p(k!)); the unit part of J!
     is inverted once and each k!^(-1) read on the way back down.  s_0, s_1 and s_2 are
     read from ring products; after them the Cayley-Hamilton relation
-    L^3 = t1 L^2 - t2 L + t3, checked in the ring once per (p, prec, s), gives the scalar
+    L^3 = t1 L^2 - t2 L + t3, checked in the ring once per (p, prec, sN), gives the scalar
     recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L, its square and t1, t2, t3 come
-    from _log_data, built once per (p, prec, sN, J) and reduced here to this class's ring.
+    from _log_data, built once per (p, prec, sN) and reduced here to this class's ring.
 
-    With J None and beta_1 = s_1 / p^e a unit, the series is built on the disc of its zero
-    (see SeriesTrunc): beta_0, beta_1 and b0 come from the powering of x^l and one ring product,
-    and the J' + 1 coefficients of the class l' from one powering of x^(l') and the same
-    recurrence, that powering checked against trib_mod as x^l's is on the expansion at 0.
-    p^(e+1) | T(l'), which makes d0 the zero's first digit, is checked by a raise too.  The
-    expansion at 0 is then built only when coeffs is read.
+    Where e = E, beta_1 comes from one ring product of x^l.  If it is a unit, b0 and d0 follow,
+    and the J' + 1 coefficients of the class n = l' from one powering of x^(l'), checked against
+    trib_mod as x^l's is on the expansion at 0; p^(e+1) | T(l'), which makes d0 the zero's
+    first digit, is checked by a raise too.  Otherwise n = l and the J + 1 coefficients at 0
+    come from the powering of x^l.
     """
-    return _series(ctx, ell, s, J, J is None)
-
-
-def _series(ctx: PrimeContext, ell: int, s: int, J: int | None, on_disc: bool) -> SeriesTrunc:
-    """series_coeffs, on the disc where on_disc and beta_1 is a unit, else expanded at 0."""
     if s < 1:
         raise ValueError("period multiplier s must be >= 1")
     p, prec = ctx.p, ctx.prec
     sn = s * ctx.n_period
-    log_val, J, top, shared = _log_data(p, prec, sn, J)
+    log_val, J, top, shared = _log_data(p, prec, sn)
     x_ell = _xpow(ell, p**top)
     t_ell = (x_ell[1] + x_ell[2]) % p**top
     if t_ell % p:
@@ -251,7 +235,7 @@ def _series(ctx: PrimeContext, ell: int, s: int, J: int | None, on_disc: bool) -
     if log_val >= prec:
         raise PrecisionError(f"log(x^(sN)) vanishes mod {p}^{prec}")
     e = log_val if t_ell % p**log_val == 0 else _vp(t_ell, p)
-    if on_disc and e == log_val:  # else beta_1 is a multiple of p^(E - e)
+    if e == log_val:  # else beta_1 is a multiple of p^(E - e)
         pe, pk_small = p**e, p**prec
         cut = max(1, _default_cut(p, log_val + 1, prec - 1))
         ring = _ClassRing(p, prec + e + vp_factorial(cut, p), shared)
@@ -266,8 +250,7 @@ def _series(ctx: PrimeContext, ell: int, s: int, J: int | None, on_disc: bool) -
             term = ring.elem(_xpow(ell + d0 * sn, ring.pk))
             if _phi(term) % (pe * p):
                 raise PrecisionError(f"p^(e+1) does not divide T(l + {d0}*sN): {d0} is not the zero's digit")
-            gammas = ring.coeffs(term, ell + d0 * sn, sn, e, cut, prec)
-            return SeriesTrunc(ctx, ell, s, e, log_val, None, (b0, gammas))
+            return SeriesTrunc(ctx, ell, s, e, log_val, ring.coeffs(term, ell + d0 * sn, sn, e, cut, prec), b0)
     ring = _ClassRing(p, top - log_val + e, shared)  # below top only where e < E
     return SeriesTrunc(ctx, ell, s, e, log_val, ring.coeffs(ring.elem(x_ell), ell, sn, e, J, prec))
 
@@ -318,31 +301,25 @@ class _ClassRing(ExtRing):
 
 
 def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
-    """The zero of g certified by Hensel's lemma, via Newton iteration.
+    """The zero of g certified by Hensel's lemma, via Newton iteration on the disc of the zero.
 
-    Requires beta_1 to be a unit (condition T(l+N) != T(l) mod p^2); the start
-    b_0 = -beta_0 beta_1^(-1) then satisfies |g(b_0)| < 1, |g'(b_0)| = 1.  Each step is
-    b - g(b) / g'(b) mod p^prec on plain residues, the coefficient lists of g and g' built
-    once.  On a series built on its disc, every iterate has b_0's first digit d0, and g and g'
-    are read at u = b - d0 from the disc's J' + 1 coefficients, certified there mod p^prec: the
-    iterates are the same numbers as on the expansion at 0.  The powers that _zp_eval reads
+    Requires beta_1 to be a unit (condition T(l+N) != T(l) mod p^2), which is where
+    series_coeffs builds the disc and its start b0: |g(b0)| < 1, |g'| = 1 (see SeriesTrunc).
+    Each step is b - g(b) / g'(b) mod p^prec on plain residues, g and g' read at u = b - d0
+    from the disc's coefficient lists, built once.  The powers that _zp_eval reads
     are computed once per step and serve g' too.  With g(b) = 0 (mod p^r) the quotient needs
     g'(b) only mod p^(prec - r), so g' is evaluated and inverted there, and a g'(b) divisible
     by p stops the iteration.  Every step runs at full precision: the residual valuations it
     reports are those of the exact iterates.
     """
+    if series.start is None:
+        raise ConditionNotMet(
+            "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
+        )
     p, prec = series.ctx.p, series.ctx.prec
     pk = p**prec
-    if series.disc is not None:
-        b, values = series.disc
-        centre = b % p
-    else:
-        values, centre = series.coeffs, 0
-        if values[1] % p == 0:
-            raise ConditionNotMet(
-                "derivative", f"g'(0) = 0 mod p at l = {series.ell}: T(l+N) = T(l) (mod p^2)"
-            )
-        b = -values[0] * unit_inverse(values[1], p, prec) % pk
+    b, values = series.start, series.coeffs
+    centre = b % p
     slopes = [k * values[k] for k in range(1, len(values))]
     residuals = []
     for _ in range(4 * prec.bit_length() + 8):

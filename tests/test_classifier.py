@@ -472,13 +472,22 @@ class TestDeriveLinearFormula:
 
     def test_only_the_target_the_zero_sits_over_vanishes(self, ctx269):
         # l = 179 sits over 1/3; g is a unit multiple of z - b on Z_p, so it is nonzero mod
-        # p^prec at (t - l)/N for every other t in Q_T
+        # p^prec at (t - l)/N for every other t in Q_T.  The series reads g on the disc of b only;
+        # off it, g(z) = T(l + N*z)/p at the integer z < p^prec is a unit
         series = series_coeffs(ctx269, 179)
         assert certify(series).a == Fraction(1, 3)
         pk = 269**24
+        on_disc = 0
         for t in map(Fraction, QT):
-            z = (t.numerator - 179 * t.denominator) * pow(268 * t.denominator, -1, pk)
-            assert (series.eval(z) == 0) == (t == Fraction(1, 3))
+            z = (t.numerator - 179 * t.denominator) * pow(268 * t.denominator, -1, pk) % pk
+            if (z - series.start) % 269 == 0:
+                on_disc += 1
+                assert (series.eval(z) == 0) == (t == Fraction(1, 3))
+            else:
+                with pytest.raises(ValueError):
+                    series.eval(z)
+                assert trib_mod(179 + 268 * z, 269**2) != 0
+        assert on_disc >= 1
 
     def test_low_precision_certificates_match_precision_24(self):
         # a target matched on too few digits is not a certificate: (a, kappa, Q) at precision 3 is
@@ -508,7 +517,7 @@ class TestDeriveLinearFormula:
         assert cert is not None and (cert.a, cert.kappa) == (-4, 4)
 
 def taylor_shift(betas, b, pk):
-    """Reference recentring: gamma_k = sum_j C(j, k) beta_j b^(j-k) mod pk, the O(J^2) Taylor shift."""
+    """Reference recentring by b: sum_j C(j, k) beta_j b^(j-k) mod pk, the O(J^2) Taylor shift."""
     pows = [1]
     for _ in range(len(betas) - 1):
         pows.append(pows[-1] * b % pk)
@@ -523,7 +532,7 @@ def centred_series(ctx, ell, s):
     q = s * ctx.n_period
     out = []
     series = series_coeffs(ctx, ell, s)
-    if series.coeffs[1] % ctx.p:  # beta_1 is a unit: the Hensel zero exists
+    if series.start is not None:  # beta_1 is a unit: the Hensel zero exists
         out.append((series, hensel_zero(series).b))
     a = next((t for t in ZT if (ell - t) % q == 0), None)
     if a is not None:
@@ -534,7 +543,7 @@ def centred_series(ctx, ell, s):
 
 class TestStrassmanDominance:
     """The linear certificate reads dominance of gamma_1 from series.mu on the series as it
-    is centred; the Taylor shift to the zero is the oracle."""
+    is centred (at 0, or at d0 on a disc); the Taylor shift to the zero is the oracle."""
 
     CLASSES = [(p, info.ell, 1) for p in (5, 83, 269, 397, 401)
                for info in _zero_table(p, prime_context(p, 3).n_period)] + [(3, 22, 3), (3, 35, 3)]
@@ -547,7 +556,8 @@ class TestStrassmanDominance:
             pairs = centred_series(ctx, ell, s)
             assert pairs, f"no certified zero at p = {p}, l = {ell}, s = {s}"
             for series, zero in pairs:
-                gammas = taylor_shift(series.coeffs, zero, p**prec)
+                centre = 0 if series.start is None else series.start % p
+                gammas = taylor_shift(series.coeffs, zero - centre, p**prec)
                 assert gammas[0] == 0 and series.eval(zero) == 0
                 v1 = known_val(gammas[1], p, prec)
                 assert gammas[1] == series.eval_deriv(zero) and v1 < prec

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribadic
@@ -23,7 +24,7 @@ from tribadic import (
     trib_mod,
     trib_val,
 )
-from tribadic.classifier import _zero_table, certify, class_series
+from tribadic.classifier import QT, _zero_table, certify, class_series
 from tribadic.interpolation import SeriesTrunc
 from tribadic.padic import ExtRing, _vp, vp_factorial
 from tribadic.tribonacci import _xpow
@@ -43,10 +44,14 @@ def eval_f(ctx, ell, z):
 
 class TestSeriesCoeffs:
     def test_beta0_is_t21_over_5(self, ctx5):
+        # beta_0 = T(21)/5 gives Newton's start b0 = -beta_0/beta_1, here with d0 = 1: the series
+        # is built at l' = 21 + 31 = 52, so gamma_0 = T(52)/5
         assert trib(21) == 121415
         ser = series_coeffs(ctx5, 21)
         assert ser.e == 1
-        assert ser.coeffs[0] == 121415 // 5 % 5**24
+        beta_1 = series_oracle(ctx5, 21, 1, 1, 1)[1]
+        assert (ser.start * beta_1 + 121415 // 5) % 5**24 == 0 and ser.start % 5 == 1
+        assert ser.coeffs[0] == trib(52) // 5 % 5**24
 
     def test_condition_46_enforced(self, ctx5):
         with pytest.raises(ConditionNotMet) as err:
@@ -84,22 +89,23 @@ class TestSeriesCoeffs:
                 assert beta % p == 0
 
     def test_tail_bound_certified(self, ctx5):
+        # on the disc, gamma_k u^k and the terms of g' vanish mod p^prec for p | u and every k > J':
+        # (k-1)(E+1) - nu_p((k-1)!) >= prec; at 0 (p = 3, l = 0), (k-1)E - nu_p(k!) >= prec for k > J
         ser = series_coeffs(ctx5, 21)
+        assert ser.start is not None
         for k in range(ser.cut + 1, ser.cut + 20):
-            assert ser.tail_val_bound(k) >= ctx5.prec
-
-    def test_explicit_cut_override(self, ctx5):
-        short = series_coeffs(ctx5, 21, J=8)
-        full = series_coeffs(ctx5, 21)
-        assert short.cut == 8
-        assert short.coeffs == full.coeffs[:9]
+            assert (k - 1) * (ser.log_val + 1) - vp_factorial(k - 1, 5) >= ctx5.prec
+        ser = series_coeffs(prime_context(3, 24), 0)
+        assert ser.start is None
+        for k in range(ser.cut + 1, ser.cut + 20):
+            assert (k - 1) * ser.log_val - vp_factorial(k, 3) >= 24
 
     def test_series_reproduces_function(self, ctx5):
-        # p * sum beta_k z^k = f_l(z) for random z
+        # p * sum gamma_k (z - d0)^k = f_l(z) for random z on the disc
         ser = series_coeffs(ctx5, 21)
         rng = random.Random(2)
         for _ in range(10):
-            z = rng.randrange(5**24)
+            z = ser.start % 5 + 5 * rng.randrange(5**23)
             assert 5 * ser.eval(z) % 5**24 == eval_f(ctx5, 21, z)
 
     def test_beta1_matches_divided_difference(self):
@@ -116,13 +122,14 @@ class TestSeriesCoeffs:
 
     def test_derivative_congruent_to_beta1_by_finite_difference(self, ctx5):
         ser = series_coeffs(ctx5, 21)
+        beta_1 = series_oracle(ctx5, 21, 1, 1, 1)[1]
         rng = random.Random(7)
         h_exp = 12
         h = 5**h_exp
         for _ in range(8):
-            z = rng.randrange(5**24)
+            z = ser.start % 5 + 5 * rng.randrange(5**23)
             quotient_residue = ((ser.eval(z + h) - ser.eval(z)) % 5**24 // 5**h_exp) % 5
-            assert quotient_residue == ser.coeffs[1] % 5
+            assert quotient_residue == beta_1 % 5
 
 
 class TestEvalF:
@@ -198,8 +205,8 @@ class TestBinetOracle:
         assert {prime_context(p, 3).d for p, _, _ in self.CLASSES} == {1, 2, 3}
         for p, ell, s in self.CLASSES:
             ser = series_coeffs(prime_context(p, prec), ell, s)
-            expected = binet_series(p, prec, ell, s, ser.e, ser.cut)
-            assert list(ser.coeffs) == expected, (p, ell, s)
+            n, cut = built_at(ser)
+            assert list(ser.coeffs) == binet_series(p, prec, n, s, ser.e, cut), (p, ell, s)
 
     @pytest.mark.parametrize("prec", [3, 24, 96])
     def test_eval_f_matches_binet_sum(self, prec):
@@ -215,23 +222,33 @@ ADMISSIBLE = [p for p in primes_upto(200) if p not in EXCLUDED_PRIMES]
 
 
 @given(st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.integers(3, 40))
+@example(3, 0, 1, 24)  # l = 0 of p = 3: beta_1 is no unit, so the series is expanded at 0
 @settings(max_examples=60, deadline=None)
 def test_series_matches_the_integers_it_interpolates(p, pick, s, prec):
-    # integer-only oracle: g(m) = T(l + m*sN) / p^e (mod p^prec) for integer m
+    # integer-only oracle: g(m) = T(l + m*sN) / p^e (mod p^prec) for integer m, at every
+    # m in [-40, 40] at 0 and at m in d0 + p*[-40, 40] on a disc
     ctx = prime_context(p, prec)
     zeros = [info.ell for info in _zero_table(p, ctx.n_period)]
     ell = zeros[pick % len(zeros)]
     ser = series_coeffs(ctx, ell, s)
+    ms = range(-40, 41) if ser.start is None else [ser.start % p + p * j for j in range(-40, 41)]
     pe = p**ser.e
-    for m in range(-40, 41):
+    for m in ms:
         t = trib_mod(ell + m * s * ctx.n_period, pe * p**prec)
         assert t % pe == 0 and ser.eval(m) == t // pe, (p, ell, s, prec, m)
 
 
-def _ring_horner(ser, z, deriv):
+def at_zero_oracle(ser):
+    """beta_0..beta_J of ser's class at 0 from series_oracle, J = _default_cut(p, E, prec): the
+    expansion certified on all of Z_p, whatever ser holds."""
+    ctx = ser.ctx
+    return series_oracle(ctx, ser.ell, ser.s, ser.e, interpolation._default_cut(ctx.p, ser.log_val, ctx.prec))
+
+
+def _ring_horner(coeffs, z, p, prec, deriv):
     # oracle: Horner in the d = 1 ring Z/p^prec, one ring product per coefficient
-    ring = ExtRing(ser.ctx.p, ser.ctx.prec, (0, 1))
-    terms = [k * ser.coeffs[k] for k in range(1, ser.cut + 1)] if deriv else list(ser.coeffs)
+    ring = ExtRing(p, prec, (0, 1))
+    terms = [k * coeffs[k] for k in range(1, len(coeffs))] if deriv else list(coeffs)
     acc, z = ring.zero, ring.embed(z)
     for beta in reversed(terms):
         acc = acc * z + beta
@@ -241,12 +258,16 @@ def _ring_horner(ser, z, deriv):
 @given(st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.integers(3, 40), st.integers(-(10**90), 10**90))
 @settings(max_examples=60, deadline=None)
 def test_residue_horner_matches_a_padic_oracle(p, pick, prec, z):
-    # an int z of any size and sign, read at the series precision
+    # an int z of any size and sign, moved onto the series' disc and read at the series
+    # precision; the oracle is Horner over the expansion at 0
     ctx = prime_context(p, prec)
     zeros = [info.ell for info in _zero_table(p, ctx.n_period)]
     ser = series_coeffs(ctx, zeros[pick % len(zeros)])
-    assert ser.eval(z) == _ring_horner(ser, z, False).coords[0]
-    assert ser.eval_deriv(z) == _ring_horner(ser, z, True).coords[0]
+    if ser.start is not None:
+        z -= (z - ser.start) % p
+    betas = at_zero_oracle(ser)
+    assert ser.eval(z) == _ring_horner(betas, z, p, prec, False).coords[0]
+    assert ser.eval_deriv(z) == _ring_horner(betas, z, p, prec, True).coords[0]
 
 
 def _plain_horner(coeffs, z, m):
@@ -296,25 +317,55 @@ class TestZpEval:
         assert interpolation._zp_eval([], interpolation._zp_powers(7, 0, 125), 125) == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _log_oracle(p, ring_prec, sn):
+    ring = ExtRing(p, ring_prec, _P)
+    return log_series_oracle(ring.elem(_xpow(sn, ring.pk)))
+
+
 def series_oracle(ctx, ell, s, e, J):
-    """beta_0..beta_J residues, one coefficient at a time: log x^(sN) summed directly, and the
-    unit part of k! inverted by pow for every k."""
+    """beta_0..beta_J residues, one coefficient at a time: log x^(sN) summed directly (and kept
+    per ring), and the inverse of k!'s unit part built up from pow's inverse of k's."""
     p, prec = ctx.p, ctx.prec
     pk = p**prec
-    ring = ExtRing(p, prec + e + vp_factorial(J, p), _P)
-    log_x = log_series_oracle(ring.elem(_xpow(s * ctx.n_period, ring.pk)))
+    log_x = _log_oracle(p, prec + e + vp_factorial(J, p), s * ctx.n_period)
+    ring = log_x.ring
     term = ring.elem(_xpow(ell, ring.pk))
     out = [trib_mod(ell, p ** (prec + e)) // p**e]
-    fact_unit, vfac = 1, 0
+    fact_inv, vfac = 1, 0
     for k in range(1, J + 1):
         term = term * log_x
         w = _vp(k, p)
         vfac += w
-        fact_unit = fact_unit * (k // p**w) % pk
+        fact_inv = fact_inv * pow(k // p**w, -1, pk) % pk
         phi = (term.coords[1] + term.coords[2]) % ring.pk
         assert phi % p ** (e + vfac) == 0
-        out.append(phi // p ** (e + vfac) * pow(fact_unit, -1, pk) % pk)
+        out.append(phi // p ** (e + vfac) * fact_inv % pk)
     return out
+
+
+def built_at(ser):
+    """(n, J) of what series_coeffs built.  Where beta_1, read off series_oracle, is a unit, n is
+    the disc's class l' = l + d0*sN, with d0 = b0 mod p for Newton's start b0 = -beta_0/beta_1,
+    and J' = max(1, _default_cut(p, E + 1, prec - 1)); else n = l and J = _default_cut(p, E, prec).
+    The series' start must be that b0, or None."""
+    ctx = ser.ctx
+    p, prec = ctx.p, ctx.prec
+    pk = p**prec
+    beta_0, beta_1 = series_oracle(ctx, ser.ell, ser.s, ser.e, 1)
+    if beta_1 % p == 0:
+        assert ser.start is None
+        return ser.ell, interpolation._default_cut(p, ser.log_val, prec)
+    b0 = -beta_0 * pow(beta_1, -1, pk) % pk
+    assert ser.start == b0
+    return ser.ell + b0 % p * ser.s * ctx.n_period, max(1, interpolation._default_cut(p, ser.log_val + 1, prec - 1))
+
+
+def built_oracle(ser):
+    """series_oracle of the terms series_coeffs built (built_at), at the series' own cut."""
+    n, cut = built_at(ser)
+    assert ser.cut == cut
+    return series_oracle(ser.ctx, n, ser.s, ser.e, cut)
 
 
 def mu_oracle(residues, p, prec):
@@ -334,7 +385,7 @@ class TestSeriesAgainstReference:
         ctx = prime_context(p, prec)
         ser = series_coeffs(ctx, ell, s)
         residues = list(ser.coeffs)
-        assert residues == series_oracle(ctx, ell, s, ser.e, ser.cut)
+        assert residues == built_oracle(ser)
         mu = mu_oracle(residues, p, prec)
         if mu is None:
             with pytest.raises(PrecisionError):
@@ -442,30 +493,36 @@ KERNEL_CLASSES.update({(p, 1): [info.ell for info in _zero_table(p, prime_contex
 @given(pick=st.integers(0, 10**6))
 @settings(max_examples=4, deadline=None)
 def test_recurrence_series_matches_repeated_ring_products(p, s, prec, pick):
-    # series_coeffs reads s_k = phi(x^l L^k) off the Cayley-Hamilton recurrence of L = log x^(sN);
-    # the oracle multiplies x^l by L once per coefficient in ExtRing, with L summed directly and
+    # series_coeffs reads s_k = phi(x^n L^k) off the Cayley-Hamilton recurrence of L = log x^(sN);
+    # the oracle multiplies x^n by L once per coefficient in ExtRing, with L summed directly and
     # e = min(nu_p(L), nu_p(T(l))) found without the program's series code
     ells = KERNEL_CLASSES[p, s]
     ell = ells[pick % len(ells)]
     ctx = prime_context(p, prec)
-    ser = series_coeffs(ctx, ell, s, J=8)
+    ser = series_coeffs(ctx, ell, s)
     log_val = log_series_oracle(ExtRing(p, prec, _P).elem(_xpow(s * ctx.n_period, p**prec))).val()
     assert ser.e == min(log_val, trib_val(ell, p))
-    assert list(ser.coeffs) == series_oracle(ctx, ell, s, ser.e, 8)
+    assert list(ser.coeffs) == built_oracle(ser)
 
 
 def _ring_newton(ser):
-    """Oracle: hensel_zero's iterates in the d = 1 ring Z/p^prec, g'(b) read and inverted mod p^prec."""
-    ring = ExtRing(ser.ctx.p, ser.ctx.prec, (0, 1))
-    b = -(ring.embed(ser.coeffs[0]) * ring.embed(ser.coeffs[1]).inv())
+    """Oracle: hensel_zero's iterates in the d = 1 ring Z/p^prec on the expansion at 0 of
+    at_zero_oracle, from -beta_0/beta_1: g(b) and g'(b) read by _plain_horner mod p^prec, and
+    g'(b) inverted in the ring."""
+    p, prec = ser.ctx.p, ser.ctx.prec
+    pk = p**prec
+    betas = at_zero_oracle(ser)
+    slopes = [k * betas[k] for k in range(1, len(betas))]
+    ring = ExtRing(p, prec, (0, 1))
+    b = -(ring.embed(betas[0]) * ring.embed(betas[1]).inv())
     vals = []
     for _ in range(100):
         (z,) = b.coords
-        g = _ring_horner(ser, z, False)
+        g = ring.embed(_plain_horner(betas, z, pk))
         vals.append(g.val())
-        if vals[-1] >= ser.ctx.prec:
+        if vals[-1] >= prec:
             return z, vals
-        b = b - g * _ring_horner(ser, z, True).inv()
+        b = b - g * ring.embed(_plain_horner(slopes, z, pk)).inv()
     raise AssertionError("the ring Newton did not converge")
 
 
@@ -477,7 +534,7 @@ class TestNewtonOnResidues:
         checked = 0
         for info in _zero_table(p, ctx.n_period):
             ser = series_coeffs(ctx, info.ell)
-            if ser.coeffs[1] % p == 0:
+            if ser.start is None:
                 continue
             rec = hensel_zero(ser)
             assert (rec.b, list(rec.residual_vals)) == _ring_newton(ser), (p, info.ell)
@@ -489,8 +546,9 @@ class TestNewtonOnResidues:
         assert rec.residual_vals == (1, 3, 7, 15, 31, 63, 96)
 
     def test_vanishing_derivative_at_an_iterate_raises(self, ctx5):
-        # g = -1 + z + 2z^2 over Z_5: b_0 = 1 and g'(1) = 5, so the first step has no unit to divide by
-        ser = SeriesTrunc(ctx5, 21, 1, 1, 1, tuple(c % 5**24 for c in (-1, 1, 2)))
+        # g = -1 + z + 2z^2 over Z_5, on the disc of b_0 = 1: g(1 + u) = 2 + 5u + 2u^2, and
+        # g'(1) = 5, so the first step has no unit to divide by
+        ser = SeriesTrunc(ctx5, 21, 1, 1, 1, tuple(c % 5**24 for c in (2, 5, 2)), 1)
         with pytest.raises(PrecisionError):
             hensel_zero(ser)
 
@@ -505,53 +563,65 @@ def disc_classes():
     return out + [(7, 0, 7), (13, 0, 13), (587, 98, 1)]
 
 
+def certificate_oracle(ser, b):
+    """The first t in Q_T with z = (t - l)/sN in Z_p and z = b (mod p^prec), b the zero: where
+    g is a unit multiple of z - b, the target certify must find, or None."""
+    p, prec = ser.ctx.p, ser.ctx.prec
+    q = ser.s * ser.ctx.n_period
+    vq = _vp(q, p)
+    for t in QT:
+        num, den = t.as_integer_ratio()
+        diff = num - ser.ell * den
+        if den % p and diff % p**vq == 0:
+            if diff // p**vq * pow(q // p**vq * den, -1, p**prec) % p**prec == b:
+                return t
+    return None
+
+
 class TestDiscSeries:
     """Where beta_1 is a unit, series_coeffs builds g on the disc of its zero: J' + 1
-    coefficients of g(d0 + u), with mu = 1 by the lemma.  The oracle is the expansion at 0,
-    built by the same code without the disc: Hensel, mu and certify run on it must agree."""
-
-    @staticmethod
-    def at_zero(ctx, ell, s):
-        return interpolation._series(ctx, ell, s, None, False)
+    coefficients of g(d0 + u), with mu = 1 by the disc lemma.  The oracles hold the expansion at 0:
+    series_oracle, _ring_newton on it, mu_oracle, and the targets the oracle zero sits over."""
 
     @pytest.mark.parametrize("prec", [3, 24, 96])
     def test_disc_path_agrees_with_the_expansion_at_zero(self, prec):
         for p, ell, s in disc_classes():
             ctx = prime_context(p, prec)
-            ser, full = series_coeffs(ctx, ell, s), self.at_zero(ctx, ell, s)
-            assert ser.disc is not None and full.disc is None and "coeffs" not in vars(ser)
-            b0, gammas = ser.disc
-            cut = max(1, interpolation._default_cut(p, ser.log_val + 1, prec - 1))
-            assert len(gammas) == cut + 1 < len(full.coeffs), (p, ell, s, prec)
-            assert (ser.e, ser.log_val, ser.mu) == (full.e, full.log_val, full.mu) == (ser.log_val, ser.log_val, 1)
-            zero, ref = hensel_zero(ser), hensel_zero(full)
-            assert b0 % p == ref.b % p
-            assert (zero.b, zero.residual_vals, zero.digits()) == (ref.b, ref.residual_vals, ref.digits())
-            assert certify(ser) == certify(full), (p, ell, s, prec)
-            assert "coeffs" not in vars(ser)  # neither Newton nor the certificate left the disc
+            ser = series_coeffs(ctx, ell, s)
+            assert ser.start is not None and list(ser.coeffs) == built_oracle(ser), (p, ell, s, prec)
+            assert ser.cut < interpolation._default_cut(p, ser.log_val, prec), (p, ell, s, prec)
+            assert (ser.e, ser.mu, mu_oracle(ser.coeffs, p, prec)) == (ser.log_val, 1, 1)
+            zero = hensel_zero(ser)
+            assert (zero.b, list(zero.residual_vals)) == _ring_newton(ser), (p, ell, s, prec)
+            cert = certify(ser)
+            assert (cert and cert.a) == certificate_oracle(ser, zero.b), (p, ell, s, prec)
 
     def test_named_classes(self):
         # s = p: E = 2 at p = 7, l = 0; p = 19, l = 302 has its zero at first digit 0, so l' = l
         ser = series_coeffs(prime_context(7, 24), 0, 7)
-        assert (ser.e, ser.log_val) == (2, 2) and ser.disc is not None
-        ser = series_coeffs(prime_context(19, 24), 302)
-        assert ser.disc[0] % 19 == 0 and ser.disc[1] == ser.coeffs[: len(ser.disc[1])]
+        assert (ser.e, ser.log_val) == (2, 2) and ser.start is not None
+        ctx = prime_context(19, 24)
+        ser = series_coeffs(ctx, 302)
+        assert ser.start % 19 == 0 and list(ser.coeffs) == series_oracle(ctx, 302, 1, ser.e, ser.cut)
 
     @pytest.mark.parametrize("p, ell, s", [(5, 21, 1), (7, 0, 7), (19, 302, 1), (587, 98, 1)])
     def test_eval_on_and_off_the_disc(self, p, ell, s):
+        # on the disc, eval and eval_deriv agree with Horner over the expansion at 0; off it, both
+        # raise ValueError rather than read the disc's coefficients where they are not certified
         ctx = prime_context(p, 24)
-        full = self.at_zero(ctx, ell, s)
         ser = series_coeffs(ctx, ell, s)
-        d0 = ser.disc[0] % p
+        betas = at_zero_oracle(ser)
+        d0 = ser.start % p
         rng = random.Random(p)
-        on = [d0, d0 + p, d0 - p, ser.disc[0]] + [d0 + p * rng.randrange(p**24) for _ in range(5)]
+        on = [d0, d0 + p, d0 - p, ser.start] + [d0 + p * rng.randrange(p**24) for _ in range(5)]
         for z in on:
-            assert ser.eval(z) == full.eval(z) and ser.eval_deriv(z) == full.eval_deriv(z), z
-        assert "coeffs" not in vars(ser)
+            assert ser.eval(z) == _ring_horner(betas, z, p, 24, False).coords[0], z
+            assert ser.eval_deriv(z) == _ring_horner(betas, z, p, 24, True).coords[0], z
         off = [z for z in range(-3, 2 * p) if (z - d0) % p] + [rng.randrange(p**30) * p + d0 + 1]
         for z in off:
-            assert ser.eval(z) == full.eval(z) and ser.eval_deriv(z) == full.eval_deriv(z), z
-        assert vars(ser)["coeffs"] == ser.coeffs == full.coeffs and ser.cut == full.cut
+            for read in (ser.eval, ser.eval_deriv):
+                with pytest.raises(ValueError, match="off the disc"):
+                    read(z)
 
     def test_a_corrupted_disc_powering_raises_under_python_O(self):
         # T(l' + N) from trib_mod off by one, where l' = 21 + d0*31 is the disc's class; then a
@@ -561,7 +631,7 @@ class TestDiscSeries:
             "from tribadic import PrecisionError, prime_context\n"
             "assert False, 'not running under -O'\n"
             "ctx = prime_context(5, 24)\n"
-            "target = 21 + (i.series_coeffs(ctx, 21).disc[0] % 5 + 1) * 31\n"
+            "target = 21 + (i.series_coeffs(ctx, 21).start % 5 + 1) * 31\n"
             "real_mod, real_pow = i.trib_mod, i._xpow\n"
             "i.trib_mod = lambda n, m: (real_mod(n, m) + (n == target)) % m\n"
             "for step in ('trib_mod', 'xpow'):\n"
@@ -646,7 +716,7 @@ class TestCayleyHamiltonCheck:
 
 class TestLogMemo:
     """series_coeffs reads L = log x^(sN), x^(sN) and t1, t2, t3 from one memo entry per
-    (p, prec, sN, J), built mod the largest ring any class needs.  A series must not depend on
+    (p, prec, sN), built mod the largest ring any class needs.  A series must not depend on
     whether its class built that entry (cold) or another class did (warm)."""
 
     @pytest.fixture(autouse=True)
@@ -655,14 +725,14 @@ class TestLogMemo:
         interpolation._log_data.cache_clear()
 
     @staticmethod
-    def cold_and_warm(ctx, ell, s, J, warmers):
+    def cold_and_warm(ctx, ell, s, warmers):
         interpolation._log_data.cache_clear()
-        cold = series_coeffs(ctx, ell, s, J)
+        cold = series_coeffs(ctx, ell, s)
         interpolation._log_data.cache_clear()
         for other in warmers:
-            series_coeffs(ctx, other, s, J)
+            series_coeffs(ctx, other, s)
         hits = interpolation._log_data.cache_info().hits
-        warm = series_coeffs(ctx, ell, s, J)
+        warm = series_coeffs(ctx, ell, s)
         assert interpolation._log_data.cache_info().hits == hits + 1
         return cold, warm
 
@@ -685,15 +755,10 @@ class TestLogMemo:
         # p = 3, s = 3, l = 7 has e = 1 < E = 2, and s = 9, l = 7 has e = 1 < E = 3: their
         # rings sit below the entry's; l = 22 with s = 9 has e = E = 3 (E >= prec at precision 3)
         ctx = prime_context(3, prec)
-        cold, warm = self.cold_and_warm(ctx, ell, s, None, warmers)
+        cold, warm = self.cold_and_warm(ctx, ell, s, warmers)
         assert cold == warm
         assert (cold.e, cold.log_val) == ((3, 3) if ell == 22 else (1, {3: 2, 9: 3}[s]))
-        assert list(cold.coeffs) == series_oracle(ctx, ell, s, cold.e, cold.cut)
-
-    @pytest.mark.parametrize("J", [None, 8])
-    def test_explicit_cut_has_its_own_entry(self, ctx5, J):
-        cold, warm = self.cold_and_warm(ctx5, 21, 1, J, [0])
-        assert cold == warm and cold.cut == (8 if J else series_coeffs(ctx5, 21).cut)
+        assert list(cold.coeffs) == built_oracle(cold)
 
     @pytest.mark.parametrize("prec", [3, 24, 96])
     @pytest.mark.parametrize("p", [5, 83, 269, 587])
@@ -701,7 +766,7 @@ class TestLogMemo:
         ctx = prime_context(p, prec)
         ells = [info.ell for info in _zero_table(p, ctx.n_period)][:6]
         for i, ell in enumerate(ells):
-            cold, warm = self.cold_and_warm(ctx, ell, 1, None, ells[:i] + ells[i + 1:])
+            cold, warm = self.cold_and_warm(ctx, ell, 1, ells[:i] + ells[i + 1:])
             assert cold == warm, (p, prec, ell)
 
 
