@@ -1,40 +1,58 @@
-"""A tour of the fixed-precision p-adic toolkit.
+"""The ring every verdict is computed in.
 
-Values live in Z_p modulo p^K (default K = 24), which is the d = 1 ring
-ExtRing(p, K, (0, 1)): the same ring type that holds Z_p[x]/(P).  Each value
-reads its certified valuation off its residue, and exp / log / cube roots
-come with the ultrametric guarantees that the rest of the package leans on.
+R = Z_p[x]/(P), P = x^3 - x^2 - x - 1, held modulo p^K as ExtRing(p, K): an element is
+three residues mod p^K, its coordinates w.r.t. 1, x, x^2, and x^3 = 1 + x + x^2.  x acts as
+the companion matrix of the recurrence, so T(n) = phi(x^n) with phi(a + bx + cx^2) = b + c.
+x^N = 1 (mod p) for the period N of T mod p, so log x^N is defined, and its valuation
+E = nu_p(log x^N) is the exponent the interpolation divides by.  val() reads the valuation an
+element certifies off its residues: the least over the coordinates, K if all vanish.
 """
 
-from tribadic import ExtRing, cube_root, val_int
+from tribadic import ExtRing, prime_context, trib, val_int
 
-p, K = 7, 12
-Zp = ExtRing(p, K, (0, 1))
 
-print(f"Working in Z_{p} at precision {p}^{K}\n")
+def xpow(ring, n):
+    """x^n in ring by square-and-multiply; x^-1 = x^2 - x - 1, since x(x^2 - x - 1) = 1 in R."""
+    x = ring.gen
+    base = x * x - x - 1 if n < 0 else x
+    out = ring.one
+    for bit in bin(abs(n))[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
 
-x = Zp.embed(3 * 7**2)
-print(f"x = 3*7^2 as a residue: {x.coords[0]}, certified valuation nu_7(x) = {x.val()}")
-print(f"val_int(24, 2) = {val_int(24, 2)}   (24 = 2^3 * 3)")
 
-u = Zp.embed(5)
-v = u.inv()
-print(f"\n5^-1 mod 7^{K} = {v.coords[0]};  check 5 * inv = {(u * v).coords[0]}")
+p, K = 5, 12
+R = ExtRing(p, K)
+x = R.gen
+print(f"R = Z_{p}[x]/(P) mod {p}^{K}:  x^3 == 1 + x + x^2: {x * x * x == 1 + x + x * x}")
 
-# exp and log are mutually inverse between pZ_p and 1 + pZ_p
-z = Zp.embed(7 * 123456)
-e = z.exp()
-print(f"\nexp(z) for z = 7*123456: residue {e.coords[0]}")
-print(f"  nu(exp(z) - 1) = {(e - 1).val()} = nu(z) = {z.val()}")
-print(f"  log(exp(z)) == z: {e.log() == z}")
 
-w = Zp.embed(7 * 999)
-print(f"  exp(z + w) == exp(z)exp(w): {(z + w).exp() == z.exp() * w.exp()}")
+def phi(g):
+    return (g.coords[1] + g.coords[2]) % R.pk
 
-# for p = 2 (mod 3), every unit has a single cube root in Z_p
-two = ExtRing(5, 6, (0, 1)).embed(2)
-r = cube_root(two)
-(root,) = r.coords
-print(f"\ncube root of 2 in Z_5 (mod 5^6): {root};  r^3 = {(r * r * r).coords[0]}")
-brute = [y for y in range(5**3) if y**3 % 5**3 == 2 % 5**3]
-print(f"exhaustive search mod 5^3 finds exactly {brute} -- matches r mod 125 = {root % 125}")
+
+print("\nT(n) = phi(x^n), and the valuation its residue certifies:")
+for n in (-4, 0, 1, 2, 10, 21, 52):
+    t = phi(xpow(R, n))
+    v = R.embed(t).val()
+    exact = val_int(trib(n), p) if trib(n) else "inf"
+    print(f"  n = {n:>3}: T(n) = {trib(n):>10}  phi(x^n) == T(n) mod {p}^{K}: {t == trib(n) % R.pk}"
+          f"  val = {v:>2}  (nu_{p}(T(n)) = {exact})")
+
+N = prime_context(p).n_period
+y = xpow(R, N)
+E = (y - 1).val()
+L = y.log()
+print(f"\nthe period N = {N}: x^N = 1 (mod {p}), with nu_{p}(x^N - 1) = {E}")
+print(f"  L = log x^N has val {L.val()}: on 1 + pR, nu(log u) = nu(u - 1) (R is unramified at {p})")
+print(f"  log is additive: log(x^N * x^N) == 2 L: {(y * y).log() == 2 * L}")
+
+print(f"\nalong the class n = 21 (mod {N}): T(21 + {N}m) = phi(x^21 * (x^N)^m)")
+term = xpow(R, 21)
+for m in range(6):
+    t = phi(term)
+    print(f"  m = {m}: T({21 + N * m}) = {t} (mod {p}^{K}), val {R.embed(t).val()}, "
+          f"== phi(x^{21 + N * m}): {t == phi(xpow(R, 21 + N * m))}")
+    term = term * y

@@ -11,7 +11,18 @@ order of x there.
 from tribadic import ExtRing, prime_context, trib_mod
 from tribadic._factor import factorize
 
-P = (-1, -1, -1, 1)  # ascending coefficients of X^3 - X^2 - X - 1
+
+def xpow(ring, n):
+    """x^n in ring by square-and-multiply; x^-1 = x^2 - x - 1, since x(x^2 - x - 1) = 1 in R."""
+    x = ring.gen
+    base = x * x - x - 1 if n < 0 else x
+    out = ring.one
+    for bit in bin(abs(n))[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
+
 
 print("splitting degrees and periods, both read from powers of x mod p:")
 for p in (47, 13, 5):
@@ -21,9 +32,9 @@ for p in (47, 13, 5):
 
 print("\nT(n) = phi(x^n) in Z_13[x]/(P), whatever the splitting (p = 13 has d = 2):")
 pk = 13**24
-x = ExtRing(13, 24, P).gen
+R = ExtRing(13, 24)
 for n in (-17, -4, 0, 1, 10, 21):
-    c0, c1, c2 = (ci if ci < pk // 2 else ci - pk for ci in (x**n).coords)  # small integers: print them signed
+    c0, c1, c2 = (ci if ci < pk // 2 else ci - pk for ci in xpow(R, n).coords)  # small integers: print them signed
     phi = (c1 + c2) % pk
     print(f"  x^{n:<3} = {c0:>6} + {c1:>6} x + {c2:>6} x^2   phi(x^{n}) = {c1 + c2:>6} == T({n}) mod 13^24: "
           f"{phi == trib_mod(n, pk)}")
@@ -32,9 +43,9 @@ print("\nperiods (published N column), each the order of x mod p:")
 for p, listed in ((5, 31), (7, 48), (13, 168), (83, 287), (397, 132), (599, 598)):
     ctx = prime_context(p, 8)
     n = ctx.n_period
-    res = ExtRing(p, 1, P)
-    one = res.gen**n == res.one
-    minimal = all(res.gen ** (n // q) != res.one for q in factorize(n))
+    res = ExtRing(p, 1)
+    one = xpow(res, n) == res.one
+    minimal = all(xpow(res, n // q) != res.one for q in factorize(n))
     mark = "ok" if n == listed else "MISMATCH"
     print(f"  N_{p} = {n:>6}  (published {listed:>6})  {mark};  x^N = 1: {one}, x^(N/q) != 1 for q | N: {minimal}")
 

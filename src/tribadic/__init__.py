@@ -12,7 +12,6 @@ from .padic import (
     ExtElem,
     ExtRing,
     PrecisionError,
-    cube_root,
     val_int,
 )
 from .tribonacci import ZERO_SET, trib, trib_mod, trib_val
@@ -23,10 +22,8 @@ from .galois import (
 )
 from .interpolation import (
     ConditionNotMet,
-    CubeRootReport,
     SeriesTrunc,
     ZeroRecord,
-    cube_root_certificate,
     hensel_zero,
     series_coeffs,
 )

@@ -39,16 +39,12 @@ from itertools import islice
 
 from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
-from .interpolation import (
-    ZERO_TARGETS_RAT,
-    SeriesTrunc,
-    hensel_zero,
-    series_coeffs,
-)
+from .interpolation import SeriesTrunc, hensel_zero, series_coeffs
 from .padic import DEFAULT_PRECISION, VAL_INF, PrecisionError, _vp, unit_inverse, val_int
 from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
+ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
 QT = ZT + ZERO_TARGETS_RAT
 
 

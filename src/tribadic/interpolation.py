@@ -15,24 +15,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from ._factor import crt_pair
-from .galois import _P, PrimeContext
-from .padic import (
-    ExtElem,
-    ExtRing,
-    PrecisionError,
-    _vp,
-    unit_inverse,
-    val_int,
-    vp_factorial,
-)
-from .tribonacci import _xpow, trib_mod, trib_val
-
-ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
+from .galois import PrimeContext
+from .padic import ExtElem, ExtRing, PrecisionError, _vp, unit_inverse, vp_factorial
+from .tribonacci import _xpow, trib_mod
 
 
 class ConditionNotMet(ValueError):
@@ -79,33 +67,21 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs start", 
     e' = e = E.  For p | u its terms gamma_k u^k past J' = _default_cut(p, E + 1, prec - 1) (at
     least 1) vanish mod p^prec, and so do those of g' since (k-1)(E+1) - nu_p((k-1)!) >= prec
     for k > J'.  coeffs are then gamma_0..gamma_J', about half of J + 1, start is b0, and eval,
-    eval_deriv, mu, hensel_zero and certify read g only on that disc.  gamma_0 = 0 (mod p)
+    mu, hensel_zero and certify read g only on that disc.  gamma_0 = 0 (mod p)
     because p^(e+1) | T(l'), gamma_1 is a unit and gamma_k = 0 (mod p) for k >= 2.
     No __slots__: mu is kept in the instance dict.
     """
 
-    @property
-    def cut(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _at(self, z: int, deriv: bool) -> int:
+    def eval(self, z: int) -> int:
+        """g(z) mod p^prec by blocked Horner evaluation of the truncated series; on a disc series,
+        z off d0 + pZ_p raises ValueError."""
         p, m = self.ctx.p, self.ctx.p**self.ctx.prec
         if self.start is not None:
             d0 = self.start % p
             if (z - d0) % p:
                 raise ValueError(f"z = {z} is off the disc {d0} + {p}Z_p that the series was built on")
             z -= d0
-        coeffs = self.coeffs
-        if deriv:
-            coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-        return _zp_eval(coeffs, _zp_powers(z, len(coeffs), m), m)
-
-    def eval(self, z: int) -> int:
-        """g(z) mod p^prec by blocked Horner evaluation of the truncated series."""
-        return self._at(z, False)
-
-    def eval_deriv(self, z: int) -> int:
-        return self._at(z, True)
+        return _zp_eval(self.coeffs, _zp_powers(z, len(self.coeffs), m), m)
 
     @cached_property
     def mu(self) -> int:
@@ -185,12 +161,12 @@ def _log_data(p: int, prec: int, sn: int):
     in 1 + pR, so its series is about half as long."""
     # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
     # product of unramified rings and its coordinate valuation is the minimum over the roots
-    log_val = (ExtRing(p, prec, _P).elem(_xpow(sn, p**prec)) - 1).val()
+    log_val = (ExtRing(p, prec).elem(_xpow(sn, p**prec)) - 1).val()
     J = _default_cut(p, log_val, prec)
     top = prec + log_val + vp_factorial(J, p)
     if log_val >= prec:
         return log_val, J, top, None
-    ring = ExtRing(p, top, _P)
+    ring = ExtRing(p, top)
     deep = ring.lifted(1)
     log_x = deep.elem(_xpow(sn * p, deep.pk)).log().div_exact_p(1).lift_to(ring)
     log_x2 = log_x * log_x
@@ -262,7 +238,7 @@ class _ClassRing(ExtRing):
     __slots__ = ("x_sn", "log_x", "log_x2", "char")
 
     def __init__(self, p: int, prec: int, shared):
-        super().__init__(p, prec, _P)
+        super().__init__(p, prec)
         self.x_sn, self.log_x, self.log_x2 = (self.elem(v) for v in shared[:3])
         self.char = tuple(t % self.pk for t in shared[3])
 
@@ -337,80 +313,3 @@ def hensel_zero(series: SeriesTrunc) -> ZeroRecord:
     else:
         raise PrecisionError("Newton iteration failed to reach a zero mod p^prec")
     return ZeroRecord(b, tuple(residuals), series)
-
-
-# ---------------------------------------------------------------------------
-# cube-root certificates (the nu_p(T(n)) >= nu_p(n - 1/3) family)
-
-
-class CubeRootReport(namedtuple("CubeRootReport", "p n_period sum_one_third_vanishes sum_minus_five_thirds_vanishes "
-                                 "symmetric_identity_holds samples inequality_failures")):
-    """Verification report for the cube-root zero identities at a fully split prime; each
-    inequality failure is (n, nu(T(n)), nu(n - r))."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.sum_one_third_vanishes
-            and self.sum_minus_five_thirds_vanishes
-            and self.symmetric_identity_holds
-            and not self.inequality_failures
-        )
-
-
-def cube_root_certificate(
-    ctx: PrimeContext, samples: int = 100, max_extra_val: int = 6, seed: int = 0
-) -> CubeRootReport:
-    """Certify sum c_lambda lambda^(1/3) = 0 and sum c_lambda lambda^(-5/3) = 0 (mod p^prec),
-    then sample n = 1/3 (mod p-1) and check nu_p(T(n)) >= nu_p(n - 1/3), and likewise
-    for -5/3.
-
-    Requires all roots rational (d = 1) and 3 coprime to N; for p = 2 (mod 3)
-    that is automatic and the canonical cube roots are used.  The cube root y of x in
-    Z_p[x]/(P) comes from one powering of x, and y^3 = x is checked by a raise.  The samples
-    come from random.Random(seed), imported here: no command calls this.
-    """
-    import random
-
-    p, prec = ctx.p, ctx.prec
-    n_period = ctx.n_period
-    if ctx.d != 1:
-        raise ValueError("cube-root certificate needs all roots in Q_p (d = 1)")
-    if n_period % 3 == 0:
-        raise ValueError("cube-root certificate needs 3 coprime to the period N")
-    # In R = Z_p[x]/(P), phi(g) is the Binet sum of g over the roots.  x^N = 1 (mod p), so
-    # x^(N p^(K-1)) = 1 (mod p^K) and, 3 being prime to that order, y = x^(3^-1 mod N p^(K-1))
-    # cubes to x: the Hensel lift of x^(3^-1 mod N), which cubes to x mod p.  y^-5 = x^-2 * y
-    ring = ExtRing(p, prec, _P)
-    x = ring.gen
-    y = ring.elem(_xpow(pow(3, -1, n_period * p ** (prec - 1)), ring.pk))
-    if y * y * y != x:
-        raise AssertionError(f"the cube root of x fails y^3 = x mod {p}^{prec}")
-    s13_ok, s53_ok = _phi(y) == 0, _phi(ring.elem(_xpow(-2, ring.pk)) * y) == 0
-    # Newton's-identity certificate sum c^3 lambda = 3 prod c, with c = w(lambda) for
-    # w = x P'(x)^-1 and prod c = prod lambda / prod P'(lambda) = 1/44 (-disc P = 44)
-    w = x * (3 * x * x - 2 * x - 1).inv()
-    sym_ok = (44 * _phi(w * w * x) - 3) % ring.pk == 0
-
-    rng = random.Random(seed)
-    class_mod = p - 1 if p % 3 == 2 else n_period
-    failures = []
-    for i in range(samples):
-        r = ZERO_TARGETS_RAT[i % 2]
-        v = (i // 2) % (max_extra_val + 1)
-        u = rng.randrange(1, p)
-        pk1 = p ** (v + 1)
-        res_p = (r.numerator + u * p**v) * unit_inverse(3, p, v + 1) % pk1
-        res_m = r.numerator * pow(3, -1, class_mod) % class_mod
-        n = crt_pair(res_p, pk1, res_m, class_mod)  # crt_pair inverts pk1 mod class_mod
-        if n == 0:
-            n = class_mod * pk1
-        rhs = val_int(3 * n - r.numerator, p)
-        if rhs != v:
-            raise AssertionError(f"sample construction is off at n = {n}")
-        lhs = trib_val(n, p)
-        if not lhs >= rhs:
-            failures.append((n, lhs, rhs))
-    return CubeRootReport(p, n_period, s13_ok, s53_ok, sym_ok, samples, tuple(failures))

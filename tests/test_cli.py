@@ -478,12 +478,12 @@ class TestZeroSinglePass:
 
     @staticmethod
     def read_built(calls):
-        """Read coeffs, their number, cut and mu of every series built, as perfbench's tracer
+        """Read coeffs, their number and mu of every series built, as perfbench's tracer
         reads them, require that no further expansion was built, and return calls without the
         series."""
         expansions = list(calls["expansions"])
         for series in calls["series"]:
-            series.coeffs, len(series.coeffs), series.cut
+            series.coeffs, len(series.coeffs)
             with contextlib.suppress(PrecisionError):  # a series class_series escalated past
                 series.mu
         assert calls["expansions"] == expansions
@@ -586,3 +586,61 @@ class TestScan:
         # finite floats must survive encoding (only the nu_p(0) marker becomes "inf")
         assert isinstance(rec["payload"]["cube_root_family_fraction"], float)
         assert abs(rec["payload"]["cube_root_family_expected_density"] - 1 / 12) < 1e-12
+
+
+class TestEveryFunctionIsReached:
+    """Every function and method defined in tribadic.padic and tribadic.interpolation runs in
+    one of a fixed set of CLI requests, traced by sys.setprofile in this process (--jobs 1), with
+    the records memo and the log memo cold: code that no command runs has no place there."""
+
+    REQUESTS = [
+        ["scan", "--max", "300"],
+        ["table", "--max", "120", "--validate-paper"],
+        ["classify", "--prime", "23"],
+        ["classify", "--prime", "83", "--precision", "96"],
+        ["classify", "--prime", "3"],
+        ["zero", "--prime", "103", "--ell", "0"],  # p does not divide T(0): ConditionNotMet
+        ["zero", "--prime", "5", "--ell", "21"],
+        ["verify", "--spec", "p83", "--range", "1..2000"],
+    ]
+
+    @staticmethod
+    def defined(module):
+        """name -> code object of each function defined in module, methods, properties and
+        cached properties included."""
+        out = {}
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
+            for attr, member in members:
+                member = getattr(member, "fget", None) or getattr(member, "func", None) or member
+                member = getattr(member, "__wrapped__", member)
+                code = getattr(member, "__code__", None)
+                if code is not None and code.co_filename == module.__file__:
+                    out[name if attr is None else f"{name}.{attr}"] = code
+        return out
+
+    def test_every_function_runs(self, capsys, cold_records):
+        from tribadic import padic
+
+        defined = {**self.defined(padic), **self.defined(interpolation)}
+        assert {"ExtRing._mul", "ExtElem.log", "SeriesTrunc.mu", "_log_data", "hensel_zero"} <= set(defined)
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        interpolation._log_data.cache_clear()
+        codes = []
+        sys.setprofile(profile)
+        try:
+            for argv in self.REQUESTS:
+                codes.append(main(argv))
+        finally:
+            sys.setprofile(None)
+            interpolation._log_data.cache_clear()
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 0, 0, 2, 0, 0]
+        assert sorted(name for name, code in defined.items() if code not in called) == []

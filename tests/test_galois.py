@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tribadic import (
     ExtRing,
-    PrecisionError,
     galois,
     prime_context,
     trib_mod,
@@ -16,7 +15,7 @@ from tribadic import (
 from tribadic._factor import factorize, is_prime, primes_upto
 from tribadic.tribonacci import _xpow
 
-from conftest import PSI_12, lifted_roots, oracle_degree, roots_mod_p_oracle, zp_residue
+from conftest import PSI_12, OracleRing, lifted_roots, oracle_degree, roots_mod_p_oracle, zp_residue
 
 
 def clear_context_caches():
@@ -161,7 +160,7 @@ class TestComputeN:
         # no proper divisor N' of N has lambda^N' = 1 mod p for every root
         n_period = prime_context(p, 8).n_period
         ring, lifted, _ = lifted_roots(p, 8)
-        res = ExtRing(p, 1, ring.modulus)
+        res = OracleRing(p, 1, ring.modulus)
         roots = [lam.lift_to(res) for lam in lifted]
         one = res.one
         for q in factorize(n_period):
@@ -207,55 +206,42 @@ class TestComputeN:
         assert prime_context(p, 8).n_period == n
 
 
-def schoolbook_mul_mod(a, b, h, pk):
-    """a*b mod (h, pk): the full product, then long division by the monic h from the top down."""
-    d = len(h) - 1
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    for top in range(2 * d - 2, d - 1, -1):
-        q = prod[top]
-        for j in range(d + 1):
-            prod[top - d + j] -= q * h[j]
-        assert prod[top] == 0
-    return tuple(c % pk for c in prod[:d])
-
-
 class TestRingProduct:
-    MODULI = (galois._P, (5, -7, 3, 1), (3, -2, 1))  # P, a cubic with larger signed coefficients, a quadratic
+    """ExtRing's straight-line product against the test ring's schoolbook product mod P, and the
+    test ring's canonical modulus."""
 
     @given(
-        st.sampled_from(MODULI),
-        st.sampled_from([3, 5, 7, 13, 47, 587]),
-        st.sampled_from([1, 3, 24, 97]),
-        st.randoms(use_true_random=False),
+        st.sampled_from([3, 5, 587]),
+        st.sampled_from([1, 3, 24, 96]),
+        st.lists(st.integers(-(10**400), 10**400), min_size=3, max_size=3),
+        st.lists(st.integers(-(10**400), 10**400), min_size=3, max_size=3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_product_against_schoolbook_division(self, h, p, prec, rng):
-        ring = ExtRing(p, prec, h)
+    def test_product_against_schoolbook_division(self, p, prec, a, b):
+        ring, oracle = ExtRing(p, prec), OracleRing(p, prec, galois._P)
         pk = p**prec
-        a = ring.elem([rng.randrange(pk) for _ in range(ring.d)])
-        b = ring.elem([rng.randrange(pk) for _ in range(ring.d)])
-        expected = schoolbook_mul_mod(a.coords, b.coords, h, pk)
-        assert ring._mul(a.coords, b.coords) == expected
-        assert (a * b).coords == expected and all(0 <= c < pk for c in expected)
+        expected = oracle.mul(a, b)
+        assert ring._mul(tuple(a), tuple(b)) == expected == (oracle.elem(a) * oracle.elem(b)).coords
+        assert (ring.elem(a) * ring.elem(b)).coords == expected and all(0 <= c < pk for c in expected)
 
     @pytest.mark.parametrize("prec", [1, 3, 24, 97])
     @pytest.mark.parametrize("p", [3, 5, 47])
     def test_modulus_stored_as_symmetric_residues(self, p, prec):
+        # the test ring's modulus, whose canonical form its equality reads
         pk = p**prec
-        reduced = ExtRing(p, prec, tuple(c % pk for c in galois._P[:-1]) + (1,))
-        signed = ExtRing(p, prec, galois._P)
-        assert reduced == signed and hash(reduced) == hash(signed)
+        reduced = OracleRing(p, prec, tuple(c % pk for c in galois._P[:-1]) + (1,))
+        signed = OracleRing(p, prec, galois._P)
+        assert reduced == signed
         assert reduced.modulus == (-1, -1, -1, 1)
         # rings are equal exactly when their moduli agree mod p^prec
-        other = ExtRing(p, prec, (pk + 5, -7 * pk - 7, 3, 1))
-        assert other == ExtRing(p, prec, (5, -7, 3, 1)) != ExtRing(p, prec, (6, -7, 3, 1))
+        other = OracleRing(p, prec, (pk + 5, -7 * pk - 7, 3, 1))
+        assert other == OracleRing(p, prec, (5, -7, 3, 1)) != OracleRing(p, prec, (6, -7, 3, 1))
         assert all(-pk / 2 < c <= pk / 2 for c in other.modulus)
 
 
 class TestExtArithmetic:
+    """The test ring's inverse, exp and log, on which lifted_roots and the Binet oracles stand."""
+
     def test_inverse_round_trip(self):
         rng = random.Random(9)
         ring = lifted_roots(5, 20)[0]
@@ -269,8 +255,8 @@ class TestExtArithmetic:
     def test_inverse_in_every_ring(self, prec):
         # rank 1, the quadratic ring of the d = 2 roots, and R for d = 3, 2, 1; the oracle
         # for "unit" is the determinant of multiplication by u, taken mod p
-        rings = [ExtRing(13, prec, (0, 1)), lifted_roots(13, prec)[0]]
-        rings += [ExtRing(p, prec, galois._P) for p in (5, 13, 47)]
+        rings = [OracleRing(13, prec, (0, 1)), lifted_roots(13, prec)[0]]
+        rings += [OracleRing(p, prec, galois._P) for p in (5, 13, 47)]
         rng = random.Random(prec)
         for ring in rings:
             units = 0
@@ -280,25 +266,25 @@ class TestExtArithmetic:
                     assert u * u.inv() == ring.one
                     units += 1
                 else:
-                    with pytest.raises(PrecisionError):
+                    with pytest.raises(ZeroDivisionError):
                         u.inv()
             assert units > 20
 
     def test_generator_is_x_mod_h(self):
-        # x = -h_0 mod (x + h_0) on a linear modulus; x itself for d > 1
-        assert (ExtRing(5, 4, (-2, 1)).gen - 2).is_zero()
-        assert ExtRing(7, 3, (0, 1)).gen.is_zero()
-        x = ExtRing(5, 4, galois._P).gen
-        assert x.coords == (0, 1, 0) and x**3 == x * x + x + 1
+        # x = -h_0 mod (x + h_0) on a linear modulus of the test ring; x itself in R
+        assert (OracleRing(5, 4, (-2, 1)).gen - 2).is_zero()
+        assert OracleRing(7, 3, (0, 1)).gen.is_zero()
+        x = ExtRing(5, 4).gen
+        assert x.coords == (0, 1, 0) and x * x * x == x * x + x + 1
 
     @pytest.mark.parametrize("p", [47, 13])  # d = 1, d = 2
     @pytest.mark.parametrize("prec", [1, 24])
     def test_non_units_raise(self, p, prec):
-        ring = ExtRing(p, prec, galois._P)
+        ring = OracleRing(p, prec, galois._P)
         zero_divisors = [ring.gen - r for r in roots_mod_p_oracle(p)]
         multiples = [ring.zero, ring.embed(p), p * ring.elem([1, 2, 3])]
         for g in zero_divisors + multiples:
-            with pytest.raises(PrecisionError):
+            with pytest.raises(ZeroDivisionError):
                 g.inv()
 
     def test_extension_exp_log_round_trip(self):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import tribadic
 import tribadic.interpolation as interpolation
+import conftest
 from tribadic import (
     ConditionNotMet,
     PrecisionError,
-    cube_root_certificate,
     hensel_zero,
     prime_context,
     series_coeffs,
@@ -26,18 +26,28 @@ from tribadic import (
 )
 from tribadic.classifier import QT, _zero_table, certify, class_series
 from tribadic.interpolation import SeriesTrunc
-from tribadic.padic import ExtRing, _vp, vp_factorial
+from tribadic.padic import _vp, vp_factorial
 from tribadic.tribonacci import _xpow
 from tribadic._factor import primes_upto
 from tribadic.galois import _P, EXCLUDED_PRIMES
 
-from conftest import hensel_cube_root, known_val, lifted_roots, log_series_oracle, zp_residue
+from conftest import (
+    OracleRing,
+    _plain_horner,
+    cube_root_certificate,
+    hensel_cube_root,
+    known_val,
+    lifted_roots,
+    log_series_oracle,
+    slopes,
+    zp_residue,
+)
 
 
 def eval_f(ctx, ell, z):
-    """Oracle: f_l(z) = phi(x^l exp(z log x^N)) mod p^prec in Z_p[x]/(P), for an int z; it agrees
-    with T(l + zN) at integers z, and p^e g(z) from series_coeffs must equal it."""
-    ring = ExtRing(ctx.p, ctx.prec, _P)
+    """Oracle: f_l(z) = phi(x^l exp(z log x^N)) mod p^prec in the test ring modulo P, for an int
+    z; it agrees with T(l + zN) at integers z, and p^e g(z) from series_coeffs must equal it."""
+    ring = OracleRing(ctx.p, ctx.prec, _P)
     x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
     return interpolation._phi(x_ell * (x_n.log() * z).exp())
 
@@ -93,11 +103,13 @@ class TestSeriesCoeffs:
         # (k-1)(E+1) - nu_p((k-1)!) >= prec; at 0 (p = 3, l = 0), (k-1)E - nu_p(k!) >= prec for k > J
         ser = series_coeffs(ctx5, 21)
         assert ser.start is not None
-        for k in range(ser.cut + 1, ser.cut + 20):
+        cut = len(ser.coeffs) - 1
+        for k in range(cut + 1, cut + 20):
             assert (k - 1) * (ser.log_val + 1) - vp_factorial(k - 1, 5) >= ctx5.prec
         ser = series_coeffs(prime_context(3, 24), 0)
         assert ser.start is None
-        for k in range(ser.cut + 1, ser.cut + 20):
+        cut = len(ser.coeffs) - 1
+        for k in range(cut + 1, cut + 20):
             assert (k - 1) * ser.log_val - vp_factorial(k, 3) >= 24
 
     def test_series_reproduces_function(self, ctx5):
@@ -245,16 +257,6 @@ def at_zero_oracle(ser):
     return series_oracle(ctx, ser.ell, ser.s, ser.e, interpolation._default_cut(ctx.p, ser.log_val, ctx.prec))
 
 
-def _ring_horner(coeffs, z, p, prec, deriv):
-    # oracle: Horner in the d = 1 ring Z/p^prec, one ring product per coefficient
-    ring = ExtRing(p, prec, (0, 1))
-    terms = [k * coeffs[k] for k in range(1, len(coeffs))] if deriv else list(coeffs)
-    acc, z = ring.zero, ring.embed(z)
-    for beta in reversed(terms):
-        acc = acc * z + beta
-    return acc
-
-
 @given(st.sampled_from(ADMISSIBLE), st.integers(0, 10**6), st.integers(3, 40), st.integers(-(10**90), 10**90))
 @settings(max_examples=60, deadline=None)
 def test_residue_horner_matches_a_padic_oracle(p, pick, prec, z):
@@ -263,19 +265,14 @@ def test_residue_horner_matches_a_padic_oracle(p, pick, prec, z):
     ctx = prime_context(p, prec)
     zeros = [info.ell for info in _zero_table(p, ctx.n_period)]
     ser = series_coeffs(ctx, zeros[pick % len(zeros)])
+    centre = 0
     if ser.start is not None:
         z -= (z - ser.start) % p
+        centre = ser.start % p
     betas = at_zero_oracle(ser)
-    assert ser.eval(z) == _ring_horner(betas, z, p, prec, False).coords[0]
-    assert ser.eval_deriv(z) == _ring_horner(betas, z, p, prec, True).coords[0]
-
-
-def _plain_horner(coeffs, z, m):
-    # oracle: one Horner step and one reduction per coefficient, lowest degree first
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * z + c) % m
-    return acc
+    pk = p**prec
+    assert ser.eval(z) == _plain_horner(betas, z, pk)
+    assert _plain_horner(slopes(ser.coeffs), z - centre, pk) == _plain_horner(slopes(betas), z, pk)
 
 
 ZP_MODULI = [(p, k) for p in (3, 5, 587) for k in (1, 3, 24, 96)]
@@ -319,7 +316,7 @@ class TestZpEval:
 
 @functools.lru_cache(maxsize=None)
 def _log_oracle(p, ring_prec, sn):
-    ring = ExtRing(p, ring_prec, _P)
+    ring = OracleRing(p, ring_prec, _P)
     return log_series_oracle(ring.elem(_xpow(sn, ring.pk)))
 
 
@@ -364,7 +361,7 @@ def built_at(ser):
 def built_oracle(ser):
     """series_oracle of the terms series_coeffs built (built_at), at the series' own cut."""
     n, cut = built_at(ser)
-    assert ser.cut == cut
+    assert len(ser.coeffs) == cut + 1
     return series_oracle(ser.ctx, n, ser.s, ser.e, cut)
 
 
@@ -494,35 +491,33 @@ KERNEL_CLASSES.update({(p, 1): [info.ell for info in _zero_table(p, prime_contex
 @settings(max_examples=4, deadline=None)
 def test_recurrence_series_matches_repeated_ring_products(p, s, prec, pick):
     # series_coeffs reads s_k = phi(x^n L^k) off the Cayley-Hamilton recurrence of L = log x^(sN);
-    # the oracle multiplies x^n by L once per coefficient in ExtRing, with L summed directly and
+    # the oracle multiplies x^n by L once per coefficient in the test ring, with L summed directly and
     # e = min(nu_p(L), nu_p(T(l))) found without the program's series code
     ells = KERNEL_CLASSES[p, s]
     ell = ells[pick % len(ells)]
     ctx = prime_context(p, prec)
     ser = series_coeffs(ctx, ell, s)
-    log_val = log_series_oracle(ExtRing(p, prec, _P).elem(_xpow(s * ctx.n_period, p**prec))).val()
+    log_val = log_series_oracle(OracleRing(p, prec, _P).elem(_xpow(s * ctx.n_period, p**prec))).val()
     assert ser.e == min(log_val, trib_val(ell, p))
     assert list(ser.coeffs) == built_oracle(ser)
 
 
 def _ring_newton(ser):
-    """Oracle: hensel_zero's iterates in the d = 1 ring Z/p^prec on the expansion at 0 of
+    """Oracle: hensel_zero's iterates on plain residues mod p^prec on the expansion at 0 of
     at_zero_oracle, from -beta_0/beta_1: g(b) and g'(b) read by _plain_horner mod p^prec, and
-    g'(b) inverted in the ring."""
+    g'(b) inverted by pow."""
     p, prec = ser.ctx.p, ser.ctx.prec
     pk = p**prec
     betas = at_zero_oracle(ser)
-    slopes = [k * betas[k] for k in range(1, len(betas))]
-    ring = ExtRing(p, prec, (0, 1))
-    b = -(ring.embed(betas[0]) * ring.embed(betas[1]).inv())
+    derivative = slopes(betas)
+    b = -betas[0] * pow(betas[1], -1, pk) % pk
     vals = []
     for _ in range(100):
-        (z,) = b.coords
-        g = ring.embed(_plain_horner(betas, z, pk))
-        vals.append(g.val())
+        g = _plain_horner(betas, b, pk)
+        vals.append(known_val(g, p, prec))
         if vals[-1] >= prec:
-            return z, vals
-        b = b - g * ring.embed(_plain_horner(slopes, z, pk)).inv()
+            return b, vals
+        b = (b - g * pow(_plain_horner(derivative, b, pk), -1, pk)) % pk
     raise AssertionError("the ring Newton did not converge")
 
 
@@ -589,7 +584,7 @@ class TestDiscSeries:
             ctx = prime_context(p, prec)
             ser = series_coeffs(ctx, ell, s)
             assert ser.start is not None and list(ser.coeffs) == built_oracle(ser), (p, ell, s, prec)
-            assert ser.cut < interpolation._default_cut(p, ser.log_val, prec), (p, ell, s, prec)
+            assert len(ser.coeffs) - 1 < interpolation._default_cut(p, ser.log_val, prec), (p, ell, s, prec)
             assert (ser.e, ser.mu, mu_oracle(ser.coeffs, p, prec)) == (ser.log_val, 1, 1)
             zero = hensel_zero(ser)
             assert (zero.b, list(zero.residual_vals)) == _ring_newton(ser), (p, ell, s, prec)
@@ -602,26 +597,27 @@ class TestDiscSeries:
         assert (ser.e, ser.log_val) == (2, 2) and ser.start is not None
         ctx = prime_context(19, 24)
         ser = series_coeffs(ctx, 302)
-        assert ser.start % 19 == 0 and list(ser.coeffs) == series_oracle(ctx, 302, 1, ser.e, ser.cut)
+        assert ser.start % 19 == 0 and list(ser.coeffs) == series_oracle(ctx, 302, 1, ser.e, len(ser.coeffs) - 1)
 
     @pytest.mark.parametrize("p, ell, s", [(5, 21, 1), (7, 0, 7), (19, 302, 1), (587, 98, 1)])
     def test_eval_on_and_off_the_disc(self, p, ell, s):
-        # on the disc, eval and eval_deriv agree with Horner over the expansion at 0; off it, both
-        # raise ValueError rather than read the disc's coefficients where they are not certified
+        # on the disc, eval and the derivative of the disc's terms agree with Horner over the
+        # expansion at 0; off it, eval raises ValueError rather than read the disc's coefficients
+        # where they are not certified
         ctx = prime_context(p, 24)
         ser = series_coeffs(ctx, ell, s)
         betas = at_zero_oracle(ser)
+        pk = p**24
         d0 = ser.start % p
         rng = random.Random(p)
         on = [d0, d0 + p, d0 - p, ser.start] + [d0 + p * rng.randrange(p**24) for _ in range(5)]
         for z in on:
-            assert ser.eval(z) == _ring_horner(betas, z, p, 24, False).coords[0], z
-            assert ser.eval_deriv(z) == _ring_horner(betas, z, p, 24, True).coords[0], z
+            assert ser.eval(z) == _plain_horner(betas, z, pk), z
+            assert _plain_horner(slopes(ser.coeffs), z - d0, pk) == _plain_horner(slopes(betas), z, pk), z
         off = [z for z in range(-3, 2 * p) if (z - d0) % p] + [rng.randrange(p**30) * p + d0 + 1]
         for z in off:
-            for read in (ser.eval, ser.eval_deriv):
-                with pytest.raises(ValueError, match="off the disc"):
-                    read(z)
+            with pytest.raises(ValueError, match="off the disc"):
+                ser.eval(z)
 
     def test_a_corrupted_disc_powering_raises_under_python_O(self):
         # T(l' + N) from trib_mod off by one, where l' = 21 + d0*31 is the disc's class; then a
@@ -806,6 +802,8 @@ class TestClassifyZero:
 
 
 class TestCubeRootCertificate:
+    """The cube-root identity of conftest.cube_root_certificate at the fully split primes."""
+
     def test_smallest_qualifying_prime_scan(self):
         found = []
         for p in primes_upto(400):
@@ -829,8 +827,8 @@ class TestCubeRootCertificate:
     def spy_cube_root(monkeypatch):
         # the certificate's first phi is phi(y), y the cube root of x it computed
         seen = []
-        real = interpolation._phi
-        monkeypatch.setattr(interpolation, "_phi", lambda g: seen.append(g) or real(g))
+        real = conftest._phi
+        monkeypatch.setattr(conftest, "_phi", lambda g: seen.append(g) or real(g))
         return seen
 
     def test_cube_root_of_x_equals_hensel_lifting(self, monkeypatch):
@@ -844,7 +842,7 @@ class TestCubeRootCertificate:
                 ctx = prime_context(p, prec)
                 seen.clear()
                 cube_root_certificate(ctx, samples=0)
-                ring = ExtRing(p, prec, _P)
+                ring = OracleRing(p, prec, _P)
                 start = ring.elem(_xpow(pow(3, -1, ctx.n_period), ring.pk))
                 assert seen[0] == hensel_cube_root(ring.gen, start), (p, prec)
         assert len(family) == 12
@@ -852,36 +850,31 @@ class TestCubeRootCertificate:
     def test_a_wrong_exponent_fails_the_cube_check(self, monkeypatch):
         # x^(e + 1) in place of x^e: the y^3 = x check must raise, not certify from a wrong root
         ctx = prime_context(47, 24)
-        monkeypatch.setattr(interpolation, "_xpow", lambda n, m: _xpow(n + 1, m))
+        monkeypatch.setattr(conftest, "_xpow", lambda n, m: _xpow(n + 1, m))
         with pytest.raises(AssertionError, match="fails y\\^3 = x"):
             cube_root_certificate(ctx, samples=0)
 
     def test_cube_checks_survive_python_O(self):
+        # the acceptance suite also runs under -O: the y^3 = x check must be a raise
         code = (
-            "import builtins\n"
-            "import tribadic.interpolation as i, tribadic.padic as padic\n"
-            "from tribadic import ExtRing, prime_context\n"
+            "import conftest\n"
+            "from tribadic import prime_context\n"
             "assert False, 'not running under -O'\n"
             "ctx = prime_context(47, 24)\n"
-            "real = i._xpow\n"
-            "i._xpow = lambda n, m: real(n + 1, m)\n"
-            "padic.pow = lambda b, e, m: builtins.pow(b, e if e < 0 else e + 1, m)\n"
-            "two = ExtRing(5, 3, (0, 1)).embed(2)\n"
-            "for check in (lambda: i.cube_root_certificate(ctx, samples=0), lambda: padic.cube_root(two)):\n"
-            "    try:\n"
-            "        check()\n"
-            "    except AssertionError as exc:\n"
-            "        print('raised:', exc)\n"
+            "real = conftest._xpow\n"
+            "conftest._xpow = lambda n, m: real(n + 1, m)\n"
+            "try:\n"
+            "    conftest.cube_root_certificate(ctx, samples=0)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        path = os.pathsep.join(str(d) for d in (Path(tribadic.__file__).parents[1], Path(__file__).parent))
         out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [
-            "raised: the cube root of x fails y^3 = x mod 47^24",
-            "raised: the cube root of 2 mod 5^3 fails y^3 = u",
-        ]
+        assert out.stdout.splitlines() == ["raised: the cube root of x fails y^3 = x mod 47^24"]
 
     @pytest.mark.parametrize("prec", [24, 96])
     def test_certificate_matches_the_sums_over_lifted_roots(self, prec):

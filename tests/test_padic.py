@@ -1,4 +1,3 @@
-import builtins
 import math
 import random
 from fractions import Fraction
@@ -7,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribadic import ExtRing, PrecisionError, cube_root, val_int
+from tribadic import ExtRing, val_int
 import tribadic.padic as padic
-from tribadic._factor import primes_upto
-from tribadic.galois import _P
 
-from conftest import hensel_cube_root, log_series_oracle
+from conftest import _P, OracleRing, known_val, log_series_oracle
 
 
 def zp(p, prec, residue):
-    """residue as an element of Z_p mod p^prec: the d = 1 ring."""
-    return ExtRing(p, prec, (0, 1)).embed(residue)
+    """residue as an element of the test ring's Z_p mod p^prec, h = (0, 1)."""
+    return OracleRing(p, prec, (0, 1)).embed(residue)
+
+
+def oracle(g):
+    """The library element g of R = Z_p[x]/(P) as an element of the test ring modulo P."""
+    return OracleRing(g.ring.p, g.ring.prec, _P).elem(g.coords)
 
 
 def recurrence_oracle(n):
@@ -65,6 +67,9 @@ class TestValInt:
 
 
 class TestInverse:
+    """The test ring's inverse, Newton from a residue inverse, which lifted_roots and
+    hensel_cube_root divide by."""
+
     def test_one(self):
         one = zp(5, 3, 1)
         assert one.inv() == one
@@ -88,7 +93,7 @@ class TestInverse:
         assert 3 * y % 169 == 1
 
     def test_non_unit_rejected(self):
-        with pytest.raises(PrecisionError):
+        with pytest.raises(ZeroDivisionError):
             zp(5, 3, 10).inv()
 
 
@@ -112,16 +117,10 @@ class TestUnitInverse:
             with pytest.raises(ValueError):
                 padic.unit_inverse(a, 7, k)
 
-    def test_padic_inv_keeps_its_error(self):
-        # the Z_p inverse raises PrecisionError on a non-unit, where unit_inverse raises ValueError
-        with pytest.raises(PrecisionError):
-            zp(587, 96, 587 * 11).inv()
-        assert zp(587, 96, 5).inv().coords == (pow(5, -1, 587**96),)
-
     @pytest.mark.parametrize("p", [3, 5, 587])
     @pytest.mark.parametrize("prec", [1, 24, 96])
     def test_zp_inverse_and_power_are_unit_inverse_and_pow(self, p, prec):
-        # on the d = 1 ring, inv is unit_inverse and ** is builtin pow; a non-unit still raises
+        # on the test ring's Z_p, inv is unit_inverse and ** is builtin pow; a non-unit raises
         rng = random.Random(p * prec)
         pk = p**prec
         for a in [1, 2, p - 1, p + 1, pk - 1] + [rng.randrange(pk) for _ in range(20)]:
@@ -133,7 +132,7 @@ class TestUnitInverse:
                 assert (x**e).coords == (pow(a, e, pk),)
             assert (x**-3).coords == (pow(a, -3, pk),)
         for a in (0, p, p * 2, p * (pk - 1)):
-            with pytest.raises(PrecisionError):
+            with pytest.raises(ZeroDivisionError):
                 zp(p, prec, a).inv()
 
 
@@ -153,8 +152,8 @@ class TestValuationAtTwo:
 
 
 def ring_horner_series(x, coeffs, den, slack):
-    """Oracle: sum_n coeffs[n] x^n / den by plain ring Horner, one product per coefficient,
-    slack digits deeper than x's ring, then one exact division by den."""
+    """Oracle: sum_n coeffs[n] x^n / den for an element x of the test ring, by plain Horner, one
+    product per coefficient, slack digits deeper than x's ring, then one exact division by den."""
     ring = x.ring
     big = ring.lifted(slack)
     y = x.lift_to(big)
@@ -164,42 +163,45 @@ def ring_horner_series(x, coeffs, den, slack):
     return (acc.div_exact_p(slack) * pow(den // ring.p**slack, -1, big.pk)).lift_to(ring)
 
 
-RING_MODULI = [(0, 1), _P]  # d = 1 and d = 3
+RING_MODULI = [(0, 1), _P]  # the test ring's Z_p and R
 
 
 class TestBlockedRingSeries:
-    """ExtElem._series, exp and log against ring_horner_series, for d = 1 and d = 3."""
+    """ExtElem._series and log against ring_horner_series in the test ring modulo P."""
 
     @given(
-        st.sampled_from([3, 5, 587]), st.sampled_from([1, 3, 24, 96]), st.sampled_from(RING_MODULI),
+        st.sampled_from([3, 5, 587]), st.sampled_from([1, 3, 24, 96]),
         st.integers(1, 130), st.integers(0, 3), st.randoms(use_true_random=False),
     )
     @settings(max_examples=120, deadline=None)
-    def test_series_matches_ring_horner(self, p, prec, modulus, n, slack, rng):
-        ring = ExtRing(p, prec, modulus)
-        x = ring.elem([rng.randrange(-(p**prec), 2 * p**prec) for _ in range(ring.d)])
+    def test_series_matches_ring_horner(self, p, prec, n, slack, rng):
+        x = ExtRing(p, prec).elem([rng.randrange(-(p**prec), 2 * p**prec) for _ in range(3)])
         den = p**slack * rng.choice([1, 2, 7, 1 + p])
         # coefficients divisible by p^slack, so the exact division always succeeds
         coeffs = [p**slack * rng.randrange(-(p ** (2 * prec)), p ** (2 * prec)) for _ in range(n)]
-        assert x._series(coeffs, den, slack) == ring_horner_series(x, coeffs, den, slack)
+        assert x._series(coeffs, den, slack).coords == ring_horner_series(oracle(x), coeffs, den, slack).coords
 
     @pytest.mark.parametrize("modulus", RING_MODULI)
     @pytest.mark.parametrize("p, prec", [(3, 1), (3, 24), (5, 3), (5, 96), (587, 24), (587, 96)])
     def test_exp_and_log(self, p, prec, modulus):
-        ring = ExtRing(p, prec, modulus)
+        # the test ring's exp and log invert each other, in Z_p and in R; in R, ExtElem.log is
+        # ring_horner_series over its own terms, and the test ring's exp inverts it
+        ring = OracleRing(p, prec, modulus)
         rng = random.Random(p * prec)
         for _ in range(4):
             w = ring.elem([p * rng.randrange(p**prec) for _ in range(ring.d)])
-            cut = padic._exp_cutoff(p, prec)
-            facts = [math.factorial(cut) // math.factorial(n) for n in range(cut + 1)]
-            assert w.exp() == ring_horner_series(w, facts, facts[0], padic.vp_factorial(cut, p))
+            assert (w + 1).log().exp() == w + 1 and w.exp().log() == w
+            if modulus != _P:
+                continue
+            log = (ExtRing(p, prec).elem(w.coords) + 1).log()
+            assert oracle(log).exp() == w + 1
             v = w.val()
             if v >= prec:
                 continue
             cut, slack = padic._log_cutoff(p, prec, v)
             lcm = math.lcm(*range(1, cut + 1))
             terms = [0] + [(-1) ** (n - 1) * (lcm // n) for n in range(1, cut + 1)]
-            assert (w + 1).log() == ring_horner_series(w, terms, lcm, slack)
+            assert log.coords == ring_horner_series(w, terms, lcm, slack).coords
 
 
 def exp_series_oracle(z, p, prec):
@@ -229,6 +231,9 @@ def trial_division_valuation_factorial(n, p):
 
 
 class TestExpLog:
+    """log in R (ExtElem.log) on the constants Z_p and on all of 1 + pR, with the test ring's
+    exp, the direct series, as its inverse; the test ring's exp against exact rationals."""
+
     def test_exp_zero(self):
         assert zp(7, 4, 0).exp() == zp(7, 4, 1)
 
@@ -237,6 +242,7 @@ class TestExpLog:
         assert r.coords == (exp_series_oracle(7, 7, 4),)
         assert (r - 1).val() == 1
         assert r.log() == zp(7, 4, 7)
+        assert ExtRing(7, 4).embed(r.coords[0]).log() == ExtRing(7, 4).embed(7)
 
     def test_exp_preserves_valuation(self):
         rng = random.Random(11)
@@ -258,41 +264,43 @@ class TestExpLog:
     @settings(max_examples=50, deadline=None)
     def test_log_multiplicative(self, a):
         p, prec = 5, 16
-        u = zp(p, prec, 1 + p * a)
+        u = ExtRing(p, prec).embed(1 + p * a)
         assert (u * u).log() == 2 * u.log()
 
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_exp_log_round_trip(self, a):
         p, prec = 11, 16
-        u = zp(p, prec, 1 + p * a)
-        assert u.log().exp() == u
+        u = ExtRing(p, prec).elem([1 + p * a, p * (a // 7), p * (a // 13)])
+        assert oracle(u.log()).exp() == oracle(u)
 
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_log_exp_round_trip(self, a):
         p, prec = 3, 16
-        z = zp(p, prec, p * a)
-        assert z.exp().log() == z
+        ring = ExtRing(p, prec)
+        z = ring.elem([p * a, p * (a // 7), p * (a // 13)])
+        assert ring.elem(oracle(z).exp().coords).log() == z
 
     @pytest.mark.parametrize("prec", [24, 97])
     @pytest.mark.parametrize("v", [1, 2, 4])
     @pytest.mark.parametrize("p", [3, 5, 13])
     def test_log_cutoff_follows_the_valuation(self, p, v, prec):
         # the log series stops at the cutoff of nu_p(u - 1) = v; it must agree with the series
-        # summed as far as v = 1 requires, in Z_p and in R = Z_p[x]/(P)
+        # summed as far as v = 1 requires, on the constants of R and on all of R
         rng = random.Random(p * 1000 + v * 100 + prec)
+        ring = ExtRing(p, prec)
         for _ in range(4):
             w = p**v * rng.choice([1, p - 1, rng.randrange(1, p**prec)])
-            ring = ExtRing(p, prec, _P)
-            for g in (zp(p, prec, 1 + w), ring.one + ring.elem([p**v * rng.randrange(p**prec) for _ in range(3)])):
+            for g in (ring.embed(1 + w), ring.one + ring.elem([p**v * rng.randrange(p**prec) for _ in range(3)])):
                 log_g = g.log()
-                assert log_g == log_series_oracle(g)
-                assert (g**p).log() == p * log_g
-                assert log_g.exp() == g
+                assert oracle(log_g) == log_series_oracle(oracle(g))
+                assert ring.elem((oracle(g) ** p).coords).log() == p * log_g
+                assert oracle(log_g).exp() == oracle(g)
 
     def test_log_one(self):
-        assert zp(5, 8, 1).log().is_zero()
+        ring = ExtRing(5, 8)
+        assert ring.one.log() == ring.zero
 
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(ValueError):
@@ -300,87 +308,27 @@ class TestExpLog:
 
     def test_log_needs_one_mod_p(self):
         with pytest.raises(ValueError):
-            zp(5, 8, 3).log()
-
-
-class TestCubeRoot:
-    def test_unit_one(self):
-        assert cube_root(zp(5, 3, 1)) == zp(5, 3, 1)
-
-    def test_exhaustive_oracle_p5(self):
-        expected = [y for y in range(125) if y**3 % 125 == 2]
-        assert len(expected) == 1
-        assert cube_root(zp(5, 3, 2)).coords == (expected[0],)
-
-    def test_defining_identity_and_inverse(self):
-        rng = random.Random(5)
-        for p in (5, 17, 23):
-            for _ in range(100):
-                u = zp(p, 12, rng.randrange(1, p**12))
-                if u.val():
-                    continue
-                y = cube_root(u)
-                assert y * y * y == u
-                assert cube_root(u * u * u) == u
-
-    def test_one_powering_equals_hensel_lifting(self):
-        # the Newton oracle from the residue start u^((2p-1)/3 mod (p-1)), on seeded random units
-        # of every p = 2 (mod 3) below 700
-        rng = random.Random(700)
-        family = [p for p in primes_upto(700) if p % 3 == 2 and p > 2]
-        checked = 0
-        for p in family:
-            for k in (1, 3, 24, 96):
-                for _ in range(5):
-                    u = zp(p, k, rng.randrange(1, p**k))
-                    if u.val():
-                        continue
-                    start = zp(p, k, pow(u.coords[0] % p, (2 * p - 1) // 3 % (p - 1), p))
-                    assert cube_root(u) == hensel_cube_root(u, start), (p, k, u)
-                    checked += 1
-        assert len(family) == 64 and checked == 1271
-
-    def test_a_wrong_exponent_fails_the_cube_check(self, monkeypatch):
-        # u^(e + 1) in place of u^e: the y^3 = u check must raise, not return a wrong root
-        def off_by_one(base, exp, mod):
-            return builtins.pow(base, exp if exp < 0 else exp + 1, mod)
-
-        monkeypatch.setattr(padic, "pow", off_by_one, raising=False)
-        with pytest.raises(AssertionError, match="fails y\\^3 = u"):
-            cube_root(zp(5, 3, 2))
-
-    def test_rejects_p_1_mod_3(self):
-        with pytest.raises(ValueError):
-            cube_root(zp(7, 4, 2))
-
-    def test_rejects_p_3(self):
-        with pytest.raises(ValueError):
-            cube_root(zp(3, 4, 2))
-
-    def test_rejects_a_non_unit_and_a_wider_ring(self):
-        with pytest.raises(ValueError, match="unit"):
-            cube_root(zp(5, 3, 10))
-        with pytest.raises(ValueError, match="d = 1"):
-            cube_root(ExtRing(5, 3, _P).embed(2))
+            ExtRing(5, 8).embed(3).log()
 
 
 class TestPAdicInt:
-    """p-adic integers mod p^K as the d = 1 ring Z/p^K."""
+    """p-adic integers mod p^K as the constants of R = Z_p[x]/(P)."""
 
     def test_residue_range_and_known_val(self):
-        x = zp(5, 4, -1)
-        assert x.coords == (5**4 - 1,) and x.val() == 0
-        assert zp(5, 4, 0).val() == 4
-        assert zp(5, 4, 50).val() == 2
+        ring = ExtRing(5, 4)
+        x = ring.embed(-1)
+        assert x.coords == (5**4 - 1, 0, 0) and x.val() == 0
+        for r, v in ((0, 4), (50, 2), (-1, 0), (5**5, 4)):
+            assert ring.embed(r).val() == known_val(r, 5, 4) == v
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError):
-            zp(5, 4, 1) + zp(7, 4, 1)
+            ExtRing(5, 4).one + ExtRing(7, 4).one
 
     def test_mixed_precisions_rejected(self):
         # elements at two precisions belong to two rings: nothing truncates silently
         with pytest.raises(ValueError):
-            zp(5, 6, 7) * zp(5, 3, 2)
+            ExtRing(5, 6).embed(7) * ExtRing(5, 3).embed(2)
 
     def test_pow_negative(self):
         x = zp(7, 5, 3)
@@ -388,14 +336,16 @@ class TestPAdicInt:
 
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
-            zp(2, 4, 1)
+            ExtRing(2, 4)
 
     @pytest.mark.parametrize("modulus", RING_MODULI)
     def test_ring_bounds(self, modulus):
-        # p < 3 and prec < 1 are rejected where the ring is built, so exp's cutoff never
-        # divides by p - 2 = 0
+        # p < 3 and prec < 1 are rejected where ExtRing and the test ring are built, so the test
+        # ring's exp cutoff never divides by p - 2 = 0
         for p, prec in ((2, 4), (1, 4), (0, 4), (-5, 4), (5, 0), (5, -1)):
             with pytest.raises(ValueError):
-                ExtRing(p, prec, modulus).one.exp()
-        ring = ExtRing(3, 1, modulus)  # the smallest ring admitted
-        assert ring.embed(3).exp() == ring.one
+                ExtRing(p, prec)
+            with pytest.raises(ValueError):
+                OracleRing(p, prec, modulus)
+        ring, oracle = ExtRing(3, 1), OracleRing(3, 1, modulus)  # the smallest rings admitted
+        assert ring.embed(4).log() == ring.zero and oracle.embed(3).exp() == oracle.one
