@@ -5,23 +5,13 @@ p = 2, 11 are off limits).  Nothing needs its roots or factors on their own: in
 R = Z_p[x]/(P), x acts as the companion matrix of the recurrence, so
 T(n) = phi(x^n) with phi(a + bx + cx^2) = b + c.  The splitting degree d is the
 least k with x^(p^k) = x in (Z/p)[x]/(P), and the period N of T mod p is the
-order of x there.
+order of x there.  tribonacci._xpow reads x^n, n of any sign, as the triple of its
+coordinates w.r.t. 1, x, x^2 by one binary powering; x^-1 = x^2 - x - 1.
 """
 
-from tribadic import ExtRing, prime_context, trib_mod
+from tribadic import prime_context, trib_mod
 from tribadic._factor import factorize
-
-
-def xpow(ring, n):
-    """x^n in ring by square-and-multiply; x^-1 = x^2 - x - 1, since x(x^2 - x - 1) = 1 in R."""
-    x = ring.gen
-    base = x * x - x - 1 if n < 0 else x
-    out = ring.one
-    for bit in bin(abs(n))[2:]:
-        out = out * out
-        if bit == "1":
-            out = out * base
-    return out
+from tribadic.tribonacci import _xpow
 
 
 print("splitting degrees and periods, both read from powers of x mod p:")
@@ -32,9 +22,8 @@ for p in (47, 13, 5):
 
 print("\nT(n) = phi(x^n) in Z_13[x]/(P), whatever the splitting (p = 13 has d = 2):")
 pk = 13**24
-R = ExtRing(13, 24)
 for n in (-17, -4, 0, 1, 10, 21):
-    c0, c1, c2 = (ci if ci < pk // 2 else ci - pk for ci in xpow(R, n).coords)  # small integers: print them signed
+    c0, c1, c2 = (ci if ci < pk // 2 else ci - pk for ci in _xpow(n, pk))  # small integers: print them signed
     phi = (c1 + c2) % pk
     print(f"  x^{n:<3} = {c0:>6} + {c1:>6} x + {c2:>6} x^2   phi(x^{n}) = {c1 + c2:>6} == T({n}) mod 13^24: "
           f"{phi == trib_mod(n, pk)}")
@@ -43,9 +32,8 @@ print("\nperiods (published N column), each the order of x mod p:")
 for p, listed in ((5, 31), (7, 48), (13, 168), (83, 287), (397, 132), (599, 598)):
     ctx = prime_context(p, 8)
     n = ctx.n_period
-    res = ExtRing(p, 1)
-    one = xpow(res, n) == res.one
-    minimal = all(xpow(res, n // q) != res.one for q in factorize(n))
+    one = _xpow(n, p) == (1, 0, 0)
+    minimal = all(_xpow(n // q, p) != (1, 0, 0) for q in factorize(n))
     mark = "ok" if n == listed else "MISMATCH"
     print(f"  N_{p} = {n:>6}  (published {listed:>6})  {mark};  x^N = 1: {one}, x^(N/q) != 1 for q | N: {minimal}")
 

@@ -9,8 +9,6 @@ Marques-Lengyel valuation conjecture hold, fail, or resist the method.
 from .padic import (
     DEFAULT_PRECISION,
     VAL_INF,
-    ExtElem,
-    ExtRing,
     PrecisionError,
     val_int,
 )

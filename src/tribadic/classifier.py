@@ -152,17 +152,6 @@ class FormulaSpec(namedtuple("FormulaSpec", "p q cases default_kappa")):
             return VAL_INF
         return kappa + mu * _vp(diff, self.p)
 
-    def rule_table(self):
-        """Normalized per-residue rules (kappa, a, mu), for comparing specs structurally."""
-        out = []
-        for r in range(self.q):
-            case = next((c for c in self.cases if r in c.residues), None)
-            if case is None or case.a is None:
-                out.append((case.kappa if case else self.default_kappa, None, None))
-            else:
-                out.append((case.kappa, Fraction(case.a), case.mu))
-        return tuple(out)
-
 
 class LinearCertificate(namedtuple("LinearCertificate", "q residue a kappa mu deriv_val")):
     """A certified linear case: nu_p(T(n)) = kappa + nu_p(n - a) for n = residue (mod q), a an int

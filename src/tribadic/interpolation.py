@@ -2,13 +2,14 @@
 
 In R = Z_p[x]/(P), x acts as the companion matrix of the recurrence, and
 T(n) = phi(x^n) for the linear form phi(a + bx + cx^2) = b + c; phi(g) is the
-Binet sum of g over the roots of P.  For l with p | T(l), the function
-f_l(z) = phi(x^l exp(z log x^(sN))) interpolates m -> T(l + m*sN).  This module
-extracts the power-series coefficients beta_k of g = f_l / p^e in R with a
-certified tail bound (every x^n read from tribonacci._xpow, so no power of x is
-ever inverted), bounds their number on Z_p (Strassman's mu, SeriesTrunc.mu) and locates the
-zero (Hensel iteration); classifier.class_series escalates the precision of one class's
-series, and everything about the class is read off that one series.
+Binet sum of g over the roots of P.  An element of R mod p^k is the triple of its
+coordinates w.r.t. 1, x, x^2, multiplied by tribonacci._mul; log on 1 + pR is _log.
+For l with p | T(l), the function f_l(z) = phi(x^l exp(z log x^(sN))) interpolates
+m -> T(l + m*sN).  This module extracts the power-series coefficients beta_k of
+g = f_l / p^e in R with a certified tail bound (every x^n read from tribonacci._xpow, so no
+power of x is ever inverted), bounds their number on Z_p (Strassman's mu, SeriesTrunc.mu) and
+locates the zero (Hensel iteration); classifier.class_series escalates the precision of one
+class's series, and everything about the class is read off that one series.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .galois import PrimeContext
-from .padic import ExtElem, ExtRing, PrecisionError, _vp, unit_inverse, vp_factorial
-from .tribonacci import _xpow, trib_mod
+from .padic import PrecisionError, _vp, unit_inverse, vp_factorial
+from .tribonacci import _mul, _xpow, trib_mod
 
 
 class ConditionNotMet(ValueError):
@@ -130,23 +131,84 @@ def _default_cut(p: int, log_val: int, prec: int) -> int:
     return -(-num // den)
 
 
-def _phi(g: ExtElem) -> int:
+def _phi(c, m: int) -> int:
     # phi(a + bx + cx^2) = b + c: T(n) = phi(x^n), and phi(g) = sum c_lambda g(lambda)
-    return (g.coords[1] + g.coords[2]) % g.ring.pk
+    return (c[1] + c[2]) % m
 
 
-def _char_poly(a: ExtElem) -> tuple[int, int, int]:
-    """(t1, t2, t3): the trace, the sum of the principal 2x2 minors and the determinant of
-    multiplication by a, read off its columns a, a*x and a*x^2.  By Cayley-Hamilton,
+def _val(c, p: int, prec: int) -> int:
+    """The valuation a coordinate triple certifies mod p^prec: the least over its coordinates
+    (R is unramified), prec if all vanish."""
+    v = prec
+    for r in c:
+        if r:
+            v = min(v, _vp(r, p))
+            if v == 0:
+                return 0
+    return v
+
+
+def _log_cutoff(p: int, prec: int, v: int) -> tuple[int, int]:
+    # for an argument 1 + w with nu_p(w) = v: the smallest M with v*n - log_p(n) >= prec
+    # (nondecreasing in n, and >= v*n - nu_p(n), so every term w^n/n with n >= M
+    # vanishes mod p^prec), and log_p(M), the largest nu_p(n) over n <= M
+    n = -(-prec // v)
+    while True:
+        logp = 0
+        q = p
+        while q <= n:
+            logp += 1
+            q *= p
+        if v * n - logp >= prec:
+            return n, logp
+        n += 1
+
+
+def _log(y, p: int, prec: int) -> tuple[int, int, int]:
+    """log y mod p^prec for a triple y = 1 (mod p) of R (p >= 3, R unramified): the series
+    sum (-1)^(n-1) w^n / n at w = y - 1, cut where every later term vanishes mod p^prec.
+
+    The terms are the integers (-1)^(n-1) lcm/n over lcm = lcm(1..cut), whose p-part is p^slack;
+    they are summed slack digits deeper, then divided once, exactly, by lcm.  Blocked Horner: with s = isqrt(n) + 1
+    for n coefficients and the powers w^0..w^s, each block of s coefficients is an unreduced
+    integer combination of those powers' coordinates, and one product by w^s and one reduction
+    per block join the blocks."""
+    pk = p**prec
+    w = ((y[0] - 1) % pk, y[1] % pk, y[2] % pk)
+    v = _val(w, p, prec)
+    if v < 1:
+        raise ValueError("log needs an argument = 1 (mod p)")
+    cut, slack = _log_cutoff(p, prec, v)
+    lcm = math.lcm(*range(1, cut + 1))
+    coeffs = [0] + [lcm // n if n % 2 else -(lcm // n) for n in range(1, cut + 1)]
+    q = p**slack
+    m = pk * q
+    s = math.isqrt(len(coeffs)) + 1
+    powers = [(1, 0, 0), w]
+    for _ in range(s - 1):
+        powers.append(_mul(powers[-1], w, m))
+    top = powers.pop()
+    columns = list(zip(*powers))  # columns[t]: coordinate t of w^0..w^(s-1)
+    acc = (0, 0, 0)
+    for i in range((len(coeffs) - 1) // s * s, -1, -s):
+        block = coeffs[i : i + s]
+        acc = tuple((a + sum(map(mul, block, column))) % m for a, column in zip(_mul(acc, top, m), columns))
+    if any(c % q for c in acc):
+        raise PrecisionError("exact division by p^w failed")
+    inv = unit_inverse(lcm // q, p, prec)
+    return tuple(c // q * inv % pk for c in acc)
+
+
+def _char_poly(a, m: int) -> tuple[int, int, int]:
+    """(t1, t2, t3) mod m: the trace, the sum of the principal 2x2 minors and the determinant of
+    multiplication by the triple a, read off its columns a, a*x and a*x^2.  By Cayley-Hamilton,
     a^3 = t1 a^2 - t2 a + t3."""
-    x = a.ring.gen
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = a.coords, (a * x).coords, (a * x * x).coords
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = a, _mul(a, (0, 1, 0), m), _mul(a, (0, 0, 1), m)
     minor0 = m11 * m22 - m12 * m21
     t1 = m00 + m11 + m22
     t2 = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
     t3 = m00 * minor0 - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
-    pk = a.ring.pk
-    return t1 % pk, t2 % pk, t3 % pk
+    return t1 % m, t2 % m, t3 % m
 
 
 @lru_cache(maxsize=1024)  # bounded; a scan to 780 builds 133 entries, a table after it none
@@ -161,19 +223,22 @@ def _log_data(p: int, prec: int, sn: int):
     in 1 + pR, so its series is about half as long."""
     # nu_p(log y) = nu_p(y - 1) on 1 + pR for odd p: P is squarefree mod p, so R is a
     # product of unramified rings and its coordinate valuation is the minimum over the roots
-    log_val = (ExtRing(p, prec).elem(_xpow(sn, p**prec)) - 1).val()
+    c0, c1, c2 = _xpow(sn, p**prec)
+    log_val = _val((c0 - 1, c1, c2), p, prec)
     J = _default_cut(p, log_val, prec)
     top = prec + log_val + vp_factorial(J, p)
     if log_val >= prec:
         return log_val, J, top, None
-    ring = ExtRing(p, top)
-    deep = ring.lifted(1)
-    log_x = deep.elem(_xpow(sn * p, deep.pk)).log().div_exact_p(1).lift_to(ring)
-    log_x2 = log_x * log_x
-    t1, t2, t3 = _char_poly(log_x)
-    if log_x2 * log_x != t1 * log_x2 - t2 * log_x + t3:
+    m = p**top
+    deep = _log(_xpow(sn * p, m * p), p, top + 1)
+    if any(c % p for c in deep):
+        raise PrecisionError("exact division by p^w failed")
+    log_x = tuple(c // p for c in deep)
+    log_x2 = _mul(log_x, log_x, m)
+    t1, t2, t3 = _char_poly(log_x, m)
+    if _mul(log_x2, log_x, m) != tuple((t1 * u - t2 * v + t) % m for u, v, t in zip(log_x2, log_x, (t3, 0, 0))):
         raise PrecisionError("log x^(sN) fails its Cayley-Hamilton relation in Z_p[x]/(P)")
-    return log_val, J, top, (_xpow(sn, ring.pk), log_x.coords, log_x2.coords, (t1, t2, t3))
+    return log_val, J, top, (_xpow(sn, m), log_x, log_x2, (t1, t2, t3))
 
 
 def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
@@ -191,7 +256,7 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     read from ring products; after them the Cayley-Hamilton relation
     L^3 = t1 L^2 - t2 L + t3, checked in the ring once per (p, prec, sN), gives the scalar
     recurrence s_(k+3) = t1 s_(k+2) - t2 s_(k+1) + t3 s_k.  L, its square and t1, t2, t3 come
-    from _log_data, built once per (p, prec, sN) and reduced here to this class's ring.
+    from _log_data, built once per (p, prec, sN), and _class_coeffs reads the coefficients off them.
 
     Where e = E, beta_1 comes from one ring product of x^l.  If it is a unit, b0 and d0 follow,
     and the J' + 1 coefficients of the class n = l' from one powering of x^(l'), checked against
@@ -214,66 +279,56 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     if e == log_val:  # else beta_1 is a multiple of p^(E - e)
         pe, pk_small = p**e, p**prec
         cut = max(1, _default_cut(p, log_val + 1, prec - 1))
-        ring = _ClassRing(p, prec + e + vp_factorial(cut, p), shared)
-        term = ring.elem(x_ell)
-        s_1 = _phi(term * ring.log_x)
+        m = p ** (prec + e + vp_factorial(cut, p))
+        s_1 = _phi(_mul(x_ell, shared[1], m), m)
         if s_1 % pe:
             raise PrecisionError("phi(x^l L) is not divisible by p^e")
         beta_1 = s_1 // pe % pk_small
         if beta_1 % p:
             b0 = -(t_ell // pe) * unit_inverse(beta_1, p, prec) % pk_small
             d0 = b0 % p
-            term = ring.elem(_xpow(ell + d0 * sn, ring.pk))
-            if _phi(term) % (pe * p):
+            n = ell + d0 * sn
+            x_n = _xpow(n, m)
+            if _phi(x_n, m) % (pe * p):
                 raise PrecisionError(f"p^(e+1) does not divide T(l + {d0}*sN): {d0} is not the zero's digit")
-            return SeriesTrunc(ctx, ell, s, e, log_val, ring.coeffs(term, ell + d0 * sn, sn, e, cut, prec), b0)
-    ring = _ClassRing(p, top - log_val + e, shared)  # below top only where e < E
-    return SeriesTrunc(ctx, ell, s, e, log_val, ring.coeffs(ring.elem(x_ell), ell, sn, e, J, prec))
+            return SeriesTrunc(ctx, ell, s, e, log_val, _class_coeffs(p, prec, m, shared, x_n, n, sn, e, cut), b0)
+    m = p ** (top - log_val + e)  # below p^top only where e < E
+    return SeriesTrunc(ctx, ell, s, e, log_val, _class_coeffs(p, prec, m, shared, x_ell, ell, sn, e, J))
 
 
-class _ClassRing(ExtRing):
-    """Z_p[x]/(P) at one class's precision, with x^(sN), L, L^2 and t1, t2, t3 of _log_data's
-    entry reduced to it."""
-
-    __slots__ = ("x_sn", "log_x", "log_x2", "char")
-
-    def __init__(self, p: int, prec: int, shared):
-        super().__init__(p, prec)
-        self.x_sn, self.log_x, self.log_x2 = (self.elem(v) for v in shared[:3])
-        self.char = tuple(t % self.pk for t in shared[3])
-
-    def coeffs(self, term: ExtElem, n: int, sn: int, e: int, J: int, prec: int) -> tuple[int, ...]:
-        """beta_0..beta_J mod p^prec of the class n, term = x^n: s_k = phi(x^n L^k) divided
-        exactly by p^(e + nu_p(k!)) and multiplied by the inverse of k!'s unit part."""
-        p, pk = self.p, self.pk
-        t1, t2, t3 = self.char
-        # ring._mul against _xpow's own product: phi(x^n * x^(sN)) = T(n + sN)
-        if _phi(term * self.x_sn) != trib_mod(n + sn, pk):
-            raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
-        phis = [_phi(term), _phi(term * self.log_x), _phi(term * self.log_x2)]
-        while len(phis) <= J:
-            phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % pk)
-        pk_small = p**prec
-        # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
-        # the unit part of k!, is walked down from the one inverse of J!'s unit part
-        units, divs, fact_unit = [1], [p**e], 1
-        for k in range(1, J + 1):
-            w = _vp(k, p)
-            units.append(k // p**w if w else k)
-            divs.append(divs[-1] * p**w)
-            fact_unit = fact_unit * units[k] % pk_small
-        inv_fact = [0] * (J + 1)
-        acc = unit_inverse(fact_unit, p, prec)
-        for k in range(J, 0, -1):
-            inv_fact[k] = acc
-            acc = acc * units[k] % pk_small
-        coeffs = [phis[0] // divs[0] % pk_small]
-        for k in range(1, J + 1):
-            s_k, div = phis[k], divs[k]
-            if s_k % div:
-                raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
-            coeffs.append(s_k // div * inv_fact[k] % pk_small)
-        return tuple(coeffs)
+def _class_coeffs(p: int, prec: int, m: int, shared, term, n: int, sn: int, e: int, J: int) -> tuple[int, ...]:
+    """beta_0..beta_J mod p^prec of the class n, term = x^n, read in R mod m = p^(prec + e + nu_p(J!))
+    off _log_data's shared = (x^(sN), L, L^2, (t1, t2, t3)): s_k = phi(x^n L^k) divided exactly by
+    p^(e + nu_p(k!)) and multiplied by the inverse of k!'s unit part."""
+    x_sn, log_x, log_x2, char = shared
+    t1, t2, t3 = (t % m for t in char)
+    # _mul against _xpow's own product: phi(x^n * x^(sN)) = T(n + sN)
+    if _phi(_mul(term, x_sn, m), m) != trib_mod(n + sn, m):
+        raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
+    phis = [_phi(term, m), _phi(_mul(term, log_x, m), m), _phi(_mul(term, log_x2, m), m)]
+    while len(phis) <= J:
+        phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % m)
+    pk_small = p**prec
+    # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
+    # the unit part of k!, is walked down from the one inverse of J!'s unit part
+    units, divs, fact_unit = [1], [p**e], 1
+    for k in range(1, J + 1):
+        w = _vp(k, p)
+        units.append(k // p**w if w else k)
+        divs.append(divs[-1] * p**w)
+        fact_unit = fact_unit * units[k] % pk_small
+    inv_fact = [0] * (J + 1)
+    acc = unit_inverse(fact_unit, p, prec)
+    for k in range(J, 0, -1):
+        inv_fact[k] = acc
+        acc = acc * units[k] % pk_small
+    coeffs = [phis[0] // divs[0] % pk_small]
+    for k in range(1, J + 1):
+        s_k, div = phis[k], divs[k]
+        if s_k % div:
+            raise PrecisionError("series coefficient not divisible by p^(e + nu(k!))")
+        coeffs.append(s_k // div * inv_fact[k] % pk_small)
+    return tuple(coeffs)
 
 
 def hensel_zero(series: SeriesTrunc) -> ZeroRecord:

@@ -6,6 +6,8 @@ T vanishes exactly on Z_T = {0, -1, -4, -17}.
 In Z[x]/(P), P = x^3 - x^2 - x - 1, T(n) = phi(x^n) with phi(c0 + c1 x + c2 x^2) = c1 + c2
 (Fiduccia's method), so one binary powering of x serves every n; x is a unit with
 x^(-1) = x^2 - x - 1, which makes the backward direction exact modulo any modulus.
+An element of R/m = (Z/m)[x]/(P) is the triple (c0, c1, c2) of its coordinates w.r.t. 1, x, x^2;
+_xpow and _mul are the only code that reduces by x^3 = 1 + x + x^2.
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ def _xpow(n: int, m):
     if m is not None:
         return c0 % m, c1 % m, c2 % m
     return c0, c1, c2
+
+
+def _mul(a, b, m: int) -> tuple[int, int, int]:
+    """The product of two coordinate triples (ints of any sign) in (Z/m)[x]/(P), reduced into
+    [0, m): the five convolution terms, then x^3 = 1 + x + x^2, the identity _xpow squares with."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c4 = a2 * b2
+    c3 = a1 * b2 + a2 * b1 + c4  # c4 x^4 = c4 (x + x^2 + x^3)
+    return (
+        (a0 * b0 + c3) % m,
+        (a0 * b1 + a1 * b0 + c3 + c4) % m,
+        (a0 * b2 + a1 * b1 + a2 * b0 + c3 + c4) % m,
+    )
 
 
 def trib(n: int) -> int:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -20,8 +21,8 @@ PSI_12 = 318665857834031151167461
 class OracleRing:
     """Test-only Z[x]/(h, p^prec) for any monic h (ascending coefficients; h = (0, 1) is Z_p):
     the schoolbook product with long division by h, inv by Newton, ** by squaring, exp as the
-    direct series and log as log_series_oracle.  It shares no code with tribadic.padic, so it
-    checks ExtRing's product and log.
+    direct series and log as log_series_oracle.  It shares no code with the library, so it
+    checks tribonacci._mul, R's product, and interpolation._log.
 
     h is stored as the symmetric residues of its coefficients, in (-p^prec/2, p^prec/2], so rings
     are equal exactly when their moduli agree mod p^prec, and P reads (-1, -1, -1, 1) however it
@@ -284,6 +285,19 @@ def zp_residue(g):
     if any(g.coords[1:]):
         raise AssertionError(f"{g!r} has nonvanishing extension coordinates")
     return g.coords[0]
+
+
+def rule_table(spec):
+    """A FormulaSpec's normalized per-residue rules (kappa, a, mu), for comparing specs
+    structurally: a is a Fraction, and None with mu on a constant class."""
+    out = []
+    for r in range(spec.q):
+        case = next((c for c in spec.cases if r in c.residues), None)
+        if case is None or case.a is None:
+            out.append((case.kappa if case else spec.default_kappa, None, None))
+        else:
+            out.append((case.kappa, Fraction(case.a), case.mu))
+    return tuple(out)
 
 
 def known_val(r, p, prec):

@@ -64,7 +64,7 @@ from tribadic.interpolation import series_coeffs
 from tribadic.padic import VAL_INF, PrecisionError, val_int
 from tribadic.tribonacci import ZERO_SET, _xpow, trib, trib_val
 
-from conftest import PSI_12, _plain_horner, known_val, slopes, trib_mod_oracle
+from conftest import PSI_12, _plain_horner, known_val, rule_table, slopes, trib_mod_oracle
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -392,7 +392,7 @@ class TestP3Pipeline:
     def test_formula_matches_builtin(self, prec):
         rec = classify_prime(3, prec)
         assert rec.verdicts["ml"].status == STATUS_HOLDS and rec.verdicts["ml"].q == 39
-        assert rec.formula.rule_table() == builtin_spec("p3").rule_table()
+        assert rule_table(rec.formula) == rule_table(builtin_spec("p3"))
 
     def test_class_rules_by_strassman_degree(self):
         # mu = 0 on (7, 1) and (9, 3), mu = 1 on (0, 1) and (12, 1), mu = 2 on (9, 1): split mod 39
@@ -730,7 +730,7 @@ class TestFormulaSpec:
 
     @staticmethod
     def rule_oracle(spec, n):
-        kappa, a, mu = spec.rule_table()[n % spec.q]
+        kappa, a, mu = rule_table(spec)[n % spec.q]
         if a is None:
             return kappa
         if n == a:
@@ -1545,7 +1545,7 @@ class TestHoldsRecordFormulas:
         rec = classify_prime(p)
         spec = rec.formula
         assert spec is not None
-        assert spec.rule_table() == builtin_spec(f"p{p}").rule_table()
+        assert rule_table(spec) == rule_table(builtin_spec(f"p{p}"))
         assert verify_formula(spec, 1, 3000) == []
 
     def test_every_holds_class_has_certificate(self):

@@ -454,13 +454,13 @@ class TestZeroSinglePass:
         """series_coeffs' classes, the Hensel zeros, and every expansion built as (its class,
         its cut J); the series built are kept under "series", which read_built leaves out."""
         calls = {"series_coeffs": [], "hensel_zero": 0, "expansions": [], "series": []}
-        expand = interpolation._ClassRing.coeffs
+        expand = interpolation._class_coeffs
 
-        def coeffs(ring, term, n, sn, e, J, prec):
+        def coeffs(p, prec, m, shared, term, n, sn, e, J):
             calls["expansions"].append((n, J))
-            return expand(ring, term, n, sn, e, J, prec)
+            return expand(p, prec, m, shared, term, n, sn, e, J)
 
-        monkeypatch.setattr(interpolation._ClassRing, "coeffs", coeffs)
+        monkeypatch.setattr(interpolation, "_class_coeffs", coeffs)
 
         def series_coeffs(ctx, ell, *args):
             calls["series_coeffs"].append(ell)
@@ -589,9 +589,10 @@ class TestScan:
 
 
 class TestEveryFunctionIsReached:
-    """Every function and method defined in tribadic.padic and tribadic.interpolation runs in
-    one of a fixed set of CLI requests, traced by sys.setprofile in this process (--jobs 1), with
-    the records memo and the log memo cold: code that no command runs has no place there."""
+    """Every function and method defined in tribadic.padic and tribadic.interpolation, and R's
+    product tribonacci._mul, runs in one of a fixed set of CLI requests, traced by sys.setprofile
+    in this process (--jobs 1), with the records memo and the log memo cold: code that no command
+    runs has no place there."""
 
     REQUESTS = [
         ["scan", "--max", "300"],
@@ -622,10 +623,10 @@ class TestEveryFunctionIsReached:
         return out
 
     def test_every_function_runs(self, capsys, cold_records):
-        from tribadic import padic
+        from tribadic import padic, tribonacci
 
-        defined = {**self.defined(padic), **self.defined(interpolation)}
-        assert {"ExtRing._mul", "ExtElem.log", "SeriesTrunc.mu", "_log_data", "hensel_zero"} <= set(defined)
+        defined = {**self.defined(padic), **self.defined(interpolation), "tribonacci._mul": tribonacci._mul.__code__}
+        assert {"_log", "_class_coeffs", "_char_poly", "SeriesTrunc.mu", "_log_data", "hensel_zero"} <= set(defined)
         called = set()
 
         def profile(frame, event, arg):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribadic import ExtRing, val_int
+from tribadic import prime_context, val_int
 import tribadic.padic as padic
+from tribadic.interpolation import _log, _log_cutoff, _val
+from tribadic.tribonacci import _mul
 
 from conftest import _P, OracleRing, known_val, log_series_oracle
 
@@ -17,9 +19,9 @@ def zp(p, prec, residue):
     return OracleRing(p, prec, (0, 1)).embed(residue)
 
 
-def oracle(g):
-    """The library element g of R = Z_p[x]/(P) as an element of the test ring modulo P."""
-    return OracleRing(g.ring.p, g.ring.prec, _P).elem(g.coords)
+def oracle(c, p, prec):
+    """The coordinate triple c of R = Z_p[x]/(P) mod p^prec as an element of the test ring modulo P."""
+    return OracleRing(p, prec, _P).elem(c)
 
 
 def recurrence_oracle(n):
@@ -166,25 +168,39 @@ def ring_horner_series(x, coeffs, den, slack):
 RING_MODULI = [(0, 1), _P]  # the test ring's Z_p and R
 
 
+def log_terms(p, prec, v):
+    """The terms (-1)^(n-1) L/n of log at an argument of valuation v, L = lcm(1..cut), with L
+    and slack = nu_p(L)."""
+    cut, slack = _log_cutoff(p, prec, v)
+    lcm = math.lcm(*range(1, cut + 1))
+    return [0] + [(-1) ** (n - 1) * (lcm // n) for n in range(1, cut + 1)], lcm, slack
+
+
 class TestBlockedRingSeries:
-    """ExtElem._series and log against ring_horner_series in the test ring modulo P."""
+    """_log, blocked Horner over its own terms, against ring_horner_series in the test ring
+    modulo P."""
 
     @given(
         st.sampled_from([3, 5, 587]), st.sampled_from([1, 3, 24, 96]),
-        st.integers(1, 130), st.integers(0, 3), st.randoms(use_true_random=False),
+        st.integers(1, 4), st.randoms(use_true_random=False),
     )
     @settings(max_examples=120, deadline=None)
-    def test_series_matches_ring_horner(self, p, prec, n, slack, rng):
-        x = ExtRing(p, prec).elem([rng.randrange(-(p**prec), 2 * p**prec) for _ in range(3)])
-        den = p**slack * rng.choice([1, 2, 7, 1 + p])
-        # coefficients divisible by p^slack, so the exact division always succeeds
-        coeffs = [p**slack * rng.randrange(-(p ** (2 * prec)), p ** (2 * prec)) for _ in range(n)]
-        assert x._series(coeffs, den, slack).coords == ring_horner_series(oracle(x), coeffs, den, slack).coords
+    def test_series_matches_ring_horner(self, p, prec, v, rng):
+        # y = 1 + w with coordinates of any sign and nu_p(w) >= v: the series is cut at the
+        # actual valuation, so its length and its slack vary with p, prec and w
+        pk = p**prec
+        w = [p**v * rng.randrange(-pk, 2 * pk) for _ in range(3)]
+        ring_w = oracle(w, p, prec)
+        log = _log((1 + w[0], w[1], w[2]), p, prec)
+        if ring_w.val() >= prec:
+            assert log == (0, 0, 0)
+            return
+        assert log == ring_horner_series(ring_w, *log_terms(p, prec, ring_w.val())).coords
 
     @pytest.mark.parametrize("modulus", RING_MODULI)
     @pytest.mark.parametrize("p, prec", [(3, 1), (3, 24), (5, 3), (5, 96), (587, 24), (587, 96)])
     def test_exp_and_log(self, p, prec, modulus):
-        # the test ring's exp and log invert each other, in Z_p and in R; in R, ExtElem.log is
+        # the test ring's exp and log invert each other, in Z_p and in R; in R, _log is
         # ring_horner_series over its own terms, and the test ring's exp inverts it
         ring = OracleRing(p, prec, modulus)
         rng = random.Random(p * prec)
@@ -193,15 +209,12 @@ class TestBlockedRingSeries:
             assert (w + 1).log().exp() == w + 1 and w.exp().log() == w
             if modulus != _P:
                 continue
-            log = (ExtRing(p, prec).elem(w.coords) + 1).log()
-            assert oracle(log).exp() == w + 1
+            log = _log((w + 1).coords, p, prec)
+            assert oracle(log, p, prec).exp() == w + 1
             v = w.val()
             if v >= prec:
                 continue
-            cut, slack = padic._log_cutoff(p, prec, v)
-            lcm = math.lcm(*range(1, cut + 1))
-            terms = [0] + [(-1) ** (n - 1) * (lcm // n) for n in range(1, cut + 1)]
-            assert log.coords == ring_horner_series(w, terms, lcm, slack).coords
+            assert log == ring_horner_series(w, *log_terms(p, prec, v)).coords
 
 
 def exp_series_oracle(z, p, prec):
@@ -231,7 +244,7 @@ def trial_division_valuation_factorial(n, p):
 
 
 class TestExpLog:
-    """log in R (ExtElem.log) on the constants Z_p and on all of 1 + pR, with the test ring's
+    """log in R (_log) on the constants Z_p and on all of 1 + pR, with the test ring's
     exp, the direct series, as its inverse; the test ring's exp against exact rationals."""
 
     def test_exp_zero(self):
@@ -242,7 +255,7 @@ class TestExpLog:
         assert r.coords == (exp_series_oracle(7, 7, 4),)
         assert (r - 1).val() == 1
         assert r.log() == zp(7, 4, 7)
-        assert ExtRing(7, 4).embed(r.coords[0]).log() == ExtRing(7, 4).embed(7)
+        assert _log((r.coords[0], 0, 0), 7, 4) == (7, 0, 0)
 
     def test_exp_preserves_valuation(self):
         rng = random.Random(11)
@@ -264,23 +277,23 @@ class TestExpLog:
     @settings(max_examples=50, deadline=None)
     def test_log_multiplicative(self, a):
         p, prec = 5, 16
-        u = ExtRing(p, prec).embed(1 + p * a)
-        assert (u * u).log() == 2 * u.log()
+        pk = p**prec
+        u = (1 + p * a, 0, 0)
+        assert _log(_mul(u, u, pk), p, prec) == tuple(2 * c % pk for c in _log(u, p, prec))
 
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_exp_log_round_trip(self, a):
         p, prec = 11, 16
-        u = ExtRing(p, prec).elem([1 + p * a, p * (a // 7), p * (a // 13)])
-        assert oracle(u.log()).exp() == oracle(u)
+        u = (1 + p * a, p * (a // 7), p * (a // 13))
+        assert oracle(_log(u, p, prec), p, prec).exp() == oracle(u, p, prec)
 
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_log_exp_round_trip(self, a):
         p, prec = 3, 16
-        ring = ExtRing(p, prec)
-        z = ring.elem([p * a, p * (a // 7), p * (a // 13)])
-        assert ring.elem(oracle(z).exp().coords).log() == z
+        z = tuple(c % p**prec for c in (p * a, p * (a // 7), p * (a // 13)))
+        assert _log(oracle(z, p, prec).exp().coords, p, prec) == z
 
     @pytest.mark.parametrize("prec", [24, 97])
     @pytest.mark.parametrize("v", [1, 2, 4])
@@ -289,63 +302,55 @@ class TestExpLog:
         # the log series stops at the cutoff of nu_p(u - 1) = v; it must agree with the series
         # summed as far as v = 1 requires, on the constants of R and on all of R
         rng = random.Random(p * 1000 + v * 100 + prec)
-        ring = ExtRing(p, prec)
+        pk = p**prec
         for _ in range(4):
-            w = p**v * rng.choice([1, p - 1, rng.randrange(1, p**prec)])
-            for g in (ring.embed(1 + w), ring.one + ring.elem([p**v * rng.randrange(p**prec) for _ in range(3)])):
-                log_g = g.log()
-                assert oracle(log_g) == log_series_oracle(oracle(g))
-                assert ring.elem((oracle(g) ** p).coords).log() == p * log_g
-                assert oracle(log_g).exp() == oracle(g)
+            w = p**v * rng.choice([1, p - 1, rng.randrange(1, pk)])
+            c = [p**v * rng.randrange(pk) for _ in range(3)]
+            for g in ((1 + w, 0, 0), (1 + c[0], c[1], c[2])):
+                log_g, ring_g = _log(g, p, prec), oracle(g, p, prec)
+                assert oracle(log_g, p, prec) == log_series_oracle(ring_g)
+                assert _log((ring_g**p).coords, p, prec) == tuple(p * c % pk for c in log_g)
+                assert oracle(log_g, p, prec).exp() == ring_g
 
     def test_log_one(self):
-        ring = ExtRing(5, 8)
-        assert ring.one.log() == ring.zero
+        assert _log((1, 0, 0), 5, 8) == (0, 0, 0) == _log((1 + 5**8, -(5**9), 0), 5, 8)
 
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(ValueError):
             zp(5, 8, 2).exp()
 
     def test_log_needs_one_mod_p(self):
-        with pytest.raises(ValueError):
-            ExtRing(5, 8).embed(3).log()
+        for y in ((3, 0, 0), (1, 1, 0), (6, 5, -1)):
+            with pytest.raises(ValueError):
+                _log(y, 5, 8)
 
 
 class TestPAdicInt:
     """p-adic integers mod p^K as the constants of R = Z_p[x]/(P)."""
 
     def test_residue_range_and_known_val(self):
-        ring = ExtRing(5, 4)
-        x = ring.embed(-1)
-        assert x.coords == (5**4 - 1, 0, 0) and x.val() == 0
+        # products land in [0, p^K); _val reads off a triple the valuation its residues certify
+        pk = 5**4
+        assert _mul((-1, 0, 0), (1, 0, 0), pk) == (pk - 1, 0, 0) and _val((pk - 1, 0, 0), 5, 4) == 0
         for r, v in ((0, 4), (50, 2), (-1, 0), (5**5, 4)):
-            assert ring.embed(r).val() == known_val(r, 5, 4) == v
-
-    def test_mixed_primes_rejected(self):
-        with pytest.raises(ValueError):
-            ExtRing(5, 4).one + ExtRing(7, 4).one
-
-    def test_mixed_precisions_rejected(self):
-        # elements at two precisions belong to two rings: nothing truncates silently
-        with pytest.raises(ValueError):
-            ExtRing(5, 6).embed(7) * ExtRing(5, 3).embed(2)
+            assert _val((r, 0, 0), 5, 4) == _val((0, 0, r), 5, 4) == known_val(r, 5, 4) == v
 
     def test_pow_negative(self):
         x = zp(7, 5, 3)
         assert x ** (-2) == (x.inv()) ** 2
 
     def test_p2_rejected(self):
+        # R's log needs an odd p: p = 2 is rejected where a prime's context is built, before any
+        # series
         with pytest.raises(ValueError):
-            ExtRing(2, 4)
+            prime_context(2, 4)
 
     @pytest.mark.parametrize("modulus", RING_MODULI)
     def test_ring_bounds(self, modulus):
-        # p < 3 and prec < 1 are rejected where ExtRing and the test ring are built, so the test
-        # ring's exp cutoff never divides by p - 2 = 0
+        # p < 3 and prec < 1 are rejected where the test ring is built, so its exp cutoff never
+        # divides by p - 2 = 0; log and exp run on the smallest rings admitted
         for p, prec in ((2, 4), (1, 4), (0, 4), (-5, 4), (5, 0), (5, -1)):
             with pytest.raises(ValueError):
-                ExtRing(p, prec)
-            with pytest.raises(ValueError):
                 OracleRing(p, prec, modulus)
-        ring, oracle = ExtRing(3, 1), OracleRing(3, 1, modulus)  # the smallest rings admitted
-        assert ring.embed(4).log() == ring.zero and oracle.embed(3).exp() == oracle.one
+        oracle = OracleRing(3, 1, modulus)
+        assert _log((4, 0, 0), 3, 1) == (0, 0, 0) and oracle.embed(3).exp() == oracle.one
