@@ -41,7 +41,7 @@ from ._factor import crt_pair, is_prime, primes_upto
 from .galois import EXCLUDED_PRIMES, PrimeContext, prime_context
 from .interpolation import SeriesTrunc, hensel_zero, series_coeffs
 from .padic import DEFAULT_PRECISION, VAL_INF, PrecisionError, _vp, unit_inverse, val_int
-from .tribonacci import ZERO_SET, _xpow, trib_mod, trib_val
+from .tribonacci import ZERO_SET, _chain, _char_poly, _mul, _triple, _xpow, trib_mod, trib_val
 
 ZT = ZERO_SET
 ZERO_TARGETS_RAT = (Fraction(1, 3), Fraction(-5, 3))
@@ -526,22 +526,14 @@ class Mismatch(namedtuple("Mismatch", "n predicted actual")):
     __slots__ = ()
 
 
-def _chain(u0, u1, u2, t1, t2, m):
-    """u_l = T(n + l*q) mod m for l = 0, 1, ..., from u_0, u_1 and u_2, by the recurrence
-    u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + u_l of x^q: t1 = tr x^q, t2 = tr x^(-q), det x^q = 1."""
-    while True:
-        yield u0
-        u0, u1, u2 = u1, u2, (t1 * u2 - t2 * u1 + u0) % m
-
-
 def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     """Compare the predicted nu_p(T(n)) with the actual valuation on [lo, hi]
     plus any extra points; an empty report is a pass.
 
-    Each class n = i (mod q) is read as a chain u_l = T(n + l*q), which obeys the recurrence
-    of x^q (Cayley-Hamilton): u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + u_l, with t1 = tr x^q =
-    3 r0 + r1 + 3 r2 for x^q = r0 + r1 x + r2 x^2, t2 = tr x^(-q), and det x^q = 1.  A chain
-    is seeded from (T(n), T(n+1), T(n+2)) and the coordinates of x^q and x^(2q).
+    Each class n = i (mod q) is read as a chain u_l = T(n + l*q), walked by _chain on the
+    recurrence u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + t3 u_l of x^q = r0 + r1 x + r2 x^2, with
+    (t1, t2, t3) = _char_poly(x^q) (Cayley-Hamilton) and t3 = det x^q = 1 checked by a raise.
+    A chain is seeded from _triple's (T(n), T(n+1), T(n+2)), x^q, powered once, and its square.
 
     Range residues are taken mod m, the largest power p^K of p below 2^30 (p itself once
     p^2 >= 2^30); a nonzero residue gives nu_p(T(n)) exactly, a zero one defers to
@@ -552,7 +544,7 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
     otherwise.  Every other class is walked as a chain n, n + q, ... <= hi; a point passes
     where its residue shows its rule's valuation (a linear rule's read from d = n*den - num,
     carried along the chain), and goes to spec.predict otherwise.  Each step is a bijection
-    on triples mod m (u_l's coefficient is 1), so the triple at the end of the first period
+    on triples mod m (u_l's coefficient t3 is 1), so the triple at the end of the first period
     and of each chain is checked against the one read from a powering of x^n, and any
     corruption raises AssertionError.  The range's mismatches are in order of n.
 
@@ -582,13 +574,12 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
         if 0 <= e < VAL_INF:
             classes.setdefault(n % q, {})[n] = min(e + 1, DEFAULT_PRECISION)
     top = p ** max([k_max] + [k for points in classes.values() for k in points.values()])
-    (r0, r1, r2), s, w = (_xpow(k, top) for k in (q, 2 * q, -q))
-    t1, t2 = 3 * r0 + r1 + 3 * r2, 3 * w[0] + w[1] + 3 * w[2]
+    r0, r1, r2 = x_q = _xpow(q, top)
+    s = _mul(x_q, x_q, top)
+    t1, t2, t3 = _char_poly(x_q, top)
+    if t3 != 1:
+        raise AssertionError(f"det x^q = {t3}, not 1: a jump of q is not a bijection on triples")
     k0 = min([k_max] + [_vp(r, p) for r in (r1, r2) if r])
-
-    def state(n, mod):  # (T(n), T(n+1), T(n+2)) mod `mod` from one powering of x^n
-        c0, c1, c2 = _xpow(n, mod)
-        return (c1 + c2) % mod, (c0 + c1 + 2 * c2) % mod, (c0 + 2 * c1 + 4 * c2) % mod
 
     def seed(a, b, c, mod):  # (T(n), T(n+q), T(n+2q)) mod `mod` from (T(n), T(n+1), T(n+2))
         return a, (r0 * a + r1 * b + r2 * c) % mod, (s[0] * a + s[1] * b + s[2] * c) % mod
@@ -599,7 +590,7 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
 
     def walk_class(first, a, b, c, kappa, num, den, mu):
         e, d = kappa, None if num is None else first * den - num
-        chain = _chain(*seed(a, b, c, m), t1, t2, m)
+        chain = _chain(*seed(a, b, c, m), t1, t2, t3, m)
         for n, a in zip(range(first, hi + 1, q), chain):
             if d is not None:
                 e = kappa if d % p else kappa + mu * _vp(d, p) if d else -1  # d = 0: VAL_INF, compare
@@ -607,11 +598,11 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
             if not (0 <= e < k_max and a % pows[e + 1] and not a % pows[e]):
                 compare(n, _vp(a, p) if a else trib_val(n, p))  # trib_val is VAL_INF on Z_T
         if n != first:
-            check(n, (a, next(chain), next(chain)), seed(*state(n, m), m))
+            check(n, (a, next(chain), next(chain)), seed(*_triple(n, m), m))
 
     if lo <= hi:
         rules, default = spec._rules, (spec.default_kappa, None, None, None)
-        a, b, c = state(lo, m)
+        a, b, c = _triple(lo, m)
         n, end = lo, min(hi, lo + q - 1)
         while True:
             kappa, num, den, mu = rules.get(n % q, default)
@@ -623,14 +614,14 @@ def verify_formula(spec: FormulaSpec, lo: int, hi: int, extra=()):
                 break
             a, b, c = b, c, (a + b + c) % m
             n += 1
-        check(end, (a, b, c), state(end, m))
+        check(end, (a, b, c), _triple(end, m))
         out.sort(key=lambda mismatch: mismatch.n)
     for i, points in classes.items():
         if k0 == 0 or r0 % p != 1:  # x^q != 1 (mod p): one powering per point
             residues.update((n, trib_mod(n, p**k)) for n, k in points.items())
             continue
         k = max(points.values())
-        row, diffs = list(islice(_chain(*seed(*state(i, p**k), p**k), t1, t2, p**k), k)), []
+        row, diffs = list(islice(_chain(*seed(*_triple(i, p**k), p**k), t1, t2, t3, p**k), k)), []
         while row:  # Delta^j u_0 for j < k
             diffs.append(row[0])
             row = [y - x for x, y in zip(row, row[1:])]

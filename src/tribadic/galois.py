@@ -19,9 +19,6 @@ from .tribonacci import _xpow
 
 EXCLUDED_PRIMES = (2, 11)
 
-# P as an integer polynomial, ascending coefficients
-_P = (-1, -1, -1, 1)
-
 
 def _check_admissible(p: int) -> None:
     if not is_prime(p):

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import mul
 
 from .galois import PrimeContext
 from .padic import PrecisionError, _vp, unit_inverse, vp_factorial
-from .tribonacci import _mul, _xpow, trib_mod
+from .tribonacci import _chain, _char_poly, _mul, _phi, _xpow, trib_mod
 
 
 class ConditionNotMet(ValueError):
@@ -131,11 +132,6 @@ def _default_cut(p: int, log_val: int, prec: int) -> int:
     return -(-num // den)
 
 
-def _phi(c, m: int) -> int:
-    # phi(a + bx + cx^2) = b + c: T(n) = phi(x^n), and phi(g) = sum c_lambda g(lambda)
-    return (c[1] + c[2]) % m
-
-
 def _val(c, p: int, prec: int) -> int:
     """The valuation a coordinate triple certifies mod p^prec: the least over its coordinates
     (R is unramified), prec if all vanish."""
@@ -199,18 +195,6 @@ def _log(y, p: int, prec: int) -> tuple[int, int, int]:
     return tuple(c // q * inv % pk for c in acc)
 
 
-def _char_poly(a, m: int) -> tuple[int, int, int]:
-    """(t1, t2, t3) mod m: the trace, the sum of the principal 2x2 minors and the determinant of
-    multiplication by the triple a, read off its columns a, a*x and a*x^2.  By Cayley-Hamilton,
-    a^3 = t1 a^2 - t2 a + t3."""
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = a, _mul(a, (0, 1, 0), m), _mul(a, (0, 0, 1), m)
-    minor0 = m11 * m22 - m12 * m21
-    t1 = m00 + m11 + m22
-    t2 = minor0 + m00 * m22 - m02 * m20 + m00 * m11 - m01 * m10
-    t3 = m00 * minor0 - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
-    return t1 % m, t2 % m, t3 % m
-
-
 @lru_cache(maxsize=1024)  # bounded; a scan to 780 builds 133 entries, a table after it none
 def _log_data(p: int, prec: int, sn: int):
     """What series_coeffs shares across the classes of one (p, prec, sN):
@@ -270,7 +254,7 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     sn = s * ctx.n_period
     log_val, J, top, shared = _log_data(p, prec, sn)
     x_ell = _xpow(ell, p**top)
-    t_ell = (x_ell[1] + x_ell[2]) % p**top
+    t_ell = _phi(x_ell, p**top)
     if t_ell % p:
         raise ConditionNotMet("divisibility", f"p = {p} does not divide T({ell})")
     if log_val >= prec:
@@ -298,16 +282,15 @@ def series_coeffs(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
 
 def _class_coeffs(p: int, prec: int, m: int, shared, term, n: int, sn: int, e: int, J: int) -> tuple[int, ...]:
     """beta_0..beta_J mod p^prec of the class n, term = x^n, read in R mod m = p^(prec + e + nu_p(J!))
-    off _log_data's shared = (x^(sN), L, L^2, (t1, t2, t3)): s_k = phi(x^n L^k) divided exactly by
+    off _log_data's shared = (x^(sN), L, L^2, (t1, t2, t3)): s_k = phi(x^n L^k), s_0..s_2 from ring
+    products and the rest walked by tribonacci._chain on L's (t1, t2, t3), divided exactly by
     p^(e + nu_p(k!)) and multiplied by the inverse of k!'s unit part."""
     x_sn, log_x, log_x2, char = shared
-    t1, t2, t3 = (t % m for t in char)
     # _mul against _xpow's own product: phi(x^n * x^(sN)) = T(n + sN)
     if _phi(_mul(term, x_sn, m), m) != trib_mod(n + sn, m):
         raise PrecisionError("phi(x^l * x^(sN)) disagrees with T(l + sN) in Z_p[x]/(P)")
-    phis = [_phi(term, m), _phi(_mul(term, log_x, m), m), _phi(_mul(term, log_x2, m), m)]
-    while len(phis) <= J:
-        phis.append((t1 * phis[-1] - t2 * phis[-2] + t3 * phis[-3]) % m)
+    seeds = (_phi(term, m), _phi(_mul(term, log_x, m), m), _phi(_mul(term, log_x2, m), m))
+    phis = list(islice(_chain(*seeds, *(t % m for t in char), m), J + 1))
     pk_small = p**prec
     # units[k] is the unit part of k and divs[k] = p^(e + nu_p(k!)); inv_fact[k], the inverse of
     # the unit part of k!, is walked down from the one inverse of J!'s unit part

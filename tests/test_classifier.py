@@ -53,7 +53,6 @@ from tribadic.classifier import (
     ZT,
     Mismatch,
     TableRow,
-    _chain,
     _class_rules,
     _classify_range,
     _zero_scan,
@@ -62,7 +61,7 @@ from tribadic.classifier import (
 from tribadic.galois import EXCLUDED_PRIMES
 from tribadic.interpolation import series_coeffs
 from tribadic.padic import VAL_INF, PrecisionError, val_int
-from tribadic.tribonacci import ZERO_SET, _xpow, trib, trib_val
+from tribadic.tribonacci import ZERO_SET, _chain, _char_poly, _xpow, trib, trib_val
 
 from conftest import PSI_12, _plain_horner, known_val, rule_table, slopes, trib_mod_oracle
 
@@ -930,16 +929,15 @@ class TestVerifyFormula:
 
     def test_sync_check_survives_python_O(self):
         # the walk's check against its own powering must not be an assert that -O strips:
-        # with x^lo = x and x^q = x^39 true and every other powering of x one step ahead
-        # (x^(2q), which seeds each chain's T(n + 2q), and x^(-q), whose trace is the
-        # recurrence's t2, among them), the first check made is the end of the first jump
+        # with the triples read at lo = 1 and at the first period's end 39 true and every other
+        # triple read one step ahead, the first check made is the end of the first jump
         # chain, p3's kappa = 4 class n = 9 (mod 39), at 9 + 51 * 39 = 1998
         code = (
             "import sys\n"
             "import tribadic.classifier as c\n"
             "assert False, 'not running under -O'\n"
-            "real = c._xpow\n"
-            "c._xpow = lambda n, m: real(n if n in (1, 39) else n + 1, m)\n"
+            "real = c._triple\n"
+            "c._triple = lambda n, m: real(n if n in (1, 39) else n + 1, m)\n"
             "try:\n"
             "    c.verify_formula(c.builtin_spec('p3'), 1, 2000)\n"
             "except AssertionError as exc:\n"
@@ -1062,13 +1060,12 @@ class TestVerifyFormula:
         # class has nu_83 = 0, so each is reported from the first period, with no jump chain and
         # so no chain-end powering beyond those of the right spec
         powerings = []
-        real = tribadic.classifier._xpow
+        for name in ("_xpow", "_triple"):
+            def spy(n, m, real=getattr(tribadic.classifier, name)):
+                powerings.append(n)
+                return real(n, m)
 
-        def spy(n, m):
-            powerings.append(n)
-            return real(n, m)
-
-        monkeypatch.setattr(tribadic.classifier, "_xpow", spy)
+            monkeypatch.setattr(tribadic.classifier, name, spy)
         spec = builtin_spec("p83")
         wrong = FormulaSpec(spec.p, spec.q, spec.cases, 1)
         lo, hi = 5, 5 + 4 * spec.q
@@ -1113,9 +1110,9 @@ class TestVerifyFormula:
 
     @pytest.mark.parametrize("q", [1, 13, 32, 39, 54, 286, 287])
     def test_chain_recurrence_of_x_to_the_q(self, q):
-        # u_l = T(n + l*q) obeys u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + u_l with t1 = tr x^q =
-        # 3 r0 + r1 + 3 r2 (tr 1 = 3, tr x = 1, tr x^2 = 3) and t2 = tr x^(-q); the traces are
-        # the power sums S(k) of P's roots: S(0), S(1), S(2) = 3, 1, 3 and S(k+3) = S(k+2) + S(k+1) + S(k)
+        # u_l = T(n + l*q) obeys u_(l+3) = t1 u_(l+2) - t2 u_(l+1) + t3 u_l with _char_poly(x^q) =
+        # (t1, t2, t3) = (tr x^q, tr x^(-q), det x^q) = (S(q), S(-q), 1), the power sums S(k) of P's
+        # roots, whose product is 1: S(0), S(1), S(2) = 3, 1, 3 and S(k+3) = S(k+2) + S(k+1) + S(k)
         def power_sum(k):
             s = [3, 1, 3]
             if k < 0:
@@ -1126,13 +1123,11 @@ class TestVerifyFormula:
                 s = [s[1], s[2], sum(s)]
             return s[0]
 
-        r0, r1, r2 = _xpow(q, None)
-        w0, w1, w2 = _xpow(-q, None)
-        t1, t2 = 3 * r0 + r1 + 3 * r2, 3 * w0 + w1 + 3 * w2
-        assert (t1, t2) == (power_sum(q), power_sum(-q))
         m = 2**4000  # above 2 |T(n + l*q)| for every point below, so a residue is the exact value
+        t1, t2, t3 = _char_poly(_xpow(q, m), m)
+        assert (t1, t2, t3) == (power_sum(q) % m, power_sum(-q) % m, 1)
         for n in (-30, 0, 7):
-            chain = _chain(*(trib(n + l * q) % m for l in range(3)), t1, t2, m)
+            chain = _chain(*(trib(n + l * q) % m for l in range(3)), t1, t2, t3, m)
             walked = [u if u < m // 2 else u - m for u in islice(chain, 8)]
             assert walked == [trib(n + l * q) for l in range(8)], n
 
@@ -1182,34 +1177,35 @@ class TestVerifyFormula:
 
     def test_crt_points_read_one_powering_per_class(self, monkeypatch):
         # p587's 96 CRT points (6 linear residues mod 293, depths 1..16) come from forward
-        # differences: x^q, x^(2q) and x^(-q) are powered once, each class's seed x^i once, and
-        # trib_mod reads only each class's largest point, the cross-check
+        # differences: x^q is powered once (x^(2q) is its square and its characteristic polynomial
+        # gives the recurrence), each class's seed x^i once, and trib_mod reads only each class's
+        # largest point, the cross-check
         spec = builtin_spec("p587")
         points = self.extra_points(spec, range(1, 17))[:96]
         classes = {n % spec.q for n in points}
         assert len(classes) == 6 and all(n > 0 for n in points)
         powerings, reads = [], []
-        real_xpow = tribadic.classifier._xpow
+        for name in ("_xpow", "_triple"):
+            def spy(n, m, real=getattr(tribadic.classifier, name)):
+                powerings.append(n)
+                return real(n, m)
 
-        def xpow_spy(n, m):
-            powerings.append(n)
-            return real_xpow(n, m)
+            monkeypatch.setattr(tribadic.classifier, name, spy)
 
         def trib_mod_spy(n, m):
             reads.append(n)
             return trib_mod(n, m)
 
-        monkeypatch.setattr(tribadic.classifier, "_xpow", xpow_spy)
         monkeypatch.setattr(tribadic.classifier, "trib_mod", trib_mod_spy)
         monkeypatch.setattr(tribadic.classifier, "trib_val", None)  # no point may defer to it
         assert verify_formula(spec, 1, 0, extra=points) == []
-        assert sorted(powerings) == sorted([spec.q, 2 * spec.q, -spec.q, *classes])
+        assert sorted(powerings) == sorted([spec.q, *classes])
         assert sorted(reads) == sorted(max(n for n in points if n % spec.q == i) for i in classes)
 
     def test_difference_check_survives_python_O(self):
         # the cross-check of each class's forward differences against trib_mod must not be an
         # assert that -O strips: p83's class n = 270 (mod 287), seeded one step ahead from its
-        # powering at the extras' modulus, reads T(n + 1) for every point, and the raise names
+        # triple at the extras' modulus, reads T(n + 1) for every point, and the raise names
         # the class's largest point
         spec = builtin_spec("p83")
         points = [crt_witness(i, 287, a, 83, k) for i, a in ((270, -17), (0, 0)) for k in range(1, 9)]
@@ -1220,8 +1216,8 @@ class TestVerifyFormula:
             f"points = {points!r}\n"
             "spec = c.builtin_spec('p83')\n"
             "top = 83 ** max(min(spec.predict(n) + 1, 24) for n in points if n % 287 == 270)\n"
-            "real = c._xpow\n"
-            "c._xpow = lambda n, m: real(n + 1 if (n, m) == (270, top) else n, m)\n"
+            "real = c._triple\n"
+            "c._triple = lambda n, m: real(n + 1 if (n, m) == (270, top) else n, m)\n"
             "try:\n"
             "    c.verify_formula(spec, 1, 0, extra=points)\n"
             "except AssertionError as exc:\n"
@@ -1234,6 +1230,27 @@ class TestVerifyFormula:
         )
         assert out.returncode == 0, out.stderr
         assert f"raised: forward differences disagree with trib_mod at n = {largest}" in out.stdout
+
+    def test_determinant_check_survives_python_O(self):
+        # det x^q = 1 makes each jump of q a bijection on triples, which the chain-end checks
+        # rest on: a characteristic polynomial whose t3 is moved off 1 must raise, not an assert
+        # that -O strips, before any chain is walked
+        code = (
+            "import tribadic.classifier as c\n"
+            "assert False, 'not running under -O'\n"
+            "real = c._char_poly\n"
+            "c._char_poly = lambda a, m: (lambda t: (t[0], t[1], (t[2] + 1) % m))(real(a, m))\n"
+            "try:\n"
+            "    c.verify_formula(c.builtin_spec('p3'), 1, 2000)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert "raised: det x^q = 2, not 1: a jump of q is not a bijection on triples" in out.stdout
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(BUILTIN_SPEC_NAMES), st.integers(0, 40), st.integers(-2000, 10**7),

@@ -14,7 +14,7 @@ from tribadic import (
 from tribadic._factor import factorize, is_prime, primes_upto
 from tribadic.tribonacci import _mul, _xpow
 
-from conftest import PSI_12, OracleRing, lifted_roots, oracle_degree, roots_mod_p_oracle, zp_residue
+from conftest import _P, PSI_12, OracleRing, lifted_roots, oracle_degree, roots_mod_p_oracle, zp_residue
 
 
 def clear_context_caches():
@@ -63,7 +63,7 @@ class TestSplittingType:
                 r = roots[0]
                 factors.append(((r * r - r - 1) % p, (r - 1) % p, 1))
             elif not roots:
-                factors.append(tuple(c % p for c in galois._P))
+                factors.append(tuple(c % p for c in _P))
             prod = [1]
             for f in factors:
                 out = [0] * (len(prod) + len(f) - 1)
@@ -217,7 +217,7 @@ class TestRingProduct:
     )
     @settings(max_examples=200, deadline=None)
     def test_product_against_schoolbook_division(self, p, prec, a, b):
-        oracle = OracleRing(p, prec, galois._P)
+        oracle = OracleRing(p, prec, _P)
         pk = p**prec
         expected = oracle.mul(a, b)
         assert _mul(a, b, pk) == expected == (oracle.elem(a) * oracle.elem(b)).coords
@@ -228,8 +228,8 @@ class TestRingProduct:
     def test_modulus_stored_as_symmetric_residues(self, p, prec):
         # the test ring's modulus, whose canonical form its equality reads
         pk = p**prec
-        reduced = OracleRing(p, prec, tuple(c % pk for c in galois._P[:-1]) + (1,))
-        signed = OracleRing(p, prec, galois._P)
+        reduced = OracleRing(p, prec, tuple(c % pk for c in _P[:-1]) + (1,))
+        signed = OracleRing(p, prec, _P)
         assert reduced == signed
         assert reduced.modulus == (-1, -1, -1, 1)
         # rings are equal exactly when their moduli agree mod p^prec
@@ -255,7 +255,7 @@ class TestExtArithmetic:
         # rank 1, the quadratic ring of the d = 2 roots, and R for d = 3, 2, 1; the oracle
         # for "unit" is the determinant of multiplication by u, taken mod p
         rings = [OracleRing(13, prec, (0, 1)), lifted_roots(13, prec)[0]]
-        rings += [OracleRing(p, prec, galois._P) for p in (5, 13, 47)]
+        rings += [OracleRing(p, prec, _P) for p in (5, 13, 47)]
         rng = random.Random(prec)
         for ring in rings:
             units = 0
@@ -279,7 +279,7 @@ class TestExtArithmetic:
     @pytest.mark.parametrize("p", [47, 13])  # d = 1, d = 2
     @pytest.mark.parametrize("prec", [1, 24])
     def test_non_units_raise(self, p, prec):
-        ring = OracleRing(p, prec, galois._P)
+        ring = OracleRing(p, prec, _P)
         zero_divisors = [ring.gen - r for r in roots_mod_p_oracle(p)]
         multiples = [ring.zero, ring.embed(p), p * ring.elem([1, 2, 3])]
         for g in zero_divisors + multiples:

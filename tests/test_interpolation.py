@@ -27,12 +27,13 @@ from tribadic import (
 from tribadic.classifier import QT, _zero_table, certify, class_series
 from tribadic.interpolation import SeriesTrunc
 from tribadic.padic import _vp, vp_factorial
-from tribadic.tribonacci import _xpow
+from tribadic.tribonacci import _phi, _xpow
 from tribadic._factor import primes_upto
-from tribadic.galois import _P, EXCLUDED_PRIMES
+from tribadic.galois import EXCLUDED_PRIMES
 
 from conftest import (
     OracleRing,
+    _P,
     _plain_horner,
     cube_root_certificate,
     hensel_cube_root,
@@ -49,7 +50,7 @@ def eval_f(ctx, ell, z):
     z; it agrees with T(l + zN) at integers z, and p^e g(z) from series_coeffs must equal it."""
     ring = OracleRing(ctx.p, ctx.prec, _P)
     x_ell, x_n = (ring.elem(_xpow(n, ring.pk)) for n in (ell, ctx.n_period))
-    return interpolation._phi((x_ell * (x_n.log() * z).exp()).coords, ring.pk)
+    return _phi((x_ell * (x_n.log() * z).exp()).coords, ring.pk)
 
 
 class TestSeriesCoeffs:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tribadic import VAL_INF, ZERO_SET, prime_context, trib, trib_mod, trib_val
+from tribadic import VAL_INF, ZERO_SET, prime_context, trib, trib_mod, trib_val, tribonacci
 from tribadic._factor import primes_upto
 from tribadic.galois import EXCLUDED_PRIMES
-from tribadic.padic import val_int
+from tribadic.padic import DEFAULT_PRECISION, val_int
 from tribadic.tribonacci import _xpow
 
 from conftest import lifted_roots, zp_residue
@@ -129,10 +129,19 @@ class TestTribVal:
             p = rng.choice([2, 3, 5, 7, 13])
             assert trib_val(n, p) == val_int(trib(n), p)
 
-    def test_adaptive_precision(self):
-        # T(13 * 3^9) has 3-valuation 9 + 2 = 11, larger than a start precision of 4
-        n = 13 * 3**9
-        assert trib_val(n, 3, start_prec=4) == 11
+    def test_adaptive_precision(self, monkeypatch):
+        # T(13 * 3^23) has 3-valuation 23 + 2 = 25, larger than DEFAULT_PRECISION = 24: its residue
+        # mod 3^24 is 0, so the precision doubles once
+        moduli = []
+
+        def spy(n, m):
+            moduli.append(m)
+            return trib_mod(n, m)
+
+        monkeypatch.setattr(tribonacci, "trib_mod", spy)
+        assert DEFAULT_PRECISION == 24
+        assert trib_val(13 * 3**23, 3) == 25
+        assert moduli == [3**24, 3**48]
 
     def test_prime_validation(self):
         with pytest.raises(ValueError):
