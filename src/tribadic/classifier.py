@@ -33,7 +33,7 @@ import functools
 import hashlib
 import math
 import os
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -343,44 +343,6 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, rules):
     return Verdict(STATUS_HOLDS, q=n_period), tuple(parts)
 
 
-# one record per (p, prec, full_table), least recently used first: scan, table and classify in
-# one process classify each prime once
-_RECORDS_MAX = 10**4  # holds all 9592 primes up to P_MAX, the most scan_range accepts
-_records: OrderedDict = OrderedDict()
-
-
-def _records_for(ps, prec: int, full_table: bool, jobs: int = 1) -> list[ClassificationRecord]:
-    """The records of the primes ps at (prec, full_table), in order, each with its own verdicts.
-
-    The memo's hits are taken out first; the misses are classified, on a pool of up to jobs
-    processes when more than one is missing; then every record is stored back as the most
-    recently used.  So each prime is classified at most once per call, whatever the memo holds
-    and however long ps is.  Only an int p and an int prec reach the memo, so 5.0, True and
-    24.0 fail cold and warm alike; failures are not memoized."""
-    if type(prec) is not int:
-        raise TypeError(f"precision must be an int, not {type(prec).__name__}")
-    for p in ps:
-        if type(p) is not int:
-            raise ValueError(f"{p} is not prime")
-    full_table = bool(full_table)
-    found = {p: _records.pop((p, prec, full_table)) for p in ps if (p, prec, full_table) in _records}
-    misses = [p for p in ps if p not in found]
-    workers = min(jobs, os.cpu_count() or 1, len(misses))
-    if workers > 1:  # only here is the process machinery imported
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            built = pool.map(_classify, misses, [prec] * len(misses), [full_table] * len(misses))
-            found.update(zip(misses, built))
-    else:
-        found.update((p, _classify(p, prec, full_table)) for p in misses)
-    for p in ps:
-        _records[p, prec, full_table] = found[p]
-    while len(_records) > _RECORDS_MAX:
-        _records.popitem(last=False)
-    return [found[p]._replace(verdicts=dict(found[p].verdicts)) for p in ps]  # the one mutable field
-
-
 def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
     """Decide both conjecture forms for one prime; deterministic, smallest witness first.
 
@@ -388,15 +350,13 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
     is also an integer-form witness at or after the first one: the verdicts and witnesses
     are those of the full table, and zero_table is its prefix up to that witness.
 
-    The record comes from _records_for, so it is memoized per process under
-    (p, prec, bool(full_table)) with the records of scan_range and reproduce_table, and what a
-    caller does to it never reaches a later call.  A p that is not an int raises the ValueError
-    of a non-prime, and a prec that is not an int a TypeError."""
-    return _records_for([p], prec, full_table)[0]
-
-
-def _classify(p: int, prec: int, full_table: bool) -> ClassificationRecord:
-    """classify_prime without the memo."""
+    Every call builds a fresh record, so what a caller does to it never reaches a later call;
+    only _classify_range keeps records, those of the last range.  A p that is not an int raises
+    the ValueError of a non-prime, and a prec that is not an int a TypeError."""
+    if type(prec) is not int:
+        raise TypeError(f"precision must be an int, not {type(prec).__name__}")
+    if type(p) is not int:
+        raise ValueError(f"{p} is not prime")
     if p in EXCLUDED_PRIMES:
         return _excluded_record(p, prec)
     ctx = prime_context(p, prec)
@@ -455,11 +415,11 @@ def _assemble(p: int, parts) -> FormulaSpec:
 # formula specs: assembly, built-ins, verification
 
 
-def assemble_spec(p: int, q: int, entries, default_kappa: int = 0) -> FormulaSpec:
-    """Build a FormulaSpec over modulus q from per-class entries (m, residues, a, kappa)
-    with m | q.  Linear classes are split per residue: where nu_p(a - i) < nu_p(q)
-    the rule is constant (value kappa + mu*nu_p(i - a)), which keeps the
-    not-actually-linear residues honest."""
+def assemble_spec(p: int, q: int, entries) -> FormulaSpec:
+    """Build a FormulaSpec over modulus q, default_kappa 0, from per-class entries
+    (m, residues, a, kappa) with m | q.  Linear classes are split per residue: where
+    nu_p(a - i) < nu_p(q) the rule is constant (value kappa + mu*nu_p(i - a)), which keeps
+    the not-actually-linear residues honest."""
     cases = []
     for m, residues, a, kappa in entries:
         if q % m:
@@ -479,7 +439,7 @@ def assemble_spec(p: int, q: int, entries, default_kappa: int = 0) -> FormulaSpe
             cases.append(FormulaCase(tuple(linear), kappa, int(a) if a.denominator == 1 else a))
         for kap, res in sorted(constant.items()):
             cases.append(FormulaCase(tuple(sorted(res)), kap))
-    return FormulaSpec(p, q, tuple(cases), default_kappa)
+    return FormulaSpec(p, q, tuple(cases))
 
 
 # the closed-form specs shipped with the package: p -> (Q, assemble_spec entries) for p = 2 and 3,
@@ -670,24 +630,35 @@ class TableRow(namedtuple("TableRow", "p n_period ell u status")):
     __slots__ = ()
 
 
-def _classify_range(p_max: int, prec: int, jobs: int, p_min: int = 2) -> list[ClassificationRecord]:
-    """classify_prime(p, prec, full_table=False) on every prime in [p_min, p_max], in order; each
-    scan stops at the prime's witnesses, so the zero tables may be partial.
+@functools.lru_cache(maxsize=1, typed=True)
+def _classify_range(p_max: int, prec: int, jobs: int) -> tuple[ClassificationRecord, ...]:
+    """classify_prime(p, prec, full_table=False) on every prime up to p_max, in order, on a pool
+    of up to jobs processes when there is more than one prime; each scan stops at the prime's
+    witnesses, so the zero tables may be partial.
 
-    One call of _records_for: on more than one worker process only the primes the memo lacks
-    are classified, and a second range in one process classifies nothing again."""
+    The last range is cached, so scan_range and then reproduce_table on one range classify each
+    prime once.  Keys are typed: 60.0 and 24.0 never read the records of 60 and 24, and raise
+    as they do cold; failures are not cached."""
     if p_max > P_MAX:
         raise ValueError(f"p_max = {p_max} is above the supported {P_MAX}")
-    return _records_for([p for p in primes_upto(p_max) if p >= p_min], prec, False, jobs)
+    ps = primes_upto(p_max)
+    if type(prec) is not int:
+        raise TypeError(f"precision must be an int, not {type(prec).__name__}")
+    workers = min(jobs, os.cpu_count() or 1, len(ps))
+    if workers > 1:  # only here is the process machinery imported
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return tuple(pool.map(classify_prime, ps, [prec] * len(ps), [False] * len(ps)))
+    return tuple(classify_prime(p, prec, False) for p in ps)
 
 
 def reproduce_table(p_max: int, prec: int = 24, jobs: int = 1) -> list[TableRow]:
     """One row per prime in [5, p_max]: the period and, when the integer form
     fails, the smallest witness pair (l, u); holds/undecided/excluded otherwise."""
-    records = _classify_range(p_max, prec, jobs, p_min=5)
     return [
         TableRow(r.p, r.n_period, r.verdicts["ml"].ell, r.verdicts["ml"].u, r.verdicts["ml"].status)
-        for r in records
+        for r in _classify_range(p_max, prec, jobs) if r.p >= 5
     ]
 
 

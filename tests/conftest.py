@@ -460,9 +460,9 @@ def ctx269():
 
 @pytest.fixture
 def cold_records():
-    """An empty classification memo for the test, and again after it: a test that counts the
-    calls behind classify_prime sees them all, and no record it built under a monkeypatch
-    reaches another test."""
-    classifier._records.clear()
+    """An empty range cache for the test, and again after it: a test that counts the calls
+    behind scan_range or reproduce_table sees them all, and no record it built under a
+    monkeypatch reaches another test."""
+    classifier._classify_range.cache_clear()
     yield
-    classifier._records.clear()
+    classifier._classify_range.cache_clear()

@@ -144,7 +144,7 @@ class TestClassifyPrime:
     @pytest.mark.usefixtures("cold_records")
     def test_deterministic(self):
         first = classify_prime(59)
-        tribadic.classifier._records.clear()  # the second record is built again, not read back
+        _classify_range.cache_clear()  # the second record is built again, not read back
         assert classify_prime(59) == first
 
     def test_precision_floor_keeps_rational_match_honest(self):
@@ -173,9 +173,9 @@ class TestClassifyPrime:
             assert u in {t % 59 for t in ZT}
 
 
-@pytest.mark.usefixtures("cold_records")  # the tests count calls behind classify_prime
+@pytest.mark.usefixtures("cold_records")  # the tests count or refuse calls behind scan_range
 class TestVerdictRule:
-    """The branches of the one verdict rule that no census up to 10^4 reaches, and its memos."""
+    """The branches of the one verdict rule that no census up to 10^4 reaches, and what it computes."""
 
     SCOPE = "holds-criteria need all roots rational (d = 1) and 3 coprime to N"
     IMPLIED = "; the integer form holds, which implies the rational form"
@@ -1295,6 +1295,34 @@ class TestCrtWitness:
             assert (n + 4) % 2**k == 0
 
 
+def serial_pool(seen):
+    """A stand-in for ProcessPoolExecutor that appends each max_workers to seen, starts no
+    process and maps in this one, where monkeypatches and counters still apply."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool
+
+
+def count_scans(monkeypatch):
+    """The list of the primes whose period _zero_table scans in this process from now on."""
+    scanned = []
+    zero_table = tribadic.classifier._zero_table
+    monkeypatch.setattr(tribadic.classifier, "_zero_table", lambda p, n: scanned.append(p) or zero_table(p, n))
+    return scanned
+
+
 class TestTableAndScan:
     def test_reproduce_table_small(self):
         rows = reproduce_table(100)
@@ -1341,9 +1369,9 @@ class TestTableAndScan:
 
     @staticmethod
     def cold(fn, *args, **kwargs):
-        """fn on an empty classification memo: every record it returns is classified afresh, on
-        the pool if it starts one, and none is read back from an earlier call."""
-        tribadic.classifier._records.clear()
+        """fn on an empty range cache: every record it reads is classified afresh, on the pool if
+        it starts one, and none is read back from an earlier call."""
+        _classify_range.cache_clear()
         return fn(*args, **kwargs)
 
     @pytest.mark.usefixtures("cold_records")
@@ -1364,24 +1392,10 @@ class TestTableAndScan:
         assert any(not r.zero_table_complete for r in records)
         assert pools == [2, 2, 2]  # each jobs=2 side ran on the pool
 
-    @pytest.mark.usefixtures("cold_records")  # a warm memo leaves nothing for the pool
+    @pytest.mark.usefixtures("cold_records")  # a warm cache leaves nothing for the pool
     def test_workers_bounded_by_cpus(self, monkeypatch):
         seen = []
-
-        class SerialPool:  # records max_workers and starts no process
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(seen))
         monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 3)
         assert self.cold(scan_range, 60, jobs=10**6) == self.cold(scan_range, 60)
         assert seen == [3]
@@ -1419,15 +1433,17 @@ class TestTableAndScan:
 
 
 # classify_prime, prime_context, val_int and trib_val on a p that is not an admissible prime, or
-# classify_prime on a precision that is not an int, for TestClassificationMemo: each call cold,
-# then again after 5 and the census to 60 are memoized; one line per call
+# classify_prime and scan_range on a precision or a p_max that is not an int, for
+# TestClassificationMemo: each call cold, then again after the range to 60 is cached; one line
+# per call
 _BAD_PRIMES_SCRIPT = """
 from tribadic import classify_prime, prime_context, scan_range, trib_val, val_int
-from tribadic.classifier import _records
+from tribadic.classifier import _classify_range
 from tribadic.galois import _prime_data
 
 CALLS = [f"classify_prime({p}, 24, False)" for p in ("4", "1", "5.0", "True", "2.0", "11.0")]
 CALLS += ["prime_context(5.0)", "val_int(25, 5.0)", "trib_val(12, 5.0)", "classify_prime(5, 24.0, False)"]
+CALLS += ["scan_range(60, 24.0)", "scan_range(60.0)"]
 
 def attempt(call):
     try:
@@ -1437,109 +1453,109 @@ def attempt(call):
     return "no exception"
 
 for call in CALLS:
-    _records.clear()
+    _classify_range.cache_clear()
     _prime_data.cache_clear()
     cold = attempt(call)
     classify_prime(5)
-    classify_prime(5, 24, False)
-    scan_range(60)  # 2, 5 and 11 at (24, False), and prime_context(5)
+    scan_range(60)  # 2, 5 and 11 at (24, False) are cached, and prime_context(5)
     print(call, cold, attempt(call), sep="\t")
 """
 
 
 @pytest.mark.usefixtures("cold_records")
 class TestClassificationMemo:
-    """classify_prime and _classify_range share one bounded memo of records per process, which
-    only an int p and an int prec reach; a record read from it equals one built on a cold memo,
-    and no caller can alter it."""
+    """_classify_range caches the records of the last range, under a typed key (p_max, prec,
+    jobs); classify_prime reads no cache.  A record read from the cache equals one built on a
+    cold one, and no caller can alter a later result."""
 
     @pytest.mark.parametrize("prec, full_table", [(24, False), (24, True), (3, True)])
     def test_warm_equals_cold(self, monkeypatch, prec, full_table):
-        # the pool fills the memo up to 400 at prec, then scan and table fill the rest at 24 with
-        # full_table False; a record that either path builds differently, or an entry read under
-        # another precision or table mode, differs from the memo-free classification
+        # the pool fills the cache with the range to 800 at prec, and scan and table read it; a
+        # record that the pool builds differently, or one read under another precision, differs
+        # from a cold serial build and from classify_prime's own records
         monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
-        ps, classify = primes_upto(800), tribadic.classifier._classify
-        _classify_range(400, prec, jobs=2)
-        scan_range(800)
-        reproduce_table(800)
-        warm = [classify_prime(p, prec, full_table) for p in ps]
-        assert warm == [classify(p, prec, full_table) for p in ps]
-        assert _classify_range(800, prec, jobs=1) == [classify(p, prec, False) for p in ps]
+        ps = primes_upto(800)
+        pooled = _classify_range(800, prec, 2)
+        warm = (scan_range(800, prec, 2), reproduce_table(800, prec, 2))
+        records = [classify_prime(p, prec, full_table) for p in ps]
+        _classify_range.cache_clear()
+        assert warm == (scan_range(800, prec, 1), reproduce_table(800, prec, 1))
+        assert records == [classify_prime(p, prec, full_table) for p in ps]
+        assert pooled == _classify_range(800, prec, 1) == tuple(classify_prime(p, prec, False) for p in ps)
 
     def test_records_built_by_the_pool_equal_serial_ones(self):
-        pooled = _classify_range(300, 24, jobs=2)
-        warm = [classify_prime(p, 24, False) for p in primes_upto(300)]
-        tribadic.classifier._records.clear()
-        assert pooled == warm == _classify_range(300, 24, jobs=1)
+        pooled = _classify_range(300, 24, 2)
+        _classify_range.cache_clear()
+        assert pooled == _classify_range(300, 24, 1) == tuple(classify_prime(p, 24, False) for p in primes_upto(300))
 
     def test_second_range_classifies_nothing(self, monkeypatch):
-        # the first range runs on two workers; the parent keeps their records and scans nothing
-        scanned = []
-        zero_table = tribadic.classifier._zero_table
-        monkeypatch.setattr(tribadic.classifier, "_zero_table", lambda p, n: scanned.append(p) or zero_table(p, n))
+        # the first range runs on two workers; the parent keeps their records and scans nothing,
+        # and the same range again starts no pool and scans nothing either
+        scanned = count_scans(monkeypatch)
         monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
-        first = _classify_range(300, 24, jobs=2)
+        first = _classify_range(300, 24, 2)
+        summary, rows = scan_range(300, 24, 2), reproduce_table(300, 24, 2)
         assert scanned == []
 
         def refuse(*args):
             raise RuntimeError("called")
 
-        for name in ("_zero_table", "hensel_zero", "_class_rules"):
+        for name in ("_zero_table", "hensel_zero", "_class_rules", "classify_prime"):
             monkeypatch.setattr(tribadic.classifier, name, refuse)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        assert _classify_range(300, 24, jobs=1) == first
-        assert _classify_range(300, 24, jobs=2) == first
+        assert _classify_range(300, 24, 2) is first
+        assert (scan_range(300, 24, 2), reproduce_table(300, 24, 2)) == (summary, rows)
+
+    def test_scan_then_table_scans_each_prime_once(self, monkeypatch):
+        # the census's pair: table reads the records of scan's range, and a cold table equals it
+        scanned = count_scans(monkeypatch)
+        scan_range(800)
+        rows = reproduce_table(800)
+        assert scanned == [p for p in primes_upto(800) if p not in EXCLUDED_PRIMES]
+        _classify_range.cache_clear()
+        assert reproduce_table(800) == rows
+
+    @pytest.mark.parametrize("p_max, prec, jobs", [(200, 24, 1), (300, 96, 1), (300, 24, 2)])
+    def test_another_range_classifies_again(self, monkeypatch, p_max, prec, jobs):
+        # the cache holds the range to 300 at 24 on one process; a range that differs in p_max,
+        # prec or jobs scans each of its primes again, on the pool where jobs asks for one, and
+        # equals a fresh build.  The pool maps in this process, so its scans are counted here
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(pools))
+        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
+        _classify_range(300, 24, 1)
+        scanned = count_scans(monkeypatch)
+        ps = primes_upto(p_max)
+        again = _classify_range(p_max, prec, jobs)
+        assert scanned == [p for p in ps if p not in EXCLUDED_PRIMES]
+        assert pools == [2] * (jobs == 2)
+        assert again == tuple(classify_prime(p, prec, False) for p in ps)
 
     def test_a_changed_record_changes_no_later_one(self):
         reference = classify_prime(7)
-        for rec in (classify_prime(67), classify_prime(67), *_classify_range(100, 24, jobs=1)):
+        for rec in (classify_prime(67), classify_prime(67)):
             rec.verdicts["ml"] = rec.verdicts["rational"]
             rec.verdicts.clear()
         assert classify_prime(7) == reference and reference.verdicts
         assert classify_prime(67).verdicts["ml"].status == STATUS_FAILS
-        for rec in _classify_range(100, 24, jobs=1):
-            assert list(rec.verdicts) == ["ml", "rational"]
-
-    def test_bound_holds_every_prime_up_to_p_max(self):
-        bound = tribadic.classifier._RECORDS_MAX
-        assert type(bound) is int and bound >= len(primes_upto(tribadic.classifier.P_MAX))
-
-    def test_least_recently_used_record_goes_first(self, monkeypatch):
-        monkeypatch.setattr(tribadic.classifier, "_RECORDS_MAX", 3)
-        for p in (5, 7, 13, 5, 17):  # 5 is used again before 17 arrives, so 7 goes
-            classify_prime(p, 24, False)
-        assert [key[0] for key in tribadic.classifier._records] == [13, 5, 17]
-
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_a_range_longer_than_the_memo_classifies_each_prime_once(self, monkeypatch, warm):
-        # 168 primes up to 1000 and room for 50: the pool builds every miss and the main process
-        # scans none of them again, on an empty memo and on one that holds the range's last primes
-        ps, classify = primes_upto(1000), tribadic.classifier._classify
-        monkeypatch.setattr(tribadic.classifier, "_RECORDS_MAX", 50)
-        monkeypatch.setattr(tribadic.classifier.os, "cpu_count", lambda: 2)
-        if warm:
-            _classify_range(1000, 24, jobs=1, p_min=ps[-50])
-        scanned = []
-        zero_table = tribadic.classifier._zero_table
-        monkeypatch.setattr(tribadic.classifier, "_zero_table", lambda p, n: scanned.append(p) or zero_table(p, n))
-        records = _classify_range(1000, 24, jobs=2)
-        assert scanned == []
-        assert list(tribadic.classifier._records) == [(p, 24, False) for p in ps[-50:]]
-        assert records == [classify(p, 24, False) for p in ps]
+        summary = scan_range(100)  # a summary read from the cache is the caller's own too
+        summary.verdicts["ml"].clear()
+        assert scan_range(100).verdicts["ml"]["holds"] == (3, 83)
 
     def test_keys_are_typed(self):
-        # 5.0 == 5 and True == 1, but only an int p and an int prec reach the memo, so its plain
-        # key (p, prec, bool(full_table)) never lets either read the other's record
-        classify_prime(5, 24, False)
+        # 60.0 == 60 and 24.0 == 24, but the cache's keys are typed: neither reads the records
+        # of the int key, each raises as it does cold, and a failure caches nothing
+        first = _classify_range(60, 24, 1)
+        with pytest.raises(TypeError, match="can't multiply sequence by non-int"):
+            _classify_range(60.0, 24, 1)
+        with pytest.raises(TypeError, match="precision must be an int"):
+            _classify_range(60, 24.0, 1)
+        assert _classify_range.cache_info().currsize == 1 and _classify_range(60, 24, 1) is first
         for p in (5.0, True):
             with pytest.raises(ValueError, match=f"{p} is not prime"):
                 classify_prime(p, 24, False)
         with pytest.raises(TypeError):
             classify_prime(5, 24.0, False)
-        assert classify_prime(5, 24, 0) == classify_prime(5, 24, False)  # 0 reads False's entry
-        assert [tuple(map(type, key)) for key in tribadic.classifier._records] == [(int, int, bool)]
-        assert list(tribadic.classifier._records) == [(5, 24, False)]
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_bad_primes_raise_alike_cold_and_warm(self, flags):
@@ -1548,9 +1564,9 @@ class TestClassificationMemo:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         lines = [line.split("\t") for line in out.stdout.splitlines()]
-        assert len(lines) == 10
-        for call, cold, warm in lines:  # a bad prime fails as a non-prime, a float precision by type
-            kind = "TypeError" if "24.0" in call else "ValueError"
+        assert len(lines) == 12
+        for call, cold, warm in lines:  # a bad prime fails as a non-prime, a float bound by type
+            kind = "TypeError" if "24.0" in call or "60.0" in call else "ValueError"
             assert cold == warm and cold.startswith(f"{kind}: "), call
             if "5.0" in call:  # 5.0 == 5, but no check reads it as 5
                 assert cold == "ValueError: 5.0 is not prime", call

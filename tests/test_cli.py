@@ -589,12 +589,14 @@ class TestScan:
 
 
 class TestEveryFunctionIsReached:
-    """Every function and method defined in tribadic.padic, tribadic.interpolation and
-    tribadic.tribonacci, but for the library API in LIBRARY_ONLY, runs in one of a fixed set of
-    CLI requests, traced by sys.setprofile in this process (--jobs 1), with the records memo and
-    the log memo cold: code that no command runs has no place there."""
+    """Every function and method defined in tribadic.padic, tribadic.interpolation,
+    tribadic.tribonacci, tribadic.classifier and tribadic.galois, but for the library API in
+    LIBRARY_ONLY, runs in one of a fixed set of CLI requests, traced by sys.setprofile in this
+    process (--jobs 1), with the range cache, the log memo and the context memo cold: code that no
+    command runs has no place there."""
 
-    LIBRARY_ONLY = {"trib", "trib_val"}  # exact T(n) and nu_p(T(n)) for callers of the package
+    # exact T(n), CRT points for callers of verify_formula, and namedtuple's rebuild and pickle
+    LIBRARY_ONLY = {"trib", "crt_witness", "FormulaSpec._make", "FormulaSpec.__reduce__"}
 
     REQUESTS = [
         ["scan", "--max", "300"],
@@ -605,6 +607,7 @@ class TestEveryFunctionIsReached:
         ["zero", "--prime", "103", "--ell", "0"],  # p does not divide T(0): ConditionNotMet
         ["zero", "--prime", "5", "--ell", "21"],
         ["verify", "--spec", "p83", "--range", "1..2000"],
+        ["verify", "--spec", "p83", "--range=-20..20"],  # T(-1) = T(-4) = 0: trib_val, then predict
     ]
 
     @staticmethod
@@ -625,13 +628,16 @@ class TestEveryFunctionIsReached:
         return out
 
     def test_every_function_runs(self, capsys, cold_records):
-        from tribadic import padic, tribonacci
+        from tribadic import galois, padic, tribonacci
 
-        reached = {name: code for name, code in self.defined(tribonacci).items() if name not in self.LIBRARY_ONLY}
-        defined = {**self.defined(padic), **self.defined(interpolation), **reached}
-        assert self.LIBRARY_ONLY <= set(self.defined(tribonacci))
-        assert {"_log", "_class_coeffs", "SeriesTrunc.mu", "_log_data", "hensel_zero",
-                "_mul", "_char_poly", "_chain", "_phi", "_triple"} <= set(defined)
+        modules = (padic, interpolation, tribonacci, classifier, galois)
+        every = [item for module in modules for item in self.defined(module).items()]
+        defined = {name: code for name, code in every if name not in self.LIBRARY_ONLY}
+        assert len(dict(every)) == len(every)  # no name is defined in two of the modules
+        assert self.LIBRARY_ONLY <= dict(every).keys()
+        assert {"_log", "_class_coeffs", "SeriesTrunc.mu", "_log_data", "hensel_zero", "_mul", "_char_poly",
+                "_chain", "_phi", "_triple", "trib_val", "_classify_range", "FormulaSpec.predict",
+                "prime_context", "_prime_data"} <= set(defined)
         called = set()
 
         def profile(frame, event, arg):
@@ -639,6 +645,7 @@ class TestEveryFunctionIsReached:
                 called.add(frame.f_code)
 
         interpolation._log_data.cache_clear()
+        galois._prime_data.cache_clear()
         codes = []
         sys.setprofile(profile)
         try:
@@ -647,6 +654,7 @@ class TestEveryFunctionIsReached:
         finally:
             sys.setprofile(None)
             interpolation._log_data.cache_clear()
+            galois._prime_data.cache_clear()
         capsys.readouterr()
-        assert codes == [0, 0, 0, 0, 0, 2, 0, 0]
+        assert codes == [0, 0, 0, 0, 0, 2, 0, 0, 0]
         assert sorted(name for name, code in defined.items() if code not in called) == []
