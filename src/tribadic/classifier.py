@@ -15,15 +15,28 @@ listed in FORMS, narrowest first; the first of these that applies is the verdict
 4. undecided if some l sits over no target mod N;
 5. undecided if the form is out of scope: the rational form needs d = 1 and 3 coprime to N
    (when an earlier, narrower form holds, the detail says that it implies this one);
-6. holds if every zero class has a linear certificate over its target, else undecided.
+6. holds, with nu_p(T(n)) = 1 + nu_p(n - t) on each zero class n = l (mod N) over its target t;
+   but the rational form is undecided where just one of the classes over 1/3 and -5/3 is a
+   zero class.
+
+Step 6 is exact, and reads the zero table alone.  Every class there meets the derivative
+condition, so e = 1 and g has one zero on Z_p (the disc lemma in SeriesTrunc).  For an integer
+target t = l (mod N), z = (t - l)/N is an integer with f_l(z) = T(t) = 0, so z is that zero and
+kappa = 1.  For the rational targets, (x^2 - x)^3 = 2x in Z[x]/(P).  With l = 3^-1 (mod N),
+y = x^l (x^N)^((1/3 - l)/N) cubes to x and f_l(z_(1/3)) = phi(y), and c = (x^2 - x) y^-1 cubes
+to 2.  For d = 1, R = Z_p^3 and the cube roots of 2 are distinct mod p, so c is a scalar iff it
+is one mod p.  By x^n = T(n-2) + (T(n) - T(n-1)) x + T(n-1) x^2, that is p | T(l) and
+p | T(l - 2): the classes over 1/3 and -5/3 = 1/3 - 2 are both zero classes.  Then
+phi(y) = phi(x^2 - x)/c = 0 and phi(x^-2 y) = (T(0) - T(-1))/c = 0 exactly.  Where just one of
+them is a zero class the lemma is silent, so the verdict is undecided.  One trib_mod per holds
+class checks p^3 | T(l + N*m) at m = (t - l)/N (mod p^2), and raises if not.
 
 At p = 3, whose Z_T targets collide mod N = 13, the rule is replaced by its own: the integer
 form holds and the rational form is undecided, since 1/3 and -5/3 are not 3-adic integers.
 A record holds the decision, not its evidence: witness_zero computes a witness's zero digits
-where they are printed.  Every record's formula and modulus Q come from one reading of its zero
+where they are printed.  The formula of p = 3 (Q = 39) comes from one reading of its zero
 classes, _class_rules, by Strassman degree: mu = 0 is a constant class, mu = 1 a certified
-linear one, and mu >= 2 splits the class mod p*sN.  It reads every class of p = 3 (Q = 39) and,
-at step 6, those of any other prime, which all meet the derivative condition, so mu = 1 and Q = N.
+linear one, and mu >= 2 splits the class mod p*sN.
 """
 
 from __future__ import annotations
@@ -228,7 +241,8 @@ def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
 
     Strassman's mu (computed here, once, and kept on the series), the Hensel zero b and the
     linear certificate are all read off this one series.  Where beta_1 is a unit (every witness
-    class and every holds class), it is built on the disc of g's zero (SeriesTrunc).
+    class), it is built on the disc of g's zero (SeriesTrunc).  witness_zero, the zero command
+    and p = 3's formula build series here; no other verdict does.
     certify never raises PrecisionError, and neither does hensel_zero on a series whose beta_1 is
     a unit, by the disc lemma: Newton converges within its iteration cap.  So escalation depends
     on the series alone, and reading the three off it outside this loop changes no result;
@@ -302,11 +316,11 @@ def witness_zero(ctx: PrimeContext, ell: int, u: int) -> tuple[int, ...]:
     return tuple(record.digits())
 
 
-def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, rules):
-    """The verdict of one form by the module's rule, with the _class_rules entries of its zero
-    classes when it holds.  earlier maps the keys of the forms before it to their verdicts (a
-    witness (l, u) one of them fails on is not checked again), and rules(l) gives the entries of
-    the class n = l (mod N)."""
+def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict):
+    """The verdict of one form by the module's rule, with the assemble_spec entries of its zero
+    classes when it holds: (N, (l,), t, 1) for each, read off the zero table by step 6's lemma.
+    earlier maps the keys of the forms before it to their verdicts (a witness (l, u) one of them
+    fails on is not checked again)."""
     p, n_period = ctx.p, ctx.n_period
     targets = form.targets
     targets_p = set(_qt_residues_mod(p, targets))
@@ -331,16 +345,20 @@ def _form_verdict(ctx: PrimeContext, infos, form: Form, earlier: dict, rules):
         if held:  # a narrower form that holds implies every wider one
             detail += f"; the {held[0]} form holds, which implies the {form.label} form"
         return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
-    # every class here meets the derivative condition, so beta_1 is a unit and mu = 1 (the bound
-    # in class_series): its entries are one linear entry, or None
-    parts = []
-    for info in infos:
-        part = rules(info.ell)
-        if part is None or [a for _, _, a, _ in part] != [info.target]:
-            detail = f"zero classes sit over {form.set_name} but a linear certificate failed"
+    if form.needs_split:  # the cube-root lemma needs the classes over 1/3 and -5/3 to be zero classes together
+        ells = {i.ell for i in infos}
+        r13, r53 = _qt_residues_mod(n_period, ZERO_TARGETS_RAT)
+        if (r13 in ells) != (r53 in ells):
+            detail = "cube-root test fails: just one of the classes over 1/3 and -5/3 is a zero class"
             return Verdict(STATUS_UNDECIDED, diagnostic=DIAG_OUT_OF_SCOPE, detail=detail), ()
-        parts.append(part)
-    return Verdict(STATUS_HOLDS, q=n_period), tuple(parts)
+    if not any(v.status == STATUS_HOLDS for v in earlier.values()):  # else it checked these classes
+        p2 = p * p
+        for info in infos:  # nu_p(T(n)) = 1 + nu_p(n - t), so p^3 | T(l + N*m) at m = (t - l)/N (mod p^2)
+            num, den = info.target.as_integer_ratio()
+            m = (num - info.ell * den) * pow(den * n_period, -1, p2) % p2
+            if trib_mod(info.ell + n_period * m, p2 * p):
+                raise AssertionError(f"p^3 does not divide T({info.ell} + N*{m}): the zero is not {info.target}")
+    return Verdict(STATUS_HOLDS, q=n_period), tuple([(n_period, (i.ell,), i.target, 1)] for i in infos)
 
 
 def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> ClassificationRecord:
@@ -369,9 +387,8 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
         if not full_table and info.deriv_ok and info.u not in widest_p:
             complete = False
             break
-    rules = functools.cache(lambda ell: _class_rules(ctx, ell))  # both forms may read one class
     if p == 3:  # no u avoids the targets mod 3, so the scan is complete
-        parts = [rules(info.ell) for info in infos]
+        parts = [_class_rules(ctx, info.ell) for info in infos]
         if None in parts:
             raise PrecisionError("a mu = 1 piece of a p = 3 zero class has no linear certificate")
         formula = _assemble(p, parts)
@@ -382,7 +399,7 @@ def classify_prime(p: int, prec: int = 24, full_table: bool = True) -> Classific
     else:
         verdicts, parts = {}, ()
         for form in FORMS:
-            verdicts[form.key], form_parts = _form_verdict(ctx, infos, form, verdicts, rules)
+            verdicts[form.key], form_parts = _form_verdict(ctx, infos, form, verdicts)
             parts = parts or form_parts  # l = 0 is always a zero class, so a form holds iff it has parts
         formula = _assemble(p, parts) if parts else None
     return ClassificationRecord(p, prec, ctx.d, n_period, verdicts, tuple(infos), formula, complete)

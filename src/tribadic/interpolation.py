@@ -70,7 +70,8 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs start", 
     least 1) vanish mod p^prec, and so do those of g' since (k-1)(E+1) - nu_p((k-1)!) >= prec
     for k > J'.  coeffs are then gamma_0..gamma_J', about half of J + 1, start is b0, and eval,
     mu, hensel_zero and certify read g only on that disc.  gamma_0 = 0 (mod p)
-    because p^(e+1) | T(l'), gamma_1 is a unit and gamma_k = 0 (mod p) for k >= 2.
+    because p^(e+1) | T(l'), gamma_1 is a unit and gamma_k = 0 (mod p) for k >= 2.  The lemma
+    alone, with no series built, gives every holds class its one zero (classifier, step 6).
     No __slots__: mu is kept in the instance dict.
     """
 

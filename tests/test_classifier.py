@@ -63,7 +63,7 @@ from tribadic.interpolation import series_coeffs
 from tribadic.padic import VAL_INF, PrecisionError, val_int
 from tribadic.tribonacci import ZERO_SET, _chain, _char_poly, _xpow, trib, trib_val
 
-from conftest import PSI_12, _plain_horner, known_val, rule_table, slopes, trib_mod_oracle
+from conftest import _P, PSI_12, OracleRing, _plain_horner, known_val, rule_table, slopes, trib_mod_oracle
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -148,8 +148,8 @@ class TestClassifyPrime:
         assert classify_prime(59) == first
 
     def test_precision_floor_keeps_rational_match_honest(self):
-        # at precision 2 a certificate checks g = 0 at (a - l)/N on two digits, one past what the
-        # mod-p^2 scan fixes; the verdicts, certificates and table are still those at precision 24
+        # the verdict rule reads the mod-p^2 scan and the zero table, not the precision: at 2 the
+        # verdicts, formula and table are those at 24
         low, ref = classify_prime(269, 2), classify_prime(269, 24)
         for v, w in ((low.verdicts["ml"], ref.verdicts["ml"]), (low.verdicts["rational"], ref.verdicts["rational"])):
             assert (v.status, v.q, v.ell, v.u, v.diagnostic) == (w.status, w.q, w.ell, w.u, w.diagnostic)
@@ -187,21 +187,18 @@ class TestVerdictRule:
         v = rec.verdicts["rational"]
         assert (v.status, v.diagnostic, v.detail) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE, self.SCOPE + self.IMPLIED)
 
-    def test_failed_certificate_integer_form(self, monkeypatch):
-        monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
-        rec = classify_prime(83)
-        assert (rec.verdicts["ml"].status, rec.verdicts["ml"].diagnostic) == (STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
-        assert rec.verdicts["ml"].detail == "zero classes sit over Z_T but a linear certificate failed"
-        assert rec.verdicts["rational"].detail == self.SCOPE
-        assert rec.formula is None
-
-    def test_failed_certificate_rational_form(self, monkeypatch):
-        monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
+    def test_cube_root_test_failure_is_undecided(self, monkeypatch):
+        # p = 269 without its class over -5/3: the class over 1/3 is a zero class alone, where the
+        # cube-root lemma is silent, so the rational form is undecided, not an internal error
+        real = tribadic.classifier._zero_table
+        monkeypatch.setattr(tribadic.classifier, "_zero_table",
+                            lambda p, n: (i for i in real(p, n) if i.target != Fraction(-5, 3)))
         rec = classify_prime(269)
         assert rec.verdicts["ml"].status == STATUS_FAILS
         assert (rec.verdicts["rational"].status, rec.verdicts["rational"].diagnostic) == (
             STATUS_UNDECIDED, DIAG_OUT_OF_SCOPE)
-        assert rec.verdicts["rational"].detail == "zero classes sit over Q_T but a linear certificate failed"
+        assert rec.verdicts["rational"].detail == (
+            "cube-root test fails: just one of the classes over 1/3 and -5/3 is a zero class")
         assert rec.formula is None
 
     @pytest.mark.parametrize("p, calls", [(7, 1), (67, 2)])  # one shared witness l; two distinct ones
@@ -275,27 +272,51 @@ class TestVerdictRule:
         assert out.stdout.startswith("raised: p^2 does not divide T(")
         assert "AssertionError: p^2 does not divide T(" in out.stderr
 
-    def test_one_certificate_per_class(self, monkeypatch):
-        # p = 397: the integer form holds and the rational form is out of scope; p = 1021: both
-        # forms hold, from the same certificates.  Either way each zero class is certified once
+    def test_holds_builds_no_series(self, monkeypatch):
+        # p = 397: the integer form holds and the rational form is out of scope; 773: the rational
+        # form holds; 1021: both hold.  Each verdict reads its zero table alone, while p = 3 still
+        # reads its seven series
         seen = []
-        real = tribadic.classifier.class_series
+        real = tribadic.classifier.series_coeffs
 
         def counted(ctx, ell, s=1):
             seen.append(ell)
             return real(ctx, ell, s)
 
-        monkeypatch.setattr(tribadic.classifier, "class_series", counted)
-        for p in (397, 1021):
-            seen.clear()
+        monkeypatch.setattr(tribadic.classifier, "series_coeffs", counted)
+        for p in (397, 773, 1021):
             rec = classify_prime(p)
-            linear = [r for c in rec.formula.cases if c.a is not None for r in c.residues]
-            assert seen == [i.ell for i in rec.zero_table] == linear
+            assert STATUS_HOLDS in {v.status for v in rec.verdicts.values()}
+            assert [r for c in rec.formula.cases for r in c.residues] == [i.ell for i in rec.zero_table]
+        assert seen == []
+        classify_prime(3)
+        assert len(seen) == 7
+
+    @pytest.mark.parametrize("p, moved", [(773, (Fraction(1, 3), Fraction(-5, 3))), (83, (-17, -4))])
+    def test_a_moved_target_raises_under_O(self, p, moved):
+        # one holds class's target moved to another target: p^3 no longer divides T(l + N*m), so
+        # classify_prime raises and classify exits 70, also under -O
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "import tribadic.classifier as c\n"
+            "from tribadic.cli import main\n"
+            "assert False, 'not running under -O'\n"
+            f"old, new = {moved!r}\n"
+            "real = c._zero_table\n"
+            "c._zero_table = lambda p, n: (i._replace(target=new) if i.target == old else i for i in real(p, n))\n"
+            f"sys.exit(main(['classify', '--prime', '{p}', '--format', 'json']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tribadic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 70, out.stderr
+        assert "AssertionError: p^3 does not divide T(" in out.stderr
 
     @pytest.mark.parametrize("p", [269, 401])
     def test_holds_certificates_run_no_newton_step(self, p, monkeypatch):
-        # the rational form holds, on certificates read from each class's series alone, and the
-        # integer form fails on its mod-p^2 check: no Hensel zero is computed
+        # the rational form holds, read off the zero table, and the integer form fails on its
+        # mod-p^2 check: no Hensel zero is computed
         seen = []
         hensel_zero = tribadic.classifier.hensel_zero
 
@@ -307,6 +328,83 @@ class TestVerdictRule:
         rec = classify_prime(p)
         assert (rec.verdicts["ml"].status, rec.verdicts["rational"].status) == (STATUS_FAILS, STATUS_HOLDS)
         assert seen == []
+
+
+def zmul(a, b):
+    """a*b in Z[x]/(P) on coordinate triples, integers only: x^3 = 1 + x + x^2."""
+    prod = [0] * 5
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    for top in (4, 3):
+        c = prod.pop()
+        for j in range(top - 3, top):
+            prod[j] += c
+    return tuple(prod)
+
+
+class TestExactHolds:
+    """Step 6 of the verdict rule against its oracles: the series path (_class_rules, certify),
+    the cube-root test against c = (x^2 - x) y^-1 mod p in OracleRing, and the two identities
+    of Z[x]/(P) the lemma rests on, in integer arithmetic."""
+
+    ADMISSIBLE = [p for p in primes_upto(2999) if p >= 5 and p not in EXCLUDED_PRIMES]
+
+    def test_ring_identities_over_z(self):
+        x, x_inv = (0, 1, 0), (-1, -1, 1)  # x (x^2 - x - 1) = 1
+        assert zmul(x, x_inv) == (1, 0, 0)
+        x2_x = (0, -1, 1)
+        assert zmul(zmul(x2_x, x2_x), x2_x) == (0, 2, 0)  # (x^2 - x)^3 = 2x
+        t = {0: 0, 1: 1, 2: 1}
+        for n in range(3, 51):
+            t[n] = t[n - 1] + t[n - 2] + t[n - 3]
+        for n in range(-1, -53, -1):
+            t[n] = t[n + 3] - t[n + 2] - t[n + 1]
+        assert [n for n in range(-52, 51) if t[n] == 0] == [-17, -4, -1, 0]  # Z_T, exactly
+        for step in (x, x_inv):
+            power, n = (1, 0, 0), 0
+            while -50 <= n <= 50:
+                assert power == (t[n - 2], t[n] - t[n - 1], t[n - 1]), n
+                power, n = zmul(power, step), n + (1 if step is x else -1)
+
+    def test_holds_entries_are_the_series_certificates(self):
+        # each holds class's entry (N, (l,), t, 1) is what the series and certify read off it
+        held = []
+        for p in self.ADMISSIBLE:
+            rec = classify_prime(p, 24, False)
+            if rec.formula is None:
+                continue
+            held.append(p)
+            ctx = prime_context(p, 24)
+            assert rec.zero_table_complete and rec.formula.q == rec.n_period
+            cases = {c.residues: c for c in rec.formula.cases}
+            assert len(cases) == len(rec.zero_table)
+            for info in rec.zero_table:
+                c = cases[(info.ell,)]
+                assert (c.a, c.kappa) == (info.target, 1)
+                assert _class_rules(ctx, info.ell) == [(rec.n_period, (info.ell,), c.a, 1)], (p, info.ell)
+        assert len(held) == 28  # the primes below 3000 where a form holds
+
+    def test_cube_root_test_is_c_scalar_mod_p(self):
+        # d = 1, 3 coprime to N: the classes over 1/3 and -5/3 are both zero classes iff
+        # c = (x^2 - x) y^-1, y = x^(3^-1 mod N), is a scalar mod p; always so for p = 2 (mod 3)
+        outcomes = set()
+        for p in self.ADMISSIBLE:
+            ctx = prime_context(p)
+            n_period = ctx.n_period
+            if ctx.d != 1 or n_period % 3 == 0:
+                continue
+            ell = pow(3, -1, n_period)
+            ells = {i.ell for i in _zero_table(p, n_period)}
+            rule = ell in ells and (ell - 2) % n_period in ells
+            x = OracleRing(p, 1, _P).gen
+            c = (x * x - x) * (x**ell).inv()
+            assert (c * c * c).coords == (2, 0, 0)
+            scalar = c.coords[1:] == (0, 0)
+            assert rule == scalar, p
+            assert scalar or p % 3 == 1, p
+            outcomes.add(rule)
+        assert outcomes == {True, False}
 
 
 def oracle_zero_scan(p, n_period):
@@ -420,8 +518,8 @@ class TestP3Pipeline:
 
     @pytest.mark.usefixtures("cold_records")
     def test_missing_certificate_raises(self, monkeypatch):
-        # the p >= 5 rule reads a missing certificate as undecided; p = 3 has no such verdict,
-        # so a mu = 1 piece without one is a precision fault
+        # p >= 5 reads its holds classes off the zero table; p = 3 reads its series, and a
+        # mu = 1 piece without a certificate is a precision fault
         monkeypatch.setattr(tribadic.classifier, "certify", lambda series: None)
         with pytest.raises(PrecisionError, match="no linear certificate"):
             classify_prime(3)
