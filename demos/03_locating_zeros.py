@@ -25,8 +25,11 @@ d0 = series.start % 5  # beta_1 is a unit, so g has its one zero in d0 + 5Z_5
 ell1 = 21 + 31 * d0
 print(f"\ng = f/5 has its zero in {d0} + 5Z_5: it is expanded there, as the class l' = 21 + 31*{d0} = {ell1}")
 print(f"f = 5g interpolates the subsequence there: f(m) = T(21 + 31m) for m = {d0} (mod 5)")
-for m in (d0, d0 + 5, d0 - 5):
-    got = 5 * series.eval(m) % 5**24
+for m in (d0, d0 + 5, d0 - 5):  # g(m) = sum gamma_k (m - d0)^k, plain Horner on the disc's terms
+    got = 0
+    for c in reversed(series.coeffs):
+        got = (got * (m - d0) + c) % 5**24
+    got = 5 * got % 5**24
     print(f"  f({m}) mod 5^24 = {got}  == T({21 + 31 * m}) mod 5^24: {got == trib(21 + 31 * m) % 5**24}")
 
 print(f"\ng(d0 + u) = sum gamma_k u^k, gamma_0 = T({ell1})/5 = {series.coeffs[0]}")
@@ -39,7 +42,9 @@ print(f"zero b, first 10 digits base 5: {record.digits()[:10]}")
 
 a = 21 + 31 * record.b  # b is a residue mod 5^24
 print(f"\nl + N*b mod 5 = {a % 5}  (the published table lists u = 2 for p = 5)")
-cert = certify(series)  # read from the same series, no Newton step: g vanishes at (a - 21)/31
+# read from the same series, no Newton step and no evaluation: 21 = 1/3 (mod 31) and 5 divides
+# T(21) and T(19), so by the exactness lemma (tribadic.classifier) the zero is 1/3 exactly
+cert = certify(series)
 print(f"linear certificate of the class: a = {cert.a}, kappa = {cert.kappa}, Q = {cert.q}")
 print(f"indeed 3*(l + N*b) - 1 vanishes mod 5^22: {(3 * a - 1) % 5**22 == 0}")
 print("\nso the only 5-adic zero of this class is the twisted rational zero 1/3:")

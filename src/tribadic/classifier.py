@@ -19,16 +19,22 @@ listed in FORMS, narrowest first; the first of these that applies is the verdict
    but the rational form is undecided where just one of the classes over 1/3 and -5/3 is a
    zero class.
 
-Step 6 is exact, and reads the zero table alone.  Every class there meets the derivative
-condition, so e = 1 and g has one zero on Z_p (the disc lemma in SeriesTrunc).  For an integer
-target t = l (mod N), z = (t - l)/N is an integer with f_l(z) = T(t) = 0, so z is that zero and
-kappa = 1.  For the rational targets, (x^2 - x)^3 = 2x in Z[x]/(P).  With l = 3^-1 (mod N),
-y = x^l (x^N)^((1/3 - l)/N) cubes to x and f_l(z_(1/3)) = phi(y), and c = (x^2 - x) y^-1 cubes
-to 2.  For d = 1, R = Z_p^3 and the cube roots of 2 are distinct mod p, so c is a scalar iff it
-is one mod p.  By x^n = T(n-2) + (T(n) - T(n-1)) x + T(n-1) x^2, that is p | T(l) and
-p | T(l - 2): the classes over 1/3 and -5/3 = 1/3 - 2 are both zero classes.  Then
-phi(y) = phi(x^2 - x)/c = 0 and phi(x^-2 y) = (T(0) - T(-1))/c = 0 exactly.  Where just one of
-them is a zero class the lemma is silent, so the verdict is undecided.  One trib_mod per holds
+The exactness lemma.  R = Z_p[x]/(P) is unramified, so x = zeta*y with zeta^N = 1, zeta of order
+prime to p, and y in 1 + pR.  For the class n = l (mod sN) and t in Q_T with z = (t - l)/sN in
+Z_p, x^(sN) = y^(sN), so f_l(z) = phi(zeta^l y^t), which is 0 exactly (z is then g's one zero on
+Z_p where mu = 1) in two cases:
+- t in Z_T with x^(l - t) = c (mod p), c a scalar: zeta^(l - t) is the scalar root of unity over
+  c, and f_l(z) = zeta^(l - t) T(t) = 0;
+- t = 1/3 or -5/3 = 1/3 - 2 with 3 prime to N, l = t (mod N) and the pair condition p | T(r),
+  p | T(r - 2) at r = 3^-1 (mod N): the classes over 1/3 and -5/3 are both zero classes.
+  Y = zeta^r y^(1/3) cubes to x, and (x^2 - x)^3 = 2x in Z[x]/(P), so c = (x^2 - x) Y^-1 cubes to
+  2.  X^3 - 2 has at most one root in R over each residue (3 is a unit), so c is a scalar iff it
+  is one mod p, which by x^n = T(n-2) + (T(n) - T(n-1)) x + T(n-1) x^2 and Y = x^r (mod p) is the
+  pair condition.  Then phi(Y) = phi(x^2 - x)/c = 0 and phi(x^-2 Y) = (T(0) - T(-1))/c = 0.
+certify reads this rule (_sits_over) and evaluates no series.  Step 6 is its case s = 1,
+l = t (mod N), read off the zero table alone: every class there is derivative-ok, so e = 1 and
+mu = 1 (the disc lemma in SeriesTrunc), and kappa = 1.  Where just one of the classes over 1/3 and
+-5/3 is a zero class the lemma is silent, so the verdict is undecided.  One trib_mod per holds
 class checks p^3 | T(l + N*m) at m = (t - l)/N (mod p^2), and raises if not.
 
 At p = 3, whose Z_T targets collide mod N = 13, the rule is replaced by its own: the integer
@@ -240,13 +246,11 @@ def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     at four times it: the first on which series_coeffs and then series.mu raise no PrecisionError.
 
     Strassman's mu (computed here, once, and kept on the series), the Hensel zero b and the
-    linear certificate are all read off this one series.  Where beta_1 is a unit (every witness
-    class), it is built on the disc of g's zero (SeriesTrunc).  witness_zero, the zero command
-    and p = 3's formula build series here; no other verdict does.
-    certify never raises PrecisionError, and neither does hensel_zero on a series whose beta_1 is
-    a unit, by the disc lemma: Newton converges within its iteration cap.  So escalation depends
-    on the series alone, and reading the three off it outside this loop changes no result;
-    should one of their defensive raises ever fire, it propagates."""
+    linear certificate are all read off this one series, built on the disc of g's zero where
+    beta_1 is a unit (every witness class).  witness_zero, the zero command and p = 3's formula
+    build series here; no other verdict does.  Neither certify (the exactness lemma) nor
+    hensel_zero where beta_1 is a unit (the disc lemma) raises PrecisionError, so escalation
+    depends on the series alone."""
     for k in range(3):
         try:
             series = series_coeffs(prime_context(ctx.p, ctx.prec << k), ell, s)
@@ -257,37 +261,44 @@ def class_series(ctx: PrimeContext, ell: int, s: int = 1) -> SeriesTrunc:
     raise last
 
 
+def _sits_over(p: int, n_period: int, ell: int, t) -> bool:
+    """The exactness lemma (module docstring) for t in Q_T with (t - l)/sN in Z_p: an integer t
+    needs x^((l - t) mod N) scalar mod p, 1/3 and -5/3 need 3 prime to N, l = t (mod N) and p | T(r),
+    p | T(r - 2) at r = 3^-1 (mod N)."""
+    num, den = t.as_integer_ratio()
+    if den == 1:
+        _, c1, c2 = _xpow((ell - num) % n_period, p)
+        return c1 == c2 == 0
+    if n_period % 3 == 0 or (ell * den - num) % n_period:
+        return False
+    t_r2, _, t_r = _triple(pow(3, -1, n_period) - 2, p)
+    return t_r2 == t_r == 0
+
+
 def certify(series: SeriesTrunc):
-    """The linear certificate of the class n = l (mod sN) that series was built on, or None.
-    mu = 1 gives g one zero on Z_p and |g'| = |beta_1| on all of Z_p, so g(z) = 0 (mod p^prec)
-    at z = (a - l)/sN for a the first t in Q_T with that z in Z_p, if any; z is only tried where
-    its first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with v = nu(beta_1).  On
-    a series built on its disc (SeriesTrunc), v = 0 and that digit is d0 = start mod p.
-    sN/p^nu(sN) is inverted mod p^prec once; a target's z is formed at full precision only
-    after its first digit matches."""
+    """The linear certificate of the class n = l (mod sN) that series was built on, or None; no
+    series is evaluated.  mu = 1 gives g one zero on Z_p, so a is the first t in Q_T with
+    z = (t - l)/sN in Z_p whose first digit is the zero's, -(beta_0/p^v)(beta_1/p^v)^(-1) mod p with
+    v = nu(beta_1) (start mod p on a disc series, where v = 0), and over which _sits_over puts the
+    class; then kappa = e + v - nu_p(sN)."""
     if series.mu != 1:
         return None
     ctx, ell = series.ctx, series.ell
-    p, q, prec = ctx.p, series.s * ctx.n_period, ctx.prec
+    p, q = ctx.p, series.s * ctx.n_period
     if series.start is not None:
         v1, digit = 0, series.start % p
     else:
         c0, c1 = series.coeffs[0], series.coeffs[1]
         v1 = _vp(c1, p)  # below prec: beta_1 attains the least valuation, which mu = 1 read off
         digit = -(c0 // p**v1) * pow(c1 // p**v1, -1, p) % p
-    vq = _vp(q, p)
-    pv = p**vq
-    q_inv = unit_inverse(q // pv, p, prec)
+    pv = p ** (vq := _vp(q, p))
     for t in QT:
         num, den = t.as_integer_ratio()
         diff = num - ell * den
         if den % p == 0 or diff % pv:  # t is not p-integral, or (t - l)/sN is not in Z_p
             continue
-        w = diff // pv * q_inv  # z = w / den (mod p^prec)
-        if w * pow(den, -1, p) % p == digit:
-            z = w * unit_inverse(den, p, prec) % p**prec
-            if series.eval(z) == 0:
-                return LinearCertificate(q, ell % q, t, series.e + v1 - vq, 1, v1)
+        if diff // pv * pow(q // pv * den, -1, p) % p == digit and _sits_over(p, ctx.n_period, ell, t):
+            return LinearCertificate(q, ell % q, t, series.e + v1 - vq, 1, v1)
     return None
 
 

@@ -58,8 +58,8 @@ EXIT_EXCLUDED = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
-# the floor of --precision K: a certificate's g(z) = 0 (mod p^K) checks at most K digits of its
-# zero, the first of which the mod-p^2 period scan already fixes; K >= 3 checks two more
+# the floor of --precision K, the number of digits of each zero that `zero` and `classify` print
+# (certificates are exact at every K): the mod-p^2 period scan fixes the first, so K >= 3 adds two
 MIN_PRECISION = 3
 
 _EXIT_BY_STATUS = {
@@ -346,7 +346,7 @@ def _cmd_zero(args) -> int:
         except ConditionNotMet:  # beta_1 is not a unit: no Hensel start
             record = None
         payload.update(e=series.e, mu=mu, deriv_ok=record is not None)
-        if record is not None:  # mu = 1 here, so the certificate exists iff the zero sits over Q_T
+        if record is not None:  # mu = 1 here: a certificate proves the zero is its target a
             kind = "other" if cert is None else "rational" if isinstance(cert.a, Fraction) else "integer"
             payload["zero"] = {
                 "digits": record.digits(),

@@ -68,23 +68,10 @@ class SeriesTrunc(namedtuple("SeriesTrunc", "ctx ell s e log_val coeffs start", 
     series of the class l' = l + d0*sN: the same L = log x^(sN), and T(l') = T(l) (mod p^E), so
     e' = e = E.  For p | u its terms gamma_k u^k past J' = _default_cut(p, E + 1, prec - 1) (at
     least 1) vanish mod p^prec, and so do those of g' since (k-1)(E+1) - nu_p((k-1)!) >= prec
-    for k > J'.  coeffs are then gamma_0..gamma_J', about half of J + 1, start is b0, and eval,
-    mu, hensel_zero and certify read g only on that disc.  gamma_0 = 0 (mod p)
-    because p^(e+1) | T(l'), gamma_1 is a unit and gamma_k = 0 (mod p) for k >= 2.  The lemma
-    alone, with no series built, gives every holds class its one zero (classifier, step 6).
-    No __slots__: mu is kept in the instance dict.
+    for k > J'.  coeffs are then gamma_0..gamma_J', about half of J + 1, start is b0, and mu and
+    hensel_zero read g only on that disc.  gamma_0 = 0 (mod p) because p^(e+1) | T(l'), gamma_1
+    is a unit and gamma_k = 0 (mod p) for k >= 2.  No __slots__: mu is kept in the instance dict.
     """
-
-    def eval(self, z: int) -> int:
-        """g(z) mod p^prec by blocked Horner evaluation of the truncated series; on a disc series,
-        z off d0 + pZ_p raises ValueError."""
-        p, m = self.ctx.p, self.ctx.p**self.ctx.prec
-        if self.start is not None:
-            d0 = self.start % p
-            if (z - d0) % p:
-                raise ValueError(f"z = {z} is off the disc {d0} + {p}Z_p that the series was built on")
-            z -= d0
-        return _zp_eval(self.coeffs, _zp_powers(z, len(self.coeffs), m), m)
 
     @cached_property
     def mu(self) -> int:
@@ -111,8 +98,9 @@ class ZeroRecord(namedtuple("ZeroRecord", "b residual_vals series")):
     certifies on series, the SeriesTrunc it was found on.
 
     residual_vals logs nu_p(g(b_i)) over the Newton iterates, which the test suite uses to
-    observe quadratic convergence.  Whether b is g's only zero on Z_p is series.mu == 1,
-    and which target a = l + sN*b is, if any, classifier.certify(series) says.
+    observe quadratic convergence.  Whether b is g's only zero on Z_p is series.mu == 1, and
+    classifier.certify(series) proves which target a = l + sN*b is, by the exactness lemma in
+    classifier's module docstring, without reading b.
     """
 
     __slots__ = ()

@@ -319,6 +319,64 @@ def slopes(coeffs):
     return [k * coeffs[k] for k in range(1, len(coeffs))]
 
 
+def series_eval(series, z):
+    """Oracle: g(z) mod p^prec for an int z, by plain Horner over series.coeffs; on a disc series
+    the terms are read at z - d0, and a z off the disc d0 + pZ_p, where they are not certified,
+    is a misuse of the oracle."""
+    p, m = series.ctx.p, series.ctx.p**series.ctx.prec
+    if series.start is not None:
+        d0 = series.start % p
+        if (z - d0) % p:
+            raise AssertionError(f"z = {z} is off the disc {d0} + {p}Z_p that the series was built on")
+        z -= d0
+    return _plain_horner(series.coeffs, z, m)
+
+
+def certify_oracle(series):
+    """Oracle: the linear certificate by evaluation, as classifier.certify once decided it: at
+    mu = 1, the first t in Q_T with z = (t - l)/sN in Z_p whose first digit is the zero's and with
+    g(z) = 0 (mod p^prec).  A K-digit match, not a proof: the lemma's certify must equal it."""
+    if series.mu != 1:
+        return None
+    ctx, ell = series.ctx, series.ell
+    p, q, pk = ctx.p, series.s * ctx.n_period, ctx.p**ctx.prec
+    if series.start is not None:
+        v1, digit = 0, series.start % p
+    else:
+        c0, c1 = series.coeffs[0], series.coeffs[1]
+        v1 = known_val(c1, p, ctx.prec)
+        digit = -(c0 // p**v1) * pow(c1 // p**v1, -1, p) % p
+    vq = _val(q, p)
+    for t in classifier.QT:
+        num, den = t.as_integer_ratio()
+        diff = num - ell * den
+        if den % p == 0 or diff % p**vq:
+            continue
+        z = diff // p**vq * pow(q // p**vq * den, -1, pk) % pk
+        if z % p == digit and series_eval(series, z) == 0:
+            return classifier.LinearCertificate(q, ell % q, t, series.e + v1 - vq, 1, v1)
+    return None
+
+
+def zero_classes(p, s):
+    """Every l in [0, sN) with p | T(l): the zero classes mod N, each lifted by jN for j < s."""
+    n_period = prime_context(p).n_period
+    return [info.ell + j * n_period for info in classifier._zero_table(p, n_period) for j in range(s)]
+
+
+def certify_disagreements(cases):
+    """certify against certify_oracle on each class (p, l, s, prec), its series escalated by
+    class_series: (classes compared, certificates found, the classes where the two differ)."""
+    compared, certified, differ = 0, 0, []
+    for p, ell, s, prec in cases:
+        series = classifier.class_series(prime_context(p, prec), ell, s)
+        cert = classifier.certify(series)
+        compared, certified = compared + 1, certified + (cert is not None)
+        if cert != certify_oracle(series):
+            differ.append((p, ell, s, prec))
+    return compared, certified, differ
+
+
 def trib_mod_oracle(n, m):
     """T(n) mod m for n >= 0 by powering the companion matrix of the recurrence, integers only."""
 

@@ -35,7 +35,7 @@ from tribadic._factor import primes_upto
 from tribadic.interpolation import _log
 from tribadic.padic import val_int
 
-from conftest import OracleRing, cube_root_certificate
+from conftest import OracleRing, cube_root_certificate, series_eval
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,7 @@ def test_criterion_6_property_suites():
                 continue
             assert series.mu == 1, f"mu != 1 at p = {p}, l = {ell}"
             record = hensel_zero(series)  # one zero found, mu = 1: count <= mu
-            assert record.series is series and series.eval(record.b) == 0
+            assert record.series is series and series_eval(series, record.b) == 0
             vals = record.residual_vals
             for i in range(len(vals) - 1):
                 assert vals[i + 1] >= min(2 * vals[i], 24), f"convergence stall at p = {p}, l = {ell}"

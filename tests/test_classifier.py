@@ -63,7 +63,10 @@ from tribadic.interpolation import series_coeffs
 from tribadic.padic import VAL_INF, PrecisionError, val_int
 from tribadic.tribonacci import ZERO_SET, _chain, _char_poly, _xpow, trib, trib_val
 
-from conftest import _P, PSI_12, OracleRing, _plain_horner, known_val, rule_table, slopes, trib_mod_oracle
+from conftest import (
+    _P, PSI_12, OracleRing, _plain_horner, certify_disagreements, known_val, rule_table, series_eval, slopes,
+    trib_mod_oracle, zero_classes,
+)
 
 
 def revalidate_witness(p, n_period, ell, u, rational):
@@ -578,10 +581,8 @@ class TestDeriveLinearFormula:
             z = (t.numerator - 179 * t.denominator) * pow(268 * t.denominator, -1, pk) % pk
             if (z - series.start) % 269 == 0:
                 on_disc += 1
-                assert (series.eval(z) == 0) == (t == Fraction(1, 3))
+                assert (series_eval(series, z) == 0) == (t == Fraction(1, 3))
             else:
-                with pytest.raises(ValueError):
-                    series.eval(z)
                 assert trib_mod(179 + 268 * z, 269**2) != 0
         assert on_disc >= 1
 
@@ -611,6 +612,52 @@ class TestDeriveLinearFormula:
         # must double its way up rather than fail
         cert = class_certificate(prime_context(3, 2), 35, 3)
         assert cert is not None and (cert.a, cert.kappa) == (-4, 4)
+
+class TestCertifyLemma:
+    """certify reads the exactness lemma of classifier's module docstring and evaluates no series;
+    conftest.certify_oracle is the evaluation g(z) = 0 (mod p^prec) it replaced.  The two agree on
+    every zero class, whatever its mu and derivative condition; CI compares every admissible
+    p < 1500 at precision 24."""
+
+    ADMISSIBLE = [p for p in primes_upto(399) if p not in EXCLUDED_PRIMES]
+
+    @pytest.mark.parametrize("prec, certified", [(3, 509), (24, 509)])
+    def test_every_zero_class_below_400(self, prec, certified):
+        cases = [(p, ell, 1, prec) for p in self.ADMISSIBLE for ell in zero_classes(p, 1)]
+        assert certify_disagreements(cases) == (5820, certified, [])
+
+    def test_period_multipliers_p_and_p_squared(self):
+        # p < 60 at s = p, and p < 20 at s = p^2, p = 3 included
+        cases = [(p, ell, s, 24) for p in self.ADMISSIBLE if p < 60
+                 for s in ((p, p * p) if p < 20 else (p,)) for ell in zero_classes(p, s)]
+        compared, certified, differ = certify_disagreements(cases)
+        assert differ == [] and compared > 20000 and certified > 100
+
+    def test_negative_ell(self):
+        # zero --ell takes any integer, and l - kN is l's class mod N: _sits_over reduces mod N
+        cases = [(p, ell - k * prime_context(p).n_period, 1, 24) for p in self.ADMISSIBLE if p < 60
+                 for ell in zero_classes(p, 1) for k in (1, 7)]
+        compared, certified, differ = certify_disagreements(cases)
+        assert differ == [] and compared > 400 and certified > 30
+        for p, ell, _, _ in cases:
+            ctx = prime_context(p, 24)
+            low, high = class_certificate(ctx, ell), class_certificate(ctx, ell % ctx.n_period)
+            assert (low and low[:4]) == (high and high[:4]), (p, ell)
+
+    def test_no_series_is_evaluated(self, monkeypatch):
+        # each certificate of the CI's precision-96 step, with the evaluator and the inverse gone
+        classes = [(269, 179, 1), (83, 270, 1), (3, 35, 3), (163, 54, 1), (5, 21, 1)]
+        series = [class_series(prime_context(p, 96), ell, s) for p, ell, s in classes]
+
+        def boom(*args):
+            raise AssertionError("certify evaluated a series or inverted a scalar")
+
+        monkeypatch.setattr(tribadic.interpolation, "_zp_eval", boom)
+        monkeypatch.setattr(tribadic.interpolation, "_zp_powers", boom)
+        monkeypatch.setattr(tribadic.classifier, "unit_inverse", boom)
+        got = [(c.a, c.kappa) for c in map(certify, series)]
+        assert got == [(Fraction(1, 3), 1), (-17, 1), (-4, 4), (0, 1), (Fraction(1, 3), 1)]
+
 
 def taylor_shift(betas, b, pk):
     """Reference recentring by b: sum_j C(j, k) beta_j b^(j-k) mod pk, the O(J^2) Taylor shift."""
@@ -654,7 +701,7 @@ class TestStrassmanDominance:
             for series, zero in pairs:
                 centre = 0 if series.start is None else series.start % p
                 gammas = taylor_shift(series.coeffs, zero - centre, p**prec)
-                assert gammas[0] == 0 and series.eval(zero) == 0
+                assert gammas[0] == 0 and series_eval(series, zero) == 0
                 v1 = known_val(gammas[1], p, prec)
                 assert gammas[1] == _plain_horner(slopes(series.coeffs), zero - centre, p**prec) and v1 < prec
                 dom = all(known_val(g, p, prec) > v1 for g in gammas[2:])
@@ -680,7 +727,7 @@ class TestLocatedZeroOracle:
                     if info.deriv_ok:
                         units += 1
                         record = hensel_zero(series)
-                        assert series.eval(record.b) == 0 and record.series is series
+                        assert series_eval(series, record.b) == 0 and record.series is series
         assert units > 1000
 
 

@@ -1,8 +1,6 @@
 import contextlib
 import csv
-import hashlib
 import importlib.util
-import io
 import json
 import os
 import subprocess
@@ -28,6 +26,7 @@ from tribadic.cli import (
 from tribadic.classifier import TableRow, published_table, reproduce_table
 
 from conftest import PSI_12
+from payload_digest import digest
 
 
 def run(capsys, *argv):
@@ -410,25 +409,22 @@ class TestZero:
 
 
 def certify_set_digest(seed: int) -> str:
-    """sha256 over the zero requests of perfbench's certify workload at seed, in their order: one
-    line per request, its exit code and its JSON record without elapsed_ms, keys sorted."""
+    """payload_digest.digest over the zero requests of perfbench's certify workload at seed, in
+    their order: one line per request, its exit code and its JSON record without elapsed_ms, keys
+    sorted."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     inputs = workloads.make_inputs("certify", seed)
-    lines = []
+    requests = []
     for i, prec in inputs["requests"]:
         task = inputs["tasks"][i]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(["zero", "--prime", str(task["p"]), "--ell", str(task["ell"]),
-                         "--multiplier", str(task["s"]), "--precision", str(prec), "--format", "json"])
-        rec = json.loads(buf.getvalue())
-        del rec["elapsed_ms"]
-        lines.append(f"{code} {json.dumps(rec, sort_keys=True)}")
-    assert len(lines) == 108
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        requests.append(["zero", "--prime", str(task["p"]), "--ell", str(task["ell"]),
+                         "--multiplier", str(task["s"]), "--precision", str(prec)])
+    got, codes = digest(requests)
+    assert len(codes) == 108
+    return got
 
 
 def test_certify_set_payloads_are_pinned():
